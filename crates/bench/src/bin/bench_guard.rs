@@ -81,14 +81,6 @@ struct Report {
     adversarial: Adversarial,
 }
 
-/// Zero the wall-clock overhead fields so two reports of the same run
-/// can be compared for equality.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
-
 /// Compress arrivals by `factor`: the same jobs offered `factor`× as
 /// fast. 1.0 leaves the workload untouched.
 fn overload(jobs: &[JobSpec], factor: f64) -> Vec<JobSpec> {
@@ -155,7 +147,7 @@ fn main() {
             "guarded run must complete every job at {factor}x"
         );
         if factor == 1.0 && guarded.guard.is_clean() {
-            transparent &= scrub(bare.clone()) == scrub(guarded.clone());
+            transparent &= bare.clone().scrubbed() == guarded.clone().scrubbed();
         }
         if factor >= 1.2 {
             no_worse &= guarded.makespan <= bare.makespan;

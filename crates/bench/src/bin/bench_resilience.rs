@@ -75,14 +75,6 @@ struct Report {
     sweep: Vec<SweepPoint>,
 }
 
-/// Zero the wall-clock overhead fields so two reports of the same run
-/// can be compared for equality.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
-
 fn run_with_faults(
     name: &str,
     cluster: &ClusterSpec,
@@ -129,7 +121,7 @@ fn main() {
     let zero_tl = generate(&cluster, &zero_cfg);
     assert!(zero_tl.is_empty(), "zero-rate config must generate nothing");
     let zero_run = run_with_faults("dollymp0", &cluster, &jobs, &sampler, &zero_tl);
-    let zero_rate_matches_baseline = scrub(baseline.clone()) == scrub(zero_run);
+    let zero_rate_matches_baseline = baseline.clone().scrubbed() == zero_run.scrubbed();
     assert!(
         zero_rate_matches_baseline,
         "zero-rate fault schedule changed the report"
@@ -159,7 +151,7 @@ fn main() {
                 requeued[si] += r.faults.tasks_requeued;
                 // Property 2: identical seed + timeline → identical report.
                 let again = run_with_faults(name, &cluster, &jobs, &sampler, &faults);
-                deterministic &= scrub(r.clone()) == scrub(again);
+                deterministic &= r.clone().scrubbed() == again.scrubbed();
             }
             let f = &r.faults;
             println!(

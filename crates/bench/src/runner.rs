@@ -167,7 +167,7 @@ mod tests {
                 });
                 let sampler = DurationSampler::new(cell_seed(7, i), StragglerModel::ParetoFit);
                 let mut s = dollymp_schedulers::by_name(name).expect("known scheduler");
-                let mut r = simulate(
+                let r = simulate(
                     &cluster,
                     jobs,
                     &sampler,
@@ -176,9 +176,7 @@ mod tests {
                 );
                 // Scrub the only non-deterministic fields (wall-clock
                 // overhead timings) before byte-comparing.
-                r.scheduling_ns = 0;
-                r.sched_overhead = Default::default();
-                serde_json::to_string(&r).expect("report serializes")
+                serde_json::to_string(&r.scrubbed()).expect("report serializes")
             })
         };
         let seq = run(Parallelism::Sequential);

@@ -25,7 +25,7 @@ use crate::capacity::CapacityIndex;
 use crate::error::{AdmissionError, ProgressSnapshot, RejectReason, SimError};
 use crate::execution::DurationSampler;
 use crate::fault::{FaultEvent, FaultTimeline};
-use crate::metrics::{CopyOutcome, CopySpan, FaultStats, JobMetrics, SchedOverhead, SimReport};
+use crate::metrics::{CopyOutcome, GuardStats, JobMetrics, ReportFold, SimReport};
 use crate::scheduler::{Assignment, Scheduler};
 use crate::spec::{ClusterSpec, ServerId};
 use crate::state::{CopyKind, CopyState, JobState, TaskStatus};
@@ -154,6 +154,32 @@ enum FaultHook {
     Lost(TaskRef),
 }
 
+/// Where the engine sends run events. The report fold gets every
+/// report-relevant event; the recorder gets every event, but only when
+/// recording, so a disabled recorder never sees an event built for it.
+struct Sink<'r> {
+    fold: ReportFold,
+    recorder: &'r mut dyn Recorder,
+    recording: bool,
+}
+
+impl Sink<'_> {
+    /// A report-relevant event: always folded, journaled when recording.
+    fn emit(&mut self, ev: TraceEvent) {
+        self.fold.ingest(&ev);
+        if self.recording {
+            self.recorder.record(ev);
+        }
+    }
+
+    /// A journal-only event, built only when recording.
+    fn trace(&mut self, ev: impl FnOnce() -> TraceEvent) {
+        if self.recording {
+            self.recorder.record(ev());
+        }
+    }
+}
+
 /// [`simulate`] under a fault schedule (see [`crate::fault`]).
 ///
 /// Fault events fire at their slot *after* completions of that slot are
@@ -219,7 +245,7 @@ pub fn try_simulate_with_faults(
 /// observable state transition is emitted as a [`TraceEvent`] (see
 /// [`crate::trace`]). With a [`NullRecorder`] this is byte-identical to
 /// the unrecorded entry points — the recorder's `enabled()` flag is read
-/// once and every emission site is skipped.
+/// once and nothing is journaled.
 ///
 /// # Panics
 /// Exactly where [`simulate_with_faults`] panics.
@@ -255,10 +281,6 @@ pub fn try_simulate_with_faults_recorded(
     faults: &FaultTimeline,
     recorder: &mut dyn Recorder,
 ) -> Result<SimReport, SimError> {
-    // Read once: the journal is either fully on or fully off for a run,
-    // and a disabled recorder must cost nothing on the hot path (no
-    // event construction, one dead branch per emission site).
-    let recording = recorder.enabled();
     for j in &jobs {
         for (pi, p) in j.phases().iter().enumerate() {
             if !cluster
@@ -286,14 +308,12 @@ pub fn try_simulate_with_faults_recorded(
     let mut free = CapacityIndex::from_capacities(cluster);
     let mut events: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut done: Vec<JobMetrics> = Vec::new();
-    let mut decision_points = 0u64;
-    let mut scheduling_ns = 0u64;
-    // One entry per decision point: schedule() plus the on-arrival
-    // refreshes that preceded it in the same slot (§6.3.3 overhead).
-    let mut overhead_samples: Vec<u64> = Vec::new();
-    let mut utilization: Vec<(Time, f64, f64)> = Vec::new();
-    let mut timeline: Vec<CopySpan> = Vec::new();
+    // Read once: the journal is either fully on or fully off for a run.
+    let mut sink = Sink {
+        fold: ReportFold::new(cfg.record_utilization, cfg.record_timeline),
+        recording: recorder.enabled(),
+        recorder,
+    };
     let mut now: Time = 0;
     // Last slot at which anything observable happened (admission, launch
     // or retirement) — surfaced in stall/overrun errors for debugging.
@@ -303,9 +323,8 @@ pub fn try_simulate_with_faults_recorded(
     let mut down: Vec<u32> = vec![0; cluster.len()];
     let mut speed_factor: Vec<f64> = vec![1.0; cluster.len()];
     let mut fault_idx = 0usize;
-    let mut fstats = FaultStats::default();
-    // Guard counters as of the previous pass, for per-pass journal deltas.
-    let mut prev_guard = crate::metrics::GuardStats::default();
+    // Guard counters as of the previous pass, for per-pass deltas.
+    let mut prev_guard = GuardStats::default();
     // Scratch buffers reused across decision points so the steady-state
     // loop allocates nothing.
     let mut finished_jobs: Vec<JobId> = Vec::new();
@@ -352,9 +371,7 @@ pub fn try_simulate_with_faults_recorded(
                 progress: progress_snapshot(&active, last_progress),
             });
         }
-        if recording {
-            recorder.record(TraceEvent::SlotTick { at: now });
-        }
+        sink.trace(|| TraceEvent::SlotTick { at: now });
 
         // 1) Retire copies finishing now (and any stale events en route).
         finished_jobs.clear();
@@ -375,23 +392,17 @@ pub fn try_simulate_with_faults_recorded(
                 &ev,
                 &mut finished_jobs,
                 &mut children_scratch,
-                cfg.record_timeline.then_some(&mut timeline),
-                recording,
-                recorder,
+                &mut sink,
             );
             last_progress = now;
         }
         for id in finished_jobs.drain(..) {
             #[allow(clippy::expect_used)] // retire_copy listed it from `active`
             let job = active.remove(&id).expect("finished job present");
-            let metrics = job_metrics(&job, now);
-            if recording {
-                recorder.record(TraceEvent::JobCompletion {
-                    at: now,
-                    metrics: metrics.clone(),
-                });
-            }
-            done.push(metrics);
+            sink.emit(TraceEvent::JobCompletion {
+                at: now,
+                metrics: job_metrics(&job, now),
+            });
             scheduler.on_job_finish(&job);
         }
 
@@ -413,11 +424,8 @@ pub fn try_simulate_with_faults_recorded(
                 &mut speed_factor,
                 &mut events,
                 &mut seq,
-                &mut fstats,
-                cfg.record_timeline.then_some(&mut timeline),
                 &mut hooks,
-                recording,
-                recorder,
+                &mut sink,
             )?;
         }
         if !hooks.is_empty() {
@@ -453,9 +461,7 @@ pub fn try_simulate_with_faults_recorded(
                 .map(|(pi, p)| sampler.phase_table(id, PhaseId(pi as u32), p))
                 .collect();
             active.insert(id, JobState::new(spec, tables));
-            if recording {
-                recorder.record(TraceEvent::JobArrival { at: now, job: id });
-            }
+            sink.trace(|| TraceEvent::JobArrival { at: now, job: id });
             let view = ClusterView {
                 now,
                 spec: cluster,
@@ -478,28 +484,17 @@ pub fn try_simulate_with_faults_recorded(
             let t0 = std::time::Instant::now();
             let batch = scheduler.schedule(&view);
             let schedule_ns = t0.elapsed().as_nanos() as u64;
-            scheduling_ns += schedule_ns;
-            overhead_samples.push(arrival_ns + schedule_ns);
-            decision_points += 1;
-            if recording {
-                // The span precedes the batch's CopyLaunch events, so a
-                // journal reader sees "decided, then placed".
-                recorder.record(TraceEvent::SchedSpan {
-                    at: now,
-                    decision_point: decision_points,
-                    arrival_ns,
-                    schedule_ns,
-                    batch: batch.len() as u64,
-                    detail: scheduler.pass_span(),
-                });
-                if let Some(gs) = scheduler.guard_stats() {
-                    let delta = gs.diff(&prev_guard);
-                    if delta != crate::metrics::GuardStats::default() {
-                        recorder.record(TraceEvent::GuardDelta { at: now, delta });
-                    }
-                    prev_guard = gs;
-                }
-            }
+            // The span precedes the batch's CopyLaunch events, so a
+            // journal reader sees "decided, then placed".
+            sink.emit(TraceEvent::SchedSpan {
+                at: now,
+                decision_point: sink.fold.decision_points() + 1,
+                arrival_ns,
+                schedule_ns,
+                batch: batch.len() as u64,
+                detail: scheduler.pass_span(),
+            });
+            emit_guard_delta(&mut sink, &*scheduler, &mut prev_guard, now);
 
             // Pending fault events are future decision points too: a
             // fully-crashed cluster legitimately idles until a Restore.
@@ -525,8 +520,7 @@ pub fn try_simulate_with_faults_recorded(
                     &mut events,
                     &mut seq,
                     a,
-                    recording,
-                    recorder,
+                    &mut sink,
                 );
                 last_progress = now;
             }
@@ -552,12 +546,12 @@ pub fn try_simulate_with_faults_recorded(
             } else {
                 0.0
             };
-            utilization.push((now, cpu, mem));
-            if recording {
-                recorder.record(TraceEvent::UtilSample { at: now, cpu, mem });
-            }
+            sink.emit(TraceEvent::UtilSample { at: now, cpu, mem });
         }
     }
+    // Hooks after the last pass (the final `on_job_finish` calls) can
+    // still move the guard's counters.
+    emit_guard_delta(&mut sink, &*scheduler, &mut prev_guard, now);
 
     debug_assert!(
         cluster.servers().iter().enumerate().all(|(i, s)| {
@@ -571,19 +565,24 @@ pub fn try_simulate_with_faults_recorded(
         "resource leak: free != capacity after drain"
     );
 
-    let makespan = done.iter().map(|j| j.finish).max().unwrap_or(0);
-    Ok(SimReport {
-        scheduler: scheduler.name(),
-        jobs: done,
-        makespan,
-        decision_points,
-        scheduling_ns,
-        sched_overhead: SchedOverhead::from_samples(&overhead_samples),
-        utilization,
-        timeline,
-        faults: fstats,
-        guard: scheduler.guard_stats().unwrap_or_default(),
-    })
+    Ok(sink.fold.finish(scheduler.name()))
+}
+
+/// Emit the change in the scheduler's guard counters since `prev`, if
+/// any, and remember the new counters.
+fn emit_guard_delta(
+    sink: &mut Sink<'_>,
+    scheduler: &dyn Scheduler,
+    prev: &mut GuardStats,
+    now: Time,
+) {
+    if let Some(gs) = scheduler.guard_stats() {
+        let delta = gs.diff(prev);
+        if delta != GuardStats::default() {
+            sink.emit(TraceEvent::GuardDelta { at: now, delta });
+        }
+        *prev = gs;
+    }
 }
 
 fn copy_is_live(active: &BTreeMap<JobId, JobState>, ev: &Event) -> bool {
@@ -619,11 +618,8 @@ fn apply_fault(
     speed_factor: &mut [f64],
     events: &mut BinaryHeap<Reverse<Event>>,
     seq: &mut u64,
-    stats: &mut FaultStats,
-    mut timeline: Option<&mut Vec<CopySpan>>,
     hooks: &mut Vec<FaultHook>,
-    recording: bool,
-    recorder: &mut dyn Recorder,
+    sink: &mut Sink<'_>,
 ) -> Result<(), SimError> {
     let server = event.server();
     let sid = server.0 as usize;
@@ -641,10 +637,7 @@ fn apply_fault(
                 // nothing left to evict.
                 return Ok(());
             }
-            stats.server_crashes += 1;
-            if recording {
-                recorder.record(TraceEvent::ServerCrash { at: now, server });
-            }
+            sink.emit(TraceEvent::ServerCrash { at: now, server });
             free.set_free(server, Resources::ZERO);
             hooks.push(FaultHook::Down(server));
             for (&jid, job) in active.iter_mut() {
@@ -674,30 +667,15 @@ fn apply_fault(
                             evicted = true;
                             let wasted = demand_norm * now.saturating_sub(c.start) as f64;
                             job.usage_norm += wasted;
-                            stats.copies_evicted += 1;
-                            stats.work_lost_norm += wasted;
-                            if recording {
-                                recorder.record(TraceEvent::CopyEvict {
-                                    at: now,
-                                    task: tref,
-                                    copy_idx: c.copy_idx,
-                                    server: c.server,
-                                    kind: c.kind,
-                                    start: c.start,
-                                    work_lost_norm: wasted,
-                                });
-                            }
-                            if let Some(tl) = timeline.as_deref_mut() {
-                                tl.push(CopySpan {
-                                    task: tref,
-                                    copy_idx: c.copy_idx,
-                                    server: c.server,
-                                    kind: c.kind,
-                                    start: c.start,
-                                    end: now,
-                                    outcome: CopyOutcome::Evicted,
-                                });
-                            }
+                            sink.emit(TraceEvent::CopyEvict {
+                                at: now,
+                                task: tref,
+                                copy_idx: c.copy_idx,
+                                server: c.server,
+                                kind: c.kind,
+                                start: c.start,
+                                work_lost_norm: wasted,
+                            });
                         }
                         if !evicted {
                             continue;
@@ -706,24 +684,18 @@ fn apply_fault(
                             // A live clone elsewhere carries the task —
                             // cloning as fault tolerance (§5.2's mechanism
                             // repurposed).
-                            stats.tasks_saved_by_clone += 1;
-                            if recording {
-                                recorder.record(TraceEvent::TaskSaved {
-                                    at: now,
-                                    task: tref,
-                                });
-                            }
+                            sink.emit(TraceEvent::TaskSaved {
+                                at: now,
+                                task: tref,
+                            });
                         } else {
                             // Work-conserving re-queue: all progress lost,
                             // the task re-enters the ready pool.
                             task.status = TaskStatus::Ready;
-                            stats.tasks_requeued += 1;
-                            if recording {
-                                recorder.record(TraceEvent::TaskLost {
-                                    at: now,
-                                    task: tref,
-                                });
-                            }
+                            sink.emit(TraceEvent::TaskLost {
+                                at: now,
+                                task: tref,
+                            });
                             hooks.push(FaultHook::Lost(tref));
                         }
                     }
@@ -740,23 +712,17 @@ fn apply_fault(
             down[sid] -= 1;
             if down[sid] == 0 {
                 free.set_free(server, cluster.server(server).capacity);
-                stats.server_recoveries += 1;
-                if recording {
-                    recorder.record(TraceEvent::ServerRestore { at: now, server });
-                }
+                sink.emit(TraceEvent::ServerRestore { at: now, server });
                 hooks.push(FaultHook::Up(server));
             }
         }
         FaultEvent::Degrade(_, factor) => {
             speed_factor[sid] *= factor;
-            stats.server_degradations += 1;
-            if recording {
-                recorder.record(TraceEvent::ServerDegrade {
-                    at: now,
-                    server,
-                    factor,
-                });
-            }
+            sink.emit(TraceEvent::ServerDegrade {
+                at: now,
+                server,
+                factor,
+            });
             // Stretch in-flight copies: the remaining slots inflate by the
             // factor; the superseded heap event goes stale via the finish
             // check in `copy_is_live`.
@@ -803,9 +769,7 @@ fn retire_copy(
     ev: &Event,
     finished_jobs: &mut Vec<JobId>,
     children_scratch: &mut Vec<PhaseId>,
-    mut timeline: Option<&mut Vec<CopySpan>>,
-    recording: bool,
-    recorder: &mut dyn Recorder,
+    sink: &mut Sink<'_>,
 ) {
     #[allow(clippy::expect_used)] // copy_is_live gated the event on this
     let job = active
@@ -824,39 +788,21 @@ fn retire_copy(
         c.live = false;
         free.add_free(c.server, demand);
         job.usage_norm += demand_norm * now.saturating_sub(c.start) as f64;
-        if c.copy_idx == ev.copy_idx {
+        let outcome = if c.copy_idx == ev.copy_idx {
             winner_start = c.start;
-        }
-        if recording {
-            recorder.record(TraceEvent::CopyRetire {
-                at: now,
-                task: ev.task,
-                copy_idx: c.copy_idx,
-                server: c.server,
-                kind: c.kind,
-                start: c.start,
-                outcome: if c.copy_idx == ev.copy_idx {
-                    CopyOutcome::Won
-                } else {
-                    CopyOutcome::Killed
-                },
-            });
-        }
-        if let Some(tl) = timeline.as_deref_mut() {
-            tl.push(CopySpan {
-                task: ev.task,
-                copy_idx: c.copy_idx,
-                server: c.server,
-                kind: c.kind,
-                start: c.start,
-                end: now,
-                outcome: if c.copy_idx == ev.copy_idx {
-                    CopyOutcome::Won
-                } else {
-                    CopyOutcome::Killed
-                },
-            });
-        }
+            CopyOutcome::Won
+        } else {
+            CopyOutcome::Killed
+        };
+        sink.emit(TraceEvent::CopyRetire {
+            at: now,
+            task: ev.task,
+            copy_idx: c.copy_idx,
+            server: c.server,
+            kind: c.kind,
+            start: c.start,
+            outcome,
+        });
     }
     task.status = TaskStatus::Done;
     task.finish = Some(now);
@@ -1014,8 +960,7 @@ fn apply_assignment(
     events: &mut BinaryHeap<Reverse<Event>>,
     seq: &mut u64,
     a: Assignment,
-    recording: bool,
-    recorder: &mut dyn Recorder,
+    sink: &mut Sink<'_>,
 ) {
     #[allow(clippy::expect_used)] // check_assignment verified the job exists
     let job = active
@@ -1072,16 +1017,14 @@ fn apply_assignment(
         task: a.task,
         copy_idx,
     }));
-    if recording {
-        recorder.record(TraceEvent::CopyLaunch {
-            at: now,
-            task: a.task,
-            copy_idx,
-            server: a.server,
-            kind: a.kind,
-            finish,
-        });
-    }
+    sink.trace(|| TraceEvent::CopyLaunch {
+        at: now,
+        task: a.task,
+        copy_idx,
+        server: a.server,
+        kind: a.kind,
+        finish,
+    });
 }
 
 fn job_metrics(job: &JobState, now: Time) -> JobMetrics {

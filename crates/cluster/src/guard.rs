@@ -556,12 +556,7 @@ mod tests {
         assert!(guarded.guard.is_clean());
         assert_eq!(guard.stats().total_rejections(), 0);
         // Wall-clock fields differ run to run; everything else must not.
-        let scrub = |mut r: crate::metrics::SimReport| {
-            r.scheduling_ns = 0;
-            r.sched_overhead = Default::default();
-            r
-        };
-        assert_eq!(scrub(unguarded), scrub(guarded));
+        assert_eq!(unguarded.scrubbed(), guarded.scrubbed());
     }
 
     #[test]

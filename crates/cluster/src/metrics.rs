@@ -4,6 +4,7 @@
 use crate::error::RejectReason;
 use crate::spec::ServerId;
 use crate::state::CopyKind;
+use crate::trace::Event;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::time::Time;
 use serde::{Deserialize, Serialize};
@@ -350,6 +351,15 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The report with its wall-clock fields (`scheduling_ns`,
+    /// `sched_overhead`) zeroed: what repeats exactly across runs of the
+    /// same inputs.
+    pub fn scrubbed(mut self) -> SimReport {
+        self.scheduling_ns = 0;
+        self.sched_overhead = SchedOverhead::default();
+        self
+    }
+
     /// Total flowtime `Σ_j (f_j − a_j)` — the (OPT) objective.
     pub fn total_flowtime(&self) -> u64 {
         self.jobs.iter().map(|j| j.flowtime).sum()
@@ -462,6 +472,147 @@ impl SimReport {
     }
 }
 
+/// The one fold from a run's event stream to its [`SimReport`].
+///
+/// The engine feeds it every report-relevant [`Event`] as it happens, and
+/// `dollymp-obs` replay feeds it a recorded journal, so the live and the
+/// replayed report come from the same code. Events are folded in order:
+/// the f64 `work_lost_norm` sum and the per-decision-point overhead
+/// samples therefore come out bit-identical on both paths.
+#[derive(Debug, Default)]
+pub struct ReportFold {
+    record_utilization: bool,
+    record_timeline: bool,
+    jobs: Vec<JobMetrics>,
+    scheduling_ns: u64,
+    /// One sample per decision point (see [`SchedOverhead`]).
+    overhead_samples: Vec<u64>,
+    faults: FaultStats,
+    guard: GuardStats,
+    utilization: Vec<(Time, f64, f64)>,
+    timeline: Vec<CopySpan>,
+}
+
+impl ReportFold {
+    /// An empty fold. `record_utilization` keeps [`Event::UtilSample`]s
+    /// in [`SimReport::utilization`]; `record_timeline` keeps every
+    /// retired or evicted copy in [`SimReport::timeline`].
+    pub fn new(record_utilization: bool, record_timeline: bool) -> ReportFold {
+        ReportFold {
+            record_utilization,
+            record_timeline,
+            ..ReportFold::default()
+        }
+    }
+
+    /// Fold one event into the report.
+    pub fn ingest(&mut self, ev: &Event) {
+        match *ev {
+            Event::JobCompletion { ref metrics, .. } => self.jobs.push(metrics.clone()),
+            Event::SchedSpan {
+                arrival_ns,
+                schedule_ns,
+                ..
+            } => {
+                self.scheduling_ns += schedule_ns;
+                self.overhead_samples.push(arrival_ns + schedule_ns);
+            }
+            Event::CopyRetire {
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                outcome,
+            } => self.keep_span(CopySpan {
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                end: at,
+                outcome,
+            }),
+            Event::CopyEvict {
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                work_lost_norm,
+            } => {
+                self.faults.copies_evicted += 1;
+                self.faults.work_lost_norm += work_lost_norm;
+                self.keep_span(CopySpan {
+                    task,
+                    copy_idx,
+                    server,
+                    kind,
+                    start,
+                    end: at,
+                    outcome: CopyOutcome::Evicted,
+                });
+            }
+            Event::TaskSaved { .. } => self.faults.tasks_saved_by_clone += 1,
+            Event::TaskLost { .. } => self.faults.tasks_requeued += 1,
+            Event::ServerCrash { .. } => self.faults.server_crashes += 1,
+            Event::ServerRestore { .. } => self.faults.server_recoveries += 1,
+            Event::ServerDegrade { .. } => self.faults.server_degradations += 1,
+            Event::GuardDelta { ref delta, .. } => self.guard.accumulate(delta),
+            Event::UtilSample { at, cpu, mem } => {
+                if self.record_utilization {
+                    self.utilization.push((at, cpu, mem));
+                }
+            }
+            Event::SlotTick { .. } | Event::JobArrival { .. } | Event::CopyLaunch { .. } => {}
+        }
+    }
+
+    fn keep_span(&mut self, span: CopySpan) {
+        if self.record_timeline {
+            self.timeline.push(span);
+        }
+    }
+
+    /// Completed jobs folded so far, in completion order.
+    pub fn jobs(&self) -> &[JobMetrics] {
+        &self.jobs
+    }
+
+    /// Decision points folded so far.
+    pub fn decision_points(&self) -> u64 {
+        self.overhead_samples.len() as u64
+    }
+
+    /// Utilization samples kept so far.
+    pub fn utilization(&self) -> &[(Time, f64, f64)] {
+        &self.utilization
+    }
+
+    /// Copy spans kept so far.
+    pub fn timeline(&self) -> &[CopySpan] {
+        &self.timeline
+    }
+
+    /// The finished report of a run driven by `scheduler`.
+    pub fn finish(self, scheduler: String) -> SimReport {
+        SimReport {
+            scheduler,
+            makespan: self.jobs.iter().map(|j| j.finish).max().unwrap_or(0),
+            decision_points: self.decision_points(),
+            jobs: self.jobs,
+            scheduling_ns: self.scheduling_ns,
+            sched_overhead: SchedOverhead::from_samples(&self.overhead_samples),
+            faults: self.faults,
+            guard: self.guard,
+            utilization: self.utilization,
+            timeline: self.timeline,
+        }
+    }
+}
+
 fn time_weighted_mean<F: Fn(&(Time, f64, f64)) -> f64>(
     series: &[(Time, f64, f64)],
     pick: F,
@@ -570,6 +721,245 @@ mod tests {
             utilization: Vec::new(),
             timeline: Vec::new(),
         }
+    }
+
+    fn task(job: u64, task: u32) -> TaskRef {
+        TaskRef {
+            job: JobId(job),
+            phase: dollymp_core::job::PhaseId(0),
+            task: dollymp_core::job::TaskId(task),
+        }
+    }
+
+    /// A hand-built run: every event kind, in an order the engine could
+    /// emit them.
+    fn event_stream() -> Vec<Event> {
+        let span = |at, decision_point, arrival_ns, schedule_ns| Event::SchedSpan {
+            at,
+            decision_point,
+            arrival_ns,
+            schedule_ns,
+            batch: 1,
+            detail: None,
+        };
+        let evict = |at, t, work_lost_norm| Event::CopyEvict {
+            at,
+            task: task(0, t),
+            copy_idx: 0,
+            server: ServerId(1),
+            kind: CopyKind::Primary,
+            start: 1,
+            work_lost_norm,
+        };
+        vec![
+            Event::SlotTick { at: 1 },
+            Event::JobArrival {
+                at: 1,
+                job: JobId(0),
+            },
+            span(1, 1, 10, 100),
+            Event::CopyLaunch {
+                at: 1,
+                task: task(0, 0),
+                copy_idx: 0,
+                server: ServerId(1),
+                kind: CopyKind::Primary,
+                finish: 9,
+            },
+            Event::UtilSample {
+                at: 1,
+                cpu: 0.5,
+                mem: 0.25,
+            },
+            Event::ServerCrash {
+                at: 3,
+                server: ServerId(1),
+            },
+            evict(3, 0, 0.1),
+            Event::TaskSaved {
+                at: 3,
+                task: task(0, 0),
+            },
+            evict(3, 1, 0.2),
+            Event::TaskLost {
+                at: 3,
+                task: task(0, 1),
+            },
+            Event::ServerDegrade {
+                at: 3,
+                server: ServerId(2),
+                factor: 0.5,
+            },
+            span(3, 2, 0, 250),
+            Event::GuardDelta {
+                at: 3,
+                delta: GuardStats {
+                    rejected_overcommit: 2,
+                    ..GuardStats::default()
+                },
+            },
+            Event::ServerRestore {
+                at: 5,
+                server: ServerId(1),
+            },
+            span(5, 3, 5, 40),
+            Event::CopyRetire {
+                at: 9,
+                task: task(0, 0),
+                copy_idx: 1,
+                server: ServerId(2),
+                kind: CopyKind::Clone,
+                start: 2,
+                outcome: CopyOutcome::Won,
+            },
+            Event::CopyRetire {
+                at: 9,
+                task: task(0, 0),
+                copy_idx: 2,
+                server: ServerId(0),
+                kind: CopyKind::Clone,
+                start: 3,
+                outcome: CopyOutcome::Killed,
+            },
+            Event::JobCompletion {
+                at: 9,
+                metrics: jm(0, 1, 9, 1),
+            },
+            Event::JobCompletion {
+                at: 12,
+                metrics: jm(1, 4, 12, 5),
+            },
+            // A change after the last pass, as from a final
+            // `on_job_finish`.
+            Event::GuardDelta {
+                at: 12,
+                delta: GuardStats {
+                    rejected_overcommit: 1,
+                    policy_panics: 1,
+                    fallback_passes: 1,
+                    quarantined_at: Some(12),
+                    ..GuardStats::default()
+                },
+            },
+        ]
+    }
+
+    fn fold(record_utilization: bool, record_timeline: bool) -> SimReport {
+        let mut fold = ReportFold::new(record_utilization, record_timeline);
+        for ev in &event_stream() {
+            fold.ingest(ev);
+        }
+        fold.finish("hand".into())
+    }
+
+    /// The report the stream folds to with both recording options off.
+    fn expected_bare() -> SimReport {
+        SimReport {
+            scheduler: "hand".into(),
+            jobs: vec![jm(0, 1, 9, 1), jm(1, 4, 12, 5)],
+            makespan: 12,
+            decision_points: 3,
+            scheduling_ns: 390,
+            sched_overhead: SchedOverhead {
+                decision_points: 3,
+                total_ns: 405,
+                mean_ns: 135,
+                p50_ns: 110,
+                p99_ns: 250,
+                max_ns: 250,
+            },
+            faults: FaultStats {
+                server_crashes: 1,
+                server_recoveries: 1,
+                server_degradations: 1,
+                copies_evicted: 2,
+                tasks_saved_by_clone: 1,
+                tasks_requeued: 1,
+                // Summed in stream order: 0.1 + 0.2, not 0.3.
+                work_lost_norm: 0.1 + 0.2,
+            },
+            guard: GuardStats {
+                rejected_overcommit: 3,
+                policy_panics: 1,
+                fallback_passes: 1,
+                quarantined_at: Some(12),
+                ..GuardStats::default()
+            },
+            utilization: Vec::new(),
+            timeline: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn fold_builds_the_exact_report() {
+        assert_eq!(fold(false, false), expected_bare());
+    }
+
+    #[test]
+    fn fold_keeps_utilization_and_timeline_only_when_asked() {
+        let mut want = expected_bare();
+        want.utilization = vec![(1, 0.5, 0.25)];
+        let evicted = |t, end| CopySpan {
+            task: task(0, t),
+            copy_idx: 0,
+            server: ServerId(1),
+            kind: CopyKind::Primary,
+            start: 1,
+            end,
+            outcome: CopyOutcome::Evicted,
+        };
+        want.timeline = vec![
+            evicted(0, 3),
+            evicted(1, 3),
+            CopySpan {
+                task: task(0, 0),
+                copy_idx: 1,
+                server: ServerId(2),
+                kind: CopyKind::Clone,
+                start: 2,
+                end: 9,
+                outcome: CopyOutcome::Won,
+            },
+            CopySpan {
+                task: task(0, 0),
+                copy_idx: 2,
+                server: ServerId(0),
+                kind: CopyKind::Clone,
+                start: 3,
+                end: 9,
+                outcome: CopyOutcome::Killed,
+            },
+        ];
+        assert_eq!(fold(true, true), want);
+
+        let timeline_only = fold(false, true);
+        assert!(timeline_only.utilization.is_empty());
+        assert_eq!(timeline_only.timeline, want.timeline);
+        let utilization_only = fold(true, false);
+        assert_eq!(utilization_only.utilization, want.utilization);
+        assert!(utilization_only.timeline.is_empty());
+    }
+
+    #[test]
+    fn empty_fold_is_the_empty_report() {
+        assert_eq!(
+            ReportFold::new(true, true).finish("test".into()),
+            report(vec![])
+        );
+    }
+
+    #[test]
+    fn scrubbed_zeroes_only_wall_clock_fields() {
+        let r = fold(true, true);
+        assert_ne!(r.scheduling_ns, 0);
+        assert_eq!(
+            r.clone().scrubbed(),
+            SimReport {
+                scheduling_ns: 0,
+                sched_overhead: SchedOverhead::default(),
+                ..r
+            }
+        );
     }
 
     #[test]

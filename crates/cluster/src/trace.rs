@@ -3,21 +3,25 @@
 //! Every observable state change of a simulation run — slot advances, job
 //! arrivals/completions, copy launches/retirements/evictions, fault
 //! transitions, guard interventions and per-decision-point scheduler
-//! spans — has a variant on [`Event`]. The engine emits them through a
-//! [`Recorder`]; the journal is a *superset* of
-//! [`SimReport`](crate::metrics::SimReport)
-//! (`dollymp-obs::replay` re-derives the full report from the stream and
-//! byte-diffs it against the live one, which is the standing correctness
-//! oracle for engine/scheduler refactors).
+//! spans — has a variant on [`Event`]. The engine builds its
+//! [`SimReport`](crate::metrics::SimReport) by feeding the report-relevant
+//! events into a [`ReportFold`](crate::metrics::ReportFold), and journals
+//! every event through a [`Recorder`]. The journal is therefore a
+//! *superset* of the report (`dollymp-obs::replay` feeds it into the same
+//! fold and byte-diffs the result against the live report, which is the
+//! standing correctness oracle for engine/scheduler refactors).
 //!
 //! The default [`NullRecorder`] reports itself disabled; the engine
-//! checks [`Recorder::enabled`] once per run and skips event
-//! *construction* entirely, so the steady-state hot path stays
-//! allocation-free and within noise of the recorded `BENCH_scale.json`
-//! timings. Consumers (bounded ring buffer, JSONL sink, metrics
-//! registry, replay verifier) live in the `dollymp-obs` crate — this
-//! module is only the schema and the emission contract, keeping the
-//! simulation substrate free of I/O concerns.
+//! checks [`Recorder::enabled`] once per run. With it, the
+//! report-relevant events are still built and fed to the fold; only the
+//! journal-only ones ([`Event::SlotTick`], [`Event::JobArrival`],
+//! [`Event::CopyLaunch`]) are never constructed. Events are plain stack
+//! values, so the steady-state hot path stays allocation-free and within
+//! noise of the recorded `BENCH_scale.json` timings. Consumers (bounded
+//! ring buffer, JSONL sink, metrics registry, replay verifier) live in
+//! the `dollymp-obs` crate — this module is only the schema and the
+//! emission contract, keeping the simulation substrate free of I/O
+//! concerns.
 //!
 //! Event order is fully determined by the simulation itself (the engine
 //! loop is single-threaded and every tie is broken deterministically),
@@ -47,9 +51,9 @@ pub struct PassSpan {
 }
 
 /// One journal entry. Variants mirror the engine's observable state
-/// transitions one-to-one: an event is emitted exactly where the
-/// corresponding [`SimReport`](crate::metrics::SimReport) aggregate is
-/// updated, so replaying the stream reconstructs every aggregate.
+/// transitions one-to-one; folding the stream with
+/// [`ReportFold`](crate::metrics::ReportFold) yields the run's
+/// [`SimReport`](crate::metrics::SimReport).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
     /// The clock advanced to a decision slot (one per engine iteration).
@@ -183,10 +187,12 @@ pub enum Event {
         /// Scheduler-internal stage split, when the policy reports one.
         detail: Option<PassSpan>,
     },
-    /// The guard's containment counters changed during this decision
-    /// point; carries the per-pass delta (counter-wise difference, plus
-    /// `quarantined_at` when it was set this pass). Summing the deltas
-    /// reconstructs the final [`GuardStats`].
+    /// The guard's containment counters changed since the previous
+    /// delta; carries the change (counter-wise difference, plus
+    /// `quarantined_at` when it was set). Emitted after each decision
+    /// pass, and once more when the run drains if hooks after the last
+    /// pass moved the counters. Summing the deltas reconstructs the
+    /// final [`GuardStats`].
     GuardDelta {
         /// Decision slot.
         at: Time,
@@ -278,10 +284,10 @@ impl Event {
 /// A sink for engine events.
 ///
 /// The engine calls [`Recorder::enabled`] once at the start of a run and
-/// caches the answer: when `false`, no [`Event`] value is ever
-/// constructed (the journal costs one dead branch per emission site), so
-/// wrapping a run in [`NullRecorder`] is observationally identical to
-/// the unrecorded entry points.
+/// caches the answer: when `false`, [`Recorder::record`] is never called
+/// and journal-only events are never constructed, so wrapping a run in
+/// [`NullRecorder`] is observationally identical to the unrecorded entry
+/// points.
 pub trait Recorder {
     /// Whether this recorder wants events at all. Must be constant for
     /// the lifetime of a run — the engine reads it once.
@@ -294,8 +300,7 @@ pub trait Recorder {
 }
 
 /// The no-op recorder: [`Recorder::enabled`] is `false`, so the engine
-/// skips every emission site. This is what the plain `simulate` entry
-/// points use.
+/// journals nothing. This is what the plain `simulate` entry points use.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 

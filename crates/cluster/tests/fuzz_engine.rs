@@ -140,14 +140,6 @@ fn chaotic_faults(seed: u64, nservers: u32, horizon: dollymp_core::time::Time) -
     FaultTimeline::new(events)
 }
 
-/// Zero the wall-clock overhead fields so reports can be compared
-/// byte-for-byte (everything else is deterministic).
-fn scrub_walltime(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
-
 /// Merged per-server down windows `[crash, restore)` implied by a
 /// timeline (a window stays open while the per-server down-count is
 /// positive).
@@ -244,9 +236,9 @@ proptest! {
 
         let run = |s: u64| {
             let mut chaos = ChaosScheduler::new(s ^ 0xC0FFEE);
-            scrub_walltime(simulate_with_faults(
+            simulate_with_faults(
                 &cluster, jobs.clone(), &sampler, &mut chaos, &cfg, &faults,
-            ))
+            ).scrubbed()
         };
         let r = run(seed);
 
@@ -297,11 +289,11 @@ proptest! {
         let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
         let cfg = EngineConfig { record_timeline: true, ..Default::default() };
         let mut a = ChaosScheduler::new(seed);
-        let plain = scrub_walltime(simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg));
+        let plain = simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg).scrubbed();
         let mut b = ChaosScheduler::new(seed);
-        let faulty = scrub_walltime(simulate_with_faults(
+        let faulty = simulate_with_faults(
             &cluster, jobs.clone(), &sampler, &mut b, &cfg, &FaultTimeline::empty(),
-        ));
+        ).scrubbed();
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&faulty).unwrap()

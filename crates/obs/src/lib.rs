@@ -9,10 +9,10 @@
 //!   journal with a versioned header (scheduler, seed, FNV-1a config
 //!   fingerprint, recording flags);
 //! * [`registry`] — a [`registry::MetricsRegistry`] of counters, gauges
-//!   and nearest-rank histograms that can reconstruct
-//!   `SchedOverhead` / `FaultStats` / `GuardStats` from the stream;
-//! * [`replay`] — re-derives a full `SimReport` purely from a journal
-//!   and byte-diffs it against the live report, returning a typed
+//!   and nearest-rank histograms over the stream;
+//! * [`replay`] — feeds a journal into the engine's own report fold
+//!   (`dollymp_cluster::metrics::ReportFold`) to re-derive the full
+//!   `SimReport`, and byte-diffs it against the live report, returning a typed
 //!   [`replay::Divergence`] on mismatch. This is the standing
 //!   correctness oracle for engine/scheduler refactors: any change that
 //!   perturbs observable behavior shows up as a replay divergence.

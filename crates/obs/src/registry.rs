@@ -1,15 +1,14 @@
 //! A small metrics registry fed by the event stream: named counters,
-//! gauges and nearest-rank histograms, plus reconstructors that rebuild
-//! the engine's own summary structs (`SchedOverhead`, `FaultStats`,
-//! `GuardStats`) from a journal.
+//! gauges and nearest-rank histograms. The report's own summaries
+//! (`SchedOverhead`, `FaultStats`, `GuardStats`) come from
+//! [`crate::replay::replay_report`], which runs the engine's report fold.
 //!
 //! Percentiles follow the **nearest-rank** convention documented on
-//! [`SchedOverhead`]: `pq` is the sample at 1-based ascending rank
+//! [`SchedOverhead`](dollymp_cluster::metrics::SchedOverhead): `pq` is the sample at 1-based ascending rank
 //! `⌈q·n⌉` (clamped), always an observed value, never interpolated —
 //! so a histogram fed the same samples as the engine reproduces the
 //! engine's percentiles bit-for-bit.
 
-use dollymp_cluster::metrics::{FaultStats, GuardStats, SchedOverhead};
 use dollymp_cluster::state::CopyKind;
 use dollymp_cluster::trace::Event;
 use std::collections::BTreeMap;
@@ -79,16 +78,12 @@ impl Histogram {
 ///
 /// Feed it events with [`MetricsRegistry::ingest`] (it is itself *not*
 /// a `Recorder` — build it from a journal after the run, or wrap it if
-/// live ingestion is wanted) and read either the generic named metrics
-/// or the typed reconstructions.
+/// live ingestion is wanted) and read the named metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    guard: GuardStats,
-    work_lost_norm: f64,
-    schedule_ns_total: u64,
 }
 
 impl MetricsRegistry {
@@ -145,10 +140,7 @@ impl MetricsRegistry {
                 self.hist("copy_lifetime_slots")
                     .record(at.saturating_sub(*start));
             }
-            Event::CopyEvict { work_lost_norm, .. } => {
-                self.bump("copies_evicted");
-                self.work_lost_norm += work_lost_norm;
-            }
+            Event::CopyEvict { .. } => self.bump("copies_evicted"),
             Event::TaskSaved { .. } => self.bump("tasks_saved_by_clone"),
             Event::TaskLost { .. } => self.bump("tasks_requeued"),
             Event::ServerCrash { .. } => self.bump("server_crashes"),
@@ -162,7 +154,6 @@ impl MetricsRegistry {
                 ..
             } => {
                 self.bump("decision_points");
-                self.schedule_ns_total += schedule_ns;
                 self.hist("sched_overhead_ns")
                     .record(arrival_ns + schedule_ns);
                 self.hist("batch_size").record(*batch);
@@ -171,10 +162,7 @@ impl MetricsRegistry {
                     self.hist("pass_placement_ns").record(span.placement_ns);
                 }
             }
-            Event::GuardDelta { delta, .. } => {
-                self.bump("guard_deltas");
-                self.guard.accumulate(delta);
-            }
+            Event::GuardDelta { .. } => self.bump("guard_deltas"),
             Event::UtilSample { cpu, mem, .. } => {
                 self.bump("util_samples");
                 self.gauges.insert("cpu_utilization", *cpu);
@@ -207,49 +195,11 @@ impl MetricsRegistry {
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
-
-    /// Rebuild the run's [`SchedOverhead`] from the `SchedSpan` stream.
-    /// Feeding the same samples through the same nearest-rank math makes
-    /// this equal the live report's summary exactly.
-    pub fn sched_overhead(&self) -> SchedOverhead {
-        match self.histograms.get("sched_overhead_ns") {
-            Some(h) => SchedOverhead::from_samples(h.samples()),
-            None => SchedOverhead::default(),
-        }
-    }
-
-    /// Total nanoseconds spent inside `Scheduler::schedule` (the live
-    /// report's `scheduling_ns`, which excludes on-arrival refreshes).
-    pub fn scheduling_ns(&self) -> u64 {
-        self.schedule_ns_total
-    }
-
-    /// Rebuild the run's [`FaultStats`] from the fault-transition and
-    /// eviction events. `work_lost_norm` is summed in event order —
-    /// the same order the engine added it — so the f64 total is
-    /// bit-identical, not merely close.
-    pub fn fault_stats(&self) -> FaultStats {
-        FaultStats {
-            server_crashes: self.counter("server_crashes"),
-            server_recoveries: self.counter("server_recoveries"),
-            server_degradations: self.counter("server_degradations"),
-            copies_evicted: self.counter("copies_evicted"),
-            tasks_saved_by_clone: self.counter("tasks_saved_by_clone"),
-            tasks_requeued: self.counter("tasks_requeued"),
-            work_lost_norm: self.work_lost_norm,
-        }
-    }
-
-    /// Rebuild the run's [`GuardStats`] by summing `GuardDelta` events.
-    pub fn guard_stats(&self) -> GuardStats {
-        self.guard
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_cluster::spec::ServerId;
 
     #[test]
     fn histogram_percentiles_are_nearest_rank() {
@@ -266,45 +216,5 @@ mod tests {
         one.record(7);
         assert_eq!(one.percentile(0.01), 7);
         assert_eq!(one.percentile(0.99), 7);
-    }
-
-    #[test]
-    fn sched_overhead_matches_engine_summary() {
-        let mut r = MetricsRegistry::new();
-        for (i, (a, s)) in [(10u64, 100u64), (0, 250), (5, 40)].iter().enumerate() {
-            r.ingest(&Event::SchedSpan {
-                at: i as u64,
-                decision_point: i as u64 + 1,
-                arrival_ns: *a,
-                schedule_ns: *s,
-                batch: 0,
-                detail: None,
-            });
-        }
-        let want = SchedOverhead::from_samples(&[110, 250, 45]);
-        assert_eq!(r.sched_overhead(), want);
-        assert_eq!(r.scheduling_ns(), 390);
-    }
-
-    #[test]
-    fn fault_counters_accumulate() {
-        let mut r = MetricsRegistry::new();
-        r.ingest(&Event::ServerCrash {
-            at: 1,
-            server: ServerId(0),
-        });
-        r.ingest(&Event::ServerRestore {
-            at: 5,
-            server: ServerId(0),
-        });
-        r.ingest(&Event::ServerDegrade {
-            at: 7,
-            server: ServerId(1),
-            factor: 0.5,
-        });
-        let f = r.fault_stats();
-        assert_eq!(f.server_crashes, 1);
-        assert_eq!(f.server_recoveries, 1);
-        assert_eq!(f.server_degradations, 1);
     }
 }

@@ -1,21 +1,19 @@
 //! Record → replay verification: rebuild a full `SimReport` from a
 //! journal alone and byte-diff it against the live report.
 //!
-//! Every aggregate the live engine computes has a corresponding event
-//! stream (the emission sites sit exactly where the live aggregates are
-//! updated, in the same order), so the reconstruction is *exact* — u64
-//! timing samples are the same integers, f64 work-lost sums run in the
-//! same order, job records are the same structs. A mismatch therefore
-//! always means behavior diverged, never rounding; [`verify`] localizes
-//! it to a typed [`Divergence`] (field, slot, event index) instead of a
-//! bare assert, which is what makes this the standing correctness
-//! oracle for engine and scheduler refactors.
+//! The live engine builds its report by feeding each report-relevant
+//! event into `dollymp_cluster::metrics::ReportFold`, and journals the
+//! same events in the same order. Replay feeds the journal into the same
+//! fold, so the reconstruction is *exact* — u64 timing samples are the
+//! same integers, f64 work-lost sums run in the same order, job records
+//! are the same structs. A mismatch therefore always means the journal
+//! and the run disagree, never rounding; [`verify`] localizes it to a
+//! typed [`Divergence`] (field, slot, event index) instead of a bare
+//! assert, which is what makes this the standing correctness oracle for
+//! engine and scheduler refactors.
 
 use crate::journal::Journal;
-use dollymp_cluster::metrics::{
-    CopyOutcome, CopySpan, FaultStats, GuardStats, SchedOverhead, SimReport,
-};
-use dollymp_cluster::trace::Event;
+use dollymp_cluster::metrics::{ReportFold, SimReport};
 use dollymp_core::time::Time;
 
 /// Where a replayed report first disagreed with the live one.
@@ -57,111 +55,20 @@ struct Provenance {
     spans: Vec<usize>,
 }
 
+/// Feed the journal into the engine's own [`ReportFold`], noting which
+/// event grew each positional part of the report.
 fn reconstruct(journal: &Journal) -> (SimReport, Provenance) {
+    let header = &journal.header;
+    let mut fold = ReportFold::new(header.record_utilization, header.record_timeline);
     let mut prov = Provenance::default();
-    let mut jobs = Vec::new();
-    let mut overhead_samples: Vec<u64> = Vec::new();
-    let mut scheduling_ns = 0u64;
-    let mut decision_points = 0u64;
-    let mut faults = FaultStats::default();
-    let mut guard = GuardStats::default();
-    let mut utilization: Vec<(Time, f64, f64)> = Vec::new();
-    let mut timeline: Vec<CopySpan> = Vec::new();
-
     for (i, ev) in journal.events.iter().enumerate() {
-        match ev {
-            Event::JobCompletion { metrics, .. } => {
-                prov.jobs.push(i);
-                jobs.push(metrics.clone());
-            }
-            Event::SchedSpan {
-                arrival_ns,
-                schedule_ns,
-                ..
-            } => {
-                prov.spans.push(i);
-                decision_points += 1;
-                scheduling_ns += schedule_ns;
-                overhead_samples.push(arrival_ns + schedule_ns);
-            }
-            Event::CopyRetire {
-                at,
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                outcome,
-            } => {
-                if journal.header.record_timeline {
-                    prov.timeline.push(i);
-                    timeline.push(CopySpan {
-                        task: *task,
-                        copy_idx: *copy_idx,
-                        server: *server,
-                        kind: *kind,
-                        start: *start,
-                        end: *at,
-                        outcome: *outcome,
-                    });
-                }
-            }
-            Event::CopyEvict {
-                at,
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                work_lost_norm,
-            } => {
-                faults.copies_evicted += 1;
-                // Same summation order as the live engine ⇒ the f64
-                // total is bit-identical.
-                faults.work_lost_norm += work_lost_norm;
-                if journal.header.record_timeline {
-                    prov.timeline.push(i);
-                    timeline.push(CopySpan {
-                        task: *task,
-                        copy_idx: *copy_idx,
-                        server: *server,
-                        kind: *kind,
-                        start: *start,
-                        end: *at,
-                        outcome: CopyOutcome::Evicted,
-                    });
-                }
-            }
-            Event::TaskSaved { .. } => faults.tasks_saved_by_clone += 1,
-            Event::TaskLost { .. } => faults.tasks_requeued += 1,
-            Event::ServerCrash { .. } => faults.server_crashes += 1,
-            Event::ServerRestore { .. } => faults.server_recoveries += 1,
-            Event::ServerDegrade { .. } => faults.server_degradations += 1,
-            Event::GuardDelta { delta, .. } => guard.accumulate(delta),
-            Event::UtilSample { at, cpu, mem } => {
-                if journal.header.record_utilization {
-                    prov.utilization.push(i);
-                    utilization.push((*at, *cpu, *mem));
-                }
-            }
-            Event::SlotTick { .. } | Event::JobArrival { .. } | Event::CopyLaunch { .. } => {}
-        }
+        fold.ingest(ev);
+        prov.jobs.resize(fold.jobs().len(), i);
+        prov.utilization.resize(fold.utilization().len(), i);
+        prov.timeline.resize(fold.timeline().len(), i);
+        prov.spans.resize(fold.decision_points() as usize, i);
     }
-
-    let makespan = jobs.iter().map(|j| j.finish).max().unwrap_or(0);
-    let report = SimReport {
-        scheduler: journal.header.scheduler.clone(),
-        jobs,
-        makespan,
-        decision_points,
-        scheduling_ns,
-        sched_overhead: SchedOverhead::from_samples(&overhead_samples),
-        faults,
-        guard,
-        utilization,
-        timeline,
-    };
-    (report, prov)
+    (fold.finish(header.scheduler.clone()), prov)
 }
 
 /// Re-derive the full `SimReport` from the journal alone.
@@ -312,6 +219,7 @@ mod tests {
     use dollymp_cluster::fault::FaultTimeline;
     use dollymp_cluster::scheduler::FifoFirstFit;
     use dollymp_cluster::spec::ClusterSpec;
+    use dollymp_cluster::trace::Event;
     use dollymp_core::job::{JobId, JobSpec};
     use dollymp_core::resources::Resources;
 

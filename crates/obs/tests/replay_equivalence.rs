@@ -154,17 +154,11 @@ fn rayon_backend_matches_sequential() {
             "{name} faults={wf}: journal differs across backends"
         );
         assert_eq!(
-            serde_json::to_string(&scrub_report(seq_live)).unwrap(),
-            serde_json::to_string(&scrub_report(live.clone())).unwrap(),
+            serde_json::to_string(&seq_live.scrubbed()).unwrap(),
+            serde_json::to_string(&live.clone().scrubbed()).unwrap(),
             "{name} faults={wf}: live report differs across backends"
         );
     }
-}
-
-fn scrub_report(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
 }
 
 /// A guarded run of a hostile policy exercises the `GuardDelta` stream:
@@ -221,9 +215,59 @@ fn recording_does_not_perturb_the_simulation() {
             &faults(3),
         );
         assert_eq!(
-            serde_json::to_string(&scrub_report(plain)).unwrap(),
-            serde_json::to_string(&scrub_report(recorded)).unwrap(),
+            serde_json::to_string(&plain.scrubbed()).unwrap(),
+            serde_json::to_string(&recorded.scrubbed()).unwrap(),
             "{name}: recording changed the simulation outcome"
         );
     }
+}
+
+/// Behaves like [`FifoFirstFit`] but panics in the run's final
+/// `on_job_finish`, after the last decision pass.
+struct PanicsOnLastFinish {
+    unfinished: usize,
+}
+
+impl Scheduler for PanicsOnLastFinish {
+    fn name(&self) -> String {
+        "panics-on-last-finish".into()
+    }
+
+    fn on_job_finish(&mut self, _job: &JobState) {
+        self.unfinished -= 1;
+        if self.unfinished == 0 {
+            panic!("policy fault in the final on_job_finish");
+        }
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        FifoFirstFit.schedule(view)
+    }
+}
+
+/// The guard's last containment change can land after the last decision
+/// pass; the journal must still carry it, so the replayed report keeps
+/// the panic and the quarantine slot.
+#[test]
+fn guard_change_after_the_last_pass_replays() {
+    let cluster = cluster();
+    let jobs = workload(7);
+    let sampler = DurationSampler::new(7, StragglerModel::ParetoFit);
+    let cfg = EngineConfig::default();
+    let mut policy = GuardedScheduler::new(PanicsOnLastFinish {
+        unfinished: jobs.len(),
+    });
+    let mut journal = Journal::for_run(&policy.name(), 7, &cfg, &cfg);
+    let report = simulate_recorded(
+        &cluster,
+        jobs,
+        &sampler,
+        &mut policy,
+        &cfg,
+        &FaultTimeline::empty(),
+        &mut journal,
+    );
+    assert_eq!(report.guard.policy_panics, 1);
+    assert_eq!(report.guard.quarantined_at, Some(report.makespan));
+    replay::verify(&journal, &report).unwrap();
 }

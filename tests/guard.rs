@@ -8,56 +8,9 @@ use dollymp::prelude::*;
 use dollymp::schedulers::{AdversarialConfig, AdversarialScheduler};
 use dollymp_cluster::guard::GuardConfig;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-fn workload(seed: u64, njobs: u64) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..njobs)
-        .map(|i| {
-            JobSpec::builder(JobId(i))
-                .arrival(rng.gen_range(0..njobs * 3))
-                .phase(dollymp_core::job::PhaseSpec::new(
-                    rng.gen_range(1..=6),
-                    Resources::new(rng.gen_range(1..=3) as f64, rng.gen_range(2..=4) as f64),
-                    rng.gen_range(2.0..12.0),
-                    rng.gen_range(0.0..5.0),
-                ))
-                .build()
-                .expect("valid spec")
-        })
-        .collect()
-}
-
-/// Random well-formed crash→restore windows (every crash repaired, so
-/// runs can always drain) — same shape as the engine fuzz suite's.
-fn fault_timeline(seed: u64, nservers: u32, horizon: u64) -> FaultTimeline {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6A2D);
-    let mut events = Vec::new();
-    for s in 0..nservers {
-        let mut t = rng.gen_range(1..horizon / 2);
-        for _ in 0..rng.gen_range(0..=2u32) {
-            let len: u64 = rng.gen_range(1..=10);
-            events.push(TimedFault {
-                at: t,
-                event: FaultEvent::Crash(ServerId(s)),
-            });
-            events.push(TimedFault {
-                at: t + len,
-                event: FaultEvent::Restore(ServerId(s)),
-            });
-            t += len + rng.gen_range(1..=15u64);
-        }
-    }
-    FaultTimeline::new(events)
-}
-
-/// Zero the wall-clock fields so deterministic runs compare equal.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
+mod common;
+use common::{fault_timeline, workload};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -122,7 +75,7 @@ proptest! {
                 &EngineConfig::default(), &faults,
             );
             prop_assert!(guarded.guard.is_clean(), "{}: no interventions", name);
-            prop_assert_eq!(scrub(unguarded), scrub(guarded), "{} must be unchanged", name);
+            prop_assert_eq!(unguarded.scrubbed(), guarded.scrubbed(), "{} must be unchanged", name);
         }
     }
 }

@@ -14,56 +14,9 @@
 use dollymp::prelude::*;
 use dollymp_cluster::capacity::LinearQueriesGuard;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-fn workload(seed: u64, njobs: u64) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..njobs)
-        .map(|i| {
-            JobSpec::builder(JobId(i))
-                .arrival(rng.gen_range(0..njobs * 3))
-                .phase(dollymp_core::job::PhaseSpec::new(
-                    rng.gen_range(1..=6),
-                    Resources::new(rng.gen_range(1..=3) as f64, rng.gen_range(2..=4) as f64),
-                    rng.gen_range(2.0..12.0),
-                    rng.gen_range(0.0..5.0),
-                ))
-                .build()
-                .expect("valid spec")
-        })
-        .collect()
-}
-
-/// Random well-formed crash→restore windows (every crash repaired, so
-/// runs can always drain) — same shape as the guard suite's.
-fn fault_timeline(seed: u64, nservers: u32, horizon: u64) -> FaultTimeline {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6A2D);
-    let mut events = Vec::new();
-    for s in 0..nservers {
-        let mut t = rng.gen_range(1..horizon / 2);
-        for _ in 0..rng.gen_range(0..=2u32) {
-            let len: u64 = rng.gen_range(1..=10);
-            events.push(TimedFault {
-                at: t,
-                event: FaultEvent::Crash(ServerId(s)),
-            });
-            events.push(TimedFault {
-                at: t + len,
-                event: FaultEvent::Restore(ServerId(s)),
-            });
-            t += len + rng.gen_range(1..=15u64);
-        }
-    }
-    FaultTimeline::new(events)
-}
-
-/// Zero the wall-clock fields so deterministic runs compare equal.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
+mod common;
+use common::{fault_timeline, workload};
 
 fn run(name: &str, seed: u64, with_faults: bool, linear: bool) -> SimReport {
     let cluster = ClusterSpec::homogeneous(6, 6.0, 12.0);
@@ -85,7 +38,7 @@ fn run(name: &str, seed: u64, with_faults: bool, linear: bool) -> SimReport {
     } else {
         simulate_with_faults(&cluster, jobs, &sampler, s.as_mut(), &cfg, &faults)
     };
-    scrub(report)
+    report.scrubbed()
 }
 
 proptest! {
@@ -128,11 +81,11 @@ fn paper_cluster_dollymp_agrees_on_both_paths() {
         ..EngineConfig::default()
     };
     let mut a = dollymp::schedulers::DollyMP::new();
-    let indexed = scrub(simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg));
+    let indexed = simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg).scrubbed();
     let mut b = dollymp::schedulers::DollyMP::new();
     let linear = {
         let _guard = LinearQueriesGuard::new();
-        scrub(simulate(&cluster, jobs, &sampler, &mut b, &cfg))
+        simulate(&cluster, jobs, &sampler, &mut b, &cfg).scrubbed()
     };
     assert_eq!(indexed, linear);
     assert!(

@@ -38,14 +38,6 @@ fn seeded_workload() -> (ClusterSpec, Vec<JobSpec>, DurationSampler) {
     (cluster, jobs, sampler)
 }
 
-/// Zero the wall-clock overhead fields so deterministic runs compare
-/// equal.
-fn scrub(mut r: SimReport) -> SimReport {
-    r.scheduling_ns = 0;
-    r.sched_overhead = Default::default();
-    r
-}
-
 fn run(
     cluster: &ClusterSpec,
     jobs: &[JobSpec],
@@ -80,7 +72,7 @@ fn zero_rate_schedule_is_invisible() {
         &EngineConfig::default(),
     );
     let faulty = run(&cluster, &jobs, &sampler, 2, &timeline);
-    assert_eq!(scrub(plain), scrub(faulty));
+    assert_eq!(plain.scrubbed(), faulty.scrubbed());
 }
 
 #[test]
@@ -95,7 +87,7 @@ fn same_seed_and_schedule_reproduce_identical_reports() {
 
     let r1 = run(&cluster, &jobs, &sampler, 2, &a);
     let r2 = run(&cluster, &jobs, &sampler, 2, &b);
-    assert_eq!(scrub(r1.clone()), scrub(r2));
+    assert_eq!(r1.clone().scrubbed(), r2.scrubbed());
     assert!(
         r1.faults.server_crashes > 0,
         "the schedule actually injected crashes"

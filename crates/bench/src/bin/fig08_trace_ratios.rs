@@ -7,8 +7,9 @@
 //! vs DRF but the *total* usage is only ~60 % higher (clones target small
 //! jobs); makespan −18 %.
 //!
-//! Default scale: 3 000 servers / 1 000 jobs (≈ paper ÷10).
-//! `DOLLYMP_SCALE=1` runs the full 30 000 servers / 10 000 jobs.
+//! Default scale (`DOLLYMP_SCALE=10`): 300 servers / 3 000 jobs.
+//! `DOLLYMP_SCALE=1` runs 3 000 servers / 30 000 jobs, still a tenth of
+//! the paper's 30 000 servers.
 
 use dollymp_bench::{cdf_samples, respace_for_load, run_named, scale, write_csv};
 use dollymp_cluster::metrics::{cdf, cdf_at, quantile};

@@ -8,7 +8,9 @@
 //! and writes CSV under `target/experiments/`. Binaries accept the
 //! `DOLLYMP_SCALE` environment variable (a divisor on workload/cluster
 //! size; default runs are scaled down to finish in seconds, `DOLLYMP_SCALE=1`
-//! reproduces the paper's full sizes). `all_figures` runs everything.
+//! removes the divisor). Scale 1 is each binary's largest size, not always
+//! the paper's: Fig. 8 then simulates 3 000 servers, a tenth of the
+//! paper's 30 000. `all_figures` runs everything.
 //!
 //! Criterion micro-benchmarks live in `benches/`:
 //! `sched_overhead` (the §6.3.3 claim), `knapsack`, `simulator`.
@@ -21,7 +23,7 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Scale divisor from `DOLLYMP_SCALE` (default `def`). 1 = paper scale.
+/// Scale divisor from `DOLLYMP_SCALE` (default `def`). 1 = no divisor.
 pub fn scale(def: usize) -> usize {
     std::env::var("DOLLYMP_SCALE")
         .ok()

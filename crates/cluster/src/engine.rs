@@ -14,14 +14,16 @@
 //!
 //! Assignment validation is strict: an over-committing or ill-typed
 //! assignment aborts the run, because a buggy scheduler must fail loudly
-//! rather than silently skew an experiment. Two fail-loud flavours exist:
+//! rather than silently skew an experiment. The admission rules live in
+//! one crate-internal function, `check_assignment`, which the guard
+//! calls too. Two fail-loud flavours exist:
 //! [`simulate`] / [`simulate_with_faults`] panic (the historical research
 //! contract), while [`try_simulate`] / [`try_simulate_with_faults`]
 //! return a typed [`SimError`] so a sweep harness can contain one bad
 //! run without dying. To *tolerate* a misbehaving policy instead of
 //! aborting on it, wrap it in [`crate::guard::GuardedScheduler`].
 
-use crate::capacity::CapacityIndex;
+use crate::capacity::{CapacityIndex, CapacityOverlay};
 use crate::error::{AdmissionError, ProgressSnapshot, RejectReason, SimError};
 use crate::execution::DurationSampler;
 use crate::fault::{FaultEvent, FaultTimeline};
@@ -38,15 +40,16 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
+/// Hard mechanism cap on concurrent live copies per task (original +
+/// clones), enforced at admission by the engine and the guard alike.
+/// Deliberately loose: the *policy* budget — the paper's 3-copy limit of
+/// §5, or the DollyMP³ ablation's 4 — belongs to the scheduler; this cap
+/// only catches runaway cloning bugs.
+pub const MAX_COPIES_PER_TASK: u32 = 8;
+
 /// Engine tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Hard mechanism cap on concurrent copies per task (original +
-    /// clones). The engine default (8) is deliberately loose: the
-    /// *policy* budget — the paper's 3-copy limit of §5, or the DollyMP³
-    /// ablation's 4 — belongs to the scheduler; this cap only catches
-    /// runaway cloning bugs.
-    pub max_copies_per_task: u32,
     /// Safety valve: panic if the clock passes this slot (a scheduler
     /// livelock would otherwise spin forever).
     pub max_slots: Time,
@@ -77,7 +80,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            max_copies_per_task: 8,
             max_slots: 500_000_000,
             tick: None,
             remote_penalty: 1.0,
@@ -429,12 +431,7 @@ pub fn try_simulate_with_faults_recorded(
             )?;
         }
         if !hooks.is_empty() {
-            let view = ClusterView {
-                now,
-                spec: cluster,
-                cap: &free,
-                jobs: &active,
-            };
+            let view = live_view(now, cluster, &free, &active, &down);
             for h in &hooks {
                 match *h {
                     FaultHook::Down(s) => scheduler.on_server_down(&view, s),
@@ -462,12 +459,7 @@ pub fn try_simulate_with_faults_recorded(
                 .collect();
             active.insert(id, JobState::new(spec, tables));
             sink.trace(|| TraceEvent::JobArrival { at: now, job: id });
-            let view = ClusterView {
-                now,
-                spec: cluster,
-                cap: &free,
-                jobs: &active,
-            };
+            let view = live_view(now, cluster, &free, &active, &down);
             let t0 = std::time::Instant::now();
             scheduler.on_job_arrival(&view, id);
             arrival_ns += t0.elapsed().as_nanos() as u64;
@@ -475,12 +467,7 @@ pub fn try_simulate_with_faults_recorded(
 
         // 3) One scheduling pass.
         if !active.is_empty() {
-            let view = ClusterView {
-                now,
-                spec: cluster,
-                cap: &free,
-                jobs: &active,
-            };
+            let view = live_view(now, cluster, &free, &active, &down);
             let t0 = std::time::Instant::now();
             let batch = scheduler.schedule(&view);
             let schedule_ns = t0.elapsed().as_nanos() as u64;
@@ -508,7 +495,7 @@ pub fn try_simulate_with_faults_recorded(
                 });
             }
             for a in batch {
-                check_assignment(cluster, cfg, now, &active, &free, &down, &a)?;
+                check_assignment(&live_view(now, cluster, &free, &active, &down), None, &a)?;
                 apply_assignment(
                     cluster,
                     sampler,
@@ -566,6 +553,24 @@ pub fn try_simulate_with_faults_recorded(
     );
 
     Ok(sink.fold.finish(scheduler.name()))
+}
+
+/// The view of live engine state handed to scheduler callbacks and to
+/// [`check_assignment`].
+fn live_view<'a>(
+    now: Time,
+    spec: &'a ClusterSpec,
+    cap: &'a CapacityIndex,
+    jobs: &'a BTreeMap<JobId, JobState>,
+    down: &'a [u32],
+) -> ClusterView<'a> {
+    ClusterView {
+        now,
+        spec,
+        cap,
+        jobs,
+        down,
+    }
 }
 
 /// Emit the change in the scheduler's guard counters since `prev`, if
@@ -840,99 +845,110 @@ fn retire_copy(
     }
 }
 
-/// Validate one assignment against current engine state *before* any
-/// mutation, classifying each failure mode on the [`RejectReason`]
-/// taxonomy. [`crate::guard::GuardedScheduler`] performs the same checks
-/// (against its batch-local view) so that guarded batches always pass
-/// here.
-fn check_assignment(
-    cluster: &ClusterSpec,
-    cfg: &EngineConfig,
-    now: Time,
-    active: &BTreeMap<JobId, JobState>,
-    free: &CapacityIndex,
-    down: &[u32],
+/// The `(status, live copies)` of each task a batch has already admitted
+/// copies of; it overrides the view's task state for later entries.
+pub(crate) type BatchEffects = BTreeMap<TaskRef, (TaskStatus, u32)>;
+
+/// The admission rules, in one place for the engine and
+/// [`crate::guard::GuardedScheduler`]: a primary only for a ready task
+/// with no live copy, a clone only of a running task and within
+/// [`MAX_COPIES_PER_TASK`] live copies, and every copy only on a live
+/// server with room for the phase demand. Each failure is classified on
+/// the [`RejectReason`] taxonomy; `Ok` carries the demand to charge.
+///
+/// The engine passes `batch = None`: it checks each assignment against
+/// live state and applies it before checking the next. The guard passes
+/// its batch overlay and the `(status, live copies)` of every task it
+/// admitted earlier in the batch, which gives the same sequential
+/// semantics without touching engine state (a clone right after its
+/// primary is legal in both).
+pub(crate) fn check_assignment(
+    view: &ClusterView<'_>,
+    batch: Option<(&CapacityOverlay<'_>, &BatchEffects)>,
     a: &Assignment,
-) -> Result<(), AdmissionError> {
+) -> Result<Resources, AdmissionError> {
     let reject = |reason: RejectReason, detail: String| {
         Err(AdmissionError {
-            at: now,
+            at: view.now,
             assignment: *a,
             reason,
             detail,
         })
     };
-    let Some(job) = active.get(&a.task.job) else {
+    let Some(job) = view.job(a.task.job) else {
         return reject(
             RejectReason::UnknownJob,
             format!("assignment for unknown job {}", a.task.job.0),
         );
     };
-    let pi = a.task.phase.0 as usize;
-    let ti = a.task.task.0 as usize;
-    if pi >= job.spec().num_phases() || ti >= job.spec().phase(a.task.phase).ntasks as usize {
+    if a.task.phase.0 as usize >= job.spec().num_phases()
+        || a.task.task.0 >= job.spec().phase(a.task.phase).ntasks
+    {
         return reject(
             RejectReason::UnknownJob,
             format!("assignment for out-of-range task {}", a.task),
         );
     }
-    if !job.phases[pi].runnable {
+    if !job.phase_state(a.task.phase).runnable {
         return reject(
             RejectReason::UnknownJob,
             format!("assignment for blocked phase of task {}", a.task),
         );
     }
 
-    let task = &job.tasks[pi][ti];
+    // A re-queued task (crash evicted its last copy) carries dead copies
+    // from the lost attempt, so Ready + no *live* copy is the invariant,
+    // not an empty copy list.
+    let (status, live) = match batch.and_then(|(_, effect)| effect.get(&a.task)) {
+        Some(&effect) => effect,
+        None => {
+            let task = job.task(a.task.phase, a.task.task);
+            (task.status, task.live_copies())
+        }
+    };
     match a.kind {
-        // A re-queued task (crash evicted its last copy) carries dead
-        // copies from the lost attempt, so Ready + no *live* copy is the
-        // invariant, not an empty copy list.
         CopyKind::Primary => {
-            if task.status != TaskStatus::Ready || task.copies.iter().any(|c| c.live) {
+            if status != TaskStatus::Ready || live > 0 {
                 return reject(
                     RejectReason::DuplicateCopy,
-                    format!(
-                        "primary copy for task {} in state {:?}",
-                        a.task, task.status
-                    ),
+                    format!("primary copy for task {} in state {status:?}", a.task),
                 );
             }
         }
         CopyKind::Clone => {
-            if task.status != TaskStatus::Running {
+            if status != TaskStatus::Running {
                 return reject(
                     RejectReason::DuplicateCopy,
                     format!("clone for non-running task {}", a.task),
                 );
             }
-            if task.live_copies() >= cfg.max_copies_per_task {
+            if live >= MAX_COPIES_PER_TASK {
                 return reject(
                     RejectReason::DuplicateCopy,
-                    format!(
-                        "task {} exceeds the {}-copy cap",
-                        a.task, cfg.max_copies_per_task
-                    ),
+                    format!("task {} exceeds the {MAX_COPIES_PER_TASK}-copy cap", a.task),
                 );
             }
         }
     }
 
     let sid = a.server.0 as usize;
-    if sid >= cluster.len() {
+    if sid >= view.cluster().len() {
         return reject(
             RejectReason::ServerDown,
             format!("assignment to unknown server {sid}"),
         );
     }
-    if down[sid] > 0 {
+    if view.is_down(a.server) {
         return reject(
             RejectReason::ServerDown,
             format!("assignment to downed server {sid} (task {})", a.task),
         );
     }
     let demand = job.spec().phase(a.task.phase).demand;
-    let avail = free.free(a.server);
+    let avail = match batch {
+        Some((free, _)) => free.free(a.server),
+        None => view.free(a.server),
+    };
     if !demand.fits_in(avail) {
         return reject(
             RejectReason::OverCommit,
@@ -942,7 +958,7 @@ fn check_assignment(
             ),
         );
     }
-    Ok(())
+    Ok(demand)
 }
 
 /// Launch the (pre-validated) copy: charge capacity, sample a duration,
@@ -1744,6 +1760,63 @@ mod tests {
             );
             assert_eq!(r.faults.server_recoveries, 1);
             assert_eq!(r.faults.copies_evicted, 1);
+        }
+
+        /// `ClusterView::is_down` mirrors the engine's crash counts at
+        /// every pass and fault hook: a server under an overlapping
+        /// blackout and crash stays down until its last `Restore`.
+        #[test]
+        fn view_reports_down_until_the_last_restore() {
+            #[derive(Default)]
+            struct Probe {
+                /// `(slot, server 0 down, server 1 down)` per pass.
+                passes: Vec<(Time, bool, bool)>,
+                /// `(slot, server, is_down)` per down/up hook.
+                hooks: Vec<(Time, ServerId, bool)>,
+            }
+            impl Scheduler for Probe {
+                fn name(&self) -> String {
+                    "probe".into()
+                }
+                fn on_server_down(&mut self, view: &ClusterView<'_>, s: ServerId) {
+                    self.hooks.push((view.now, s, view.is_down(s)));
+                }
+                fn on_server_up(&mut self, view: &ClusterView<'_>, s: ServerId) {
+                    self.hooks.push((view.now, s, view.is_down(s)));
+                }
+                fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                    let (s0, s1) = (ServerId(0), ServerId(1));
+                    self.passes
+                        .push((view.now, view.is_down(s0), view.is_down(s1)));
+                    FifoFirstFit.schedule(view)
+                }
+            }
+            // Blackout [2, 5) overlaps an individual crash [3, 8) on
+            // server 0; the tick gives a pass at every slot.
+            let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
+            let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 12.0, 0.0);
+            let tl =
+                FaultTimeline::new(vec![crash(2, 0), crash(3, 0), restore(5, 0), restore(8, 0)]);
+            let cfg = EngineConfig {
+                tick: Some(1),
+                ..Default::default()
+            };
+            let mut probe = Probe::default();
+            simulate_with_faults(&cluster, vec![job], &det_sampler(), &mut probe, &cfg, &tl);
+            let slots: Vec<Time> = probe.passes.iter().map(|p| p.0).collect();
+            assert!(
+                (0..=9).all(|t| slots.contains(&t)),
+                "a pass at every slot: {slots:?}"
+            );
+            for &(at, down0, down1) in &probe.passes {
+                assert_eq!(down0, (2..8).contains(&at), "server 0 at slot {at}");
+                assert!(!down1, "server 1 never crashes (slot {at})");
+            }
+            assert_eq!(
+                probe.hooks,
+                vec![(2, ServerId(0), true), (8, ServerId(0), false)],
+                "one hook per transition, each seeing the new state"
+            );
         }
 
         #[test]

@@ -10,10 +10,13 @@
 //! any [`Scheduler`] and turns fatal misbehaviour into graceful
 //! degradation:
 //!
-//! * **Admission validation** — every batch is checked against a
-//!   batch-local replica of the engine's own rules before the engine
-//!   sees it; invalid assignments are dropped and counted by
-//!   [`RejectReason`] instead of aborting the run.
+//! * **Admission validation** — every batch entry is checked with the
+//!   engine's own admission function, against a batch-local capacity
+//!   overlay and per-task copy state, before the engine sees it; invalid
+//!   assignments are dropped and counted by
+//!   [`RejectReason`](crate::error::RejectReason) instead of aborting the
+//!   run. Crashed servers are read from the view
+//!   ([`ClusterView::is_down`]), the same counts the engine checks.
 //! * **Watchdog** — each decision pass is timed against a wall-clock
 //!   budget (default: the paper's 20 ms contract). Overruns count as
 //!   strikes.
@@ -36,15 +39,14 @@
 //! well-behaved policy the guard never intervenes and the report is
 //! byte-identical to an unguarded run.
 
-use crate::error::RejectReason;
+use crate::engine::{check_assignment, BatchEffects};
 use crate::metrics::GuardStats;
 use crate::scheduler::{Assignment, FifoFirstFit, Scheduler};
 use crate::spec::ServerId;
 use crate::state::{CopyKind, TaskStatus};
 use crate::view::ClusterView;
 use dollymp_core::job::{JobId, TaskRef};
-use dollymp_core::resources::Resources;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -69,7 +71,10 @@ impl Default for CloneThrottle {
     }
 }
 
-/// Tunables for [`GuardedScheduler`].
+/// Tunables for [`GuardedScheduler`]. Admission has no knobs here: the
+/// guard validates with the engine's own rules, including its copy cap
+/// [`crate::engine::MAX_COPIES_PER_TASK`], so it can never admit a batch
+/// the engine rejects.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
     /// Wall-clock budget for one decision pass (watchdog). Defaults to
@@ -80,11 +85,6 @@ pub struct GuardConfig {
     /// the safe fallback. A caught panic quarantines immediately
     /// regardless — the policy's state is poisoned.
     pub max_strikes: u32,
-    /// Per-task live-copy cap used for validation. Must match
-    /// [`crate::engine::EngineConfig::max_copies_per_task`] (both default
-    /// to 8), otherwise the guard admits batches the engine rejects or
-    /// vice versa.
-    pub max_copies_per_task: u32,
     /// Overload backpressure: cap on assignments admitted per pass.
     /// Excess assignments are deferred to a bounded pending queue and
     /// replayed (re-validated) on later passes. `None` (the default)
@@ -103,7 +103,6 @@ impl Default for GuardConfig {
         GuardConfig {
             budget: Duration::from_millis(20),
             max_strikes: 3,
-            max_copies_per_task: 8,
             max_batch: None,
             pending_cap: 4096,
             clone_throttle: None,
@@ -135,10 +134,6 @@ pub struct GuardedScheduler<S> {
     stats: GuardStats,
     strikes: u32,
     quarantined: bool,
-    /// Servers currently down, tracked from the engine's fault hooks
-    /// (the view alone cannot distinguish a crashed server from a full
-    /// one).
-    down: BTreeSet<usize>,
     /// Clone-throttle hysteresis state.
     throttling: bool,
     /// Deferred assignments awaiting replay (bounded by
@@ -161,7 +156,6 @@ impl<S: Scheduler> GuardedScheduler<S> {
             stats: GuardStats::default(),
             strikes: 0,
             quarantined: false,
-            down: BTreeSet::new(),
             throttling: false,
             pending: VecDeque::new(),
         }
@@ -248,13 +242,14 @@ impl<S: Scheduler> GuardedScheduler<S> {
         self.throttling
     }
 
-    /// Validate `batch` against a batch-local replica of the engine's
-    /// admission rules, admitting entries in order and tracking their
-    /// effects (so e.g. a clone right after its primary in the same
-    /// batch is legal, exactly as in the engine). Rejections are
-    /// recorded in the stats only for entries at index ≥ `count_from` —
-    /// replayed deferrals (the prefix) going stale is expected, not an
-    /// offence, and the fallback's own batches pass `usize::MAX`.
+    /// Validate `batch` with the engine's [`check_assignment`], admitting
+    /// entries in order and tracking their effects on a capacity overlay
+    /// and a per-task `(status, live copies)` map (so e.g. a clone right
+    /// after its primary in the same batch is legal, exactly as in the
+    /// engine). Rejections are recorded in the stats only for entries at
+    /// index ≥ `count_from` — replayed deferrals (the prefix) going stale
+    /// is expected, not an offence, and the fallback's own batches pass
+    /// `usize::MAX`.
     ///
     /// Returns `(admitted, any_counted_rejection)`.
     fn validate(
@@ -266,17 +261,16 @@ impl<S: Scheduler> GuardedScheduler<S> {
         // Batch-local capacity accounting on an overlay: O(1) to start,
         // no per-batch clone of the per-server free vector.
         let free = view.capacity().begin_batch();
-        // Effective (status, live copies) per task touched this batch.
-        let mut effect: BTreeMap<TaskRef, (TaskStatus, u32)> = BTreeMap::new();
+        let mut effect = BatchEffects::new();
         let mut admitted = Vec::with_capacity(batch.len());
         let mut rejected_any = false;
         for (i, a) in batch.into_iter().enumerate() {
-            match self.admit_one(view, &free, &effect, &a) {
+            match check_assignment(view, Some((&free, &effect)), &a) {
                 Ok(demand) => {
                     let committed = free.try_commit(a.server, demand);
-                    debug_assert!(committed, "admit_one checked the fit");
+                    debug_assert!(committed, "check_assignment checked the fit");
                     let e = effect.entry(a.task).or_insert_with(|| {
-                        // `admit_one` verified the lookups.
+                        // `check_assignment` verified the lookups.
                         let t = view
                             .job(a.task.job)
                             .map(|j| j.task(a.task.phase, a.task.task));
@@ -287,65 +281,15 @@ impl<S: Scheduler> GuardedScheduler<S> {
                     e.1 += 1;
                     admitted.push(a);
                 }
-                Err(reason) => {
+                Err(err) => {
                     if i >= count_from {
                         rejected_any = true;
-                        self.stats.record_rejection(reason);
+                        self.stats.record_rejection(err.reason);
                     }
                 }
             }
         }
         (admitted, rejected_any)
-    }
-
-    /// Check one assignment against the batch-local state; `Ok` carries
-    /// the phase demand so the caller can charge it.
-    fn admit_one(
-        &self,
-        view: &ClusterView<'_>,
-        free: &crate::capacity::CapacityOverlay<'_>,
-        effect: &BTreeMap<TaskRef, (TaskStatus, u32)>,
-        a: &Assignment,
-    ) -> Result<Resources, RejectReason> {
-        let Some(job) = view.job(a.task.job) else {
-            return Err(RejectReason::UnknownJob);
-        };
-        let pi = a.task.phase.0 as usize;
-        let ti = a.task.task.0 as usize;
-        if pi >= job.spec().num_phases() || ti >= job.spec().phase(a.task.phase).ntasks as usize {
-            return Err(RejectReason::UnknownJob);
-        }
-        if !job.phase_state(a.task.phase).runnable {
-            return Err(RejectReason::UnknownJob);
-        }
-        let (status, live) = effect.get(&a.task).copied().unwrap_or_else(|| {
-            let t = job.task(a.task.phase, a.task.task);
-            (t.status, t.live_copies())
-        });
-        match a.kind {
-            CopyKind::Primary => {
-                if status != TaskStatus::Ready || live > 0 {
-                    return Err(RejectReason::DuplicateCopy);
-                }
-            }
-            CopyKind::Clone => {
-                if status != TaskStatus::Running {
-                    return Err(RejectReason::DuplicateCopy);
-                }
-                if live >= self.cfg.max_copies_per_task {
-                    return Err(RejectReason::DuplicateCopy);
-                }
-            }
-        }
-        let sid = a.server.0 as usize;
-        if sid >= view.cluster().len() || self.down.contains(&sid) {
-            return Err(RejectReason::ServerDown);
-        }
-        let demand = job.spec().phase(a.task.phase).demand;
-        if !demand.fits_in(free.free(a.server)) {
-            return Err(RejectReason::OverCommit);
-        }
-        Ok(demand)
     }
 
     /// One safe-fallback pass: deterministic greedy first-fit, no
@@ -377,12 +321,10 @@ impl<S: Scheduler> Scheduler for GuardedScheduler<S> {
     }
 
     fn on_server_down(&mut self, view: &ClusterView<'_>, server: ServerId) {
-        self.down.insert(server.0 as usize);
         self.contained(view.now, |s| s.on_server_down(view, server));
     }
 
     fn on_server_up(&mut self, view: &ClusterView<'_>, server: ServerId) {
-        self.down.remove(&(server.0 as usize));
         self.contained(view.now, |s| s.on_server_up(view, server));
     }
 
@@ -491,11 +433,13 @@ impl<S: Scheduler> Scheduler for GuardedScheduler<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, try_simulate, EngineConfig};
+    use crate::engine::{simulate, try_simulate, EngineConfig, MAX_COPIES_PER_TASK};
+    use crate::error::{RejectReason, SimError};
     use crate::execution::{DurationSampler, StragglerModel};
     use crate::spec::ClusterSpec;
-    use dollymp_core::job::JobSpec;
+    use dollymp_core::job::{JobSpec, PhaseId};
     use dollymp_core::resources::Resources;
+    use std::collections::BTreeMap;
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::homogeneous(4, 8.0, 16.0)
@@ -658,7 +602,7 @@ mod tests {
     fn clone_throttle_hysteresis_engages_and_releases() {
         // Drive update_throttle directly with synthetic views.
         let c = ClusterSpec::homogeneous(2, 10.0, 10.0);
-        let jobs_map = std::collections::BTreeMap::new();
+        let jobs_map = BTreeMap::new();
         let mut g = GuardedScheduler::with_config(FifoFirstFit, GuardConfig::overload());
 
         let full = crate::capacity::CapacityIndex::from_free(&[
@@ -683,6 +627,115 @@ mod tests {
         ]);
         let view = ClusterView::new(2, &c, &idle, &jobs_map);
         assert!(!g.update_throttle(&view), "below low releases");
+    }
+
+    /// Admission reads crashed servers from the view, not from fault
+    /// hooks: with no hook delivered, an assignment to a server the view
+    /// reports down is rejected as `ServerDown` — not as `OverCommit`,
+    /// although the down server also shows zero free capacity.
+    #[test]
+    fn down_server_is_rejected_from_the_view_alone() {
+        /// Places every ready task on server 0.
+        struct Blind;
+        impl Scheduler for Blind {
+            fn name(&self) -> String {
+                "blind".into()
+            }
+            fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                view.jobs()
+                    .flat_map(|j| j.ready_tasks())
+                    .map(|task| Assignment {
+                        task,
+                        server: ServerId(0),
+                        kind: CopyKind::Primary,
+                    })
+                    .collect()
+            }
+        }
+        let c = ClusterSpec::homogeneous(2, 8.0, 16.0);
+        let spec = JobSpec::single_phase(JobId(0), 1, Resources::new(2.0, 4.0), 12.0, 4.0);
+        let tables = vec![sampler().phase_table(JobId(0), PhaseId(0), &spec.phases()[0])];
+        let jobs = BTreeMap::from([(JobId(0), crate::state::JobState::new(spec, tables))]);
+        let cap = crate::capacity::CapacityIndex::from_free(&[
+            Resources::ZERO,
+            Resources::new(8.0, 16.0),
+        ]);
+        let view = ClusterView {
+            now: 0,
+            spec: &c,
+            cap: &cap,
+            jobs: &jobs,
+            down: &[1, 0],
+        };
+        let mut guard = GuardedScheduler::new(Blind);
+        let batch = guard.schedule(&view);
+        let stats = guard.stats();
+        assert_eq!(stats.rejected_server_down, 1);
+        assert_eq!(stats.total_rejections(), 1);
+        // The stall rescue places the task on the live server instead.
+        assert_eq!(stats.stall_rescues, 1);
+        assert!(batch.iter().all(|a| a.server == ServerId(1)));
+        assert_eq!(batch.len(), 1);
+    }
+
+    /// The guard and the engine enforce the one copy cap: a batch of a
+    /// primary plus `MAX_COPIES_PER_TASK` clones loses exactly its last
+    /// clone under the guard, the engine runs the rest, and without the
+    /// guard the engine refuses the same batch.
+    #[test]
+    fn copy_cap_binds_guard_and_engine_alike() {
+        struct Cloner;
+        impl Scheduler for Cloner {
+            fn name(&self) -> String {
+                "cloner".into()
+            }
+            fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                let ready: Vec<TaskRef> = view.jobs().flat_map(|j| j.ready_tasks()).collect();
+                ready
+                    .into_iter()
+                    .flat_map(|task| {
+                        (0..=MAX_COPIES_PER_TASK).map(move |i| Assignment {
+                            task,
+                            server: ServerId(i % 4),
+                            kind: if i == 0 {
+                                CopyKind::Primary
+                            } else {
+                                CopyKind::Clone
+                            },
+                        })
+                    })
+                    .collect()
+            }
+        }
+        let job = || {
+            vec![JobSpec::single_phase(
+                JobId(0),
+                1,
+                Resources::new(1.0, 1.0),
+                10.0,
+                0.0,
+            )]
+        };
+        let cfg = EngineConfig::default();
+        let mut guard = GuardedScheduler::new(Cloner);
+        let report = try_simulate(&cluster(), job(), &sampler(), &mut guard, &cfg)
+            .expect("the guard keeps every batch legal");
+        assert_eq!(report.guard.total_rejections(), 1);
+        assert_eq!(report.guard.rejected_duplicate_copy, 1);
+        let clones = u64::from(MAX_COPIES_PER_TASK - 1);
+        assert_eq!(report.jobs[0].clone_copies, clones);
+
+        let err = try_simulate(&cluster(), job(), &sampler(), &mut Cloner, &cfg)
+            .expect_err("the engine refuses the ninth copy");
+        let SimError::Rejected(err) = err else {
+            panic!("expected an admission error, got {err}");
+        };
+        assert_eq!(err.reason, RejectReason::DuplicateCopy);
+        assert!(
+            err.detail.contains("exceeds the 8-copy cap"),
+            "{}",
+            err.detail
+        );
     }
 
     #[test]

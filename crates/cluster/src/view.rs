@@ -1,8 +1,10 @@
 //! The read-only cluster snapshot handed to schedulers.
 //!
 //! At every decision point the engine exposes a [`ClusterView`]: per-server
-//! free resources, the active jobs with their full runtime state, and the
-//! clock. Schedulers never see a copy's *future* finish time — only its
+//! free resources, which servers are crashed, the active jobs with their
+//! full runtime state, and the clock. A crashed server also shows zero
+//! free capacity; [`ClusterView::is_down`] tells it apart from a full one,
+//! so no policy or wrapper has to rebuild the set from fault hooks. Schedulers never see a copy's *future* finish time — only its
 //! start and elapsed time — so speculation policies must infer progress
 //! the way a real cluster manager would.
 //!
@@ -28,13 +30,17 @@ pub struct ClusterView<'a> {
     pub(crate) spec: &'a ClusterSpec,
     pub(crate) cap: &'a CapacityIndex,
     pub(crate) jobs: &'a BTreeMap<JobId, JobState>,
+    /// The engine's per-server crash counts (a server is down while its
+    /// count is nonzero). Empty means no server is down.
+    pub(crate) down: &'a [u32],
 }
 
 impl<'a> ClusterView<'a> {
     /// Assemble a view from its parts. The engine builds views
     /// internally; this constructor exists for benchmarks and control-
     /// plane tests that drive a [`crate::scheduler::Scheduler`] directly
-    /// (build the index once with [`CapacityIndex::from_free`]).
+    /// (build the index once with [`CapacityIndex::from_free`]). No
+    /// server of such a view is down.
     ///
     /// # Panics
     /// Panics when `cap` does not have one entry per server.
@@ -50,6 +56,7 @@ impl<'a> ClusterView<'a> {
             spec,
             cap,
             jobs,
+            down: &[],
         }
     }
 
@@ -72,6 +79,12 @@ impl<'a> ClusterView<'a> {
     /// Free resources on one server right now.
     pub fn free(&self, server: ServerId) -> Resources {
         self.cap.free(server)
+    }
+
+    /// True while `server` is crashed: it holds no copies and takes no
+    /// assignments until its last overlapping crash window is restored.
+    pub fn is_down(&self, server: ServerId) -> bool {
+        self.down.get(server.0 as usize).is_some_and(|&d| d > 0)
     }
 
     /// Total free resources across the cluster (O(1) — the index keeps a

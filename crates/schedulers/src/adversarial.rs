@@ -13,7 +13,6 @@
 
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Which misbehaviours the adversary is allowed to commit.
@@ -26,7 +25,8 @@ pub struct AdversarialConfig {
     /// Emit assignments that over-commit a server's free capacity
     /// (the legal batch repeated verbatim).
     pub overcommit: bool,
-    /// Target servers it has seen crash (and a nonexistent server id).
+    /// Target servers the view reports down (and a nonexistent server
+    /// id).
     pub target_down: bool,
     /// Emit duplicate primaries for already-placed tasks.
     pub duplicate: bool,
@@ -74,9 +74,6 @@ pub struct AdversarialScheduler {
     cfg: AdversarialConfig,
     /// Decision passes seen so far (selects this pass's attack).
     passes: u64,
-    /// Servers currently down, learned from the engine's fault hooks —
-    /// the "insider knowledge" that makes `target_down` reliable.
-    down: BTreeSet<ServerId>,
     panicked: bool,
 }
 
@@ -103,7 +100,6 @@ impl AdversarialScheduler {
         AdversarialScheduler {
             cfg,
             passes: 0,
-            down: BTreeSet::new(),
             panicked: false,
         }
     }
@@ -146,14 +142,6 @@ impl Scheduler for AdversarialScheduler {
         "adversarial".into()
     }
 
-    fn on_server_down(&mut self, _view: &ClusterView<'_>, server: ServerId) {
-        self.down.insert(server);
-    }
-
-    fn on_server_up(&mut self, _view: &ClusterView<'_>, server: ServerId) {
-        self.down.remove(&server);
-    }
-
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let attacks = self.enabled_attacks();
         let attack = attacks
@@ -172,10 +160,11 @@ impl Scheduler for AdversarialScheduler {
                 batch
             }
             Some(Attack::TargetDown) => {
-                // Redirect half the batch to a crashed server if one is
-                // known, and always append one launch on a server id
+                // Redirect half the batch to the lowest-id crashed server,
+                // if any, and always append one launch on a server id
                 // past the end of the cluster.
-                if let Some(&dead) = self.down.iter().next() {
+                let n = view.cluster().len() as u32;
+                if let Some(dead) = (0..n).map(ServerId).find(|&s| view.is_down(s)) {
                     for a in batch.iter_mut().skip(1).step_by(2) {
                         a.server = dead;
                     }

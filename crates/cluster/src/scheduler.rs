@@ -45,7 +45,8 @@ pub trait Scheduler {
 
     /// Called when a server crashes (fault injection), after its copies
     /// were evicted but before the slot's scheduling pass. The view
-    /// already shows the server with zero free capacity.
+    /// already shows the server with zero free capacity and
+    /// [`ClusterView::is_down`].
     fn on_server_down(&mut self, _view: &ClusterView<'_>, _server: ServerId) {}
 
     /// Called when a crashed server is repaired and its capacity returns

@@ -67,7 +67,8 @@ fn bench_schedule_pass(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut s = dollymp_schedulers::DollyMP::new();
-                // Priority refresh (the on-arrival path).
+                // An arrival marks the priorities stale; the timed pass
+                // then runs Algorithm 1 before placing.
                 let view = ClusterView::new(0, &cluster, &free, &jobs);
                 s.on_job_arrival(&view, JobId(0));
                 s

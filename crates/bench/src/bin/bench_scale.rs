@@ -13,7 +13,10 @@
 //!   so its cold and steady costs were the same thing.
 //! * **cold** (`cold_pass_*` fields) — a fresh scheduler per sample,
 //!   first pass timed (the literal `bench_sched_overhead` protocol);
-//!   pays one-time scratch growth and is noticeably noisier.
+//!   pays one-time scratch growth and the Algorithm 1 refresh the
+//!   arrival hook deferred to the pass — the §6.3.3 per-decision-point
+//!   cost — and is noticeably noisier. The steady protocol's warmup
+//!   absorbs that one refresh.
 //!
 //! Two allocator-side gauges come from a counting `#[global_allocator]`:
 //!
@@ -348,8 +351,9 @@ fn main() {
                  (one scheduler, scratch persisted across passes, as in the \
                  live engine; comparable to the reference, whose scheduler \
                  kept no state so cold == steady). cold_pass_* = fresh \
-                 scheduler per sample. Nearest-rank percentiles; untimed \
-                 on-arrival refresh"
+                 scheduler per sample, so its first pass includes the \
+                 Algorithm 1 refresh an arrival defers to the next pass. \
+                 Nearest-rank percentiles"
                     .to_string(),
             ),
         ),

@@ -76,8 +76,9 @@ fn measure_schedule_pass() -> u64 {
         );
     }
     // Fresh scheduler per iteration (a pass consumes nothing, but the
-    // Criterion bench does the same, so the numbers stay comparable);
-    // the on-arrival refresh is untimed setup, matching the bench.
+    // Criterion bench does the same, so the numbers stay comparable).
+    // The arrival hook only marks the priorities stale, so the timed pass
+    // runs Algorithm 1 first: the §6.3.3 per-decision-point cost.
     let mut passes = Vec::new();
     for it in 0..13 {
         let mut s = dollymp_schedulers::DollyMP::new();

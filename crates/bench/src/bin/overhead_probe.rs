@@ -1,7 +1,8 @@
-//! One-shot §6.3.3 overhead probe: times a single Algorithm 1 refresh
-//! plus one full Algorithm 2 placement pass for 1 000 jobs over 30 000
-//! servers, without the Criterion harness (see `benches/sched_overhead`
-//! for statistically rigorous numbers).
+//! One-shot §6.3.3 overhead probe: times one decision point — the
+//! Algorithm 1 refresh an arrival triggers plus one full Algorithm 2
+//! placement pass — for 1 000 jobs over 30 000 servers, without the
+//! Criterion harness (see `benches/sched_overhead` for statistically
+//! rigorous numbers). The pass's own stage split attributes the time.
 
 use dollymp_bench::runner::{cell_seed, run_matrix, Parallelism};
 use dollymp_cluster::prelude::*;
@@ -46,15 +47,16 @@ fn main() {
         let jobs = probe_jobs(cell_seed(PROBE_SEED, i));
         let mut s = dollymp_schedulers::DollyMP::with_clones(clones);
         let view = ClusterView::new(0, &cluster, &free, &jobs);
-        let t0 = std::time::Instant::now();
         s.on_job_arrival(&view, JobId(0));
-        let t_arr = t0.elapsed();
-        let t1 = std::time::Instant::now();
+        let t0 = std::time::Instant::now();
         let batch = s.schedule(&view);
-        let t_sched = t1.elapsed();
+        let t_pass = t0.elapsed();
+        let span = s.pass_span().expect("DollyMP reports its stages");
         format!(
-            "dollymp{clones}: Algorithm 1 refresh {t_arr:?}, full placement pass {t_sched:?} \
-             ({} assignments)",
+            "dollymp{clones}: decision point {t_pass:?} = Algorithm 1 refresh + grouping \
+             {:?}, placement {:?} ({} assignments)",
+            std::time::Duration::from_nanos(span.prepare_ns),
+            std::time::Duration::from_nanos(span.placement_ns),
             batch.len()
         )
     });

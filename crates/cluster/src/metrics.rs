@@ -215,7 +215,8 @@ pub struct GuardStats {
     /// policy — its internal state is poisoned).
     pub policy_panics: u64,
     /// Decision passes whose wall-clock time exceeded the watchdog
-    /// budget.
+    /// budget. Counted only, never struck; the one host-load-dependent
+    /// counter, so [`SimReport::scrubbed`] zeroes it.
     pub budget_overruns: u64,
     /// Passes where the policy returned nothing while the cluster was
     /// otherwise idle and the safe fallback could place work (each one a
@@ -352,11 +353,12 @@ pub struct SimReport {
 
 impl SimReport {
     /// The report with its wall-clock fields (`scheduling_ns`,
-    /// `sched_overhead`) zeroed: what repeats exactly across runs of the
-    /// same inputs.
+    /// `sched_overhead`, `guard.budget_overruns`) zeroed: what repeats
+    /// exactly across runs of the same inputs.
     pub fn scrubbed(mut self) -> SimReport {
         self.scheduling_ns = 0;
         self.sched_overhead = SchedOverhead::default();
+        self.guard.budget_overruns = 0;
         self
     }
 
@@ -950,13 +952,19 @@ mod tests {
 
     #[test]
     fn scrubbed_zeroes_only_wall_clock_fields() {
-        let r = fold(true, true);
+        let mut r = fold(true, true);
+        r.guard.budget_overruns = 3;
         assert_ne!(r.scheduling_ns, 0);
+        assert_ne!(r.guard, GuardStats::default());
         assert_eq!(
             r.clone().scrubbed(),
             SimReport {
                 scheduling_ns: 0,
                 sched_overhead: SchedOverhead::default(),
+                guard: GuardStats {
+                    budget_overruns: 0,
+                    ..r.guard
+                },
                 ..r
             }
         );

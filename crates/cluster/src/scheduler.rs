@@ -36,7 +36,10 @@ pub trait Scheduler {
     fn name(&self) -> String;
 
     /// Called when a job enters the cluster, before the scheduling pass of
-    /// the same slot. DollyMP refreshes Algorithm 1 priorities here (§5).
+    /// the same slot. Every arrival of a slot is delivered before that
+    /// pass, and nothing changes in between, so a policy whose order
+    /// depends on the whole job set (DollyMP's Algorithm 1, §5) can mark
+    /// it stale here and recompute once, at the start of the pass.
     fn on_job_arrival(&mut self, _view: &ClusterView<'_>, _job: JobId) {}
 
     /// Called when a job fully completes, with its final runtime state
@@ -58,9 +61,9 @@ pub trait Scheduler {
 
     /// Called when a task's *last* live copy was evicted by a crash: the
     /// task is back in `Ready` state and will be re-executed from
-    /// scratch. Estimation or caching layers keyed on a job's remaining
-    /// work must invalidate here — evicted progress is lost work the
-    /// fingerprint cannot see.
+    /// scratch, before the slot's scheduling pass. Estimation layers
+    /// must account for it here — evicted progress is lost work, yet the
+    /// job's remaining-task counts do not change.
     fn on_task_lost(&mut self, _view: &ClusterView<'_>, _task: TaskRef) {}
 
     /// Produce the placement batch for this decision point.

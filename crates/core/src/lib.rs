@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::theory::{theorem1_bound, BruteForceOptimal};
     pub use crate::time::{Duration, Time};
     pub use crate::transient::{
-        transient_schedule, SummaryCache, SummaryInput, TransientConfig, TransientJob,
+        summarize, transient_schedule, SummaryInput, TransientConfig, TransientJob,
         TransientOutput, PRIORITY_UNSELECTED,
     };
 }

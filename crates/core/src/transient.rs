@@ -24,7 +24,6 @@ use crate::knapsack::sorted_by_weight;
 use crate::resources::Resources;
 use crate::speedup::{Speedup, SpeedupFn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Priority assigned to jobs never selected by any knapsack level (they
 /// sort after every selected job).
@@ -281,146 +280,17 @@ pub struct SummaryInput<'a> {
     pub remaining_tasks: Vec<u32>,
     /// Per-phase completion flags (Eq. 17).
     pub finished_phases: Vec<bool>,
-    /// Count of fault-induced task losses this job has suffered (0 when
-    /// fault injection is off). A crash that evicts a task's last copy
-    /// re-queues it *without* changing the remaining-task counts — the
-    /// fingerprint above cannot see the loss — so callers bump this epoch
-    /// (`Scheduler::on_task_lost`) to force a recompute and keep the
-    /// cache honest under failures.
-    pub loss_epoch: u64,
 }
 
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    remaining_tasks: Vec<u32>,
-    finished_phases: Vec<bool>,
-    loss_epoch: u64,
-    summary: TransientJob,
-}
-
-/// Memo of [`TransientJob`] summaries keyed by each job's remaining-work
-/// fingerprint (its per-phase unfinished-task counts and completion
-/// flags).
-///
-/// Algorithm 1 reruns over *all* unfinished jobs on every arrival (§5),
-/// but between two arrivals most jobs made no progress: their Eq. 16/17
-/// summaries are pure functions of unchanged inputs. The cache reuses
-/// those and recomputes only the jobs whose remaining work moved — in
-/// parallel under the `rayon` feature when many miss at once.
-///
-/// Reused summaries are bit-identical to recomputed ones (same pure
-/// computation, same inputs), so scheduling decisions are unchanged.
-#[derive(Debug, Clone, Default)]
-pub struct SummaryCache {
-    entries: HashMap<JobId, CacheEntry>,
-    /// Cluster totals and σ-weight (bits) the cached summaries were
-    /// computed against; any change invalidates every entry.
-    key: Option<(Resources, u64)>,
-}
-
-impl SummaryCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SummaryCache::default()
-    }
-
-    /// Number of jobs with a cached summary.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop a completed job's entry.
-    pub fn remove(&mut self, job: JobId) {
-        self.entries.remove(&job);
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.key = None;
-    }
-
-    /// Summarize `inputs` (preserving order), reusing every cached summary
-    /// whose remaining-work fingerprint is unchanged; misses are computed
-    /// and cached for the next refresh.
-    pub fn summarize(
-        &mut self,
-        inputs: &[SummaryInput<'_>],
-        cluster_totals: Resources,
-        sigma_weight: f64,
-    ) -> Vec<TransientJob> {
-        let key = (cluster_totals, sigma_weight.to_bits());
-        if self.key != Some(key) {
-            self.entries.clear();
-            self.key = Some(key);
-        }
-        let mut out: Vec<Option<TransientJob>> = Vec::with_capacity(inputs.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for (idx, input) in inputs.iter().enumerate() {
-            match self.entries.get(&input.spec.id) {
-                Some(e)
-                    if e.remaining_tasks == input.remaining_tasks
-                        && e.finished_phases == input.finished_phases
-                        && e.loss_epoch == input.loss_epoch =>
-                {
-                    // A served hit must be bit-identical to a fresh
-                    // recompute — the cache is an optimization, never a
-                    // source of truth (cheap enough to verify in debug).
-                    debug_assert_eq!(
-                        e.summary,
-                        TransientJob::from_remaining(
-                            input.spec,
-                            &input.remaining_tasks,
-                            &input.finished_phases,
-                            cluster_totals,
-                            sigma_weight,
-                        ),
-                        "stale cached summary served for job {:?}",
-                        input.spec.id
-                    );
-                    out.push(Some(e.summary.clone()));
-                }
-                _ => {
-                    out.push(None);
-                    misses.push(idx);
-                }
-            }
-        }
-        let computed = compute_summaries(inputs, &misses, cluster_totals, sigma_weight);
-        for (&idx, summary) in misses.iter().zip(computed) {
-            let input = &inputs[idx];
-            self.entries.insert(
-                input.spec.id,
-                CacheEntry {
-                    remaining_tasks: input.remaining_tasks.clone(),
-                    finished_phases: input.finished_phases.clone(),
-                    loss_epoch: input.loss_epoch,
-                    summary: summary.clone(),
-                },
-            );
-            out[idx] = Some(summary);
-        }
-        out.into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
-    }
-}
-
-/// Summaries of `inputs[misses]`, in miss order — parallel under `rayon`
-/// when enough jobs miss at once.
-fn compute_summaries(
+/// Eq. 16/17 summaries of `inputs`, in input order — the per-job input
+/// Algorithm 1 runs on. Summaries are independent, so the `rayon`
+/// feature computes them in parallel for large job sets.
+pub fn summarize(
     inputs: &[SummaryInput<'_>],
-    misses: &[usize],
     cluster_totals: Resources,
     sigma_weight: f64,
 ) -> Vec<TransientJob> {
-    let one = |idx: &usize| {
-        let i = &inputs[*idx];
+    let one = |i: &SummaryInput<'_>| {
         TransientJob::from_remaining(
             i.spec,
             &i.remaining_tasks,
@@ -430,11 +300,11 @@ fn compute_summaries(
         )
     };
     #[cfg(feature = "rayon")]
-    if misses.len() >= PAR_MIN_JOBS {
+    if inputs.len() >= PAR_MIN_JOBS {
         use rayon::prelude::*;
-        return misses.par_iter().map(one).collect();
+        return inputs.par_iter().map(one).collect();
     }
-    misses.iter().map(one).collect()
+    inputs.iter().map(one).collect()
 }
 
 #[cfg(test)]
@@ -724,86 +594,5 @@ mod tests {
         let out = transient_schedule(&jobs, &cfg);
         assert_eq!(out.priorities[1], PRIORITY_UNSELECTED);
         assert_eq!(out, reference_transient_schedule(&jobs, &cfg));
-    }
-
-    #[test]
-    fn summary_cache_reuses_unchanged_fingerprints() {
-        let spec = JobSpec::single_phase(JobId(7), 4, Resources::new(1.0, 2.0), 10.0, 2.0);
-        let totals = Resources::new(100.0, 200.0);
-        let mut cache = SummaryCache::new();
-        let input = |rem: u32| SummaryInput {
-            spec: &spec,
-            remaining_tasks: vec![rem],
-            finished_phases: vec![rem == 0],
-            loss_epoch: 0,
-        };
-        let a = cache.summarize(&[input(4)], totals, 1.5);
-        assert_eq!(cache.len(), 1);
-        let direct = TransientJob::from_remaining(&spec, &[4], &[false], totals, 1.5);
-        assert_eq!(a[0], direct);
-        // Unchanged fingerprint → the cached summary is returned verbatim.
-        let b = cache.summarize(&[input(4)], totals, 1.5);
-        assert_eq!(b[0], direct);
-        // Progress changes the fingerprint → recomputed, not stale.
-        let c = cache.summarize(&[input(2)], totals, 1.5);
-        assert_eq!(
-            c[0],
-            TransientJob::from_remaining(&spec, &[2], &[false], totals, 1.5)
-        );
-        assert!(c[0].volume < a[0].volume);
-        cache.remove(JobId(7));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn summary_cache_loss_epoch_forces_recompute() {
-        // A crash-induced task loss re-queues a Running task: the
-        // remaining-task counts do NOT change, so only the loss epoch
-        // distinguishes pre-loss from post-loss state. Bumping it must
-        // miss the cache; serving the entry anyway would be a stale hit.
-        let spec = JobSpec::single_phase(JobId(3), 6, Resources::new(1.0, 2.0), 12.0, 2.0);
-        let totals = Resources::new(50.0, 100.0);
-        let mut cache = SummaryCache::new();
-        let input = |epoch: u64| SummaryInput {
-            spec: &spec,
-            remaining_tasks: vec![6],
-            finished_phases: vec![false],
-            loss_epoch: epoch,
-        };
-        let _ = cache.summarize(&[input(0)], totals, 1.5);
-        assert_eq!(cache.len(), 1);
-        // Same fingerprint, bumped epoch: recomputed (and re-cached under
-        // the new epoch — a third call at epoch 1 hits again).
-        let b = cache.summarize(&[input(1)], totals, 1.5);
-        assert_eq!(
-            b[0],
-            TransientJob::from_remaining(&spec, &[6], &[false], totals, 1.5)
-        );
-        let c = cache.summarize(&[input(1)], totals, 1.5);
-        assert_eq!(c[0], b[0]);
-        // Regressing to the old epoch also misses (epoch equality, not
-        // ordering, keys the entry).
-        let d = cache.summarize(&[input(0)], totals, 1.5);
-        assert_eq!(d[0], b[0]);
-    }
-
-    #[test]
-    fn summary_cache_invalidates_on_context_change() {
-        let spec = JobSpec::single_phase(JobId(1), 2, Resources::new(1.0, 1.0), 8.0, 1.0);
-        let mut cache = SummaryCache::new();
-        let input = || SummaryInput {
-            spec: &spec,
-            remaining_tasks: vec![2],
-            finished_phases: vec![false],
-            loss_epoch: 0,
-        };
-        let small = cache.summarize(&[input()], Resources::new(10.0, 10.0), 1.5);
-        // Doubling the cluster halves normalized volume; a stale entry
-        // would return the old value.
-        let big = cache.summarize(&[input()], Resources::new(20.0, 20.0), 1.5);
-        assert!(big[0].volume < small[0].volume);
-        // σ-weight change also invalidates.
-        let heavier = cache.summarize(&[input()], Resources::new(20.0, 20.0), 3.0);
-        assert!(heavier[0].etime > big[0].etime);
     }
 }

@@ -1,10 +1,13 @@
 //! The DollyMP scheduler — Algorithm 2 of the paper.
 //!
-//! On every job arrival, the priorities of *all* unfinished jobs are
-//! recomputed by the transient Algorithm 1 over their remaining volumes
-//! and critical paths (Eq. 16/17); between arrivals the order is frozen
-//! (§5: "the scheduling order of all jobs in the cluster won't be updated
-//! until the next job arrival").
+//! After a job arrival (or a crash-induced task loss), the priorities of
+//! *all* unfinished jobs are recomputed by the transient Algorithm 1 over
+//! their remaining volumes and critical paths (Eq. 16/17); between
+//! arrivals the order is frozen (§5: "the scheduling order of all jobs in
+//! the cluster won't be updated until the next job arrival"). The hooks
+//! only mark the order stale: the simulator is slotted (§6.3), so every
+//! arrival of a slot is acted on at that slot's decision point, and
+//! Algorithm 1 runs once there, over the slot's final state.
 //!
 //! At each decision point the scheduler then:
 //!
@@ -24,9 +27,7 @@ use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
 use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityTable};
 use dollymp_core::resources::Resources;
-use dollymp_core::transient::{
-    transient_schedule, SummaryCache, SummaryInput, TransientConfig, TransientJob,
-};
+use dollymp_core::transient::{summarize, transient_schedule, SummaryInput, TransientConfig};
 
 /// A cloning candidate: a task of a §4.1-eligible job, with its demand
 /// and *effective* copy count (view-side live copies plus the primary
@@ -163,15 +164,9 @@ pub struct DollyMP {
     /// Cloning budget and §4.1 small-job gate.
     pub clone_policy: ClonePolicy,
     table: PriorityTable,
-    /// Eq. 16/17 job summaries memoized across arrivals (jobs whose
-    /// remaining work is unchanged are not re-summarized).
-    cache: SummaryCache,
-    use_summary_cache: bool,
-    /// Fault-induced task losses per job. A loss re-queues a task without
-    /// changing the remaining-task counts, so the summary-cache
-    /// fingerprint alone cannot see it; the epoch keeps the cache honest
-    /// (see `SummaryInput::loss_epoch`).
-    loss_epochs: FxHashMap<JobId, u64>,
+    /// Set by the arrival and task-loss hooks: the next pass re-runs
+    /// Algorithm 1 before placing anything.
+    stale: bool,
     /// Reusable per-decision-point buffers (see [`Scratch`]).
     scratch: Scratch,
     /// Prepare/placement stage timing of the most recent pass, surfaced
@@ -200,22 +195,10 @@ impl DollyMP {
             },
             clone_policy,
             table: PriorityTable::default(),
-            cache: SummaryCache::new(),
-            use_summary_cache: true,
-            loss_epochs: FxHashMap::default(),
+            stale: false,
             scratch: Scratch::default(),
             last_span: PassSpan::default(),
         }
-    }
-
-    /// Disable the Algorithm 1 summary cache and recompute every job
-    /// summary from scratch at each arrival. Decisions are identical
-    /// either way — this hook exists so tests can pin that equivalence
-    /// (and to measure the cache's benefit in benchmarks).
-    pub fn without_summary_cache(mut self) -> Self {
-        self.use_summary_cache = false;
-        self.cache.clear();
-        self
     }
 
     /// Override the §4.1 small-job gate `δ`.
@@ -231,33 +214,15 @@ impl DollyMP {
     }
 
     fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
-        let totals = view.totals();
-        let w = self.transient.sigma_weight;
         let inputs: Vec<SummaryInput<'_>> = view
             .jobs()
             .map(|j| SummaryInput {
                 spec: j.spec(),
                 remaining_tasks: j.remaining_tasks(),
                 finished_phases: j.finished_phases(),
-                loss_epoch: self.loss_epochs.get(&j.id()).copied().unwrap_or(0),
             })
             .collect();
-        let summaries: Vec<TransientJob> = if self.use_summary_cache {
-            self.cache.summarize(&inputs, totals, w)
-        } else {
-            inputs
-                .iter()
-                .map(|i| {
-                    TransientJob::from_remaining(
-                        i.spec,
-                        &i.remaining_tasks,
-                        &i.finished_phases,
-                        totals,
-                        w,
-                    )
-                })
-                .collect()
-        };
+        let summaries = summarize(&inputs, view.totals(), self.transient.sigma_weight);
         let out = transient_schedule(&summaries, &self.transient);
         self.table = PriorityTable::from_output(&summaries, &out);
     }
@@ -743,23 +708,19 @@ impl Scheduler for DollyMP {
         format!("dollymp{}", self.clone_policy.max_copies - 1)
     }
 
-    fn on_job_arrival(&mut self, view: &ClusterView<'_>, _job: JobId) {
-        self.refresh_priorities(view);
+    fn on_job_arrival(&mut self, _view: &ClusterView<'_>, _job: JobId) {
+        self.stale = true;
     }
 
     fn on_job_finish(&mut self, job: &dollymp_cluster::state::JobState) {
         self.table.remove(job.id());
-        self.cache.remove(job.id());
-        self.loss_epochs.remove(&job.id());
     }
 
-    fn on_task_lost(&mut self, view: &ClusterView<'_>, task: TaskRef) {
-        // The re-queued task's job lost work the remaining-task
-        // fingerprint cannot see; bump its epoch and re-run Algorithm 1 so
-        // the frozen order reflects the post-crash state of the cluster
-        // (a crash is as much a scheduling shock as an arrival).
-        *self.loss_epochs.entry(task.job).or_insert(0) += 1;
-        self.refresh_priorities(view);
+    fn on_task_lost(&mut self, _view: &ClusterView<'_>, _task: TaskRef) {
+        // A crash is as much a scheduling shock as an arrival: the next
+        // pass re-runs Algorithm 1 so the frozen order reflects the
+        // post-crash state of the cluster.
+        self.stale = true;
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
@@ -784,7 +745,8 @@ impl DollyMP {
         self.schedule_inner(view, Some(server_order))
     }
 
-    /// One full Algorithm 2 decision point: primary pass, then up to two
+    /// One full Algorithm 2 decision point: the Algorithm 1 refresh if a
+    /// hook marked the order stale, the primary pass, then up to two
     /// clone passes over the leftovers. `order` is `None` for the
     /// identity server walk.
     fn schedule_inner(
@@ -792,10 +754,16 @@ impl DollyMP {
         view: &ClusterView<'_>,
         order: Option<&[ServerId]>,
     ) -> Vec<Assignment> {
+        let pass_start = std::time::Instant::now();
+        // The engine changes nothing Algorithm 1 reads between a slot's
+        // last hook and its pass, so refreshing here sees exactly the
+        // state the last hook saw.
+        if std::mem::take(&mut self.stale) {
+            self.refresh_priorities(view);
+        }
         // The scratch moves out of `self` for the duration of the pass so
         // the `&self` helper methods can borrow it mutably alongside.
         let mut s = std::mem::take(&mut self.scratch);
-        let pass_start = std::time::Instant::now();
         self.table.grouped_into(
             view.jobs().map(|j| j.id()),
             &mut s.tagged,
@@ -970,47 +938,6 @@ mod tests {
             first_finisher.clone_copies, 0,
             "no clones while the equal-size backlog existed"
         );
-    }
-
-    #[test]
-    fn summary_cache_equivalent_under_faults() {
-        // Crashes re-queue tasks without changing remaining-task counts;
-        // the loss-epoch must keep cached and uncached DollyMP decision-
-        // identical through fault recovery.
-        use dollymp_cluster::engine::simulate_with_faults;
-        use dollymp_cluster::fault::{FaultEvent, FaultTimeline, TimedFault};
-        let cluster = ClusterSpec::paper_30_node();
-        let jobs: Vec<JobSpec> = (0..12)
-            .map(|i| JobSpec::single_phase(JobId(i), 10, Resources::new(2.0, 4.0), 15.0, 5.0))
-            .collect();
-        let sampler = DurationSampler::new(23, StragglerModel::ParetoFit);
-        let tl = FaultTimeline::new(vec![
-            TimedFault {
-                at: 6,
-                event: FaultEvent::Crash(ServerId(2)),
-            },
-            TimedFault {
-                at: 40,
-                event: FaultEvent::Restore(ServerId(2)),
-            },
-            TimedFault {
-                at: 10,
-                event: FaultEvent::Crash(ServerId(20)),
-            },
-            TimedFault {
-                at: 55,
-                event: FaultEvent::Restore(ServerId(20)),
-            },
-        ]);
-        let cfg = EngineConfig::default();
-        let mut cached = DollyMP::new();
-        let r1 = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut cached, &cfg, &tl);
-        let mut uncached = DollyMP::new().without_summary_cache();
-        let r2 = simulate_with_faults(&cluster, jobs, &sampler, &mut uncached, &cfg, &tl);
-        assert!(r1.faults.copies_evicted > 0, "the crashes must bite");
-        assert_eq!(r1.jobs, r2.jobs);
-        assert_eq!(r1.faults, r2.faults);
-        assert_eq!(r1.makespan, r2.makespan);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::dollymp::DollyMP;
 use dollymp_cluster::prelude::*;
-use dollymp_core::job::JobId;
+use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 
@@ -135,6 +135,18 @@ impl Scheduler for LearnedDollyMP {
         self.inner.on_job_finish(job);
     }
 
+    fn on_server_down(&mut self, view: &ClusterView<'_>, server: ServerId) {
+        self.inner.on_server_down(view, server);
+    }
+
+    fn on_server_up(&mut self, view: &ClusterView<'_>, server: ServerId) {
+        self.inner.on_server_up(view, server);
+    }
+
+    fn on_task_lost(&mut self, view: &ClusterView<'_>, task: TaskRef) {
+        self.inner.on_task_lost(view, task);
+    }
+
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let order = self.reputation.fastest_first(view.cluster().len());
         self.inner.schedule_with_server_order(view, &order)
@@ -232,6 +244,59 @@ mod tests {
         // The slow server's reputation reflects reality.
         assert!(learned.reputation().slowdown(ServerId(1)) > 1.5);
         assert!(learned.reputation().slowdown(ServerId(0)) < 1.5);
+    }
+
+    /// With deterministic durations on a homogeneous cluster every
+    /// reputation stays at 1.0, so the learned visit order is the id
+    /// order and the learned variant must decide exactly like plain
+    /// DollyMP — through crashes too, which only holds if the fault
+    /// hooks reach the inner scheduler.
+    #[test]
+    fn matches_dollymp_under_crashes_when_reputations_are_flat() {
+        let cluster = ClusterSpec::homogeneous(2, 4.0, 8.0);
+        // (arrival, tasks, cpu, θ): the crash lands between arrivals, so
+        // only the task-loss hook can refresh the priorities there.
+        let jobs: Vec<JobSpec> = [(6, 5, 2.0, 8.0), (7, 1, 1.0, 10.0), (12, 7, 1.0, 6.0)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (arrival, tasks, cpu, theta))| {
+                JobSpec::builder(JobId(i as u64))
+                    .arrival(arrival)
+                    .phase(dollymp_core::job::PhaseSpec::new(
+                        tasks,
+                        Resources::new(cpu, 2.0),
+                        theta,
+                        0.0,
+                    ))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let tl = FaultTimeline::new(vec![
+            TimedFault {
+                at: 16,
+                event: FaultEvent::Crash(ServerId(1)),
+            },
+            TimedFault {
+                at: 18,
+                event: FaultEvent::Restore(ServerId(1)),
+            },
+        ]);
+        let sampler = DurationSampler::new(3, StragglerModel::Deterministic);
+        let cfg = EngineConfig::default();
+        let mut plain = DollyMP::new();
+        let base = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut plain, &cfg, &tl);
+        let mut learned = LearnedDollyMP::new();
+        let smart = simulate_with_faults(&cluster, jobs, &sampler, &mut learned, &cfg, &tl);
+        assert!(base.faults.tasks_requeued > 0, "the crash must bite");
+        assert!((0..2).all(|s| learned.reputation().slowdown(ServerId(s)) == 1.0));
+        assert_eq!(
+            SimReport {
+                scheduler: base.scheduler.clone(),
+                ..smart.scrubbed()
+            },
+            base.scrubbed()
+        );
     }
 
     #[test]

@@ -16,6 +16,16 @@ use dollymp_schedulers::ALL_NAMES;
 
 const SEED: u64 = 7;
 const FAULTED: [&str; 4] = ["dollymp2", "dollymp0", "fifo", "tetris"];
+/// DollyMP² under the default guard. The watchdog only counts overruns
+/// and the scrub zeroes that count, so the cell is host-load independent.
+const GUARDED: &str = "guarded-dollymp2";
+
+fn policy(name: &str) -> Box<dyn Scheduler> {
+    if name == GUARDED {
+        return Box::new(GuardedScheduler::new(DollyMP::new()));
+    }
+    dollymp_schedulers::by_name(name).expect("registered scheduler")
+}
 
 fn cell(name: &str, with_faults: bool) -> String {
     let cluster = ClusterSpec::paper_30_node();
@@ -42,7 +52,7 @@ fn cell(name: &str, with_faults: bool) -> String {
         record_timeline: true,
         ..EngineConfig::default()
     };
-    let mut policy = dollymp_schedulers::by_name(name).expect("registered scheduler");
+    let mut policy = policy(name);
     let report = simulate_with_faults(&cluster, jobs, &sampler, &mut policy, &cfg, &faults);
     let tag = if with_faults { "on" } else { "off" };
     format!(
@@ -60,6 +70,10 @@ fn reports_match_the_golden_corpus() {
     }
     for name in FAULTED {
         actual.push_str(&cell(name, true));
+        actual.push('\n');
+    }
+    for with_faults in [false, true] {
+        actual.push_str(&cell(GUARDED, with_faults));
         actual.push('\n');
     }
     let expected = include_str!("golden/reports.txt");

@@ -12,6 +12,13 @@
 //! 3. admits arriving jobs (notifying the scheduler),
 //! 4. invokes [`Scheduler::schedule`] once and applies the returned batch.
 //!
+//! Each event costs what it touches. Copy finishes queue in per-slot
+//! buckets, each in launch order, which is the order they retire in; a
+//! bucket whose events all belong to killed or stretched copies is
+//! dropped whole. Every server keeps a list of its live copies, so a
+//! crash or a fail-slow onset visits only that server's copies, sorted
+//! into canonical `(job, phase, task, copy)` order first.
+//!
 //! Assignment validation is strict: an over-committing or ill-typed
 //! assignment aborts the run, because a buggy scheduler must fail loudly
 //! rather than silently skew an experiment. The admission rules live in
@@ -33,12 +40,11 @@ use crate::spec::{ClusterSpec, ServerId};
 use crate::state::{CopyKind, CopyState, JobState, TaskStatus};
 use crate::trace::{Event as TraceEvent, NullRecorder, Recorder};
 use crate::view::ClusterView;
-use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId, TaskRef};
+use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskRef};
 use dollymp_core::resources::Resources;
 use dollymp_core::time::Time;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Hard mechanism cap on concurrent live copies per task (original +
 /// clones), enforced at admission by the engine and the guard alike.
@@ -89,13 +95,22 @@ impl Default for EngineConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A queued copy finish. Its slot is the key of the [`FinishQueue`]
+/// bucket that holds it.
+#[derive(Debug, Clone, Copy)]
 struct Event {
-    finish: Time,
-    seq: u64,
     task: TaskRef,
     copy_idx: u32,
 }
+
+/// Finish events bucketed by slot. Each bucket is in push order, which
+/// is the order the copies launched (or were stretched) in, so popping
+/// the first bucket front to back retires ties in that order.
+type FinishQueue = BTreeMap<Time, Vec<Event>>;
+
+/// The live copies on each server, indexed by server, in no particular
+/// order.
+type LiveCopies = Vec<Vec<(TaskRef, u32)>>;
 
 /// Run one simulation to completion and return the report.
 ///
@@ -308,8 +323,8 @@ pub fn try_simulate_with_faults_recorded(
     // Hierarchical free-capacity index, incrementally maintained across
     // launch/retire/fault events — never re-snapshotted per decision point.
     let mut free = CapacityIndex::from_capacities(cluster);
-    let mut events: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut events = FinishQueue::new();
+    let mut live_on: LiveCopies = vec![Vec::new(); cluster.len()];
     // Read once: the journal is either fully on or fully off for a run.
     let mut sink = Sink {
         fold: ReportFold::new(cfg.record_utilization, cfg.record_timeline),
@@ -334,14 +349,20 @@ pub fn try_simulate_with_faults_recorded(
     let mut children_scratch: Vec<PhaseId> = Vec::new();
 
     while !arrivals.is_empty() || !active.is_empty() {
-        // Drop stale events (killed copies) from the heap front.
-        while let Some(Reverse(ev)) = events.peek() {
-            if copy_is_live(&active, ev) {
+        // Drop front buckets that hold only stale events (killed or
+        // stretched copies).
+        while let Some(bucket) = events.first_entry() {
+            let finish = *bucket.key();
+            if bucket
+                .get()
+                .iter()
+                .any(|ev| copy_is_live(&active, finish, ev))
+            {
                 break;
             }
-            events.pop();
+            bucket.remove();
         }
-        let next_event = events.peek().map(|Reverse(e)| e.finish);
+        let next_event = events.first_key_value().map(|(&finish, _)| finish);
         let next_arrival = arrivals.last().map(|j| j.arrival);
         let next_fault = faults.events().get(fault_idx).map(|f| f.at);
         // A periodic tick only matters while copies are in flight (it
@@ -375,28 +396,32 @@ pub fn try_simulate_with_faults_recorded(
         }
         sink.trace(|| TraceEvent::SlotTick { at: now });
 
-        // 1) Retire copies finishing now (and any stale events en route).
+        // 1) Retire copies finishing now, skipping stale events. Liveness
+        // is checked per event: a retire kills the winner's siblings,
+        // which may sit later in the same bucket.
         finished_jobs.clear();
-        while let Some(Reverse(ev)) = events.peek() {
-            if ev.finish > now {
+        while let Some(bucket) = events.first_entry() {
+            if *bucket.key() > now {
                 break;
             }
-            #[allow(clippy::expect_used)] // loop condition peeked it
-            let ev = events.pop().expect("peeked").0;
-            if !copy_is_live(&active, &ev) {
-                continue;
+            let (finish, due) = bucket.remove_entry();
+            for ev in &due {
+                if !copy_is_live(&active, finish, ev) {
+                    continue;
+                }
+                retire_copy(
+                    &mut active,
+                    &mut free,
+                    &mut live_on,
+                    totals,
+                    now,
+                    ev,
+                    &mut finished_jobs,
+                    &mut children_scratch,
+                    &mut sink,
+                );
+                last_progress = now;
             }
-            retire_copy(
-                &mut active,
-                &mut free,
-                totals,
-                now,
-                &ev,
-                &mut finished_jobs,
-                &mut children_scratch,
-                &mut sink,
-            );
-            last_progress = now;
         }
         for id in finished_jobs.drain(..) {
             #[allow(clippy::expect_used)] // retire_copy listed it from `active`
@@ -425,7 +450,7 @@ pub fn try_simulate_with_faults_recorded(
                 &mut down,
                 &mut speed_factor,
                 &mut events,
-                &mut seq,
+                &mut live_on,
                 &mut hooks,
                 &mut sink,
             )?;
@@ -505,7 +530,7 @@ pub fn try_simulate_with_faults_recorded(
                     &mut free,
                     &speed_factor,
                     &mut events,
-                    &mut seq,
+                    &mut live_on,
                     a,
                     &mut sink,
                 );
@@ -535,6 +560,12 @@ pub fn try_simulate_with_faults_recorded(
             };
             sink.emit(TraceEvent::UtilSample { at: now, cpu, mem });
         }
+        debug_assert!(
+            events
+                .first_key_value()
+                .is_none_or(|(&finish, _)| finish > now),
+            "finish bucket at or before slot {now} survived its slot"
+        );
     }
     // Hooks after the last pass (the final `on_job_finish` calls) can
     // still move the guard's counters.
@@ -550,6 +581,10 @@ pub fn try_simulate_with_faults_recorded(
             }
         }),
         "resource leak: free != capacity after drain"
+    );
+    debug_assert!(
+        live_on.iter().all(Vec::is_empty),
+        "live-copy leak: a server still lists copies after drain"
     );
 
     Ok(sink.fold.finish(scheduler.name()))
@@ -590,7 +625,10 @@ fn emit_guard_delta(
     }
 }
 
-fn copy_is_live(active: &BTreeMap<JobId, JobState>, ev: &Event) -> bool {
+/// Is the finish event `ev`, queued in the `finish` bucket, still due?
+/// Events of killed, evicted or stretched copies stay queued until their
+/// bucket comes up, and this check is what skips them.
+fn copy_is_live(active: &BTreeMap<JobId, JobState>, finish: Time, ev: &Event) -> bool {
     active
         .get(&ev.task.job)
         .map(|j| {
@@ -600,13 +638,18 @@ fn copy_is_live(active: &BTreeMap<JobId, JobState>, ev: &Event) -> bool {
                 // The finish check drops events obsoleted by a fail-slow
                 // stretch (the copy re-queued a later event); without
                 // faults a copy's finish never changes, so it is inert.
-                .any(|c| c.copy_idx == ev.copy_idx && c.live && c.finish == ev.finish)
+                .any(|c| c.copy_idx == ev.copy_idx && c.live && c.finish == finish)
         })
         .unwrap_or(false)
 }
 
 /// Apply one fault event: mutate cluster/job state and queue the
 /// scheduler hooks to run once every event of the slot has landed.
+///
+/// A crash or a fail-slow onset visits only the server's own live copies
+/// (`live_on`), sorted into `(job, phase, task, copy)` order: the journal,
+/// the float sums and the re-queued finish events then come out the same
+/// whatever order the copies launched in.
 ///
 /// A malformed timeline (unknown server, restore of a server that is
 /// not down) yields [`SimError::InvalidTimeline`] instead of mutating
@@ -621,8 +664,8 @@ fn apply_fault(
     free: &mut CapacityIndex,
     down: &mut [u32],
     speed_factor: &mut [f64],
-    events: &mut BinaryHeap<Reverse<Event>>,
-    seq: &mut u64,
+    events: &mut FinishQueue,
+    live_on: &mut LiveCopies,
     hooks: &mut Vec<FaultHook>,
     sink: &mut Sink<'_>,
 ) -> Result<(), SimError> {
@@ -645,67 +688,51 @@ fn apply_fault(
             sink.emit(TraceEvent::ServerCrash { at: now, server });
             free.set_free(server, Resources::ZERO);
             hooks.push(FaultHook::Down(server));
-            for (&jid, job) in active.iter_mut() {
-                for pi in 0..job.tasks.len() {
-                    let demand_norm = job
-                        .spec()
-                        .phase(PhaseId(pi as u32))
-                        .demand
-                        .normalized_sum(totals);
-                    for ti in 0..job.tasks[pi].len() {
-                        let tref = TaskRef {
-                            job: jid,
-                            phase: PhaseId(pi as u32),
-                            task: TaskId(ti as u32),
-                        };
-                        let task = &mut job.tasks[pi][ti];
-                        if task.status != TaskStatus::Running {
-                            continue;
-                        }
-                        let mut evicted = false;
-                        for c in task
-                            .copies
-                            .iter_mut()
-                            .filter(|c| c.live && c.server == server)
-                        {
-                            c.live = false;
-                            evicted = true;
-                            let wasted = demand_norm * now.saturating_sub(c.start) as f64;
-                            job.usage_norm += wasted;
-                            sink.emit(TraceEvent::CopyEvict {
-                                at: now,
-                                task: tref,
-                                copy_idx: c.copy_idx,
-                                server: c.server,
-                                kind: c.kind,
-                                start: c.start,
-                                work_lost_norm: wasted,
-                            });
-                        }
-                        if !evicted {
-                            continue;
-                        }
-                        if task.copies.iter().any(|c| c.live) {
-                            // A live clone elsewhere carries the task —
-                            // cloning as fault tolerance (§5.2's mechanism
-                            // repurposed).
-                            sink.emit(TraceEvent::TaskSaved {
-                                at: now,
-                                task: tref,
-                            });
-                        } else {
-                            // Work-conserving re-queue: all progress lost,
-                            // the task re-enters the ready pool.
-                            task.status = TaskStatus::Ready;
-                            sink.emit(TraceEvent::TaskLost {
-                                at: now,
-                                task: tref,
-                            });
-                            hooks.push(FaultHook::Lost(tref));
-                        }
-                    }
+            // Every copy on the server dies, so the list ends empty.
+            let evicted = &mut live_on[sid];
+            evicted.sort_unstable();
+            for copies in evicted.chunk_by(|a, b| a.0 == b.0) {
+                let tref = copies[0].0;
+                #[allow(clippy::expect_used)] // only live copies are listed
+                let job = active.get_mut(&tref.job).expect("live copy ⇒ job active");
+                let demand_norm = job.spec().phase(tref.phase).demand.normalized_sum(totals);
+                let task = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize];
+                debug_assert_eq!(task.status, TaskStatus::Running);
+                for &(_, copy_idx) in copies {
+                    let c = &mut task.copies[copy_idx as usize];
+                    debug_assert!(c.copy_idx == copy_idx && c.live && c.server == server);
+                    c.live = false;
+                    let wasted = demand_norm * now.saturating_sub(c.start) as f64;
+                    job.usage_norm += wasted;
+                    sink.emit(TraceEvent::CopyEvict {
+                        at: now,
+                        task: tref,
+                        copy_idx,
+                        server,
+                        kind: c.kind,
+                        start: c.start,
+                        work_lost_norm: wasted,
+                    });
+                }
+                if task.copies.iter().any(|c| c.live) {
+                    // A live clone elsewhere carries the task — cloning
+                    // as fault tolerance (§5.2's mechanism repurposed).
+                    sink.emit(TraceEvent::TaskSaved {
+                        at: now,
+                        task: tref,
+                    });
+                } else {
+                    // Work-conserving re-queue: all progress lost, the
+                    // task re-enters the ready pool.
+                    task.status = TaskStatus::Ready;
+                    sink.emit(TraceEvent::TaskLost {
+                        at: now,
+                        task: tref,
+                    });
+                    hooks.push(FaultHook::Lost(tref));
                 }
             }
+            evicted.clear();
         }
         FaultEvent::Restore(_) => {
             if down[sid] == 0 {
@@ -729,34 +756,22 @@ fn apply_fault(
                 factor,
             });
             // Stretch in-flight copies: the remaining slots inflate by the
-            // factor; the superseded heap event goes stale via the finish
-            // check in `copy_is_live`.
-            for (&jid, job) in active.iter_mut() {
-                for pi in 0..job.tasks.len() {
-                    for ti in 0..job.tasks[pi].len() {
-                        let tref = TaskRef {
-                            job: jid,
-                            phase: PhaseId(pi as u32),
-                            task: TaskId(ti as u32),
-                        };
-                        let task = &mut job.tasks[pi][ti];
-                        for c in task
-                            .copies
-                            .iter_mut()
-                            .filter(|c| c.live && c.server == server)
-                        {
-                            let remaining = c.finish.saturating_sub(now).max(1);
-                            c.finish = now + ((remaining as f64 / factor).ceil() as Time).max(1);
-                            *seq += 1;
-                            events.push(Reverse(Event {
-                                finish: c.finish,
-                                seq: *seq,
-                                task: tref,
-                                copy_idx: c.copy_idx,
-                            }));
-                        }
-                    }
-                }
+            // factor; the superseded finish event goes stale via the
+            // finish check in `copy_is_live`.
+            let stretched = &mut live_on[sid];
+            stretched.sort_unstable();
+            for &(tref, copy_idx) in stretched.iter() {
+                #[allow(clippy::expect_used)] // only live copies are listed
+                let job = active.get_mut(&tref.job).expect("live copy ⇒ job active");
+                let c = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize].copies
+                    [copy_idx as usize];
+                debug_assert!(c.copy_idx == copy_idx && c.live && c.server == server);
+                let remaining = c.finish.saturating_sub(now).max(1);
+                c.finish = now + ((remaining as f64 / factor).ceil() as Time).max(1);
+                events.entry(c.finish).or_default().push(Event {
+                    task: tref,
+                    copy_idx,
+                });
             }
         }
     }
@@ -769,6 +784,7 @@ fn apply_fault(
 fn retire_copy(
     active: &mut BTreeMap<JobId, JobState>,
     free: &mut CapacityIndex,
+    live_on: &mut LiveCopies,
     totals: Resources,
     now: Time,
     ev: &Event,
@@ -792,6 +808,18 @@ fn retire_copy(
     for c in task.copies.iter_mut().filter(|c| c.live) {
         c.live = false;
         free.add_free(c.server, demand);
+        let listed = &mut live_on[c.server.0 as usize];
+        let pos = listed.iter().position(|&e| e == (ev.task, c.copy_idx));
+        debug_assert!(
+            pos.is_some(),
+            "live copy {}#{} missing from server {}'s list",
+            ev.task,
+            c.copy_idx,
+            c.server.0
+        );
+        if let Some(i) = pos {
+            listed.swap_remove(i);
+        }
         job.usage_norm += demand_norm * now.saturating_sub(c.start) as f64;
         let outcome = if c.copy_idx == ev.copy_idx {
             winner_start = c.start;
@@ -973,8 +1001,8 @@ fn apply_assignment(
     active: &mut BTreeMap<JobId, JobState>,
     free: &mut CapacityIndex,
     speed_factor: &[f64],
-    events: &mut BinaryHeap<Reverse<Event>>,
-    seq: &mut u64,
+    events: &mut FinishQueue,
+    live_on: &mut LiveCopies,
     a: Assignment,
     sink: &mut Sink<'_>,
 ) {
@@ -982,10 +1010,7 @@ fn apply_assignment(
     let job = active
         .get_mut(&a.task.job)
         .expect("checked: assignment for known job");
-    let spec_phase = job.spec().phase(a.task.phase).clone();
-    let pi = a.task.phase.0 as usize;
-    let ti = a.task.task.0 as usize;
-    let task = &mut job.tasks[pi][ti];
+    let (spec_phase, table, task) = job.launch_parts(a.task.phase, a.task.task);
 
     let sid = a.server.0 as usize;
     free.sub_free(a.server, spec_phase.demand);
@@ -996,8 +1021,8 @@ fn apply_assignment(
         a.task.phase,
         a.task.task,
         copy_idx,
-        &spec_phase,
-        &job.tables[pi],
+        spec_phase,
+        table,
     );
     // Data locality: root-phase tasks read their input block remotely
     // when placed off-replica.
@@ -1026,13 +1051,11 @@ fn apply_assignment(
     }
     job.first_start.get_or_insert(now);
 
-    *seq += 1;
-    events.push(Reverse(Event {
-        finish,
-        seq: *seq,
+    live_on[sid].push((a.task, copy_idx));
+    events.entry(finish).or_default().push(Event {
         task: a.task,
         copy_idx,
-    }));
+    });
     sink.trace(|| TraceEvent::CopyLaunch {
         at: now,
         task: a.task,
@@ -1897,6 +1920,232 @@ mod tests {
             assert_eq!(a.jobs, b.jobs);
             assert_eq!(a.faults, b.faults);
             assert_eq!(a.makespan, b.makespan);
+        }
+
+        /// Keeps every journaled event.
+        #[derive(Default)]
+        struct Log(Vec<TraceEvent>);
+        impl Recorder for Log {
+            fn record(&mut self, ev: TraceEvent) {
+                self.0.push(ev);
+            }
+        }
+
+        /// `(task, copy_idx)` of every `CopyEvict`, in journal order.
+        fn evictions(log: &Log) -> Vec<(TaskRef, u32)> {
+            log.0
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::CopyEvict { task, copy_idx, .. } => Some((task, copy_idx)),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        /// Places a primary and a clone of every ready task on server 0,
+        /// or on server 1 while server 0 is down, visiting jobs in
+        /// descending id order so launches are never in canonical order.
+        /// Counts `on_task_lost` hooks.
+        #[derive(Default)]
+        struct PackOnZero {
+            lost: Vec<TaskRef>,
+        }
+        impl Scheduler for PackOnZero {
+            fn name(&self) -> String {
+                "pack-on-zero".into()
+            }
+            fn on_task_lost(&mut self, _view: &ClusterView<'_>, task: TaskRef) {
+                self.lost.push(task);
+            }
+            fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                let server = if view.is_down(ServerId(0)) {
+                    ServerId(1)
+                } else {
+                    ServerId(0)
+                };
+                let jobs: Vec<&JobState> = view.jobs().collect();
+                let mut out = Vec::new();
+                for job in jobs.into_iter().rev() {
+                    for task in job.iter_ready() {
+                        for kind in [CopyKind::Primary, CopyKind::Clone] {
+                            out.push(Assignment { task, server, kind });
+                        }
+                    }
+                }
+                out
+            }
+        }
+
+        fn task_ref(job: u64, phase: u32, task: u32) -> TaskRef {
+            TaskRef {
+                job: JobId(job),
+                phase: PhaseId(phase),
+                task: dollymp_core::job::TaskId(task),
+            }
+        }
+
+        #[test]
+        fn crash_evicts_a_primary_and_its_clone_on_one_server() {
+            let cluster = ClusterSpec::homogeneous(2, 2.0, 2.0);
+            let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
+            let tl = FaultTimeline::new(vec![crash(3, 0)]);
+            let mut sched = PackOnZero::default();
+            let mut log = Log::default();
+            let r = simulate_recorded(
+                &cluster,
+                vec![job],
+                &det_sampler(),
+                &mut sched,
+                &EngineConfig::default(),
+                &tl,
+                &mut log,
+            );
+            let t = task_ref(0, 0, 0);
+            assert_eq!(evictions(&log), vec![(t, 0), (t, 1)], "copy_idx order");
+            let kinds: Vec<CopyKind> = log
+                .0
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::CopyEvict { kind, server, .. } => {
+                        assert_eq!(server, ServerId(0));
+                        Some(kind)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(kinds, vec![CopyKind::Primary, CopyKind::Clone]);
+            let count = |f: fn(&TraceEvent) -> bool| log.0.iter().filter(|e| f(e)).count();
+            assert_eq!(count(|e| matches!(e, TraceEvent::TaskLost { .. })), 1);
+            assert_eq!(count(|e| matches!(e, TraceEvent::TaskSaved { .. })), 0);
+            assert_eq!(sched.lost, vec![t], "one on_task_lost hook");
+            assert_eq!(r.faults.copies_evicted, 2);
+            assert_eq!(r.faults.tasks_requeued, 1);
+            // Rerun on server 1 from the crash slot.
+            assert_eq!(r.jobs[0].finish, 13);
+        }
+
+        #[test]
+        fn degraded_copy_is_evicted_and_its_superseded_events_never_retire() {
+            // The copy on server 0 would finish at 10; the slot-2 onset
+            // stretches its remaining 8 slots to 16 (finish 18); the
+            // slot-5 crash evicts it. The rerun on server 1 finishes at 15.
+            let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
+            let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
+            let tl = FaultTimeline::new(vec![
+                TimedFault {
+                    at: 2,
+                    event: FaultEvent::Degrade(ServerId(0), 0.5),
+                },
+                crash(5, 0),
+            ]);
+            let mut log = Log::default();
+            let r = simulate_recorded(
+                &cluster,
+                vec![job],
+                &det_sampler(),
+                &mut FifoFirstFit,
+                &EngineConfig::default(),
+                &tl,
+                &mut log,
+            );
+            let t = task_ref(0, 0, 0);
+            assert_eq!(evictions(&log), vec![(t, 0)]);
+            let launches: Vec<(u32, ServerId, Time)> = log
+                .0
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::CopyLaunch {
+                        copy_idx,
+                        server,
+                        finish,
+                        ..
+                    } => Some((copy_idx, server, finish)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(launches, vec![(0, ServerId(0), 10), (1, ServerId(1), 15)]);
+            let retires: Vec<(Time, u32, CopyOutcome)> = log
+                .0
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::CopyRetire {
+                        at,
+                        copy_idx,
+                        outcome,
+                        ..
+                    } => Some((at, copy_idx, outcome)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(retires, vec![(15, 1, CopyOutcome::Won)]);
+            let ticks: Vec<Time> = log
+                .0
+                .iter()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::SlotTick { at } => Some(at),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ticks, vec![0, 2, 5, 15], "no decision point at 10 or 18");
+            assert_eq!(r.jobs[0].finish, 15);
+        }
+
+        #[test]
+        fn crash_evicts_across_jobs_in_canonical_order() {
+            // Launches on server 0 run job 2, job 1, job 0 (arrival order,
+            // and PackOnZero visits jobs in descending id), and job 2's
+            // short phase retires at slot 2, so the server's copies are in
+            // no canonical order when it crashes at slot 5.
+            let cluster = ClusterSpec::homogeneous(2, 64.0, 64.0);
+            let d = Resources::new(1.0, 1.0);
+            let job2 = JobSpec::builder(JobId(2))
+                .phase(PhaseSpec::new(2, d, 20.0, 0.0))
+                .phase(PhaseSpec::new(2, d, 2.0, 0.0))
+                .build()
+                .unwrap();
+            let job1 = JobSpec::builder(JobId(1))
+                .arrival(1)
+                .phase(PhaseSpec::new(3, d, 20.0, 0.0))
+                .build()
+                .unwrap();
+            let job0 = JobSpec::builder(JobId(0))
+                .arrival(3)
+                .phase(PhaseSpec::new(2, d, 20.0, 0.0))
+                .build()
+                .unwrap();
+            let tl = FaultTimeline::new(vec![crash(5, 0)]);
+            let mut sched = PackOnZero::default();
+            let mut log = Log::default();
+            let r = simulate_recorded(
+                &cluster,
+                vec![job0, job1, job2],
+                &det_sampler(),
+                &mut sched,
+                &EngineConfig::default(),
+                &tl,
+                &mut log,
+            );
+            let lost = [
+                task_ref(0, 0, 0),
+                task_ref(0, 0, 1),
+                task_ref(1, 0, 0),
+                task_ref(1, 0, 1),
+                task_ref(1, 0, 2),
+                task_ref(2, 0, 0),
+                task_ref(2, 0, 1),
+            ];
+            let expected: Vec<(TaskRef, u32)> =
+                lost.iter().flat_map(|&t| [(t, 0), (t, 1)]).collect();
+            assert_eq!(evictions(&log), expected, "job → phase → task → copy");
+            assert_eq!(sched.lost, lost, "hooks in the same order");
+            let launched_first = log.0.iter().find_map(|ev| match *ev {
+                TraceEvent::CopyLaunch { task, .. } => Some(task.job),
+                _ => None,
+            });
+            assert_eq!(launched_first, Some(JobId(2)), "launches not canonical");
+            assert_eq!(r.faults.copies_evicted, 14);
+            assert_eq!(r.faults.tasks_requeued, 7);
+            assert_eq!(r.faults.tasks_saved_by_clone, 0);
         }
     }
 

@@ -7,7 +7,7 @@
 //! finishes first.
 
 use crate::spec::ServerId;
-use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId, TaskRef};
+use dollymp_core::job::{JobId, JobSpec, PhaseId, PhaseSpec, TaskId, TaskRef};
 use dollymp_core::resources::Resources;
 use dollymp_core::stats::RunningStats;
 use dollymp_core::time::Time;
@@ -185,6 +185,21 @@ impl JobState {
     /// Runtime state of one task.
     pub fn task(&self, phase: PhaseId, task: TaskId) -> &TaskState {
         &self.tasks[phase.0 as usize][task.0 as usize]
+    }
+
+    /// What launching a copy of a task needs at once: the phase spec and
+    /// its duration table (shared) next to the task's state (mutable).
+    pub(crate) fn launch_parts(
+        &mut self,
+        phase: PhaseId,
+        task: TaskId,
+    ) -> (&PhaseSpec, &[f64], &mut TaskState) {
+        let pi = phase.0 as usize;
+        (
+            self.spec.phase(phase),
+            &self.tables[pi],
+            &mut self.tasks[pi][task.0 as usize],
+        )
     }
 
     /// Runtime state of one phase.

@@ -1,10 +1,16 @@
 //! Golden report corpus: a cross-commit oracle for simulation behaviour.
 //!
-//! Each cell runs one scheduler on the paper's 30-node cluster with a
-//! small seeded Google-like workload (utilization and timeline recording
-//! on, so those paths are pinned too) and reduces the report, with its
-//! wall-clock fields zeroed, to an FNV-1a fingerprint. The fingerprints
-//! are committed in `tests/golden/reports.txt`.
+//! Each cell runs one scheduler on one seeded setup (utilization and
+//! timeline recording on, so those paths are pinned too) and reduces the
+//! report, with its wall-clock fields zeroed, to an FNV-1a fingerprint.
+//! The fingerprints are committed in `tests/golden/reports.txt`. Two
+//! setups:
+//!
+//! * the paper's 30-node cluster with a small Google-like workload, for
+//!   every registered scheduler;
+//! * a small heterogeneous `google_like` fleet with the §6.2.2 PageRank
+//!   suite, whose chained iterations share one demand, for DollyMP² and
+//!   the non-cloning Tetris.
 //!
 //! There is deliberately no regeneration switch. On a mismatch the test
 //! prints the actual corpus; an intended behaviour change is a hand edit
@@ -16,6 +22,8 @@ use dollymp_schedulers::ALL_NAMES;
 
 const SEED: u64 = 7;
 const FAULTED: [&str; 4] = ["dollymp2", "dollymp0", "fifo", "tetris"];
+/// The schedulers of the `google_like` fleet cells, each faults off and on.
+const FLEET: [&str; 2] = ["dollymp2", "tetris"];
 /// DollyMP² under the default guard. The watchdog only counts overruns
 /// and the scrub zeroes that count, so the cell is host-load independent.
 const GUARDED: &str = "guarded-dollymp2";
@@ -27,18 +35,40 @@ fn policy(name: &str) -> Box<dyn Scheduler> {
     dollymp_schedulers::by_name(name).expect("registered scheduler")
 }
 
-fn cell(name: &str, with_faults: bool) -> String {
-    let cluster = ClusterSpec::paper_30_node();
-    let jobs = generate_google(&GoogleConfig {
-        njobs: 40,
-        mean_gap_slots: 2.0,
-        seed: SEED,
-        ..Default::default()
-    });
+/// One cluster + workload pair of the corpus, named by its line prefix.
+struct Setup {
+    name: &'static str,
+    cluster: ClusterSpec,
+    jobs: Vec<JobSpec>,
+}
+
+fn paper_google40() -> Setup {
+    Setup {
+        name: "paper_30_node/google40",
+        cluster: ClusterSpec::paper_30_node(),
+        jobs: generate_google(&GoogleConfig {
+            njobs: 40,
+            mean_gap_slots: 2.0,
+            seed: SEED,
+            ..Default::default()
+        }),
+    }
+}
+
+fn fleet_pagerank() -> Setup {
+    Setup {
+        name: "google_like60/heavy_pagerank25",
+        cluster: ClusterSpec::google_like(60, SEED),
+        jobs: dollymp::workload::suite::heavy_pagerank(SEED, 20),
+    }
+}
+
+fn cell(setup: &Setup, name: &str, with_faults: bool) -> String {
+    let cluster = &setup.cluster;
     // The fault shape of the record→replay equivalence suite.
     let faults = if with_faults {
         dollymp::faults::generate(
-            &cluster,
+            cluster,
             &FaultConfig::new(SEED, 300)
                 .with_crash_rate(0.004, 10.0)
                 .with_fail_slow(0.2, 0.5),
@@ -53,28 +83,44 @@ fn cell(name: &str, with_faults: bool) -> String {
         ..EngineConfig::default()
     };
     let mut policy = policy(name);
-    let report = simulate_with_faults(&cluster, jobs, &sampler, &mut policy, &cfg, &faults);
+    let report = simulate_with_faults(
+        cluster,
+        setup.jobs.clone(),
+        &sampler,
+        &mut policy,
+        &cfg,
+        &faults,
+    );
     let tag = if with_faults { "on" } else { "off" };
     format!(
-        "paper_30_node/google40/{name}/faults={tag} {}",
+        "{}/{name}/faults={tag} {}",
+        setup.name,
         config_fingerprint(SEED, &report.scrubbed())
     )
 }
 
 #[test]
 fn reports_match_the_golden_corpus() {
+    let paper = paper_google40();
+    let fleet = fleet_pagerank();
     let mut actual = String::new();
     for name in ALL_NAMES {
-        actual.push_str(&cell(name, false));
+        actual.push_str(&cell(&paper, name, false));
         actual.push('\n');
     }
     for name in FAULTED {
-        actual.push_str(&cell(name, true));
+        actual.push_str(&cell(&paper, name, true));
         actual.push('\n');
     }
     for with_faults in [false, true] {
-        actual.push_str(&cell(GUARDED, with_faults));
+        actual.push_str(&cell(&paper, GUARDED, with_faults));
         actual.push('\n');
+    }
+    for name in FLEET {
+        for with_faults in [false, true] {
+            actual.push_str(&cell(&fleet, name, with_faults));
+            actual.push('\n');
+        }
     }
     let expected = include_str!("golden/reports.txt");
     assert!(

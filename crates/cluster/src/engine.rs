@@ -37,7 +37,7 @@ use crate::fault::{FaultEvent, FaultTimeline};
 use crate::metrics::{CopyOutcome, GuardStats, JobMetrics, ReportFold, SimReport};
 use crate::scheduler::{Assignment, Scheduler};
 use crate::spec::{ClusterSpec, ServerId};
-use crate::state::{CopyKind, CopyState, JobState, TaskStatus};
+use crate::state::{CopyKind, CopyState, JobState, TaskStatus, Transition};
 use crate::trace::{Event as TraceEvent, NullRecorder, Recorder};
 use crate::view::ClusterView;
 use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskRef};
@@ -566,6 +566,10 @@ pub fn try_simulate_with_faults_recorded(
                 .is_none_or(|(&finish, _)| finish > now),
             "finish bucket at or before slot {now} survived its slot"
         );
+        debug_assert!(
+            active.values().all(JobState::index_matches_status),
+            "a job's ready/running index drifted from its task statuses at slot {now}"
+        );
     }
     // Hooks after the last pass (the final `on_job_finish` calls) can
     // still move the guard's counters.
@@ -697,7 +701,7 @@ fn apply_fault(
                 let job = active.get_mut(&tref.job).expect("live copy ⇒ job active");
                 let demand_norm = job.spec().phase(tref.phase).demand.normalized_sum(totals);
                 let task = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize];
-                debug_assert_eq!(task.status, TaskStatus::Running);
+                debug_assert_eq!(task.status(), TaskStatus::Running);
                 for &(_, copy_idx) in copies {
                     let c = &mut task.copies[copy_idx as usize];
                     debug_assert!(c.copy_idx == copy_idx && c.live && c.server == server);
@@ -724,7 +728,7 @@ fn apply_fault(
                 } else {
                     // Work-conserving re-queue: all progress lost, the
                     // task re-enters the ready pool.
-                    task.status = TaskStatus::Ready;
+                    job.transition(tref.phase, Transition::Requeue(tref.task));
                     sink.emit(TraceEvent::TaskLost {
                         at: now,
                         task: tref,
@@ -802,7 +806,7 @@ fn retire_copy(
     let ti = ev.task.task.0 as usize;
 
     let task = &mut job.tasks[pi][ti];
-    debug_assert_eq!(task.status, TaskStatus::Running);
+    debug_assert_eq!(task.status(), TaskStatus::Running);
     let mut winner_start = now;
     // End every live copy: the winner completes, the rest are killed.
     for c in task.copies.iter_mut().filter(|c| c.live) {
@@ -837,9 +841,9 @@ fn retire_copy(
             outcome,
         });
     }
-    task.status = TaskStatus::Done;
     task.finish = Some(now);
     task.winner = Some(ev.copy_idx);
+    job.transition(ev.task.phase, Transition::Retire(ev.task.task));
     job.phases[pi]
         .observed
         .push(now.saturating_sub(winner_start) as f64);
@@ -859,11 +863,7 @@ fn retire_copy(
                 .iter()
                 .all(|p| job.phases[p.0 as usize].remaining == 0);
             if ready && !job.phases[child.0 as usize].runnable {
-                job.phases[child.0 as usize].runnable = true;
-                for t in &mut job.tasks[child.0 as usize] {
-                    debug_assert_eq!(t.status, TaskStatus::Blocked);
-                    t.status = TaskStatus::Ready;
-                }
+                job.transition(child, Transition::Unlock);
             }
         }
         if job.is_done() {
@@ -931,7 +931,7 @@ pub(crate) fn check_assignment(
         Some(&effect) => effect,
         None => {
             let task = job.task(a.task.phase, a.task.task);
-            (task.status, task.live_copies())
+            (task.status(), task.live_copies())
         }
     };
     match a.kind {
@@ -1045,7 +1045,7 @@ fn apply_assignment(
         kind: a.kind,
         live: true,
     });
-    task.status = TaskStatus::Running;
+    job.transition(a.task.phase, Transition::Launch(a.task.task));
     if a.kind == CopyKind::Clone {
         job.clone_launches += 1;
     }

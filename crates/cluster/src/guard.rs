@@ -277,7 +277,7 @@ impl<S: Scheduler> GuardedScheduler<S> {
                         let t = view
                             .job(a.task.job)
                             .map(|j| j.task(a.task.phase, a.task.task));
-                        t.map(|t| (t.status, t.live_copies()))
+                        t.map(|t| (t.status(), t.live_copies()))
                             .unwrap_or((TaskStatus::Ready, 0))
                     });
                     e.0 = TaskStatus::Running;

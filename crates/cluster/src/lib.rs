@@ -85,7 +85,7 @@ pub mod prelude {
         cdf, cdf_at, jain_index, quantile, FaultStats, GuardStats, JobMetrics, SchedOverhead,
         SimReport,
     };
-    pub use crate::scheduler::{clone_allowed, Assignment, FifoFirstFit, Scheduler};
+    pub use crate::scheduler::{Assignment, FifoFirstFit, Scheduler};
     pub use crate::spec::{ClusterSpec, ServerId, ServerSpec};
     pub use crate::state::{CopyKind, CopyState, JobState, PhaseState, TaskState, TaskStatus};
     pub use crate::trace::{Event as TraceEvent, NullRecorder, PassSpan, Recorder};

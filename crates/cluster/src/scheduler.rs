@@ -6,7 +6,7 @@
 //! cross-scheduler comparisons apples-to-apples (DESIGN.md §4.2).
 
 use crate::spec::ServerId;
-use crate::state::{CopyKind, TaskStatus};
+use crate::state::CopyKind;
 use crate::view::ClusterView;
 use dollymp_core::job::{JobId, TaskRef};
 use serde::{Deserialize, Serialize};
@@ -163,15 +163,4 @@ impl Scheduler for FifoFirstFit {
         }
         out
     }
-}
-
-/// Helper shared by schedulers: true when `task` may legally receive a
-/// clone right now (running, short of the copy budget).
-pub fn clone_allowed(view: &ClusterView<'_>, task: TaskRef, max_copies: u32) -> bool {
-    view.job(task.job)
-        .map(|j| {
-            let t = j.task(task.phase, task.task);
-            t.status == TaskStatus::Running && t.live_copies() < max_copies
-        })
-        .unwrap_or(false)
 }

@@ -68,8 +68,8 @@ pub enum TaskStatus {
 /// Runtime state of one task.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskState {
-    /// Current lifecycle stage.
-    pub status: TaskStatus,
+    /// Current lifecycle stage; written only by [`JobState::transition`].
+    status: TaskStatus,
     /// All copies ever launched (live and dead).
     pub copies: Vec<CopyState>,
     /// Completion time, once done.
@@ -92,6 +92,11 @@ impl TaskState {
         }
     }
 
+    /// Current lifecycle stage.
+    pub fn status(&self) -> TaskStatus {
+        self.status
+    }
+
     /// Number of live copies.
     pub fn live_copies(&self) -> u32 {
         self.copies.iter().filter(|c| c.live).count() as u32
@@ -100,6 +105,129 @@ impl TaskState {
     /// Total copies ever launched.
     pub fn launched_copies(&self) -> u32 {
         self.copies.len() as u32
+    }
+}
+
+/// A set of task ids of one phase: one bit per task plus the member
+/// count. Insert and remove are O(1); ascending iteration costs
+/// O(ntasks/64 + members). Ids below 64 are stored inline, so a phase of
+/// at most 64 tasks allocates nothing and its bits sit next to the rest
+/// of its [`PhaseState`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct TaskSet {
+    /// Ids `0..64`.
+    head: u64,
+    /// Ids `64..`, one word per 64 ids.
+    tail: Vec<u64>,
+    len: u32,
+}
+
+impl TaskSet {
+    /// An empty set over the ids `0..ntasks`.
+    pub(crate) fn new(ntasks: u32) -> Self {
+        TaskSet {
+            head: 0,
+            tail: vec![0; (ntasks as usize).div_ceil(64).saturating_sub(1)],
+            len: 0,
+        }
+    }
+
+    /// Add every id of `0..ntasks` (the `ntasks` the set was built with).
+    pub(crate) fn fill(&mut self, ntasks: u32) {
+        debug_assert_eq!(self.nwords(), (ntasks as usize).div_ceil(64).max(1));
+        let low_bits = |n: u32| if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
+        self.head = low_bits(ntasks);
+        for (wi, w) in self.tail.iter_mut().enumerate() {
+            *w = low_bits(ntasks - 64 * (wi as u32 + 1));
+        }
+        self.len = ntasks;
+    }
+
+    fn nwords(&self) -> usize {
+        1 + self.tail.len()
+    }
+
+    fn word(&self, wi: usize) -> u64 {
+        if wi == 0 {
+            self.head
+        } else {
+            self.tail[wi - 1]
+        }
+    }
+
+    fn word_mut(&mut self, wi: usize) -> &mut u64 {
+        if wi == 0 {
+            &mut self.head
+        } else {
+            &mut self.tail[wi - 1]
+        }
+    }
+
+    /// Add `id`; a no-op if it is already a member.
+    pub(crate) fn insert(&mut self, id: u32) {
+        let (w, bit) = (self.word_mut(id as usize / 64), 1u64 << (id % 64));
+        if *w & bit == 0 {
+            *w |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Drop `id`; a no-op if it is not a member.
+    pub(crate) fn remove(&mut self, id: u32) {
+        let (w, bit) = (self.word_mut(id as usize / 64), 1u64 << (id % 64));
+        if *w & bit != 0 {
+            *w &= !bit;
+            self.len -= 1;
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// Has the set no members?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let words = std::iter::once(self.head).chain(self.tail.iter().copied());
+        words.enumerate().flat_map(|(wi, word)| {
+            let base = wi as u32 * 64;
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(base + bit)
+            })
+        })
+    }
+
+    /// The highest member strictly below `hi`, if any.
+    pub fn highest_below(&self, hi: u32) -> Option<u32> {
+        let hi = (hi as usize).min(self.nwords() * 64);
+        if hi == 0 {
+            return None;
+        }
+        let top = hi - 1;
+        let mut wi = top / 64;
+        // Keep bits 0..=top%64 of the first word scanned.
+        let mut word = self.word(wi) & (u64::MAX >> (63 - top % 64));
+        loop {
+            if word != 0 {
+                return Some((wi * 64) as u32 + 63 - word.leading_zeros());
+            }
+            if wi == 0 {
+                return None;
+            }
+            wi -= 1;
+            word = self.word(wi);
+        }
     }
 }
 
@@ -113,6 +241,37 @@ pub struct PhaseState {
     /// Observed durations of completed copies (feeds speculation and the
     /// AM statistics estimator).
     pub observed: RunningStats,
+    /// The phase's tasks in [`TaskStatus::Ready`].
+    ready: TaskSet,
+    /// The phase's tasks in [`TaskStatus::Running`].
+    running: TaskSet,
+}
+
+impl PhaseState {
+    /// The phase's ready tasks (its share of the schedulable frontier).
+    pub fn ready(&self) -> &TaskSet {
+        &self.ready
+    }
+
+    /// The phase's running tasks (its clone candidates).
+    pub fn running(&self) -> &TaskSet {
+        &self.running
+    }
+}
+
+/// A task-status change. [`JobState::transition`] is the only writer of
+/// [`TaskState`] status, so the per-phase ready and running sets stay in
+/// step with it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Transition {
+    /// A copy launched: Ready (a primary) or Running (a clone) → Running.
+    Launch(TaskId),
+    /// The winning copy finished: Running → Done.
+    Retire(TaskId),
+    /// A crash evicted the last live copy: Running → Ready.
+    Requeue(TaskId),
+    /// Every parent finished: the whole phase Blocked → Ready.
+    Unlock,
 }
 
 /// Runtime state of one job inside the engine.
@@ -145,10 +304,18 @@ impl JobState {
         let phases: Vec<PhaseState> = spec
             .phases()
             .iter()
-            .map(|p| PhaseState {
-                remaining: p.ntasks,
-                runnable: p.parents.is_empty(),
-                observed: RunningStats::new(),
+            .map(|p| {
+                let mut ready = TaskSet::new(p.ntasks);
+                if p.parents.is_empty() {
+                    ready.fill(p.ntasks);
+                }
+                PhaseState {
+                    remaining: p.ntasks,
+                    runnable: p.parents.is_empty(),
+                    observed: RunningStats::new(),
+                    ready,
+                    running: TaskSet::new(p.ntasks),
+                }
             })
             .collect();
         let tasks: Vec<Vec<TaskState>> = spec
@@ -207,23 +374,88 @@ impl JobState {
         &self.phases[phase.0 as usize]
     }
 
+    /// Apply one status change to a task (or, for
+    /// [`Transition::Unlock`], to a whole phase), keeping the phase's
+    /// ready and running sets in step.
+    pub(crate) fn transition(&mut self, phase: PhaseId, step: Transition) {
+        let pi = phase.0 as usize;
+        let st = &mut self.phases[pi];
+        let tasks = &mut self.tasks[pi];
+        match step {
+            Transition::Launch(t) => {
+                let task = &mut tasks[t.0 as usize];
+                // A clone's launch leaves its Running task as it is.
+                if task.status == TaskStatus::Ready {
+                    task.status = TaskStatus::Running;
+                    st.ready.remove(t.0);
+                    st.running.insert(t.0);
+                }
+                debug_assert_eq!(task.status, TaskStatus::Running);
+            }
+            Transition::Retire(t) => {
+                let task = &mut tasks[t.0 as usize];
+                debug_assert_eq!(task.status, TaskStatus::Running);
+                task.status = TaskStatus::Done;
+                st.running.remove(t.0);
+            }
+            Transition::Requeue(t) => {
+                let task = &mut tasks[t.0 as usize];
+                debug_assert_eq!(task.status, TaskStatus::Running);
+                task.status = TaskStatus::Ready;
+                st.running.remove(t.0);
+                st.ready.insert(t.0);
+            }
+            Transition::Unlock => {
+                debug_assert!(!st.runnable);
+                st.runnable = true;
+                for task in tasks.iter_mut() {
+                    debug_assert_eq!(task.status, TaskStatus::Blocked);
+                    task.status = TaskStatus::Ready;
+                }
+                st.ready.fill(tasks.len() as u32);
+            }
+        }
+    }
+
+    /// Do the per-phase ready and running sets hold exactly the tasks a
+    /// status filter over every task finds? The engine's debug checks.
+    pub(crate) fn index_matches_status(&self) -> bool {
+        self.phases.iter().zip(&self.tasks).all(|(st, tasks)| {
+            let matches = |set: &TaskSet, status: TaskStatus| {
+                let filtered = tasks
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.status == status)
+                    .map(|(ti, _)| ti as u32);
+                set.iter().eq(filtered) && set.len() as usize == set.iter().count()
+            };
+            matches(&st.ready, TaskStatus::Ready) && matches(&st.running, TaskStatus::Running)
+        })
+    }
+
+    /// The members of one per-phase set of every phase, in (phase, task)
+    /// order.
+    fn members(&self, set: fn(&PhaseState) -> &TaskSet) -> impl Iterator<Item = TaskRef> + '_ {
+        let job = self.spec.id;
+        self.phases
+            .iter()
+            .enumerate()
+            .filter(move |(_, st)| !set(st).is_empty())
+            .flat_map(move |(pi, st)| {
+                let phase = PhaseId(pi as u32);
+                set(st).iter().map(move |ti| TaskRef {
+                    job,
+                    phase,
+                    task: TaskId(ti),
+                })
+            })
+    }
+
     /// All tasks currently in [`TaskStatus::Ready`], in (phase, task)
     /// order — the schedulable frontier. Allocation-free variant of
     /// [`JobState::ready_tasks`] for hot scheduler loops.
     pub fn iter_ready(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        let id = self.spec.id;
-        self.tasks.iter().enumerate().flat_map(move |(pi, tasks)| {
-            let runnable = self.phases[pi].runnable;
-            tasks
-                .iter()
-                .enumerate()
-                .filter(move |(_, t)| runnable && t.status == TaskStatus::Ready)
-                .map(move |(ti, _)| TaskRef {
-                    job: id,
-                    phase: PhaseId(pi as u32),
-                    task: TaskId(ti as u32),
-                })
-        })
+        self.members(PhaseState::ready)
     }
 
     /// All tasks currently in [`TaskStatus::Ready`], in (phase, task)
@@ -235,18 +467,7 @@ impl JobState {
     /// All tasks currently running, in (phase, task) order.
     /// Allocation-free variant of [`JobState::running_tasks`].
     pub fn iter_running(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        let id = self.spec.id;
-        self.tasks.iter().enumerate().flat_map(move |(pi, tasks)| {
-            tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.status == TaskStatus::Running)
-                .map(move |(ti, _)| TaskRef {
-                    job: id,
-                    phase: PhaseId(pi as u32),
-                    task: TaskId(ti as u32),
-                })
-        })
+        self.members(PhaseState::running)
     }
 
     /// All tasks currently running (clone candidates), in (phase, task)
@@ -414,10 +635,93 @@ mod tests {
             kind: CopyKind::Clone,
             live: true,
         });
-        t.status = TaskStatus::Running;
+        j.transition(PhaseId(0), Transition::Launch(TaskId(0)));
         assert_eq!(j.task(PhaseId(0), TaskId(0)).live_copies(), 2);
         assert_eq!(j.tasks_cloned(), 1);
         assert_eq!(j.running_tasks().len(), 1);
         assert_eq!(j.task(PhaseId(0), TaskId(0)).copies[1].elapsed(5), 3);
+    }
+
+    #[test]
+    fn task_set_insert_and_remove_are_idempotent() {
+        let mut set = TaskSet::new(130);
+        set.insert(5);
+        set.insert(5);
+        set.insert(129);
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![5, 129]);
+        set.remove(5);
+        set.remove(5);
+        set.remove(64); // never a member
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![129]);
+    }
+
+    #[test]
+    fn task_set_over_no_tasks_is_empty() {
+        let mut set = TaskSet::new(0);
+        set.fill(0);
+        assert!(set.is_empty());
+        assert_eq!(set.iter().next(), None);
+        assert_eq!(set.highest_below(u32::MAX), None);
+    }
+
+    #[test]
+    fn task_set_fill_covers_exactly_its_ids() {
+        for n in [1, 63, 64, 65, 128] {
+            let mut set = TaskSet::new(n);
+            set.fill(n);
+            assert_eq!(set.len(), n);
+            assert!(set.iter().eq(0..n), "n = {n}");
+            assert_eq!(set.highest_below(u32::MAX), Some(n - 1));
+        }
+    }
+
+    #[test]
+    fn task_set_highest_below_crosses_word_boundaries() {
+        let mut set = TaskSet::new(130);
+        for id in [63, 64, 65] {
+            set.insert(id);
+        }
+        assert_eq!(set.highest_below(u32::MAX), Some(65));
+        assert_eq!(set.highest_below(66), Some(65));
+        assert_eq!(set.highest_below(65), Some(64));
+        assert_eq!(set.highest_below(64), Some(63));
+        assert_eq!(set.highest_below(63), None);
+        assert_eq!(set.highest_below(0), None);
+        set.remove(64);
+        assert_eq!(set.highest_below(65), Some(63));
+        set.remove(63);
+        assert_eq!(set.highest_below(65), None);
+        assert_eq!(set.highest_below(130), Some(65));
+    }
+
+    #[test]
+    fn transitions_keep_the_index_in_step() {
+        let mut j = two_phase_job();
+        assert!(j.index_matches_status());
+        for t in [TaskId(0), TaskId(1)] {
+            j.transition(PhaseId(0), Transition::Launch(t));
+        }
+        j.transition(PhaseId(0), Transition::Launch(TaskId(1))); // a clone
+        j.transition(PhaseId(0), Transition::Requeue(TaskId(0)));
+        assert!(j.index_matches_status());
+        assert_eq!(j.phase_state(PhaseId(0)).ready().len(), 1);
+        assert_eq!(j.running_tasks().len(), 1);
+        j.transition(PhaseId(0), Transition::Launch(TaskId(0)));
+        for t in [TaskId(0), TaskId(1)] {
+            j.transition(PhaseId(0), Transition::Retire(t));
+        }
+        j.transition(PhaseId(1), Transition::Unlock);
+        assert!(j.index_matches_status());
+        assert_eq!(j.task(PhaseId(1), TaskId(0)).status(), TaskStatus::Ready);
+        assert_eq!(
+            j.ready_tasks(),
+            vec![TaskRef {
+                job: JobId(1),
+                phase: PhaseId(1),
+                task: TaskId(0),
+            }]
+        );
     }
 }

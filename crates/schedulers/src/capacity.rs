@@ -90,7 +90,7 @@ impl CapacityScheduler {
             let Some(job) = view.job(task.job) else {
                 return false;
             };
-            if job.task(task.phase, task.task).status != dollymp_cluster::state::TaskStatus::Ready {
+            if job.task(task.phase, task.task).status() != TaskStatus::Ready {
                 return false;
             }
             let demand = job.spec().phase(task.phase).demand;

@@ -21,7 +21,7 @@
 //!    `max_copies − 1` extra copies; the pass is repeated twice, mirroring
 //!    Algorithm 2's "Repeat Step 9 twice".
 
-use crate::common::{FreeTracker, ReadyTask};
+use crate::common::FreeTracker;
 use dollymp_cluster::prelude::*;
 use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
@@ -40,24 +40,52 @@ struct CloneCandidate {
     effective_copies: u32,
 }
 
-/// Placeholder for arena `resize` calls; always overwritten before read.
-const EMPTY_READY: ReadyTask = ReadyTask {
-    task: TaskRef {
-        job: JobId(0),
-        phase: PhaseId(0),
-        task: TaskId(0),
-    },
-    demand: Resources::ZERO,
-};
-
-/// One (job, distinct-demand) bucket of ready tasks: `len` tasks stored
-/// contiguously in the scratch task arena from `start`, consumed LIFO
-/// (mirroring the historical `Vec::pop`).
+/// One (job, distinct-demand) bucket of ready tasks: the ready tasks of
+/// every phase of `job` with this demand, `len` of them not yet placed.
+/// They are consumed LIFO in (phase, task) order (mirroring the
+/// historical `Vec::pop`): the highest ready id below `below` of `phase`,
+/// the highest phase that still has some, then the next lower phase of
+/// the same demand.
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     demand: Resources,
-    start: u32,
+    job: JobId,
+    phase: PhaseId,
+    below: u32,
     len: u32,
+}
+
+impl Bucket {
+    /// Take the bucket's next task from its job's state. The view is
+    /// immutable during the pass, so the phase's ready set is walked
+    /// downwards from `below`.
+    fn pop(&mut self, job: &JobState) -> TaskRef {
+        debug_assert!(self.len > 0 && job.id() == self.job);
+        self.len -= 1;
+        loop {
+            let ready = job.phase_state(self.phase).ready();
+            if let Some(task) = ready.highest_below(self.below) {
+                self.below = task;
+                return TaskRef {
+                    job: self.job,
+                    phase: self.phase,
+                    task: TaskId(task),
+                };
+            }
+            // `len` counts the members still below, so a lower phase of
+            // this demand has some.
+            let lower = (0..self.phase.0)
+                .rev()
+                .map(PhaseId)
+                .find(|&p| {
+                    job.spec().phase(p).demand == self.demand
+                        && !job.phase_state(p).ready().is_empty()
+                })
+                .expect("bucket count covers its phases");
+            self.phase = lower;
+            self.below = u32::MAX;
+        }
+    }
 }
 
 /// A FIFO of placement requests sharing one demand vector; entries live
@@ -117,8 +145,6 @@ struct Scratch {
     levels: Vec<(u32, u32)>,
     /// Flattened members of all levels, in ascending (level, id) order.
     members: Vec<JobId>,
-    /// Ready-task arena, contiguous per bucket.
-    tasks: Vec<ReadyTask>,
     /// One entry per (job, distinct-demand), contiguous per job.
     buckets: Vec<Bucket>,
     /// Bucket range of each job with ready tasks.
@@ -234,11 +260,14 @@ impl DollyMP {
     /// one entry per distinct demand instead of one per task, which is
     /// what keeps a full pass over 30 000 servers within the paper's
     /// §6.3.3 overhead budget. All intermediate structures are flattened
-    /// arenas living in [`Scratch`] (tasks, buckets, per-level demand
-    /// queues), so the pass allocates nothing at steady state:
+    /// arenas living in [`Scratch`] (buckets, per-level demand queues),
+    /// so the pass allocates nothing at steady state:
     ///
-    /// * a bucket is a contiguous `[start, start+len)` slice of the task
-    ///   arena, consumed LIFO like the historical per-bucket `Vec::pop`;
+    /// * buckets are built from the per-phase ready *counts* of each job,
+    ///   so building them costs O(phases), not O(tasks); a bucket names no
+    ///   task until it is popped, when it takes the highest remaining
+    ///   ready id of its last non-empty phase from the job's ready set
+    ///   (the historical LIFO `Vec::pop` over (phase, task) order);
     /// * a level's demand queues collapse its buckets by distinct demand
     ///   — buckets sharing a demand have the same Tetris score against
     ///   any server, and the scan's strict `score > best` keeps the first
@@ -260,53 +289,45 @@ impl DollyMP {
         s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) {
-        s.tasks.clear();
         s.buckets.clear();
         s.job_buckets.clear();
         let mut ready_count: usize = 0;
         let mut min_demand: Option<Resources> = None;
         for j in view.jobs() {
             let bstart = s.buckets.len();
-            // Pass 1: one bucket per distinct demand, counting tasks.
-            for task in j.iter_ready() {
-                let demand = j.spec().phase(task.phase).demand;
+            // One bucket per distinct demand, in first-ready-phase order;
+            // a bucket's `phase` ends at its highest phase.
+            for (pi, p) in j.spec().phases().iter().enumerate() {
+                let count = j.phase_state(PhaseId(pi as u32)).ready().len();
+                if count == 0 {
+                    continue;
+                }
+                ready_count += count as usize;
                 min_demand = Some(match min_demand {
-                    Some(m) => m.min(demand),
-                    None => demand,
+                    Some(m) => m.min(p.demand),
+                    None => p.demand,
                 });
-                match s.buckets[bstart..].iter_mut().find(|b| b.demand == demand) {
-                    Some(b) => b.len += 1,
+                match s.buckets[bstart..]
+                    .iter_mut()
+                    .find(|b| b.demand == p.demand)
+                {
+                    Some(b) => {
+                        b.phase = PhaseId(pi as u32);
+                        b.len += count;
+                    }
                     None => s.buckets.push(Bucket {
-                        demand,
-                        start: 0,
-                        len: 1,
+                        demand: p.demand,
+                        job: j.id(),
+                        phase: PhaseId(pi as u32),
+                        below: u32::MAX,
+                        len: count,
                     }),
                 }
             }
-            if s.buckets.len() == bstart {
-                continue;
+            if s.buckets.len() > bstart {
+                s.job_buckets
+                    .insert(j.id(), (bstart as u32, s.buckets.len() as u32));
             }
-            let mut cursor = s.tasks.len() as u32;
-            for b in &mut s.buckets[bstart..] {
-                b.start = cursor;
-                cursor += b.len;
-                ready_count += b.len as usize;
-                b.len = 0;
-            }
-            s.tasks.resize(cursor as usize, EMPTY_READY);
-            // Pass 2: scatter tasks into their bucket slices in ready
-            // order (so LIFO consumption matches the historical pops).
-            for task in j.iter_ready() {
-                let demand = j.spec().phase(task.phase).demand;
-                let b = s.buckets[bstart..]
-                    .iter_mut()
-                    .find(|b| b.demand == demand)
-                    .expect("bucket created in pass 1");
-                s.tasks[(b.start + b.len) as usize] = ReadyTask { task, demand };
-                b.len += 1;
-            }
-            s.job_buckets
-                .insert(j.id(), (bstart as u32, s.buckets.len() as u32));
         }
         if ready_count == 0 {
             return;
@@ -372,6 +393,9 @@ impl DollyMP {
         }
 
         out.reserve(ready_count);
+        // The job of the last pop: successive pops mostly drain one
+        // bucket, so this skips most view lookups.
+        let mut last_job: Option<&JobState> = None;
         let nlevels = s.level_queues.len();
         let mut first_active = 0usize;
         let mut walk = ServerWalk::new(order);
@@ -417,15 +441,19 @@ impl DollyMP {
                         let head = s.queues[qi as usize].head;
                         let (_, bidx) = s.entries[head as usize];
                         let b = &mut s.buckets[bidx as usize];
-                        b.len -= 1;
-                        let rt = s.tasks[(b.start + b.len) as usize];
+                        let job = match last_job {
+                            Some(j) if j.id() == b.job => j,
+                            _ => view.job(b.job).expect("buckets come from the view's jobs"),
+                        };
+                        last_job = Some(job);
+                        let task = b.pop(job);
                         if b.len == 0 {
                             s.queues[qi as usize].head += 1;
                         }
-                        avail -= rt.demand; // fits_in checked above
-                        used += rt.demand;
+                        avail -= b.demand; // fits_in checked above
+                        used += b.demand;
                         out.push(Assignment {
-                            task: rt.task,
+                            task,
                             server,
                             kind: CopyKind::Primary,
                         });
@@ -479,7 +507,7 @@ impl DollyMP {
             *range = (cursor, cursor);
             cursor += count;
         }
-        s.placed_arena.resize(cursor as usize, EMPTY_READY.task);
+        s.placed_arena.resize(cursor as usize, TaskRef::default());
         for a in batch {
             let range = s
                 .placed_ranges

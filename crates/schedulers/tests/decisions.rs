@@ -84,6 +84,36 @@ fn dollymp_clones_small_job_with_leftovers() {
     );
 }
 
+/// Two root phases of one job share a demand, so they form one bucket.
+/// Its primaries come LIFO in (phase, task) order: the last phase's
+/// highest ids first, then the earlier phase's, across its 64-id word
+/// boundary.
+#[test]
+fn dollymp_pops_a_shared_demand_bucket_from_the_highest_phase_and_task() {
+    let demand = Resources::new(1.0, 1.0);
+    let spec = JobSpec::builder(JobId(0))
+        .phase(PhaseSpec::new(66, demand, 5.0, 0.0))
+        .phase(PhaseSpec::new(2, demand, 5.0, 0.0))
+        .build()
+        .expect("two root phases");
+    let mut jobs = BTreeMap::new();
+    jobs.insert(
+        JobId(0),
+        JobState::new(spec, vec![vec![5.0; 66], vec![5.0; 2]]),
+    );
+    let cluster = ClusterSpec::homogeneous(1, 5.0, 5.0);
+    let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&[Resources::new(5.0, 5.0)]);
+    let view = view_fixture(&cluster, &cap, &jobs);
+    let mut s = DollyMP::with_clones(0);
+    s.on_job_arrival(&view, JobId(0));
+    let placed: Vec<(u32, u32)> = s
+        .schedule(&view)
+        .iter()
+        .map(|a| (a.task.phase.0, a.task.task.0))
+        .collect();
+    assert_eq!(placed, vec![(1, 1), (1, 0), (0, 65), (0, 64), (0, 63)]);
+}
+
 #[test]
 fn dollymp0_emits_no_clones_ever() {
     let cluster = ClusterSpec::homogeneous(2, 8.0, 8.0);

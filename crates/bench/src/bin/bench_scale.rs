@@ -8,15 +8,17 @@
 //! * **steady** (the headline, `pass_*` fields) — one scheduler reused
 //!   across passes, so its scratch buffers persist exactly as they do
 //!   across decision points inside a live `simulate` loop. This is the
-//!   number comparable to `BENCH_sched_overhead.json`'s 3.26 ms
-//!   reference: the pre-index scheduler kept no state between passes,
-//!   so its cold and steady costs were the same thing.
+//!   number comparable to the 3.26 ms reference: the pre-index
+//!   scheduler kept no state between passes, so its cold and steady
+//!   costs were the same thing.
 //! * **cold** (`cold_pass_*` fields) — a fresh scheduler per sample,
-//!   first pass timed (the literal `bench_sched_overhead` protocol);
-//!   pays one-time scratch growth and the Algorithm 1 refresh the
-//!   arrival hook deferred to the pass — the §6.3.3 per-decision-point
-//!   cost — and is noticeably noisier. The steady protocol's warmup
-//!   absorbs that one refresh.
+//!   first pass timed; pays one-time scratch growth and the Algorithm 1
+//!   refresh the arrival hook deferred to the pass — the §6.3.3
+//!   per-decision-point cost — and is noticeably noisier. The steady
+//!   protocol's warmup absorbs that one refresh. The pass's own stage
+//!   split ([`Scheduler::pass_span`]) attributes the cold pass:
+//!   `cold_prepare_p50_ns` is Algorithm 1 plus grouping,
+//!   `cold_placement_p50_ns` is Algorithm 2's placement.
 //!
 //! Two allocator-side gauges come from a counting `#[global_allocator]`:
 //!
@@ -31,7 +33,9 @@
 //!
 //! `--smoke` runs only the 30K × 1K cell and exits non-zero if its
 //! steady p99 regresses to more than 2× the committed `BENCH_scale.json`
-//! reference — the CI guard for the scale-out hot path.
+//! reference — the CI guard for the scale-out hot path — or if its cold
+//! p99 exceeds the paper's §6.3.3 budget of 50 ms for 1K jobs on 30K
+//! servers.
 
 use dollymp_bench::runner::{best_of_smoke, json_obj as obj, run_matrix, Parallelism};
 use dollymp_cluster::prelude::*;
@@ -43,12 +47,15 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// `schedule_pass_30k_servers_1k_jobs` as `BENCH_sched_overhead.json`
-/// recorded it *before* the capacity-index/scratch-reuse work (3.26 ms)
-/// — the ≥5× target baseline of the scale-out issue. Hardcoded for the
-/// same reason as that binary's baselines: the artifact documents a
-/// before/after and must not drift with every run.
+/// The 30K × 1K pass as measured *before* the capacity-index/scratch-
+/// reuse work (3.26 ms) — the ≥5× target baseline of that work.
+/// Hardcoded: the artifact documents a before/after and must not drift
+/// with every run.
 const REFERENCE_PASS_NS: u64 = 3_261_401;
+
+/// The paper's §6.3.3 bound on one decision pass for 1K jobs on 30K
+/// servers (50 ms), gated absolutely on the smoke cell's cold p99.
+const PAPER_BUDGET_NS: u64 = 50_000_000;
 
 /// System allocator wrapped with live/peak byte counters. `dealloc` can
 /// momentarily race `fetch_max` into a slightly stale peak under
@@ -114,6 +121,10 @@ struct CellResult {
     steady: SchedOverhead,
     /// Cold first pass of a fresh scheduler.
     cold: SchedOverhead,
+    /// p50 of the cold pass's Algorithm 1 + grouping stage.
+    cold_prepare_p50_ns: u64,
+    /// p50 of the cold pass's Algorithm 2 placement stage.
+    cold_placement_p50_ns: u64,
     assignments: usize,
     peak_alloc_bytes: u64,
     steady_pass_alloc_bytes: u64,
@@ -143,6 +154,8 @@ fn measure_cell(cell: Cell, warmup: usize, timed_iters: usize) -> CellResult {
 
     // Cold protocol: fresh scheduler per sample, first pass timed.
     let mut cold_samples = Vec::with_capacity(timed_iters);
+    let mut prepare_samples = Vec::with_capacity(timed_iters);
+    let mut placement_samples = Vec::with_capacity(timed_iters);
     let mut assignments = 0;
     for it in 0..warmup + timed_iters {
         let mut s = dollymp_schedulers::DollyMP::new();
@@ -152,7 +165,10 @@ fn measure_cell(cell: Cell, warmup: usize, timed_iters: usize) -> CellResult {
         let ns = t0.elapsed().as_nanos() as u64;
         assert!(!batch.is_empty(), "placement pass placed nothing");
         if it >= warmup {
+            let span = s.pass_span().expect("DollyMP reports its stages");
             cold_samples.push(ns);
+            prepare_samples.push(span.prepare_ns);
+            placement_samples.push(span.placement_ns);
             assignments = batch.len();
         }
     }
@@ -179,6 +195,8 @@ fn measure_cell(cell: Cell, warmup: usize, timed_iters: usize) -> CellResult {
         cell,
         steady: SchedOverhead::from_samples(&steady_samples),
         cold: SchedOverhead::from_samples(&cold_samples),
+        cold_prepare_p50_ns: SchedOverhead::from_samples(&prepare_samples).p50_ns,
+        cold_placement_p50_ns: SchedOverhead::from_samples(&placement_samples).p50_ns,
         assignments,
         peak_alloc_bytes: PEAK_BYTES.load(Ordering::Relaxed),
         steady_pass_alloc_bytes,
@@ -201,6 +219,14 @@ fn cell_json(r: &CellResult) -> serde_json::Value {
         ("pass_max_ns", serde_json::Value::UInt(r.steady.max_ns)),
         ("cold_pass_p50_ns", serde_json::Value::UInt(r.cold.p50_ns)),
         ("cold_pass_p99_ns", serde_json::Value::UInt(r.cold.p99_ns)),
+        (
+            "cold_prepare_p50_ns",
+            serde_json::Value::UInt(r.cold_prepare_p50_ns),
+        ),
+        (
+            "cold_placement_p50_ns",
+            serde_json::Value::UInt(r.cold_placement_p50_ns),
+        ),
         ("assignments", serde_json::Value::UInt(r.assignments as u64)),
         (
             "peak_alloc_bytes",
@@ -260,14 +286,16 @@ fn main() {
     ));
 
     println!(
-        "{:>8} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>14} {:>12}",
+        "{:>8} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8} {:>12} {:>10}",
         "servers",
         "jobs",
         "p50_ns",
         "p99_ns",
         "cold_p50_ns",
+        "cold_p99_ns",
+        "prepare_ns",
+        "placement_ns",
         "assign",
-        "",
         "peak_alloc",
         "pass_alloc"
     );
@@ -284,14 +312,16 @@ fn main() {
         };
         let r = measure_cell(cell, warmup, iters);
         println!(
-            "{:>8} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>14} {:>12}",
+            "{:>8} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8} {:>12} {:>10}",
             r.cell.servers,
             r.cell.jobs,
             r.steady.p50_ns,
             r.steady.p99_ns,
             r.cold.p50_ns,
+            r.cold.p99_ns,
+            r.cold_prepare_p50_ns,
+            r.cold_placement_p50_ns,
             r.assignments,
-            "",
             r.peak_alloc_bytes,
             r.steady_pass_alloc_bytes
         );
@@ -319,6 +349,12 @@ fn main() {
         });
         if gate.is_err() {
             eprintln!("FAIL: 30K-server pass p99 regressed more than 2x");
+            std::process::exit(1);
+        }
+        let cold_p99 = results[0].cold.p99_ns;
+        println!("30Kx1K cold p99 {cold_p99} ns vs the paper's {PAPER_BUDGET_NS} ns budget");
+        if cold_p99 > PAPER_BUDGET_NS {
+            eprintln!("FAIL: 30K-server cold pass p99 exceeds the paper's 50 ms budget");
             std::process::exit(1);
         }
         return;
@@ -352,7 +388,9 @@ fn main() {
                  live engine; comparable to the reference, whose scheduler \
                  kept no state so cold == steady). cold_pass_* = fresh \
                  scheduler per sample, so its first pass includes the \
-                 Algorithm 1 refresh an arrival defers to the next pass. \
+                 Algorithm 1 refresh an arrival defers to the next pass; \
+                 cold_prepare_* / cold_placement_* split it into \
+                 Algorithm 1 + grouping and Algorithm 2 placement. \
                  Nearest-rank percentiles"
                     .to_string(),
             ),

@@ -12,8 +12,9 @@
 //! the paper's: Fig. 8 then simulates 3 000 servers, a tenth of the
 //! paper's 30 000. `all_figures` runs everything.
 //!
-//! Criterion micro-benchmarks live in `benches/`:
-//! `sched_overhead` (the §6.3.3 claim), `knapsack`, `simulator`.
+//! Criterion micro-benchmarks live in `benches/` (`knapsack`,
+//! `simulator`); the §6.3.3 decision-pass timer is the `bench_scale`
+//! binary.
 
 pub mod runner;
 

@@ -71,9 +71,8 @@ where
     }
 }
 
-/// Best-of-N smoke gate against a committed reference timing, shared by
-/// the `--smoke` modes of the bench binaries (`bench_scale`,
-/// `bench_sched_overhead`, `bench_obs`).
+/// Best-of-N smoke gate against a committed reference timing, used by
+/// `bench_scale --smoke`.
 ///
 /// `measure(attempt)` (1-based) returns one timing sample in
 /// nanoseconds; the gate keeps the **best** sample seen so far and

@@ -27,6 +27,13 @@
 //! reads — which always go to the base — keep the exact snapshot
 //! semantics the engine has always exposed.
 //!
+//! The overlay is the one batch overlay of the workspace: every scheduler
+//! builds its batch on it, and [`crate::guard::GuardedScheduler`] replays
+//! a policy's batch on it through the engine's admission rules. Besides
+//! capacity it counts the copies the batch adds per task
+//! ([`CapacityOverlay::note_copy`]), so clone budgets and the admission
+//! rules see a task's in-batch copies next to its live ones.
+//!
 //! ## Query semantics (identical to a linear scan)
 //!
 //! * [`CapacityOverlay::first_fit`] /
@@ -52,6 +59,9 @@
 //! `SimReport`s.
 
 use crate::spec::{ClusterSpec, ServerId};
+use crate::view::ClusterView;
+use dollymp_core::hash::FxHashMap;
+use dollymp_core::job::TaskRef;
 use dollymp_core::online::best_fit_score;
 use dollymp_core::resources::Resources;
 use std::cell::Cell;
@@ -268,19 +278,23 @@ impl CapacityIndex {
         CapacityOverlay {
             idx: self,
             epoch: e,
+            noted: FxHashMap::default(),
         }
     }
 }
 
-/// Batch-tentative view over a [`CapacityIndex`]: commits and releases are
-/// layered on epoch-stamped cells without touching the base tree, so the
-/// engine's snapshot (and [`crate::view::ClusterView`]) are unaffected.
+/// One scheduling batch under construction: commits are layered on
+/// epoch-stamped cells over a [`CapacityIndex`] without touching the base
+/// tree, so the engine's snapshot (and [`crate::view::ClusterView`]) are
+/// unaffected, and the copies the batch adds are counted per task.
 ///
 /// Only the overlay from the most recent [`CapacityIndex::begin_batch`]
-/// call is valid; debug builds assert this on every operation.
+/// call is valid; debug builds assert this on every capacity operation.
 pub struct CapacityOverlay<'a> {
     idx: &'a CapacityIndex,
     epoch: u64,
+    /// Copies this batch adds, per task (absent = none).
+    noted: FxHashMap<TaskRef, u32>,
 }
 
 impl<'a> CapacityOverlay<'a> {
@@ -401,33 +415,41 @@ impl<'a> CapacityOverlay<'a> {
         }
     }
 
-    /// Tentatively commit `demand` on `server`. Returns `false` (and
-    /// changes nothing) when the demand does not fit.
-    pub fn try_commit(&self, server: ServerId, demand: Resources) -> bool {
+    /// Tentatively commit `demand` on `server`.
+    ///
+    /// # Panics
+    /// Panics if it does not fit — callers check first (`first_fit`,
+    /// `free`, or the admission rules).
+    pub fn commit(&self, server: ServerId, demand: Resources) {
         self.check_current();
         let l = self.idx.size + server.0 as usize;
         let (c, m) = self.node(l);
         let (dc, dm) = (demand.cpu_milli(), demand.mem_milli());
-        if dc > c || dm > m {
-            return false;
-        }
+        assert!(
+            dc <= c && dm <= m,
+            "CapacityOverlay::commit without a fit check"
+        );
         self.write_leaf(server.0 as usize, c - dc, m - dm);
         self.adjust_total(-(dc as i64), -(dm as i64));
-        true
     }
 
-    /// Return `amount` of capacity to `server` — the inverse of
-    /// [`CapacityOverlay::try_commit`], used when a batch learns of
-    /// *growing* capacity mid-build (a crashed server restored by fault
-    /// recovery). The effective value may exceed the base capacity; the
-    /// index does not clamp.
-    pub fn release(&self, server: ServerId, amount: Resources) {
-        self.check_current();
-        let l = self.idx.size + server.0 as usize;
-        let (c, m) = self.node(l);
-        let (dc, dm) = (amount.cpu_milli(), amount.mem_milli());
-        self.write_leaf(server.0 as usize, c + dc, m + dm);
-        self.adjust_total(dc as i64, dm as i64);
+    /// Record that this batch adds one copy of `task`.
+    pub fn note_copy(&mut self, task: TaskRef) {
+        *self.noted.entry(task).or_insert(0) += 1;
+    }
+
+    /// Copies of `task` this batch has added so far.
+    pub(crate) fn noted_copies(&self, task: TaskRef) -> u32 {
+        self.noted.get(&task).copied().unwrap_or(0)
+    }
+
+    /// Copies of `task` live in the view **plus** added in this batch.
+    pub fn effective_copies(&self, view: &ClusterView<'_>, task: TaskRef) -> u32 {
+        let live = view
+            .job(task.job)
+            .map(|j| j.task(task.phase, task.task).live_copies())
+            .unwrap_or(0);
+        live + self.noted_copies(task)
     }
 
     /// O(1) pre-check: if `demand` does not fit the per-dimension max,
@@ -671,21 +693,18 @@ mod tests {
         ];
         let idx = CapacityIndex::from_free(&free);
         let ovl = idx.begin_batch();
-        assert!(ovl.try_commit(ServerId(2), Resources::new(8.0, 8.0)));
+        ovl.commit(ServerId(2), Resources::new(8.0, 8.0));
         assert_eq!(ovl.free(ServerId(2)), Resources::ZERO);
+        // Filling the max holder lowers the max, so the fast reject and
+        // the tree walk both refuse what only it could hold.
         assert_eq!(ovl.max_free(), Resources::new(4.0, 4.0));
+        assert!(!ovl.could_fit(Resources::new(5.0, 5.0)));
+        assert_eq!(ovl.first_fit(Resources::new(5.0, 5.0)), None);
         assert_eq!(ovl.total_free(), Resources::new(5.0, 5.0));
         // Base untouched.
         assert_eq!(idx.free(ServerId(2)), Resources::new(8.0, 8.0));
         assert_eq!(idx.max_free(), Resources::new(8.0, 8.0));
         assert_eq!(idx.total_free(), Resources::new(13.0, 13.0));
-        // A failed commit changes nothing.
-        assert!(!ovl.try_commit(ServerId(1), Resources::new(2.0, 2.0)));
-        assert_eq!(ovl.free(ServerId(1)), Resources::new(1.0, 1.0));
-        // Release can exceed base capacity (the index does not clamp).
-        ovl.release(ServerId(1), Resources::new(9.0, 0.0));
-        assert_eq!(ovl.free(ServerId(1)), Resources::new(10.0, 1.0));
-        assert_eq!(ovl.max_free(), Resources::new(10.0, 4.0));
         // A new batch starts clean in O(1), regardless of prior overlays.
         let ovl2 = idx.begin_batch();
         assert_eq!(ovl2.free(ServerId(2)), Resources::new(8.0, 8.0));
@@ -713,17 +732,70 @@ mod tests {
                 assert_eq!(ovl.total_free(), tot);
                 if rng.gen_bool(0.7) {
                     if let Some(s) = ovl.first_fit(d) {
-                        assert!(ovl.try_commit(s, d));
+                        ovl.commit(s, d);
                         eff[s.0 as usize] -= d;
                     }
-                } else {
-                    let s = rng.gen_range(0..n);
-                    let r = Resources::new(rng.gen_range(0..=4) as f64, 1.0);
-                    ovl.release(ServerId(s as u32), r);
-                    eff[s] += r;
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "CapacityOverlay::commit without a fit check")]
+    fn commit_without_room_panics() {
+        let idx = CapacityIndex::from_free(&[Resources::new(1.0, 1.0)]);
+        idx.begin_batch()
+            .commit(ServerId(0), Resources::new(2.0, 1.0));
+    }
+
+    #[test]
+    fn noted_copies_add_to_the_live_ones_and_reset_per_batch() {
+        use crate::state::{JobState, Transition};
+        use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId};
+        use std::collections::BTreeMap;
+
+        let spec = ClusterSpec::homogeneous(1, 8.0, 8.0);
+        let idx = CapacityIndex::from_capacities(&spec);
+        let job = JobSpec::single_phase(JobId(0), 2, Resources::new(1.0, 1.0), 3.0, 0.0);
+        let mut state = JobState::new(job, vec![vec![3.0; 2]]);
+        // Task 0 runs one live copy; task 1 is ready with none.
+        let (_, _, task) = state.launch_parts(PhaseId(0), TaskId(0));
+        task.copies.push(crate::state::CopyState {
+            copy_idx: 0,
+            server: ServerId(0),
+            start: 0,
+            finish: 3,
+            kind: crate::state::CopyKind::Primary,
+            live: true,
+        });
+        state.transition(PhaseId(0), Transition::Launch(TaskId(0)));
+        let jobs = BTreeMap::from([(JobId(0), state)]);
+        let view = ClusterView::new(0, &spec, &idx, &jobs);
+        let task = |t: u32| TaskRef {
+            job: JobId(0),
+            phase: PhaseId(0),
+            task: TaskId(t),
+        };
+
+        let mut ovl = idx.begin_batch();
+        assert_eq!(ovl.effective_copies(&view, task(0)), 1);
+        assert_eq!(ovl.effective_copies(&view, task(1)), 0);
+        ovl.note_copy(task(0));
+        ovl.note_copy(task(0));
+        ovl.note_copy(task(1));
+        assert_eq!(ovl.noted_copies(task(0)), 2);
+        assert_eq!(ovl.noted_copies(task(1)), 1);
+        for (t, live) in [(0, 1), (1, 0)] {
+            assert_eq!(
+                ovl.effective_copies(&view, task(t)),
+                live + ovl.noted_copies(task(t))
+            );
+        }
+
+        let fresh = idx.begin_batch();
+        assert_eq!(fresh.noted_copies(task(0)), 0);
+        assert_eq!(fresh.noted_copies(task(1)), 0);
+        assert_eq!(fresh.effective_copies(&view, task(0)), 1);
     }
 
     #[test]

@@ -873,10 +873,6 @@ fn retire_copy(
     }
 }
 
-/// The `(status, live copies)` of each task a batch has already admitted
-/// copies of; it overrides the view's task state for later entries.
-pub(crate) type BatchEffects = BTreeMap<TaskRef, (TaskStatus, u32)>;
-
 /// The admission rules, in one place for the engine and
 /// [`crate::guard::GuardedScheduler`]: a primary only for a ready task
 /// with no live copy, a clone only of a running task and within
@@ -886,13 +882,13 @@ pub(crate) type BatchEffects = BTreeMap<TaskRef, (TaskStatus, u32)>;
 ///
 /// The engine passes `batch = None`: it checks each assignment against
 /// live state and applies it before checking the next. The guard passes
-/// its batch overlay and the `(status, live copies)` of every task it
-/// admitted earlier in the batch, which gives the same sequential
-/// semantics without touching engine state (a clone right after its
-/// primary is legal in both).
+/// the overlay it commits and notes admitted copies on, which gives the
+/// same sequential semantics without touching engine state: a task with
+/// a noted copy is Running, and its live copies are the view's plus the
+/// noted ones (so a clone right after its primary is legal in both).
 pub(crate) fn check_assignment(
     view: &ClusterView<'_>,
-    batch: Option<(&CapacityOverlay<'_>, &BatchEffects)>,
+    batch: Option<&CapacityOverlay<'_>>,
     a: &Assignment,
 ) -> Result<Resources, AdmissionError> {
     let reject = |reason: RejectReason, detail: String| {
@@ -927,13 +923,14 @@ pub(crate) fn check_assignment(
     // A re-queued task (crash evicted its last copy) carries dead copies
     // from the lost attempt, so Ready + no *live* copy is the invariant,
     // not an empty copy list.
-    let (status, live) = match batch.and_then(|(_, effect)| effect.get(&a.task)) {
-        Some(&effect) => effect,
-        None => {
-            let task = job.task(a.task.phase, a.task.task);
-            (task.status(), task.live_copies())
-        }
+    let task = job.task(a.task.phase, a.task.task);
+    let noted = batch.map_or(0, |free| free.noted_copies(a.task));
+    let status = if noted > 0 {
+        TaskStatus::Running
+    } else {
+        task.status()
     };
+    let live = task.live_copies() + noted;
     match a.kind {
         CopyKind::Primary => {
             if status != TaskStatus::Ready || live > 0 {
@@ -974,7 +971,7 @@ pub(crate) fn check_assignment(
     }
     let demand = job.spec().phase(a.task.phase).demand;
     let avail = match batch {
-        Some((free, _)) => free.free(a.server),
+        Some(free) => free.free(a.server),
         None => view.free(a.server),
     };
     if !demand.fits_in(avail) {

@@ -12,8 +12,8 @@
 //!
 //! * **Admission validation** — every batch entry is checked with the
 //!   engine's own admission function, against a batch-local capacity
-//!   overlay and per-task copy state, before the engine sees it; invalid
-//!   assignments are dropped and counted by
+//!   overlay that also counts admitted copies per task, before the
+//!   engine sees it; invalid assignments are dropped and counted by
 //!   [`RejectReason`](crate::error::RejectReason) instead of aborting the
 //!   run. Crashed servers are read from the view
 //!   ([`ClusterView::is_down`]), the same counts the engine checks.
@@ -41,11 +41,11 @@
 //! well-behaved policy the guard never intervenes and the report is
 //! byte-identical to an unguarded run.
 
-use crate::engine::{check_assignment, BatchEffects};
+use crate::engine::check_assignment;
 use crate::metrics::GuardStats;
 use crate::scheduler::{Assignment, FifoFirstFit, Scheduler};
 use crate::spec::ServerId;
-use crate::state::{CopyKind, TaskStatus};
+use crate::state::CopyKind;
 use crate::view::ClusterView;
 use dollymp_core::job::{JobId, TaskRef};
 use std::collections::VecDeque;
@@ -246,13 +246,12 @@ impl<S: Scheduler> GuardedScheduler<S> {
     }
 
     /// Validate `batch` with the engine's [`check_assignment`], admitting
-    /// entries in order and tracking their effects on a capacity overlay
-    /// and a per-task `(status, live copies)` map (so e.g. a clone right
-    /// after its primary in the same batch is legal, exactly as in the
-    /// engine). Rejections are recorded in the stats only for entries at
-    /// index ≥ `count_from` — replayed deferrals (the prefix) going stale
-    /// is expected, not an offence, and the fallback's own batches pass
-    /// `usize::MAX`.
+    /// entries in order and committing and noting each admitted copy on
+    /// a capacity overlay (so e.g. a clone right after its primary in the
+    /// same batch is legal, exactly as in the engine). Rejections are
+    /// recorded in the stats only for entries at index ≥ `count_from` —
+    /// replayed deferrals (the prefix) going stale is expected, not an
+    /// offence, and the fallback's own batches pass `usize::MAX`.
     ///
     /// Returns `(admitted, any_counted_rejection)`.
     fn validate(
@@ -261,27 +260,14 @@ impl<S: Scheduler> GuardedScheduler<S> {
         batch: Vec<Assignment>,
         count_from: usize,
     ) -> (Vec<Assignment>, bool) {
-        // Batch-local capacity accounting on an overlay: O(1) to start,
-        // no per-batch clone of the per-server free vector.
-        let free = view.capacity().begin_batch();
-        let mut effect = BatchEffects::new();
+        let mut free = view.capacity().begin_batch();
         let mut admitted = Vec::with_capacity(batch.len());
         let mut rejected_any = false;
         for (i, a) in batch.into_iter().enumerate() {
-            match check_assignment(view, Some((&free, &effect)), &a) {
+            match check_assignment(view, Some(&free), &a) {
                 Ok(demand) => {
-                    let committed = free.try_commit(a.server, demand);
-                    debug_assert!(committed, "check_assignment checked the fit");
-                    let e = effect.entry(a.task).or_insert_with(|| {
-                        // `check_assignment` verified the lookups.
-                        let t = view
-                            .job(a.task.job)
-                            .map(|j| j.task(a.task.phase, a.task.task));
-                        t.map(|t| (t.status(), t.live_copies()))
-                            .unwrap_or((TaskStatus::Ready, 0))
-                    });
-                    e.0 = TaskStatus::Running;
-                    e.1 += 1;
+                    free.commit(a.server, demand);
+                    free.note_copy(a.task);
                     admitted.push(a);
                 }
                 Err(err) => {
@@ -441,7 +427,7 @@ mod tests {
     use crate::error::{RejectReason, SimError};
     use crate::execution::{DurationSampler, StragglerModel};
     use crate::spec::ClusterSpec;
-    use dollymp_core::job::{JobSpec, PhaseId};
+    use dollymp_core::job::{JobSpec, PhaseId, TaskId};
     use dollymp_core::resources::Resources;
     use std::collections::BTreeMap;
 
@@ -686,6 +672,61 @@ mod tests {
         assert_eq!(stats.stall_rescues, 1);
         assert!(batch.iter().all(|a| a.server == ServerId(1)));
         assert_eq!(batch.len(), 1);
+    }
+
+    /// Entries admitted earlier in a batch change what later entries see:
+    /// a repeated primary is a duplicate although its server has room
+    /// (the task has a copy in the batch), a primary on a server the
+    /// batch already charged is an over-commit although the view shows
+    /// that server with room, and a clone of a task whose primary the
+    /// batch admitted is legal (the task is Running in the batch).
+    #[test]
+    fn batch_state_overrides_the_view() {
+        struct Repeater;
+        impl Scheduler for Repeater {
+            fn name(&self) -> String {
+                "repeater".into()
+            }
+            fn schedule(&mut self, _view: &ClusterView<'_>) -> Vec<Assignment> {
+                let copy = |job: u64, server: u32, kind: CopyKind| Assignment {
+                    task: TaskRef {
+                        job: JobId(job),
+                        phase: PhaseId(0),
+                        task: TaskId(0),
+                    },
+                    server: ServerId(server),
+                    kind,
+                };
+                vec![
+                    copy(0, 0, CopyKind::Primary),
+                    copy(0, 0, CopyKind::Primary),
+                    copy(1, 0, CopyKind::Primary),
+                    copy(0, 1, CopyKind::Clone),
+                ]
+            }
+        }
+        let c = ClusterSpec::homogeneous(2, 8.0, 16.0);
+        let jobs: BTreeMap<_, _> = [(0, Resources::new(2.0, 4.0)), (1, Resources::new(8.0, 8.0))]
+            .into_iter()
+            .map(|(i, demand)| {
+                let spec = JobSpec::single_phase(JobId(i), 1, demand, 12.0, 4.0);
+                let tables = vec![sampler().phase_table(JobId(i), PhaseId(0), &spec.phases()[0])];
+                (JobId(i), crate::state::JobState::new(spec, tables))
+            })
+            .collect();
+        let cap = crate::capacity::CapacityIndex::from_capacities(&c);
+        let view = ClusterView::new(0, &c, &cap, &jobs);
+        let mut guard = GuardedScheduler::new(Repeater);
+        let batch = guard.schedule(&view);
+        let stats = guard.stats();
+        assert_eq!(stats.rejected_duplicate_copy, 1);
+        assert_eq!(stats.rejected_overcommit, 1);
+        assert_eq!(stats.total_rejections(), 2);
+        let admitted: Vec<_> = batch.iter().map(|a| (a.task.job, a.kind)).collect();
+        assert_eq!(
+            admitted,
+            [(JobId(0), CopyKind::Primary), (JobId(0), CopyKind::Clone)]
+        );
     }
 
     /// The guard and the engine enforce the one copy cap: a batch of a

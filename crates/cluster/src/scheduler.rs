@@ -55,8 +55,7 @@ pub trait Scheduler {
     /// Called when a crashed server is repaired and its capacity returns
     /// to the pool, before the slot's scheduling pass. Policies keeping
     /// incremental free-capacity summaries must account for capacity
-    /// *growing* here (see `FreeTracker::release` in
-    /// `dollymp-schedulers`).
+    /// *growing* here.
     fn on_server_up(&mut self, _view: &ClusterView<'_>, _server: ServerId) {}
 
     /// Called when a task's *last* live copy was evicted by a crash: the
@@ -151,8 +150,7 @@ impl Scheduler for FifoFirstFit {
             for task in job.iter_ready() {
                 let demand = job.spec().phase(task.phase).demand;
                 if let Some(server) = free.first_fit(demand) {
-                    let committed = free.try_commit(server, demand);
-                    debug_assert!(committed, "first_fit returned a non-fitting server");
+                    free.commit(server, demand);
                     out.push(Assignment {
                         task,
                         server,

@@ -15,7 +15,7 @@
 //! (b) its elapsed time exceeds `slowdown_threshold ×` the observed mean
 //! duration of its phase.
 
-use crate::common::{place_in_job_order, ready_tasks_of, FreeTracker};
+use crate::common::{place_in_job_order, ready_tasks_of};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use serde::{Deserialize, Serialize};
@@ -80,7 +80,7 @@ impl CapacityScheduler {
         &mut self,
         view: &ClusterView<'_>,
         order: &[JobId],
-        free: &mut FreeTracker,
+        free: &mut CapacityOverlay,
     ) -> Vec<Assignment> {
         let mut out = Vec::new();
         let mut placed: HashSet<TaskRef> = HashSet::new();
@@ -133,7 +133,7 @@ impl CapacityScheduler {
         &self,
         view: &ClusterView<'_>,
         order: &[JobId],
-        free: &mut FreeTracker,
+        free: &mut CapacityOverlay,
     ) -> Vec<Assignment> {
         let Some(cfg) = self.speculation else {
             return Vec::new();
@@ -198,7 +198,7 @@ impl Scheduler for CapacityScheduler {
         order.sort();
         let order: Vec<JobId> = order.into_iter().map(|(_, id)| id).collect();
 
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         let mut batch = if self.recovering.is_empty() {
             place_in_job_order(view, &order, &mut free)
         } else {

@@ -19,7 +19,7 @@
 //! No cloning — like the other baselines, Carbyne spends resources on
 //! distinct tasks only.
 
-use crate::common::{ready_tasks_of, FreeTracker, ReadyTask};
+use crate::common::{ready_tasks_of, ReadyTask};
 use crate::drf::allocated;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
@@ -39,7 +39,7 @@ impl Scheduler for Carbyne {
         let totals = view.totals();
         let n_jobs = view.num_jobs().max(1);
         let fair = 1.0 / n_jobs as f64;
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         let mut share: HashMap<JobId, f64> = HashMap::new();

@@ -1,144 +1,16 @@
 //! Shared placement machinery used by every scheduler implementation.
 //!
 //! Schedulers receive an immutable [`ClusterView`] and must return a
-//! self-consistent batch of assignments; [`FreeTracker`] layers the
-//! batch's tentative commitments (and per-task copy counts) over the
-//! engine's shared capacity index, so a scheduler can never over-commit —
-//! without cloning the per-server free vector each pass.
+//! self-consistent batch of assignments. They build it on a
+//! [`CapacityOverlay`] from the view's capacity index
+//! (`view.capacity().begin_batch()`), which layers the batch's tentative
+//! commitments and per-task copy counts over the engine's free capacity,
+//! so a scheduler can never over-commit — without cloning the per-server
+//! free vector each pass.
 
-use dollymp_cluster::capacity::CapacityOverlay;
 use dollymp_cluster::prelude::*;
-use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::TaskRef;
 use dollymp_core::resources::Resources;
-
-/// Tracks tentative resource commitments while one scheduling batch is
-/// being constructed.
-///
-/// Since the capacity-index rework this is a thin wrapper over a
-/// [`CapacityOverlay`] borrowed from the view's shared
-/// [`dollymp_cluster::capacity::CapacityIndex`]: constructing a tracker is
-/// O(1) — no clone of the per-server free vector — and the first-fit /
-/// best-fit / max-free queries run on the segment tree in O(log n) with
-/// results identical to the historical linear scans.
-pub struct FreeTracker<'a> {
-    ovl: CapacityOverlay<'a>,
-    /// Extra copies committed in this batch, per task.
-    pending_copies: FxHashMap<TaskRef, u32>,
-}
-
-impl<'a> FreeTracker<'a> {
-    /// Start tracking a batch over the view's free resources (O(1)).
-    pub fn new(view: &ClusterView<'a>) -> FreeTracker<'a> {
-        FreeTracker {
-            ovl: view.capacity().begin_batch(),
-            pending_copies: FxHashMap::default(),
-        }
-    }
-
-    /// Remaining free resources on a server, net of this batch.
-    pub fn free(&self, s: ServerId) -> Resources {
-        self.ovl.free(s)
-    }
-
-    /// Per-dimension max of free resources over all servers, net of this
-    /// batch (O(1) — the tree root).
-    pub fn max_free(&self) -> Resources {
-        self.ovl.max_free()
-    }
-
-    /// O(1) pre-check: if `demand` does not fit the per-dimension max of
-    /// free capacity, it fits **no** server and the full scan can be
-    /// skipped. (The converse does not hold — the max mixes dimensions
-    /// from different servers — so a `true` still requires a real query.)
-    pub fn could_fit(&self, demand: Resources) -> bool {
-        self.ovl.could_fit(demand)
-    }
-
-    /// Total remaining free resources, net of this batch.
-    pub fn total_free(&self) -> Resources {
-        self.ovl.total_free()
-    }
-
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.ovl.len()
-    }
-
-    /// True when there are no servers (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.ovl.is_empty()
-    }
-
-    /// Does `demand` fit some server right now?
-    pub fn fits_anywhere(&self, demand: Resources) -> bool {
-        self.ovl.fits_anywhere(demand)
-    }
-
-    /// First server (by id) with room for `demand`.
-    pub fn first_fit(&self, demand: Resources) -> Option<ServerId> {
-        self.ovl.first_fit(demand)
-    }
-
-    /// First server with id ≥ `start` that has room for `demand` — lets a
-    /// left-to-right placement walk skip non-fitting servers in O(log n)
-    /// instead of probing each one.
-    pub fn next_fit_at_or_after(&self, start: usize, demand: Resources) -> Option<ServerId> {
-        self.ovl.next_fit_at_or_after(start, demand)
-    }
-
-    /// Server maximizing the Tetris alignment score `demand · free`
-    /// among those with room.
-    pub fn best_fit(&self, demand: Resources) -> Option<ServerId> {
-        self.ovl.best_fit(demand)
-    }
-
-    /// Commit `demand` on `server`.
-    ///
-    /// # Panics
-    /// Panics if it does not fit — callers must check first.
-    pub fn commit(&mut self, server: ServerId, demand: Resources) {
-        assert!(
-            self.ovl.try_commit(server, demand),
-            "FreeTracker::commit without a fit check"
-        );
-    }
-
-    /// Return `amount` of capacity to `server` — the inverse of
-    /// [`FreeTracker::commit`], used when a long-lived tracker learns of
-    /// *growing* capacity (a crashed server restored by fault recovery;
-    /// see `Scheduler::on_server_up`).
-    ///
-    /// The historical cached max summary was shrink-only (a commit can
-    /// only lower it), so growth had to raise it explicitly: a stale max
-    /// would make [`FreeTracker::could_fit`] reject demands the recovered
-    /// server can in fact hold, silently idling restored capacity. The
-    /// overlay's tree maintains the max on every write, which preserves
-    /// that fix (pinned by `release_raises_the_cached_max` below).
-    pub fn release(&mut self, server: ServerId, amount: Resources) {
-        self.ovl.release(server, amount);
-    }
-
-    /// Copies of `task` live in the view **plus** committed in this batch.
-    pub fn effective_copies(&self, view: &ClusterView<'_>, task: TaskRef) -> u32 {
-        let live = view
-            .job(task.job)
-            .map(|j| j.task(task.phase, task.task).live_copies())
-            .unwrap_or(0);
-        live + self.pending_copies_of(task)
-    }
-
-    /// Copies committed to `task` in this batch only (no view lookup —
-    /// for callers that already know the live count).
-    pub fn pending_copies_of(&self, task: TaskRef) -> u32 {
-        self.pending_copies.get(&task).copied().unwrap_or(0)
-    }
-
-    /// Record that this batch adds one copy to `task`.
-    pub fn note_copy(&mut self, task: TaskRef) {
-        *self.pending_copies.entry(task).or_insert(0) += 1;
-    }
-}
 
 /// A ready task together with its demand (avoids re-deriving the phase
 /// spec at every comparison).
@@ -167,7 +39,7 @@ pub fn ready_tasks_of(job: &JobState) -> Vec<ReadyTask> {
 pub fn place_in_job_order(
     view: &ClusterView<'_>,
     order: &[dollymp_core::job::JobId],
-    free: &mut FreeTracker,
+    free: &mut CapacityOverlay,
 ) -> Vec<Assignment> {
     let mut out = Vec::new();
     for &jid in order {
@@ -194,8 +66,8 @@ mod tests {
     use dollymp_cluster::engine::{simulate, EngineConfig};
     use dollymp_core::job::{JobId, JobSpec};
 
-    /// FreeTracker logic is exercised through a scheduler that uses it;
-    /// the pure parts are tested here via a synthetic run.
+    /// The overlay is exercised through a scheduler that uses it; the
+    /// pure parts are tested here via a synthetic run.
     struct Probe {
         observed_fit: bool,
     }
@@ -204,7 +76,7 @@ mod tests {
             "probe".into()
         }
         fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-            let mut free = FreeTracker::new(view);
+            let mut free = view.capacity().begin_batch();
             assert_eq!(free.len(), 2);
             let order: Vec<JobId> = view.jobs().map(|j| j.id()).collect();
             let batch = place_in_job_order(view, &order, &mut free);
@@ -229,7 +101,7 @@ mod tests {
                     let expected = view
                         .free(server)
                         .checked_sub(demand)
-                        .expect("tracker never over-commits");
+                        .expect("overlay never over-commits");
                     assert_eq!(
                         free.free(server),
                         expected,
@@ -259,48 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn release_raises_the_cached_max() {
-        // Regression: the max-free fast-reject was shrink-only. After a
-        // recovered server grows its free capacity, a stale cached max
-        // must not make could_fit()/first_fit() skip it.
-        use std::collections::BTreeMap;
-        let spec = ClusterSpec::new(vec![
-            ServerSpec::new(4.0, 4.0),
-            ServerSpec::new(1.0, 1.0),
-            ServerSpec::new(8.0, 8.0), // currently down: free = 0
-        ]);
-        let free = CapacityIndex::from_free(&[
-            Resources::new(4.0, 4.0),
-            Resources::new(1.0, 1.0),
-            Resources::new(0.0, 0.0),
-        ]);
-        let jobs = BTreeMap::new();
-        let view = ClusterView::new(0, &spec, &free, &jobs);
-        let mut tracker = FreeTracker::new(&view);
-
-        // Fill the max holder; the lazy max recomputes to (1, 1).
-        tracker.commit(ServerId(0), Resources::new(4.0, 4.0));
-        assert!(!tracker.could_fit(Resources::new(2.0, 2.0)));
-        assert_eq!(tracker.first_fit(Resources::new(2.0, 2.0)), None);
-
-        // Server 2 recovers mid-batch: its full capacity returns.
-        tracker.release(ServerId(2), Resources::new(8.0, 8.0));
-        assert!(
-            tracker.could_fit(Resources::new(2.0, 2.0)),
-            "stale max must not reject the recovered server"
-        );
-        assert_eq!(
-            tracker.first_fit(Resources::new(2.0, 2.0)),
-            Some(ServerId(2))
-        );
-        assert_eq!(tracker.free(ServerId(2)), Resources::new(8.0, 8.0));
-
-        // And release composes with later commits.
-        tracker.commit(ServerId(2), Resources::new(8.0, 8.0));
-        assert!(!tracker.fits_anywhere(Resources::new(2.0, 2.0)));
-    }
-
-    #[test]
     fn best_fit_prefers_fuller_alignment() {
         // Construct through a probe: a CPU-heavy task must land on the
         // CPU-rich server under best_fit.
@@ -310,7 +140,7 @@ mod tests {
                 "bf".into()
             }
             fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-                let mut free = FreeTracker::new(view);
+                let free = view.capacity().begin_batch();
                 let mut out = Vec::new();
                 for job in view.jobs() {
                     for rt in ready_tasks_of(job) {

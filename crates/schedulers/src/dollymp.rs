@@ -21,7 +21,6 @@
 //!    `max_copies − 1` extra copies; the pass is repeated twice, mirroring
 //!    Algorithm 2's "Repeat Step 9 twice".
 
-use crate::common::FreeTracker;
 use dollymp_cluster::prelude::*;
 use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
@@ -118,7 +117,7 @@ impl<'o> ServerWalk<'o> {
         }
     }
 
-    fn next(&mut self, free: &FreeTracker, min_demand: Resources) -> Option<ServerId> {
+    fn next(&mut self, free: &CapacityOverlay, min_demand: Resources) -> Option<ServerId> {
         match self {
             ServerWalk::Identity { cursor } => {
                 let sv = free.next_fit_at_or_after(*cursor, min_demand)?;
@@ -285,7 +284,7 @@ impl DollyMP {
         &self,
         view: &ClusterView<'_>,
         order: Option<&[ServerId]>,
-        free: &mut FreeTracker,
+        free: &CapacityOverlay,
         s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) {
@@ -606,7 +605,7 @@ impl DollyMP {
     fn place_clones(
         &self,
         order: Option<&[ServerId]>,
-        free: &mut FreeTracker,
+        free: &CapacityOverlay,
         s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) -> usize {
@@ -799,9 +798,9 @@ impl DollyMP {
             &mut s.members,
         );
         let prepare_ns = pass_start.elapsed().as_nanos() as u64;
-        let mut free = FreeTracker::new(view);
+        let free = view.capacity().begin_batch();
         let mut batch: Vec<Assignment> = Vec::new();
-        self.place_primaries(view, order, &mut free, &mut s, &mut batch);
+        self.place_primaries(view, order, &free, &mut s, &mut batch);
         // "Repeat Step 9 twice if there are available resources" — but at
         // most one *new* clone per task per decision point (clone
         // containers are granted round by round). The candidate set is
@@ -809,7 +808,7 @@ impl DollyMP {
         self.clone_candidates(view, &batch, &mut s);
         if !s.candidates.is_empty() {
             for _ in 0..2 {
-                if self.place_clones(order, &mut free, &mut s, &mut batch) == 0 {
+                if self.place_clones(order, &free, &mut s, &mut batch) == 0 {
                     break;
                 }
             }

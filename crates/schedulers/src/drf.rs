@@ -10,7 +10,7 @@
 //! has tentatively granted. No cloning — DRF spends every resource on
 //! distinct tasks.
 
-use crate::common::{ready_tasks_of, FreeTracker, ReadyTask};
+use crate::common::{ready_tasks_of, ReadyTask};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
 use dollymp_core::resources::{dominant_share, Resources};
@@ -38,7 +38,7 @@ impl Scheduler for Drf {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let totals = view.totals();
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         // Current dominant share and pending ready tasks per job.

@@ -19,7 +19,7 @@
 //! first-fit placement, and the speculation budget is a fixed fraction
 //! rather than Hopper's optimal √-allocation.
 
-use crate::common::{ready_tasks_of, FreeTracker};
+use crate::common::ready_tasks_of;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
 use serde::{Deserialize, Serialize};
@@ -73,7 +73,7 @@ impl Scheduler for Hopper {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         // Smallest virtual size first.

@@ -7,7 +7,7 @@
 //! resources, SVF starves large-demand jobs — which is what Algorithm 1's
 //! knapsack combination fixes.
 
-use crate::common::{place_in_job_order, FreeTracker};
+use crate::common::place_in_job_order;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
 
@@ -62,7 +62,7 @@ impl Scheduler for PriorityScheduler {
             view.jobs().map(|j| (self.key(view, j), j.id())).collect();
         ranked.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let order: Vec<JobId> = ranked.into_iter().map(|(_, id)| id).collect();
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         place_in_job_order(view, &order, &mut free)
     }
 }

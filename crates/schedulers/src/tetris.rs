@@ -16,7 +16,7 @@
 //! any job-scheduling coordination) — the strawman DollyMP is compared
 //! against.
 
-use crate::common::{ready_tasks_of, FreeTracker, ReadyTask};
+use crate::common::{ready_tasks_of, ReadyTask};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::online::best_fit_score;
@@ -81,7 +81,7 @@ impl Scheduler for Tetris {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
         // Per-job SRPT bonus and remaining ready tasks.

@@ -19,7 +19,6 @@ use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::online::ClonePolicy;
 use dollymp_core::transient::{TransientConfig, PRIORITY_UNSELECTED};
-use dollymp_schedulers::common::FreeTracker;
 use std::collections::HashMap;
 
 /// The RM + AMs control plane as one schedulable unit.
@@ -88,7 +87,7 @@ impl YarnSystem {
     /// Place one container, preferring the task's replica servers (AM
     /// second-level scheduling), falling back to the best-aligned server.
     fn place_with_locality(
-        free: &mut FreeTracker,
+        free: &CapacityOverlay,
         req: &ContainerRequest,
         avoid: &[ServerId],
     ) -> Option<ServerId> {
@@ -107,7 +106,7 @@ impl YarnSystem {
     /// the avoid list when any other server fits — used for clones, which
     /// must spread across machines to be worth anything.
     fn place_with_locality_avoiding(
-        free: &mut FreeTracker,
+        free: &CapacityOverlay,
         req: &ContainerRequest,
         avoid: &[ServerId],
     ) -> Option<ServerId> {
@@ -147,7 +146,7 @@ impl Scheduler for YarnSystem {
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let groups = self.priority_groups(view);
-        let mut free = FreeTracker::new(view);
+        let mut free = view.capacity().begin_batch();
         let mut out: Vec<Assignment> = Vec::new();
 
         // Gather container requests per job (ready tasks only). The RM
@@ -177,7 +176,7 @@ impl Scheduler for YarnSystem {
                     continue;
                 };
                 for req in reqs {
-                    if let Some(server) = Self::place_with_locality(&mut free, &req, &[]) {
+                    if let Some(server) = Self::place_with_locality(&free, &req, &[]) {
                         free.commit(server, req.demand);
                         free.note_copy(req.task);
                         out.push(Assignment {
@@ -258,7 +257,7 @@ impl Scheduler for YarnSystem {
                                 .cloned()
                                 .unwrap_or_else(|| ContainerRequest::new(task, demand));
                             if let Some(server) =
-                                Self::place_with_locality_avoiding(&mut free, &req, &avoid)
+                                Self::place_with_locality_avoiding(&free, &req, &avoid)
                             {
                                 free.commit(server, demand);
                                 free.note_copy(task);

@@ -55,7 +55,6 @@ fn case(seed: u64, njobs: usize) -> Case {
         sampler: DurationSampler::new(seed, StragglerModel::ParetoFit),
         cfg: EngineConfig {
             record_utilization: true,
-            record_timeline: true,
             ..EngineConfig::default()
         },
         faults,
@@ -192,8 +191,8 @@ fn main() {
             "protocol",
             serde_json::Value::Str(
                 "paper_30_node, 120 Google-like jobs, fault timeline \
-                 (crashes + fail-slow), utilization + timeline recording \
-                 on. Best-of-5 wall time per configuration; recorder_off \
+                 (crashes + fail-slow), utilization recording on. \
+                 Best-of-5 wall time per configuration; recorder_off \
                  = NullRecorder (steady-state path), recorder_on = full \
                  in-memory journal. Every recorded run is replay-verified \
                  byte-identical before timing is reported"

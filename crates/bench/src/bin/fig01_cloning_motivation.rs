@@ -35,7 +35,7 @@ fn main() {
         "{:<10} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8}",
         "scheduler", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "mean"
     );
-    let per_sched = run_matrix(&schedulers, Parallelism::from_env(), |_, &name| {
+    let per_sched = run_matrix(&schedulers, Parallelism::Rayon, |_, &name| {
         // The paper's slotted system re-evaluates every interval; give
         // every scheduler the same 1-slot decision cadence so DollyMP²'s
         // second clone (granted a round after the first) can launch.

@@ -47,7 +47,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let results: Vec<(f64, SimReport, SimReport)> =
-        run_matrix(&factors, Parallelism::from_env(), |_, &f| {
+        run_matrix(&factors, Parallelism::Rayon, |_, &f| {
             let cluster = base_cluster.scale_cpu(f);
             let r0 = run_named(
                 "dollymp0",

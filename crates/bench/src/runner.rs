@@ -14,10 +14,10 @@
 //! * **Order preservation** — results come back in cell order regardless
 //!   of completion order, so downstream reductions (CSV rows, JSON
 //!   arrays, cross-cell deltas) need no re-sorting.
-//! * **One switch** — [`Parallelism::from_env`] lets any binary be forced
-//!   sequential (`DOLLYMP_SEQUENTIAL=1`) for debugging or for timing
-//!   runs where parallel cells would contend for cores (the `bench_scale`
-//!   binary always times sequentially for exactly that reason).
+//! * **One argument** — figure binaries pass [`Parallelism::Rayon`];
+//!   timing binaries (`bench_scale`, `bench_obs`) pass
+//!   [`Parallelism::Sequential`] so parallel cells never contend for
+//!   cores.
 
 /// How [`run_matrix`] distributes cells over workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,17 +26,6 @@ pub enum Parallelism {
     Sequential,
     /// Fan cells out over the global rayon pool.
     Rayon,
-}
-
-impl Parallelism {
-    /// [`Parallelism::Rayon`] unless the `DOLLYMP_SEQUENTIAL` environment
-    /// variable is set (to anything but `0`).
-    pub fn from_env() -> Self {
-        match std::env::var("DOLLYMP_SEQUENTIAL") {
-            Ok(v) if v != "0" => Parallelism::Sequential,
-            _ => Parallelism::Rayon,
-        }
-    }
 }
 
 /// A deterministic per-cell seed: splitmix64 over the base seed and the
@@ -183,14 +172,6 @@ mod tests {
         assert_eq!(seq, par, "rayon fan-out must not change any report");
         // And re-running is reproducible outright.
         assert_eq!(seq, run(Parallelism::Sequential));
-    }
-
-    #[test]
-    fn parallelism_from_env_defaults_to_rayon() {
-        // The test env doesn't set DOLLYMP_SEQUENTIAL.
-        if std::env::var_os("DOLLYMP_SEQUENTIAL").is_none() {
-            assert_eq!(Parallelism::from_env(), Parallelism::Rayon);
-        }
     }
 
     #[test]

@@ -78,9 +78,6 @@ pub struct EngineConfig {
     /// after every decision point into [`SimReport::utilization`].
     /// Off by default — the series can be large on long runs.
     pub record_utilization: bool,
-    /// Record every copy's lifetime into [`SimReport::timeline`]
-    /// (exportable as a Chrome trace). Off by default.
-    pub record_timeline: bool,
 }
 
 impl Default for EngineConfig {
@@ -90,7 +87,6 @@ impl Default for EngineConfig {
             tick: None,
             remote_penalty: 1.0,
             record_utilization: false,
-            record_timeline: false,
         }
     }
 }
@@ -327,7 +323,7 @@ pub fn try_simulate_with_faults_recorded(
     let mut live_on: LiveCopies = vec![Vec::new(); cluster.len()];
     // Read once: the journal is either fully on or fully off for a run.
     let mut sink = Sink {
-        fold: ReportFold::new(cfg.record_utilization, cfg.record_timeline),
+        fold: ReportFold::new(cfg.record_utilization),
         recording: recorder.enabled(),
         recorder,
     };
@@ -1087,6 +1083,7 @@ mod tests {
     use crate::execution::StragglerModel;
     use crate::scheduler::FifoFirstFit;
     use crate::spec::{ServerId, ServerSpec};
+    use crate::trace::{chrome_trace, copy_spans, CopySpan};
     use dollymp_core::job::PhaseSpec;
 
     fn det_sampler() -> DurationSampler {
@@ -1391,28 +1388,49 @@ mod tests {
         );
     }
 
+    /// Runs `jobs` fault-free with a recorder and returns the report
+    /// and the copy spans read from the journal.
+    fn simulate_spans(
+        cluster: &ClusterSpec,
+        jobs: Vec<JobSpec>,
+        sampler: &DurationSampler,
+        scheduler: &mut dyn Scheduler,
+        cfg: &EngineConfig,
+    ) -> (SimReport, Vec<CopySpan>) {
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let r = simulate_recorded(
+            cluster,
+            jobs,
+            sampler,
+            scheduler,
+            cfg,
+            &FaultTimeline::empty(),
+            &mut events,
+        );
+        (r, copy_spans(&events))
+    }
+
     #[test]
     fn timeline_records_winners_and_kills() {
-        use crate::metrics::{timeline_to_chrome_trace, CopyOutcome};
         let cluster = ClusterSpec::new(vec![
             ServerSpec::new(1.0, 1.0).with_speed(0.5),
             ServerSpec::new(1.0, 1.0).with_speed(2.0),
         ]);
         let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
-        let cfg = EngineConfig {
-            record_timeline: true,
-            ..Default::default()
-        };
         let mut s = AtomicCloner;
-        let r = simulate(&cluster, vec![job], &det_sampler(), &mut s, &cfg);
-        assert_eq!(r.timeline.len(), 2, "primary + clone both recorded");
-        let winner = r
-            .timeline
+        let (_, timeline) = simulate_spans(
+            &cluster,
+            vec![job],
+            &det_sampler(),
+            &mut s,
+            &EngineConfig::default(),
+        );
+        assert_eq!(timeline.len(), 2, "primary + clone both recorded");
+        let winner = timeline
             .iter()
             .find(|c| c.outcome == CopyOutcome::Won)
             .expect("a winner exists");
-        let killed = r
-            .timeline
+        let killed = timeline
             .iter()
             .find(|c| c.outcome == CopyOutcome::Killed)
             .expect("the loser was killed");
@@ -1422,7 +1440,7 @@ mod tests {
         assert_eq!(killed.start, 0);
 
         // The Chrome trace export is well-formed JSON with both events.
-        let json = timeline_to_chrome_trace(&r.timeline, 5.0);
+        let json = chrome_trace(&timeline, 5.0);
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(parsed.as_array().unwrap().len(), 2);
         assert!(json.contains("clone/won"));
@@ -1430,7 +1448,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_off_by_default() {
+    fn utilization_off_by_default() {
         let cluster = one_server(2.0, 2.0);
         let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
         let r = simulate(
@@ -1440,7 +1458,6 @@ mod tests {
             &mut FifoFirstFit,
             &EngineConfig::default(),
         );
-        assert!(r.timeline.is_empty());
         assert!(r.utilization.is_empty());
     }
 
@@ -1462,10 +1479,11 @@ mod tests {
 
     /// The incremental used-capacity counters behind the O(1) utilization
     /// probe must agree with an *independent* re-summation, bit for bit:
-    /// every recorded sample is re-derived from the copy timeline (the
-    /// demands of all copies live at the sample slot) and compared with
-    /// `==` on the raw `f64`s — integer milli-unit arithmetic on both
-    /// sides, so there is no tolerance to hide drift behind.
+    /// every recorded sample is re-derived from the copy spans of the
+    /// run's journal (the demands of all copies live at the sample slot)
+    /// and compared with `==` on the raw `f64`s — integer milli-unit
+    /// arithmetic on both sides, so there is no tolerance to hide drift
+    /// behind.
     #[test]
     fn utilization_samples_match_timeline_resum_exactly() {
         let cluster = ClusterSpec::paper_30_node();
@@ -1487,19 +1505,17 @@ mod tests {
         let specs: Vec<JobSpec> = jobs.clone();
         let cfg = EngineConfig {
             record_utilization: true,
-            record_timeline: true,
             ..Default::default()
         };
         let sampler = DurationSampler::new(5, StragglerModel::ParetoFit);
-        let r = simulate(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg);
+        let (r, timeline) = simulate_spans(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg);
         assert!(r.utilization.len() >= 12, "one sample per decision point");
         let totals = cluster.totals();
         for &(slot, cpu, mem) in &r.utilization {
             // A copy occupies its server over [start, end): launches of
             // this decision point are sampled, completions retired just
             // before the sample are not.
-            let used: Resources = r
-                .timeline
+            let used: Resources = timeline
                 .iter()
                 .filter(|c| c.start <= slot && slot < c.end)
                 .map(|c| specs[c.task.job.0 as usize].phase(c.task.phase).demand)
@@ -1659,18 +1675,17 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(4, 0), restore(6, 0)]);
-            let cfg = EngineConfig {
-                record_timeline: true,
-                ..Default::default()
-            };
-            let r = simulate_with_faults(
+            let mut events: Vec<TraceEvent> = Vec::new();
+            let r = simulate_recorded(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut FifoFirstFit,
-                &cfg,
+                &EngineConfig::default(),
                 &tl,
+                &mut events,
             );
+            let timeline = copy_spans(&events);
             assert_eq!(r.jobs[0].flowtime, 14, "4 lost + full 10-slot rerun");
             assert_eq!(r.faults.server_crashes, 1);
             assert_eq!(r.faults.server_recoveries, 1);
@@ -1682,16 +1697,14 @@ mod tests {
             // Re-execution is a fresh primary, not a clone.
             assert_eq!(r.jobs[0].clone_copies, 0);
             assert_eq!(r.jobs[0].tasks_cloned, 0);
-            let evicted: Vec<_> = r
-                .timeline
+            let evicted: Vec<_> = timeline
                 .iter()
                 .filter(|c| c.outcome == CopyOutcome::Evicted)
                 .collect();
             assert_eq!(evicted.len(), 1);
             assert_eq!(evicted[0].server, ServerId(0));
             assert_eq!(evicted[0].end, 4);
-            let winner = r
-                .timeline
+            let winner = timeline
                 .iter()
                 .find(|c| c.outcome == CopyOutcome::Won)
                 .expect("rerun wins");
@@ -1919,19 +1932,9 @@ mod tests {
             assert_eq!(a.makespan, b.makespan);
         }
 
-        /// Keeps every journaled event.
-        #[derive(Default)]
-        struct Log(Vec<TraceEvent>);
-        impl Recorder for Log {
-            fn record(&mut self, ev: TraceEvent) {
-                self.0.push(ev);
-            }
-        }
-
         /// `(task, copy_idx)` of every `CopyEvict`, in journal order.
-        fn evictions(log: &Log) -> Vec<(TaskRef, u32)> {
-            log.0
-                .iter()
+        fn evictions(log: &[TraceEvent]) -> Vec<(TaskRef, u32)> {
+            log.iter()
                 .filter_map(|ev| match *ev {
                     TraceEvent::CopyEvict { task, copy_idx, .. } => Some((task, copy_idx)),
                     _ => None,
@@ -1987,7 +1990,7 @@ mod tests {
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(3, 0)]);
             let mut sched = PackOnZero::default();
-            let mut log = Log::default();
+            let mut log: Vec<TraceEvent> = Vec::new();
             let r = simulate_recorded(
                 &cluster,
                 vec![job],
@@ -2000,7 +2003,6 @@ mod tests {
             let t = task_ref(0, 0, 0);
             assert_eq!(evictions(&log), vec![(t, 0), (t, 1)], "copy_idx order");
             let kinds: Vec<CopyKind> = log
-                .0
                 .iter()
                 .filter_map(|ev| match *ev {
                     TraceEvent::CopyEvict { kind, server, .. } => {
@@ -2011,7 +2013,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(kinds, vec![CopyKind::Primary, CopyKind::Clone]);
-            let count = |f: fn(&TraceEvent) -> bool| log.0.iter().filter(|e| f(e)).count();
+            let count = |f: fn(&TraceEvent) -> bool| log.iter().filter(|e| f(e)).count();
             assert_eq!(count(|e| matches!(e, TraceEvent::TaskLost { .. })), 1);
             assert_eq!(count(|e| matches!(e, TraceEvent::TaskSaved { .. })), 0);
             assert_eq!(sched.lost, vec![t], "one on_task_lost hook");
@@ -2035,7 +2037,7 @@ mod tests {
                 },
                 crash(5, 0),
             ]);
-            let mut log = Log::default();
+            let mut log: Vec<TraceEvent> = Vec::new();
             let r = simulate_recorded(
                 &cluster,
                 vec![job],
@@ -2048,7 +2050,6 @@ mod tests {
             let t = task_ref(0, 0, 0);
             assert_eq!(evictions(&log), vec![(t, 0)]);
             let launches: Vec<(u32, ServerId, Time)> = log
-                .0
                 .iter()
                 .filter_map(|ev| match *ev {
                     TraceEvent::CopyLaunch {
@@ -2062,7 +2063,6 @@ mod tests {
                 .collect();
             assert_eq!(launches, vec![(0, ServerId(0), 10), (1, ServerId(1), 15)]);
             let retires: Vec<(Time, u32, CopyOutcome)> = log
-                .0
                 .iter()
                 .filter_map(|ev| match *ev {
                     TraceEvent::CopyRetire {
@@ -2076,7 +2076,6 @@ mod tests {
                 .collect();
             assert_eq!(retires, vec![(15, 1, CopyOutcome::Won)]);
             let ticks: Vec<Time> = log
-                .0
                 .iter()
                 .filter_map(|ev| match *ev {
                     TraceEvent::SlotTick { at } => Some(at),
@@ -2112,7 +2111,7 @@ mod tests {
                 .unwrap();
             let tl = FaultTimeline::new(vec![crash(5, 0)]);
             let mut sched = PackOnZero::default();
-            let mut log = Log::default();
+            let mut log: Vec<TraceEvent> = Vec::new();
             let r = simulate_recorded(
                 &cluster,
                 vec![job0, job1, job2],
@@ -2135,7 +2134,7 @@ mod tests {
                 lost.iter().flat_map(|&t| [(t, 0), (t, 1)]).collect();
             assert_eq!(evictions(&log), expected, "job → phase → task → copy");
             assert_eq!(sched.lost, lost, "hooks in the same order");
-            let launched_first = log.0.iter().find_map(|ev| match *ev {
+            let launched_first = log.iter().find_map(|ev| match *ev {
                 TraceEvent::CopyLaunch { task, .. } => Some(task.job),
                 _ => None,
             });

@@ -2,10 +2,8 @@
 //! percentile helpers the paper's figures are built from.
 
 use crate::error::RejectReason;
-use crate::spec::ServerId;
-use crate::state::CopyKind;
 use crate::trace::Event;
-use dollymp_core::job::{JobId, TaskRef};
+use dollymp_core::job::JobId;
 use dollymp_core::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -19,61 +17,6 @@ pub enum CopyOutcome {
     Killed,
     /// Its server crashed; the copy's work was lost.
     Evicted,
-}
-
-/// One copy's lifetime on a server — the unit of the execution timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CopySpan {
-    /// The task this copy belonged to.
-    pub task: TaskRef,
-    /// Copy index (0 = primary).
-    pub copy_idx: u32,
-    /// Where it ran.
-    pub server: ServerId,
-    /// Primary or clone.
-    pub kind: CopyKind,
-    /// Start slot.
-    pub start: Time,
-    /// End slot (completion or kill).
-    pub end: Time,
-    /// Won or killed.
-    pub outcome: CopyOutcome,
-}
-
-/// Render copy spans as a Chrome-tracing (`chrome://tracing`,
-/// [Perfetto](https://ui.perfetto.dev)) JSON document: one duration event
-/// per copy, grouped by server (pid) — open the file to *see* clones
-/// racing their primaries and losing copies being killed.
-pub fn timeline_to_chrome_trace(spans: &[CopySpan], slot_secs: f64) -> String {
-    let mut out = String::from("[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let us = |t: Time| (t as f64 * slot_secs * 1e6) as u64;
-        let kind = match s.kind {
-            CopyKind::Primary => "primary",
-            CopyKind::Clone => "clone",
-        };
-        let outcome = match s.outcome {
-            CopyOutcome::Won => "won",
-            CopyOutcome::Killed => "killed",
-            CopyOutcome::Evicted => "evicted",
-        };
-        // name: j<job>p<phase>t<task>#<copy>; pid = server, tid = task hash.
-        let _ = write!(
-            out,
-            "{{\"name\":\"{} {kind}/{outcome}\",\"cat\":\"{kind}\",\"ph\":\"X\",\
-             \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-            s.task,
-            us(s.start),
-            us(s.end.saturating_sub(s.start)),
-            s.server.0,
-            (s.task.job.0 % 1_000_000) * 100 + s.copy_idx as u64,
-        );
-    }
-    out.push(']');
-    out
 }
 
 /// Final metrics of one completed job.
@@ -313,6 +256,9 @@ impl GuardStats {
 }
 
 /// Everything a simulation run produces.
+///
+/// Copy spans are not part of the report: they are a view of the run's
+/// journal (record the run and call [`crate::trace::copy_spans`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Scheduler that produced this run.
@@ -345,10 +291,6 @@ pub struct SimReport {
     /// taken after every decision point — empty unless
     /// `EngineConfig::record_utilization` was set.
     pub utilization: Vec<(Time, f64, f64)>,
-    /// Every copy's lifetime — empty unless
-    /// `EngineConfig::record_timeline` was set. Export with
-    /// [`timeline_to_chrome_trace`].
-    pub timeline: Vec<CopySpan>,
 }
 
 impl SimReport {
@@ -480,11 +422,12 @@ impl SimReport {
 /// `dollymp-obs` replay feeds it a recorded journal, so the live and the
 /// replayed report come from the same code. Events are folded in order:
 /// the f64 `work_lost_norm` sum and the per-decision-point overhead
-/// samples therefore come out bit-identical on both paths.
+/// samples therefore come out bit-identical on both paths. The fold keeps
+/// no copy spans (an eviction only moves the fault stats); those are read
+/// from the journal by [`crate::trace::copy_spans`].
 #[derive(Debug, Default)]
 pub struct ReportFold {
     record_utilization: bool,
-    record_timeline: bool,
     jobs: Vec<JobMetrics>,
     scheduling_ns: u64,
     /// One sample per decision point (see [`SchedOverhead`]).
@@ -492,17 +435,14 @@ pub struct ReportFold {
     faults: FaultStats,
     guard: GuardStats,
     utilization: Vec<(Time, f64, f64)>,
-    timeline: Vec<CopySpan>,
 }
 
 impl ReportFold {
     /// An empty fold. `record_utilization` keeps [`Event::UtilSample`]s
-    /// in [`SimReport::utilization`]; `record_timeline` keeps every
-    /// retired or evicted copy in [`SimReport::timeline`].
-    pub fn new(record_utilization: bool, record_timeline: bool) -> ReportFold {
+    /// in [`SimReport::utilization`].
+    pub fn new(record_utilization: bool) -> ReportFold {
         ReportFold {
             record_utilization,
-            record_timeline,
             ..ReportFold::default()
         }
     }
@@ -519,43 +459,9 @@ impl ReportFold {
                 self.scheduling_ns += schedule_ns;
                 self.overhead_samples.push(arrival_ns + schedule_ns);
             }
-            Event::CopyRetire {
-                at,
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                outcome,
-            } => self.keep_span(CopySpan {
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                end: at,
-                outcome,
-            }),
-            Event::CopyEvict {
-                at,
-                task,
-                copy_idx,
-                server,
-                kind,
-                start,
-                work_lost_norm,
-            } => {
+            Event::CopyEvict { work_lost_norm, .. } => {
                 self.faults.copies_evicted += 1;
                 self.faults.work_lost_norm += work_lost_norm;
-                self.keep_span(CopySpan {
-                    task,
-                    copy_idx,
-                    server,
-                    kind,
-                    start,
-                    end: at,
-                    outcome: CopyOutcome::Evicted,
-                });
             }
             Event::TaskSaved { .. } => self.faults.tasks_saved_by_clone += 1,
             Event::TaskLost { .. } => self.faults.tasks_requeued += 1,
@@ -568,13 +474,10 @@ impl ReportFold {
                     self.utilization.push((at, cpu, mem));
                 }
             }
-            Event::SlotTick { .. } | Event::JobArrival { .. } | Event::CopyLaunch { .. } => {}
-        }
-    }
-
-    fn keep_span(&mut self, span: CopySpan) {
-        if self.record_timeline {
-            self.timeline.push(span);
+            Event::SlotTick { .. }
+            | Event::JobArrival { .. }
+            | Event::CopyLaunch { .. }
+            | Event::CopyRetire { .. } => {}
         }
     }
 
@@ -593,11 +496,6 @@ impl ReportFold {
         &self.utilization
     }
 
-    /// Copy spans kept so far.
-    pub fn timeline(&self) -> &[CopySpan] {
-        &self.timeline
-    }
-
     /// The finished report of a run driven by `scheduler`.
     pub fn finish(self, scheduler: String) -> SimReport {
         SimReport {
@@ -610,7 +508,6 @@ impl ReportFold {
             faults: self.faults,
             guard: self.guard,
             utilization: self.utilization,
-            timeline: self.timeline,
         }
     }
 }
@@ -692,6 +589,9 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ServerId;
+    use crate::state::CopyKind;
+    use dollymp_core::job::TaskRef;
 
     fn jm(id: u64, arrival: Time, finish: Time, first_start: Time) -> JobMetrics {
         JobMetrics {
@@ -721,7 +621,6 @@ mod tests {
             faults: FaultStats::default(),
             guard: GuardStats::default(),
             utilization: Vec::new(),
-            timeline: Vec::new(),
         }
     }
 
@@ -846,8 +745,8 @@ mod tests {
         ]
     }
 
-    fn fold(record_utilization: bool, record_timeline: bool) -> SimReport {
-        let mut fold = ReportFold::new(record_utilization, record_timeline);
+    fn fold(record_utilization: bool) -> SimReport {
+        let mut fold = ReportFold::new(record_utilization);
         for ev in &event_stream() {
             fold.ingest(ev);
         }
@@ -888,71 +787,29 @@ mod tests {
                 ..GuardStats::default()
             },
             utilization: Vec::new(),
-            timeline: Vec::new(),
         }
     }
 
     #[test]
     fn fold_builds_the_exact_report() {
-        assert_eq!(fold(false, false), expected_bare());
+        assert_eq!(fold(false), expected_bare());
     }
 
     #[test]
-    fn fold_keeps_utilization_and_timeline_only_when_asked() {
+    fn fold_keeps_utilization_only_when_asked() {
         let mut want = expected_bare();
         want.utilization = vec![(1, 0.5, 0.25)];
-        let evicted = |t, end| CopySpan {
-            task: task(0, t),
-            copy_idx: 0,
-            server: ServerId(1),
-            kind: CopyKind::Primary,
-            start: 1,
-            end,
-            outcome: CopyOutcome::Evicted,
-        };
-        want.timeline = vec![
-            evicted(0, 3),
-            evicted(1, 3),
-            CopySpan {
-                task: task(0, 0),
-                copy_idx: 1,
-                server: ServerId(2),
-                kind: CopyKind::Clone,
-                start: 2,
-                end: 9,
-                outcome: CopyOutcome::Won,
-            },
-            CopySpan {
-                task: task(0, 0),
-                copy_idx: 2,
-                server: ServerId(0),
-                kind: CopyKind::Clone,
-                start: 3,
-                end: 9,
-                outcome: CopyOutcome::Killed,
-            },
-        ];
-        assert_eq!(fold(true, true), want);
-
-        let timeline_only = fold(false, true);
-        assert!(timeline_only.utilization.is_empty());
-        assert_eq!(timeline_only.timeline, want.timeline);
-        let utilization_only = fold(true, false);
-        assert_eq!(utilization_only.utilization, want.utilization);
-        assert!(utilization_only.timeline.is_empty());
+        assert_eq!(fold(true), want);
     }
 
     #[test]
     fn empty_fold_is_the_empty_report() {
-        assert_eq!(
-            ReportFold::new(true, true).finish("test".into()),
-            report(vec![])
-        );
+        assert_eq!(ReportFold::new(true).finish("test".into()), report(vec![]));
     }
 
     #[test]
     fn scrubbed_zeroes_only_wall_clock_fields() {
-        let mut r = fold(true, true);
+        let mut r = fold(true);
         r.guard.budget_overruns = 3;
         assert_ne!(r.scheduling_ns, 0);
         assert_ne!(r.guard, GuardStats::default());
@@ -975,7 +832,7 @@ mod tests {
         // A report written before the field existed must still load.
         let json = r#"{"scheduler":"t","jobs":[],"makespan":0,
                        "decision_points":3,"scheduling_ns":9,
-                       "utilization":[],"timeline":[]}"#;
+                       "utilization":[]}"#;
         let r: SimReport = serde_json::from_str(json).expect("old report loads");
         assert_eq!(r.sched_overhead, SchedOverhead::default());
         assert_eq!(r.decision_points, 3);

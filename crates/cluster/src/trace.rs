@@ -27,6 +27,12 @@
 //! loop is single-threaded and every tie is broken deterministically),
 //! so journals are byte-identical across runs and across sequential vs
 //! rayon experiment fan-out.
+//!
+//! Views of a run that the report does not carry are read from its
+//! journal: [`copy_spans`] turns the retirements and evictions into one
+//! [`CopySpan`] per copy, and [`chrome_trace`] renders those spans for
+//! `chrome://tracing`. A `Vec<Event>` is itself a [`Recorder`], so
+//! `simulate_recorded(.., &mut events)` is all a caller needs.
 
 use crate::metrics::{CopyOutcome, GuardStats, JobMetrics};
 use crate::spec::ServerId;
@@ -34,6 +40,7 @@ use crate::state::CopyKind;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::time::Time;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Scheduler-internal timing of one decision pass, split into the two
 /// stages every policy in this repository has: refreshing priorities /
@@ -322,6 +329,112 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 }
 
+impl Recorder for Vec<Event> {
+    fn record(&mut self, ev: Event) {
+        self.push(ev);
+    }
+}
+
+/// One copy's lifetime on a server — the unit of the execution timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CopySpan {
+    /// The task this copy belonged to.
+    pub task: TaskRef,
+    /// Copy index (0 = primary).
+    pub copy_idx: u32,
+    /// Where it ran.
+    pub server: ServerId,
+    /// Primary or clone.
+    pub kind: CopyKind,
+    /// Start slot.
+    pub start: Time,
+    /// End slot (completion, kill or eviction).
+    pub end: Time,
+    /// Won, killed or evicted.
+    pub outcome: CopyOutcome,
+}
+
+/// Every retired or evicted copy of a journal, in journal order: one
+/// span per [`Event::CopyRetire`] and [`Event::CopyEvict`].
+pub fn copy_spans(events: &[Event]) -> Vec<CopySpan> {
+    events
+        .iter()
+        .filter_map(|ev| match *ev {
+            Event::CopyRetire {
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                outcome,
+            } => Some(CopySpan {
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                end: at,
+                outcome,
+            }),
+            Event::CopyEvict {
+                at,
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                ..
+            } => Some(CopySpan {
+                task,
+                copy_idx,
+                server,
+                kind,
+                start,
+                end: at,
+                outcome: CopyOutcome::Evicted,
+            }),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Render copy spans as a Chrome-tracing (`chrome://tracing`,
+/// [Perfetto](https://ui.perfetto.dev)) JSON document: one duration event
+/// per copy, grouped by server (pid) — open the file to *see* clones
+/// racing their primaries and losing copies being killed.
+pub fn chrome_trace(spans: &[CopySpan], slot_secs: f64) -> String {
+    let mut out = String::from("[");
+    for (i, s) in spans.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let us = |t: Time| (t as f64 * slot_secs * 1e6) as u64;
+        let kind = match s.kind {
+            CopyKind::Primary => "primary",
+            CopyKind::Clone => "clone",
+        };
+        let outcome = match s.outcome {
+            CopyOutcome::Won => "won",
+            CopyOutcome::Killed => "killed",
+            CopyOutcome::Evicted => "evicted",
+        };
+        // name: j<job>p<phase>t<task>#<copy>; pid = server, tid = task hash.
+        let _ = write!(
+            out,
+            "{{\"name\":\"{} {kind}/{outcome}\",\"cat\":\"{kind}\",\"ph\":\"X\",\
+             \"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
+            s.task,
+            us(s.start),
+            us(s.end.saturating_sub(s.start)),
+            s.server.0,
+            (s.task.job.0 % 1_000_000) * 100 + s.copy_idx as u64,
+        );
+    }
+    out.push(']');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +468,83 @@ mod tests {
         assert_eq!(tick.at(), 9);
         assert_eq!(tick.job(), None);
         assert_eq!(tick.server(), None);
+    }
+
+    #[test]
+    fn copy_spans_map_retires_and_evictions_in_journal_order() {
+        let task = |t| TaskRef {
+            job: JobId(0),
+            phase: dollymp_core::job::PhaseId(0),
+            task: dollymp_core::job::TaskId(t),
+        };
+        let mut log: Vec<Event> = Vec::new();
+        for ev in [
+            Event::SlotTick { at: 1 },
+            Event::CopyLaunch {
+                at: 1,
+                task: task(0),
+                copy_idx: 0,
+                server: ServerId(1),
+                kind: CopyKind::Primary,
+                finish: 9,
+            },
+            Event::CopyEvict {
+                at: 3,
+                task: task(1),
+                copy_idx: 0,
+                server: ServerId(1),
+                kind: CopyKind::Primary,
+                start: 1,
+                work_lost_norm: 0.2,
+            },
+            Event::TaskLost {
+                at: 3,
+                task: task(1),
+            },
+            Event::CopyRetire {
+                at: 9,
+                task: task(0),
+                copy_idx: 1,
+                server: ServerId(2),
+                kind: CopyKind::Clone,
+                start: 2,
+                outcome: CopyOutcome::Won,
+            },
+            Event::CopyRetire {
+                at: 9,
+                task: task(0),
+                copy_idx: 0,
+                server: ServerId(1),
+                kind: CopyKind::Primary,
+                start: 1,
+                outcome: CopyOutcome::Killed,
+            },
+        ] {
+            log.record(ev);
+        }
+        assert!(log.enabled());
+        let span = |t, copy_idx, server, kind, start, end, outcome| CopySpan {
+            task: task(t),
+            copy_idx,
+            server: ServerId(server),
+            kind,
+            start,
+            end,
+            outcome,
+        };
+        assert_eq!(
+            copy_spans(&log),
+            vec![
+                span(1, 0, 1, CopyKind::Primary, 1, 3, CopyOutcome::Evicted),
+                span(0, 1, 2, CopyKind::Clone, 2, 9, CopyOutcome::Won),
+                span(0, 0, 1, CopyKind::Primary, 1, 9, CopyOutcome::Killed),
+            ]
+        );
+        assert_eq!(
+            chrome_trace(&copy_spans(&log)[1..2], 5.0),
+            "[{\"name\":\"j0p0t0 clone/won\",\"cat\":\"clone\",\"ph\":\"X\",\
+             \"ts\":10000000,\"dur\":35000000,\"pid\":2,\"tid\":1}]"
+        );
     }
 
     #[test]

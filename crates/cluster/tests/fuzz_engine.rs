@@ -4,7 +4,9 @@
 //! completes, no resource leaks (the engine debug-asserts free ==
 //! capacity on drain), copy budgets hold, time never runs backwards.
 
+use dollymp_cluster::metrics::CopyOutcome;
 use dollymp_cluster::prelude::*;
+use dollymp_cluster::trace::copy_spans;
 use dollymp_core::job::{JobId, JobSpec, PhaseId, PhaseSpec};
 use dollymp_core::resources::Resources;
 use proptest::prelude::*;
@@ -232,15 +234,17 @@ proptest! {
         let jobs = chaotic_workload(seed, 10);
         let faults = chaotic_faults(seed, 3, 80);
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
-        let cfg = EngineConfig { record_timeline: true, ..Default::default() };
+        let cfg = EngineConfig::default();
 
         let run = |s: u64| {
             let mut chaos = ChaosScheduler::new(s ^ 0xC0FFEE);
-            simulate_with_faults(
-                &cluster, jobs.clone(), &sampler, &mut chaos, &cfg, &faults,
-            ).scrubbed()
+            let mut events: Vec<TraceEvent> = Vec::new();
+            let r = simulate_recorded(
+                &cluster, jobs.clone(), &sampler, &mut chaos, &cfg, &faults, &mut events,
+            ).scrubbed();
+            (r, copy_spans(&events))
         };
-        let r = run(seed);
+        let (r, timeline) = run(seed);
 
         // Work conservation: faults delay jobs, they never lose them.
         prop_assert_eq!(r.jobs.len(), jobs.len());
@@ -261,7 +265,7 @@ proptest! {
         // exactly at the crash slot (evicted or just-finished) and may
         // start exactly at the restore slot, never in between.
         let windows = down_windows(&faults, 3);
-        for span in &r.timeline {
+        for span in &timeline {
             for &(c, rst) in &windows[span.server.0 as usize] {
                 prop_assert!(
                     span.end <= c || span.start >= rst,
@@ -271,32 +275,52 @@ proptest! {
             }
         }
 
-        // Determinism: an identical rerun reproduces the report bit-wise.
-        let r2 = run(seed);
+        // Determinism: an identical rerun reproduces the report and the
+        // copy spans bit-wise.
+        let (r2, timeline2) = run(seed);
         prop_assert_eq!(
             serde_json::to_string(&r).unwrap(),
             serde_json::to_string(&r2).unwrap()
         );
+        prop_assert_eq!(
+            serde_json::to_string(&timeline).unwrap(),
+            serde_json::to_string(&timeline2).unwrap()
+        );
     }
 
-    /// A zero-fault run through `simulate_with_faults` is byte-identical
-    /// to the plain `simulate` path — fault support costs nothing when
-    /// unused.
+    /// A zero-fault run through the faulted, recorded entry point is
+    /// byte-identical to the plain `simulate` path — fault support and
+    /// the recorder cost nothing when unused — and the recorded copy
+    /// spans account for exactly the plain report's tasks and clones.
     #[test]
     fn empty_fault_timeline_is_byte_identical(seed in 0u64..3_000) {
         let cluster = ClusterSpec::homogeneous(3, 6.0, 12.0);
         let jobs = chaotic_workload(seed, 8);
         let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
-        let cfg = EngineConfig { record_timeline: true, ..Default::default() };
+        let cfg = EngineConfig::default();
         let mut a = ChaosScheduler::new(seed);
         let plain = simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg).scrubbed();
         let mut b = ChaosScheduler::new(seed);
-        let faulty = simulate_with_faults(
-            &cluster, jobs.clone(), &sampler, &mut b, &cfg, &FaultTimeline::empty(),
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let faulty = simulate_recorded(
+            &cluster, jobs.clone(), &sampler, &mut b, &cfg, &FaultTimeline::empty(), &mut events,
         ).scrubbed();
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&faulty).unwrap()
         );
+        // `simulate` takes no recorder, so the plain run's spans are
+        // checked against its report: one winner per task, one span per
+        // clone, nothing evicted, the last span ending at the finish.
+        let spans = copy_spans(&events);
+        prop_assert!(spans.iter().all(|c| c.outcome != CopyOutcome::Evicted));
+        for job in &plain.jobs {
+            let mine: Vec<_> = spans.iter().filter(|c| c.task.job == job.id).collect();
+            let won = mine.iter().filter(|c| c.outcome == CopyOutcome::Won).count() as u64;
+            let clones = mine.iter().filter(|c| c.kind == CopyKind::Clone).count() as u64;
+            prop_assert_eq!(won, job.tasks);
+            prop_assert_eq!(clones, job.clone_copies);
+            prop_assert_eq!(mine.iter().map(|c| c.end).max(), Some(job.finish));
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! older builds must keep deserializing as the struct grows. Fields
 //! added after the seed (`sched_overhead` in PR 1, `faults` in PR 2,
 //! `guard` in PR 3) are all `#[serde(default)]`, so their absence means
-//! "all zero" — exactly what those runs would have recorded.
+//! "all zero" — exactly what those runs would have recorded. Fields
+//! removed since (the copy `timeline`, now read from the journal) are
+//! unknown keys, which deserialization skips.
 
 use dollymp_cluster::prelude::*;
 
@@ -26,8 +28,7 @@ const PRE_PR2_JSON: &str = r#"{
     "makespan": 21,
     "decision_points": 4,
     "scheduling_ns": 1200,
-    "utilization": [],
-    "timeline": []
+    "utilization": []
 }"#;
 
 /// A report as PR 2 builds wrote it: `faults` present, `guard` absent.
@@ -53,9 +54,50 @@ const PRE_PR3_JSON: &str = r#"{
         "tasks_saved_by_clone": 2,
         "work_lost_norm": 0.75
     },
-    "utilization": [],
-    "timeline": []
+    "utilization": []
 }"#;
+
+/// A report as builds before the copy spans moved to the journal wrote
+/// it with `record_timeline` on: a populated `"timeline"` array.
+const WITH_TIMELINE_JSON: &str = r#"{
+    "scheduler": "dollymp2",
+    "jobs": [],
+    "makespan": 5,
+    "decision_points": 1,
+    "scheduling_ns": 40,
+    "utilization": [[0, 1.0, 1.0]],
+    "timeline": [
+        {
+            "task": {"job": 0, "phase": 0, "task": 0},
+            "copy_idx": 1,
+            "server": 1,
+            "kind": "Clone",
+            "start": 0,
+            "end": 5,
+            "outcome": "Won"
+        },
+        {
+            "task": {"job": 0, "phase": 0, "task": 0},
+            "copy_idx": 0,
+            "server": 0,
+            "kind": "Primary",
+            "start": 0,
+            "end": 5,
+            "outcome": "Killed"
+        }
+    ]
+}"#;
+
+#[test]
+fn report_with_a_timeline_still_deserializes() {
+    let r: SimReport = serde_json::from_str(WITH_TIMELINE_JSON).expect("timeline JSON");
+    assert_eq!(r.scheduler, "dollymp2");
+    assert_eq!(r.makespan, 5);
+    assert_eq!(r.decision_points, 1);
+    assert_eq!(r.utilization, vec![(0, 1.0, 1.0)]);
+    let json = serde_json::to_string(&r).expect("serialize");
+    assert!(!json.contains("timeline"), "{json}");
+}
 
 #[test]
 fn pre_fault_injection_report_still_deserializes() {
@@ -167,7 +209,6 @@ mod evolution {
                 faults,
                 guard,
                 utilization: Vec::new(),
-                timeline: Vec::new(),
             },
         )
     }

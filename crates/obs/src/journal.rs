@@ -17,11 +17,15 @@ use std::collections::VecDeque;
 
 /// Current journal format version. Bump on any schema change; readers
 /// reject newer versions instead of misparsing them.
-pub const JOURNAL_VERSION: u32 = 1;
+///
+/// * 2 — the header no longer carries `record_timeline`: copy spans are
+///   always read from the journal. Version 1 files still load (the key
+///   is skipped).
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// First line of every journal file: enough provenance to match the
-/// journal to the run that produced it and to know which optional
-/// streams (utilization, timeline) it contains.
+/// journal to the run that produced it and to know whether it contains
+/// the optional utilization stream.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalHeader {
     /// Format version ([`JOURNAL_VERSION`] at write time).
@@ -38,10 +42,6 @@ pub struct JournalHeader {
     /// (`EngineConfig::record_utilization`); replay only reconstructs
     /// the utilization series when set.
     pub record_utilization: bool,
-    /// Whether the run recorded the copy timeline
-    /// (`EngineConfig::record_timeline`); replay only reconstructs the
-    /// timeline when set.
-    pub record_timeline: bool,
 }
 
 /// An unbounded in-memory journal: header plus every event of one run,
@@ -59,7 +59,7 @@ pub struct Journal {
 impl Journal {
     /// Journal for a run of `scheduler` with the given seed and
     /// experiment config (fingerprinted into the header) under `engine`
-    /// (whose recording flags the header copies).
+    /// (whose `record_utilization` flag the header copies).
     pub fn for_run<T: Serialize>(
         scheduler: &str,
         seed: u64,
@@ -73,7 +73,6 @@ impl Journal {
                 seed,
                 config_fingerprint: config_fingerprint(seed, config),
                 record_utilization: engine.record_utilization,
-                record_timeline: engine.record_timeline,
             },
             events: Vec::new(),
         }

@@ -51,7 +51,6 @@ impl std::fmt::Display for Divergence {
 struct Provenance {
     jobs: Vec<usize>,
     utilization: Vec<usize>,
-    timeline: Vec<usize>,
     spans: Vec<usize>,
 }
 
@@ -59,13 +58,12 @@ struct Provenance {
 /// event grew each positional part of the report.
 fn reconstruct(journal: &Journal) -> (SimReport, Provenance) {
     let header = &journal.header;
-    let mut fold = ReportFold::new(header.record_utilization, header.record_timeline);
+    let mut fold = ReportFold::new(header.record_utilization);
     let mut prov = Provenance::default();
     for (i, ev) in journal.events.iter().enumerate() {
         fold.ingest(ev);
         prov.jobs.resize(fold.jobs().len(), i);
         prov.utilization.resize(fold.utilization().len(), i);
-        prov.timeline.resize(fold.timeline().len(), i);
         prov.spans.resize(fold.decision_points() as usize, i);
     }
     (fold.finish(header.scheduler.clone()), prov)
@@ -183,26 +181,6 @@ fn localize(r: &SimReport, l: &SimReport, prov: &Provenance) -> Divergence {
             );
         }
     }
-    if r.timeline.len() != l.timeline.len() {
-        return diverge(
-            "timeline.len".into(),
-            None,
-            None,
-            &r.timeline.len(),
-            &l.timeline.len(),
-        );
-    }
-    for (i, (rt, lt)) in r.timeline.iter().zip(&l.timeline).enumerate() {
-        if rt != lt {
-            return diverge(
-                format!("timeline[{i}]"),
-                Some(lt.end),
-                prov.timeline.get(i).copied(),
-                rt,
-                lt,
-            );
-        }
-    }
     Divergence {
         field: "unknown".into(),
         slot: None,
@@ -251,13 +229,33 @@ mod tests {
     fn clean_run_verifies() {
         let cfg = EngineConfig {
             record_utilization: true,
-            record_timeline: true,
             ..EngineConfig::default()
         };
         let (journal, live) = run_recorded(&cfg);
         assert!(!journal.events.is_empty());
         verify(&journal, &live).unwrap();
         assert_eq!(replay_report(&journal), live);
+    }
+
+    /// A version 1 journal, whose header still carries the removed
+    /// `record_timeline` flag, loads and replays to the live report.
+    #[test]
+    fn version_1_journal_with_record_timeline_replays() {
+        let cfg = EngineConfig {
+            record_utilization: true,
+            ..EngineConfig::default()
+        };
+        let (journal, live) = run_recorded(&cfg);
+        let v2 = journal.to_jsonl();
+        let (header, events) = v2.split_once('\n').unwrap();
+        let v1_header = header
+            .replace("\"version\":2,", "\"version\":1,")
+            .replace("}", ",\"record_timeline\":true}");
+        assert_ne!(v1_header, header);
+        let old = Journal::from_jsonl(&format!("{v1_header}\n{events}")).unwrap();
+        assert_eq!(old.header.version, 1);
+        assert_eq!(old.events, journal.events);
+        verify(&old, &live).unwrap();
     }
 
     #[test]

@@ -35,7 +35,6 @@ fn journal_text() -> &'static [u8] {
         );
         let cfg = EngineConfig {
             record_utilization: true,
-            record_timeline: true,
             ..EngineConfig::default()
         };
         let mut policy = dollymp_schedulers::by_name("dollymp2").expect("known scheduler");

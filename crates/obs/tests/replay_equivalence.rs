@@ -73,7 +73,6 @@ fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
     let cfg = EngineConfig {
         record_utilization: true,
-        record_timeline: true,
         ..EngineConfig::default()
     };
     let mut policy = dollymp_schedulers::by_name(name).expect("known scheduler");
@@ -202,7 +201,6 @@ fn recording_does_not_perturb_the_simulation() {
         let sampler = DurationSampler::new(3, StragglerModel::ParetoFit);
         let cfg = EngineConfig {
             record_utilization: true,
-            record_timeline: true,
             ..EngineConfig::default()
         };
         let mut policy = dollymp_schedulers::by_name(name).unwrap();

@@ -2,7 +2,9 @@
 //!
 //! Runs one workload under one or more schedulers on a chosen cluster and
 //! prints a comparison table; optionally dumps full per-job reports as
-//! JSON for downstream analysis.
+//! JSON for downstream analysis. `--timeline PREFIX` records each run and
+//! writes the copy spans read from its journal as a Chrome trace,
+//! `PREFIX.<scheduler>.json` (5 s per slot).
 //!
 //! ```text
 //! dollymp-sim [--scheduler NAME[,NAME…]] [--cluster paper30|google]
@@ -21,6 +23,7 @@
 //!     --cluster paper30 --scheduler capacity,dollymp2
 //! ```
 
+use dollymp::cluster::trace::{chrome_trace, copy_spans};
 use dollymp::prelude::*;
 use std::process::exit;
 
@@ -169,6 +172,7 @@ fn main() {
     );
 
     let mut reports = Vec::new();
+    let mut timelines = Vec::new();
     for name in &args.schedulers {
         let Some(mut s) = by_name(name) else {
             eprintln!("unknown scheduler {name}");
@@ -176,10 +180,23 @@ fn main() {
         };
         let cfg = EngineConfig {
             tick: (name == "capacity" || name == "hopper").then_some(1),
-            record_timeline: args.timeline.is_some(),
             ..Default::default()
         };
-        let r = simulate(&cluster, jobs.clone(), &sampler, s.as_mut(), &cfg);
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let recorder: &mut dyn Recorder = match args.timeline {
+            Some(_) => &mut events,
+            None => &mut NullRecorder,
+        };
+        let r = simulate_recorded(
+            &cluster,
+            jobs.clone(),
+            &sampler,
+            s.as_mut(),
+            &cfg,
+            &FaultTimeline::empty(),
+            recorder,
+        );
+        timelines.push(copy_spans(&events));
         println!(
             "{:<20} {:>12} {:>10.1} {:>10.1} {:>10} {:>12}",
             name,
@@ -194,14 +211,13 @@ fn main() {
 
     if let Some(path) = &args.timeline {
         // One Chrome-trace file per scheduler: <path>.<scheduler>.json
-        for r in &reports {
-            let trace = dollymp::cluster::metrics::timeline_to_chrome_trace(&r.timeline, 5.0);
+        for (r, spans) in reports.iter().zip(&timelines) {
             let file = format!("{path}.{}.json", r.scheduler);
-            if let Err(e) = std::fs::write(&file, trace) {
+            if let Err(e) = std::fs::write(&file, chrome_trace(spans, 5.0)) {
                 eprintln!("failed to write {file}: {e}");
                 exit(1);
             }
-            println!("timeline ({} spans) written to {file}", r.timeline.len());
+            println!("timeline ({} spans) written to {file}", spans.len());
         }
     }
 

@@ -1,8 +1,9 @@
 //! Golden report corpus: a cross-commit oracle for simulation behaviour.
 //!
-//! Each cell runs one scheduler on one seeded setup (utilization and
-//! timeline recording on, so those paths are pinned too) and reduces the
-//! report, with its wall-clock fields zeroed, to an FNV-1a fingerprint.
+//! Each cell runs one scheduler on one seeded setup with a recorder
+//! attached (and utilization recording on, so that path is pinned too)
+//! and reduces the report, with its wall-clock fields zeroed, plus the
+//! copy spans read from the journal, to an FNV-1a fingerprint.
 //! The fingerprints are committed in `tests/golden/reports.txt`. Two
 //! setups:
 //!
@@ -16,9 +17,12 @@
 //! prints the actual corpus; an intended behaviour change is a hand edit
 //! of the committed file, recorded in `CHANGES.md` with the reason.
 
+use dollymp::cluster::trace::copy_spans;
 use dollymp::prelude::*;
 use dollymp_obs::config_fingerprint;
 use dollymp_schedulers::ALL_NAMES;
+use serde::Serialize;
+use serde_json::Value;
 
 const SEED: u64 = 7;
 const FAULTED: [&str; 4] = ["dollymp2", "dollymp0", "fifo", "tetris"];
@@ -79,23 +83,33 @@ fn cell(setup: &Setup, name: &str, with_faults: bool) -> String {
     let sampler = DurationSampler::new(SEED, StragglerModel::ParetoFit);
     let cfg = EngineConfig {
         record_utilization: true,
-        record_timeline: true,
         ..EngineConfig::default()
     };
     let mut policy = policy(name);
-    let report = simulate_with_faults(
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let report = simulate_recorded(
         cluster,
         setup.jobs.clone(),
         &sampler,
         &mut policy,
         &cfg,
         &faults,
+        &mut events,
     );
+    // Reports used to carry the copy spans as a final `"timeline"` field.
+    // Appending the journal's spans under that key rebuilds exactly the
+    // document the committed fingerprints were taken of, so the corpus
+    // still pins every copy span.
+    let mut doc = report.scrubbed().to_value();
+    let Value::Object(fields) = &mut doc else {
+        panic!("a report serializes to an object")
+    };
+    fields.push(("timeline".to_string(), copy_spans(&events).to_value()));
     let tag = if with_faults { "on" } else { "off" };
     format!(
         "{}/{name}/faults={tag} {}",
         setup.name,
-        config_fingerprint(SEED, &report.scrubbed())
+        config_fingerprint(SEED, &doc)
     )
 }
 

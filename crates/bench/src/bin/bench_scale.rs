@@ -42,7 +42,6 @@ use dollymp_cluster::prelude::*;
 use dollymp_cluster::view::ClusterView;
 use dollymp_core::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -136,20 +135,18 @@ fn measure_cell(cell: Cell, warmup: usize, timed_iters: usize) -> CellResult {
     reset_peak();
     let cluster = ClusterSpec::google_like(cell.servers, 1);
     let free = dollymp_cluster::capacity::CapacityIndex::from_capacities(&cluster);
-    let mut jobs: BTreeMap<JobId, dollymp_cluster::state::JobState> = BTreeMap::new();
-    for i in 0..cell.jobs {
-        let spec = JobSpec::single_phase(
-            JobId(i),
-            4,
-            Resources::new(1.0 + (i % 3) as f64, 2.0),
-            10.0 + (i % 7) as f64,
-            4.0,
-        );
-        jobs.insert(
-            JobId(i),
-            dollymp_cluster::state::JobState::new(spec, vec![vec![10.0; 4]]),
-        );
-    }
+    let jobs: JobTable = (0..cell.jobs)
+        .map(|i| {
+            let spec = JobSpec::single_phase(
+                JobId(i),
+                4,
+                Resources::new(1.0 + (i % 3) as f64, 2.0),
+                10.0 + (i % 7) as f64,
+                4.0,
+            );
+            JobState::new(spec, vec![vec![10.0; 4]])
+        })
+        .collect();
     let view = ClusterView::new(0, &cluster, &free, &jobs);
 
     // Cold protocol: fresh scheduler per sample, first pass timed.

@@ -750,9 +750,8 @@ mod tests {
 
     #[test]
     fn noted_copies_add_to_the_live_ones_and_reset_per_batch() {
-        use crate::state::{JobState, Transition};
+        use crate::state::{JobState, JobTable, Transition};
         use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId};
-        use std::collections::BTreeMap;
 
         let spec = ClusterSpec::homogeneous(1, 8.0, 8.0);
         let idx = CapacityIndex::from_capacities(&spec);
@@ -769,7 +768,7 @@ mod tests {
             live: true,
         });
         state.transition(PhaseId(0), Transition::Launch(TaskId(0)));
-        let jobs = BTreeMap::from([(JobId(0), state)]);
+        let jobs = JobTable::from_iter([state]);
         let view = ClusterView::new(0, &spec, &idx, &jobs);
         let task = |t: u32| TaskRef {
             job: JobId(0),

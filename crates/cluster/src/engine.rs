@@ -17,7 +17,8 @@
 //! bucket whose events all belong to killed or stretched copies is
 //! dropped whole. Every server keeps a list of its live copies, so a
 //! crash or a fail-slow onset visits only that server's copies, sorted
-//! into canonical `(job, phase, task, copy)` order first.
+//! into canonical `(job, phase, task, copy)` order first. Only faults
+//! read the lists, so a run without fault events keeps none.
 //!
 //! Assignment validation is strict: an over-committing or ill-typed
 //! assignment aborts the run, because a buggy scheduler must fail loudly
@@ -37,7 +38,7 @@ use crate::fault::{FaultEvent, FaultTimeline};
 use crate::metrics::{CopyOutcome, GuardStats, JobMetrics, ReportFold, SimReport};
 use crate::scheduler::{Assignment, Scheduler};
 use crate::spec::{ClusterSpec, ServerId};
-use crate::state::{CopyKind, CopyState, JobState, TaskStatus, Transition};
+use crate::state::{CopyKind, CopyState, JobState, JobTable, TaskStatus, Transition};
 use crate::trace::{Event as TraceEvent, NullRecorder, Recorder};
 use crate::view::ClusterView;
 use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskRef};
@@ -105,7 +106,8 @@ struct Event {
 type FinishQueue = BTreeMap<Time, Vec<Event>>;
 
 /// The live copies on each server, indexed by server, in no particular
-/// order.
+/// order. Empty, with no entry for any server, when the run has no fault
+/// events: launches and retirements then skip the upkeep.
 type LiveCopies = Vec<Vec<(TaskRef, u32)>>;
 
 /// Run one simulation to completion and return the report.
@@ -220,13 +222,9 @@ pub fn simulate_with_faults(
 }
 
 /// Snapshot of the engine's progress state for stall/overrun errors.
-fn progress_snapshot(active: &BTreeMap<JobId, JobState>, last_progress: Time) -> ProgressSnapshot {
+fn progress_snapshot(active: &JobTable, last_progress: Time) -> ProgressSnapshot {
     ProgressSnapshot {
-        active_jobs: active
-            .keys()
-            .copied()
-            .take(ProgressSnapshot::MAX_LISTED)
-            .collect(),
+        active_jobs: active.keys().take(ProgressSnapshot::MAX_LISTED).collect(),
         total_active: active.len(),
         pending_tasks: active.values().map(|j| j.iter_ready().count()).sum(),
         last_progress,
@@ -315,12 +313,18 @@ pub fn try_simulate_with_faults_recorded(
     // Pop from the back ⇒ ascending (arrival, id).
     arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
 
-    let mut active: BTreeMap<JobId, JobState> = BTreeMap::new();
+    // Every job of the run is known up front, so the table's id universe
+    // is fixed here.
+    let mut active = JobTable::with_ids(arrivals.iter().map(|j| j.id));
     // Hierarchical free-capacity index, incrementally maintained across
     // launch/retire/fault events — never re-snapshotted per decision point.
     let mut free = CapacityIndex::from_capacities(cluster);
     let mut events = FinishQueue::new();
-    let mut live_on: LiveCopies = vec![Vec::new(); cluster.len()];
+    let mut live_on: LiveCopies = if faults.is_empty() {
+        Vec::new()
+    } else {
+        vec![Vec::new(); cluster.len()]
+    };
     // Read once: the journal is either fully on or fully off for a run.
     let mut sink = Sink {
         fold: ReportFold::new(cfg.record_utilization),
@@ -421,7 +425,7 @@ pub fn try_simulate_with_faults_recorded(
         }
         for id in finished_jobs.drain(..) {
             #[allow(clippy::expect_used)] // retire_copy listed it from `active`
-            let job = active.remove(&id).expect("finished job present");
+            let job = active.remove(id).expect("finished job present");
             sink.emit(TraceEvent::JobCompletion {
                 at: now,
                 metrics: job_metrics(&job, now),
@@ -468,7 +472,7 @@ pub fn try_simulate_with_faults_recorded(
             #[allow(clippy::expect_used)] // loop condition peeked it
             let spec = arrivals.pop().expect("peeked");
             let id = spec.id;
-            if active.contains_key(&id) {
+            if active.contains_key(id) {
                 return Err(SimError::DuplicateJob { job: id });
             }
             last_progress = now;
@@ -478,7 +482,7 @@ pub fn try_simulate_with_faults_recorded(
                 .enumerate()
                 .map(|(pi, p)| sampler.phase_table(id, PhaseId(pi as u32), p))
                 .collect();
-            active.insert(id, JobState::new(spec, tables));
+            active.insert(JobState::new(spec, tables));
             sink.trace(|| TraceEvent::JobArrival { at: now, job: id });
             let view = live_view(now, cluster, &free, &active, &down);
             let t0 = std::time::Instant::now();
@@ -563,6 +567,10 @@ pub fn try_simulate_with_faults_recorded(
             "finish bucket at or before slot {now} survived its slot"
         );
         debug_assert!(
+            active.is_consistent(),
+            "the job table's slots, ranks and active set disagree at slot {now}"
+        );
+        debug_assert!(
             active.values().all(JobState::index_matches_status),
             "a job's ready/running index drifted from its task statuses at slot {now}"
         );
@@ -596,7 +604,7 @@ fn live_view<'a>(
     now: Time,
     spec: &'a ClusterSpec,
     cap: &'a CapacityIndex,
-    jobs: &'a BTreeMap<JobId, JobState>,
+    jobs: &'a JobTable,
     down: &'a [u32],
 ) -> ClusterView<'a> {
     ClusterView {
@@ -628,19 +636,19 @@ fn emit_guard_delta(
 /// Is the finish event `ev`, queued in the `finish` bucket, still due?
 /// Events of killed, evicted or stretched copies stay queued until their
 /// bucket comes up, and this check is what skips them.
-fn copy_is_live(active: &BTreeMap<JobId, JobState>, finish: Time, ev: &Event) -> bool {
-    active
-        .get(&ev.task.job)
-        .map(|j| {
-            j.task(ev.task.phase, ev.task.task)
-                .copies
-                .iter()
-                // The finish check drops events obsoleted by a fail-slow
-                // stretch (the copy re-queued a later event); without
-                // faults a copy's finish never changes, so it is inert.
-                .any(|c| c.copy_idx == ev.copy_idx && c.live && c.finish == finish)
-        })
-        .unwrap_or(false)
+fn copy_is_live(active: &JobTable, finish: Time, ev: &Event) -> bool {
+    active.get(ev.task.job).is_some_and(|j| {
+        // A copy's index is its position in the task's copy list.
+        let copy = j
+            .task(ev.task.phase, ev.task.task)
+            .copies
+            .get(ev.copy_idx as usize);
+        debug_assert!(copy.is_none_or(|c| c.copy_idx == ev.copy_idx));
+        // The finish check drops events obsoleted by a fail-slow stretch
+        // (the copy re-queued a later event); without faults a copy's
+        // finish never changes, so it is inert.
+        copy.is_some_and(|c| c.live && c.finish == finish)
+    })
 }
 
 /// Apply one fault event: mutate cluster/job state and queue the
@@ -660,7 +668,7 @@ fn apply_fault(
     now: Time,
     cluster: &ClusterSpec,
     totals: Resources,
-    active: &mut BTreeMap<JobId, JobState>,
+    active: &mut JobTable,
     free: &mut CapacityIndex,
     down: &mut [u32],
     speed_factor: &mut [f64],
@@ -694,7 +702,7 @@ fn apply_fault(
             for copies in evicted.chunk_by(|a, b| a.0 == b.0) {
                 let tref = copies[0].0;
                 #[allow(clippy::expect_used)] // only live copies are listed
-                let job = active.get_mut(&tref.job).expect("live copy ⇒ job active");
+                let job = active.get_mut(tref.job).expect("live copy ⇒ job active");
                 let demand_norm = job.spec().phase(tref.phase).demand.normalized_sum(totals);
                 let task = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize];
                 debug_assert_eq!(task.status(), TaskStatus::Running);
@@ -762,7 +770,7 @@ fn apply_fault(
             stretched.sort_unstable();
             for &(tref, copy_idx) in stretched.iter() {
                 #[allow(clippy::expect_used)] // only live copies are listed
-                let job = active.get_mut(&tref.job).expect("live copy ⇒ job active");
+                let job = active.get_mut(tref.job).expect("live copy ⇒ job active");
                 let c = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize].copies
                     [copy_idx as usize];
                 debug_assert!(c.copy_idx == copy_idx && c.live && c.server == server);
@@ -782,7 +790,7 @@ fn apply_fault(
 /// update phase/job bookkeeping, and record fully finished jobs.
 #[allow(clippy::too_many_arguments)]
 fn retire_copy(
-    active: &mut BTreeMap<JobId, JobState>,
+    active: &mut JobTable,
     free: &mut CapacityIndex,
     live_on: &mut LiveCopies,
     totals: Resources,
@@ -793,9 +801,7 @@ fn retire_copy(
     sink: &mut Sink<'_>,
 ) {
     #[allow(clippy::expect_used)] // copy_is_live gated the event on this
-    let job = active
-        .get_mut(&ev.task.job)
-        .expect("live copy ⇒ job active");
+    let job = active.get_mut(ev.task.job).expect("live copy ⇒ job active");
     let demand = job.spec().phase(ev.task.phase).demand;
     let demand_norm = demand.normalized_sum(totals);
     let pi = ev.task.phase.0 as usize;
@@ -808,17 +814,18 @@ fn retire_copy(
     for c in task.copies.iter_mut().filter(|c| c.live) {
         c.live = false;
         free.add_free(c.server, demand);
-        let listed = &mut live_on[c.server.0 as usize];
-        let pos = listed.iter().position(|&e| e == (ev.task, c.copy_idx));
-        debug_assert!(
-            pos.is_some(),
-            "live copy {}#{} missing from server {}'s list",
-            ev.task,
-            c.copy_idx,
-            c.server.0
-        );
-        if let Some(i) = pos {
-            listed.swap_remove(i);
+        if let Some(listed) = live_on.get_mut(c.server.0 as usize) {
+            let pos = listed.iter().position(|&e| e == (ev.task, c.copy_idx));
+            debug_assert!(
+                pos.is_some(),
+                "live copy {}#{} missing from server {}'s list",
+                ev.task,
+                c.copy_idx,
+                c.server.0
+            );
+            if let Some(i) = pos {
+                listed.swap_remove(i);
+            }
         }
         job.usage_norm += demand_norm * now.saturating_sub(c.start) as f64;
         let outcome = if c.copy_idx == ev.copy_idx {
@@ -827,7 +834,8 @@ fn retire_copy(
         } else {
             CopyOutcome::Killed
         };
-        sink.emit(TraceEvent::CopyRetire {
+        // Journal-only: the report fold ignores copy retirements.
+        sink.trace(|| TraceEvent::CopyRetire {
             at: now,
             task: ev.task,
             copy_idx: c.copy_idx,
@@ -991,7 +999,7 @@ fn apply_assignment(
     sampler: &DurationSampler,
     cfg: &EngineConfig,
     now: Time,
-    active: &mut BTreeMap<JobId, JobState>,
+    active: &mut JobTable,
     free: &mut CapacityIndex,
     speed_factor: &[f64],
     events: &mut FinishQueue,
@@ -1001,7 +1009,7 @@ fn apply_assignment(
 ) {
     #[allow(clippy::expect_used)] // check_assignment verified the job exists
     let job = active
-        .get_mut(&a.task.job)
+        .get_mut(a.task.job)
         .expect("checked: assignment for known job");
     let (spec_phase, table, task) = job.launch_parts(a.task.phase, a.task.task);
 
@@ -1044,7 +1052,9 @@ fn apply_assignment(
     }
     job.first_start.get_or_insert(now);
 
-    live_on[sid].push((a.task, copy_idx));
+    if let Some(listed) = live_on.get_mut(sid) {
+        listed.push((a.task, copy_idx));
+    }
     events.entry(finish).or_default().push(Event {
         task: a.task,
         copy_idx,
@@ -1190,6 +1200,51 @@ mod tests {
         assert_eq!(by_id[&JobId(0)].finish, 5);
         assert_eq!(by_id[&JobId(1)].finish, 105);
         assert_eq!(by_id[&JobId(1)].flowtime, 5, "no queueing after idle gap");
+    }
+
+    /// A one-task job of `theta` slots arriving at `arrival`.
+    fn arriving(id: u64, arrival: Time, theta: f64) -> JobSpec {
+        JobSpec::builder(JobId(id))
+            .arrival(arrival)
+            .phase(PhaseSpec::new(1, Resources::new(1.0, 1.0), theta, 0.0))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_second_active_job_with_one_id_is_a_duplicate() {
+        let cluster = one_server(1.0, 1.0);
+        // The first job 7 runs 0..10: its namesake arrives with it or
+        // while it still runs.
+        for second in [0, 3, 9] {
+            let err = try_simulate(
+                &cluster,
+                vec![arriving(7, 0, 10.0), arriving(7, second, 10.0)],
+                &det_sampler(),
+                &mut FifoFirstFit,
+                &EngineConfig::default(),
+            )
+            .unwrap_err();
+            assert_eq!(err, SimError::DuplicateJob { job: JobId(7) }, "{second}");
+        }
+    }
+
+    #[test]
+    fn an_id_is_admitted_again_once_its_job_finished() {
+        let cluster = one_server(1.0, 1.0);
+        // Job 7 runs 0..5; its namesake arrives as it finishes, or later.
+        for (second, finish) in [(5, 10), (8, 13)] {
+            let r = try_simulate(
+                &cluster,
+                vec![arriving(7, 0, 5.0), arriving(7, second, 5.0)],
+                &det_sampler(),
+                &mut FifoFirstFit,
+                &EngineConfig::default(),
+            )
+            .unwrap();
+            let finishes: Vec<(JobId, Time)> = r.jobs.iter().map(|m| (m.id, m.finish)).collect();
+            assert_eq!(finishes, [(JobId(7), 5), (JobId(7), finish)]);
+        }
     }
 
     #[test]

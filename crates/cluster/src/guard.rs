@@ -429,7 +429,6 @@ mod tests {
     use crate::spec::ClusterSpec;
     use dollymp_core::job::{JobSpec, PhaseId, TaskId};
     use dollymp_core::resources::Resources;
-    use std::collections::BTreeMap;
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::homogeneous(4, 8.0, 16.0)
@@ -598,7 +597,7 @@ mod tests {
     fn clone_throttle_hysteresis_engages_and_releases() {
         // Drive update_throttle directly with synthetic views.
         let c = ClusterSpec::homogeneous(2, 10.0, 10.0);
-        let jobs_map = BTreeMap::new();
+        let jobs_map = crate::state::JobTable::default();
         let mut g = GuardedScheduler::with_config(FifoFirstFit, GuardConfig::overload());
 
         let full = crate::capacity::CapacityIndex::from_free(&[
@@ -651,7 +650,7 @@ mod tests {
         let c = ClusterSpec::homogeneous(2, 8.0, 16.0);
         let spec = JobSpec::single_phase(JobId(0), 1, Resources::new(2.0, 4.0), 12.0, 4.0);
         let tables = vec![sampler().phase_table(JobId(0), PhaseId(0), &spec.phases()[0])];
-        let jobs = BTreeMap::from([(JobId(0), crate::state::JobState::new(spec, tables))]);
+        let jobs = crate::state::JobTable::from_iter([crate::state::JobState::new(spec, tables)]);
         let cap = crate::capacity::CapacityIndex::from_free(&[
             Resources::ZERO,
             Resources::new(8.0, 16.0),
@@ -706,14 +705,16 @@ mod tests {
             }
         }
         let c = ClusterSpec::homogeneous(2, 8.0, 16.0);
-        let jobs: BTreeMap<_, _> = [(0, Resources::new(2.0, 4.0)), (1, Resources::new(8.0, 8.0))]
-            .into_iter()
-            .map(|(i, demand)| {
-                let spec = JobSpec::single_phase(JobId(i), 1, demand, 12.0, 4.0);
-                let tables = vec![sampler().phase_table(JobId(i), PhaseId(0), &spec.phases()[0])];
-                (JobId(i), crate::state::JobState::new(spec, tables))
-            })
-            .collect();
+        let jobs: crate::state::JobTable =
+            [(0, Resources::new(2.0, 4.0)), (1, Resources::new(8.0, 8.0))]
+                .into_iter()
+                .map(|(i, demand)| {
+                    let spec = JobSpec::single_phase(JobId(i), 1, demand, 12.0, 4.0);
+                    let tables =
+                        vec![sampler().phase_table(JobId(i), PhaseId(0), &spec.phases()[0])];
+                    crate::state::JobState::new(spec, tables)
+                })
+                .collect();
         let cap = crate::capacity::CapacityIndex::from_capacities(&c);
         let view = ClusterView::new(0, &c, &cap, &jobs);
         let mut guard = GuardedScheduler::new(Repeater);

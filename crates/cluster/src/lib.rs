@@ -14,7 +14,8 @@
 //! * [`capacity`] — the hierarchical free-capacity index (segment tree
 //!   over per-server free resources) the engine maintains incrementally
 //!   and every scheduler queries in O(log n);
-//! * [`state`] — runtime job/phase/task/copy state;
+//! * [`state`] — runtime job/phase/task/copy state and the dense
+//!   active-job table;
 //! * [`view`] — the read-only snapshot schedulers decide on;
 //! * [`scheduler`] — the [`scheduler::Scheduler`] trait every policy
 //!   implements, plus a FIFO/first-fit reference policy;
@@ -87,7 +88,9 @@ pub mod prelude {
     };
     pub use crate::scheduler::{Assignment, FifoFirstFit, Scheduler};
     pub use crate::spec::{ClusterSpec, ServerId, ServerSpec};
-    pub use crate::state::{CopyKind, CopyState, JobState, PhaseState, TaskState, TaskStatus};
+    pub use crate::state::{
+        CopyKind, CopyState, JobState, JobTable, PhaseState, TaskState, TaskStatus,
+    };
     pub use crate::trace::{Event as TraceEvent, NullRecorder, PassSpan, Recorder};
     pub use crate::view::ClusterView;
 }

@@ -112,8 +112,9 @@ impl TaskState {
 /// count. Insert and remove are O(1); ascending iteration costs
 /// O(ntasks/64 + members). Ids below 64 are stored inline, so a phase of
 /// at most 64 tasks allocates nothing and its bits sit next to the rest
-/// of its [`PhaseState`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// of its [`PhaseState`]. [`JobTable`] keeps its active job ranks in one
+/// too.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TaskSet {
     /// Ids `0..64`.
     head: u64,
@@ -181,6 +182,12 @@ impl TaskSet {
         }
     }
 
+    /// Is `id` a member?
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        let wi = id as usize / 64;
+        wi < self.nwords() && self.word(wi) & (1u64 << (id % 64)) != 0
+    }
+
     /// Number of members.
     pub fn len(&self) -> u32 {
         self.len
@@ -193,18 +200,15 @@ impl TaskSet {
 
     /// The members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let words = std::iter::once(self.head).chain(self.tail.iter().copied());
-        words.enumerate().flat_map(|(wi, word)| {
-            let base = wi as u32 * 64;
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(base + bit)
-            })
+        let (mut word, mut base, mut rest) = (self.head, 0u32, self.tail.iter());
+        std::iter::from_fn(move || {
+            while word == 0 {
+                word = *rest.next()?;
+                base += 64;
+            }
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            Some(base + bit)
         })
     }
 
@@ -577,10 +581,224 @@ impl JobState {
     }
 }
 
+/// Slot of a rank whose job is not active.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The active jobs of a run, keyed by [`JobId`]: the engine's job map,
+/// which every [`crate::view::ClusterView`] borrows.
+///
+/// A table holds jobs from a fixed *universe* of ids, for the engine every
+/// job of the run. A job's *rank* is its id's position in the sorted
+/// universe. Jobs sit in a slab in insertion order; a per-rank slot array
+/// finds a job in it, and a [`TaskSet`] of active ranks yields the jobs in
+/// ascending id order. A lookup costs one compare when the universe is a
+/// contiguous id range (every workload generator assigns ids `0..n`) and
+/// a binary search otherwise.
+///
+/// Removal only vacates the job's slot, so the slab keeps insertion
+/// order. When jobs arrive in id order, as every generator's do, the
+/// ascending-id walk of every scheduler pass reads the slab front to
+/// back; filling holes with
+/// `swap_remove` instead scatters that walk, which slows passes over a
+/// deep job queue. Vacated slots are reclaimed by an in-order compaction
+/// when the slab is full and at least a quarter of it is vacated, so
+/// insert and remove cost amortized O(1) past the lookup, and the slab
+/// only grows while three quarters of it hold active jobs.
+#[derive(Debug, Clone, Default)]
+pub struct JobTable {
+    /// The universe, sorted and deduplicated: rank → id.
+    ids: Vec<JobId>,
+    /// Rank → slab slot, [`NO_SLOT`] while the job is not active.
+    slot_of: Vec<u32>,
+    /// The jobs in insertion order; `None` marks a vacated slot.
+    slab: Vec<Option<JobState>>,
+    /// Slab slot → rank (stale for a vacated slot).
+    rank_of: Vec<u32>,
+    /// The active ranks.
+    present: TaskSet,
+}
+
+impl JobTable {
+    /// An empty table over the universe `ids` (duplicates are ignored).
+    ///
+    /// # Panics
+    /// Panics when `ids` holds `u32::MAX` or more distinct ids.
+    pub(crate) fn with_ids(ids: impl IntoIterator<Item = JobId>) -> Self {
+        let mut ids: Vec<JobId> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert!(
+            ids.len() < NO_SLOT as usize,
+            "too many job ids for one table"
+        );
+        let n = ids.len() as u32;
+        JobTable {
+            slot_of: vec![NO_SLOT; ids.len()],
+            ids,
+            slab: Vec::new(),
+            rank_of: Vec::new(),
+            present: TaskSet::new(n),
+        }
+    }
+
+    /// The rank of `id`, if it is in the universe.
+    fn rank(&self, id: JobId) -> Option<usize> {
+        // With ids `first..first + n` the offset is the rank; the compare
+        // confirms it (and rejects any truncated guess).
+        let guess = id.0.wrapping_sub(self.ids.first()?.0) as usize;
+        if self.ids.get(guess) == Some(&id) {
+            return Some(guess);
+        }
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The slab slot of an active job.
+    fn slot(&self, id: JobId) -> Option<usize> {
+        let slot = self.slot_of[self.rank(id)?];
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    /// The active job `id`, if any.
+    pub fn get(&self, id: JobId) -> Option<&JobState> {
+        self.slab[self.slot(id)?].as_ref()
+    }
+
+    /// The active job `id`, mutably, if any.
+    pub fn get_mut(&mut self, id: JobId) -> Option<&mut JobState> {
+        let s = self.slot(id)?;
+        self.slab[s].as_mut()
+    }
+
+    /// Is job `id` active?
+    pub fn contains_key(&self, id: JobId) -> bool {
+        self.slot(id).is_some()
+    }
+
+    /// Make `job` active. Returns the active job with the same id that it
+    /// replaces, if there was one.
+    ///
+    /// # Panics
+    /// Panics when the job's id is outside the table's universe.
+    pub fn insert(&mut self, job: JobState) -> Option<JobState> {
+        let id = job.id();
+        let Some(rank) = self.rank(id) else {
+            panic!("job {} is outside the job table's id universe", id.0);
+        };
+        if self.slot_of[rank] != NO_SLOT {
+            return self.slab[self.slot_of[rank] as usize].replace(job);
+        }
+        // A full slab reuses its vacated slots instead of growing once a
+        // quarter of it is vacated: that many removals pay for the pass.
+        let vacated = self.slab.len() - self.len();
+        if self.slab.len() == self.slab.capacity() && vacated > 0 && 4 * vacated >= self.slab.len()
+        {
+            self.compact();
+        }
+        self.slot_of[rank] = self.slab.len() as u32;
+        self.slab.push(Some(job));
+        self.rank_of.push(rank as u32);
+        self.present.insert(rank as u32);
+        None
+    }
+
+    /// Deactivate job `id` and hand back its state, if it was active. The
+    /// id stays in the universe, so the job may be inserted again.
+    pub fn remove(&mut self, id: JobId) -> Option<JobState> {
+        let rank = self.rank(id)?;
+        let slot = std::mem::replace(&mut self.slot_of[rank], NO_SLOT);
+        if slot == NO_SLOT {
+            return None;
+        }
+        self.present.remove(rank as u32);
+        let job = self.slab[slot as usize].take();
+        // Vacated slots at the end go at once.
+        while let Some(None) = self.slab.last() {
+            self.slab.pop();
+            self.rank_of.pop();
+        }
+        job
+    }
+
+    /// Drop the vacated slots, keeping the jobs in insertion order.
+    fn compact(&mut self) {
+        let mut kept = 0;
+        for slot in 0..self.slab.len() {
+            if self.slab[slot].is_some() {
+                self.slab.swap(kept, slot);
+                self.rank_of[kept] = self.rank_of[slot];
+                self.slot_of[self.rank_of[kept] as usize] = kept as u32;
+                kept += 1;
+            }
+        }
+        self.slab.truncate(kept);
+        self.rank_of.truncate(kept);
+    }
+
+    /// Number of active jobs.
+    pub fn len(&self) -> usize {
+        self.present.len() as usize
+    }
+
+    /// Is no job active?
+    pub fn is_empty(&self) -> bool {
+        self.present.is_empty()
+    }
+
+    /// The active jobs in ascending [`JobId`] order.
+    pub fn values(&self) -> impl Iterator<Item = &JobState> + '_ {
+        self.present
+            .iter()
+            .filter_map(|r| self.slab[self.slot_of[r as usize] as usize].as_ref())
+    }
+
+    /// The active job ids in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.present.iter().map(|r| self.ids[r as usize])
+    }
+
+    /// Do the rank → slot and slot → rank maps invert each other, hold
+    /// each job under its own id, match the active-rank set, and leave
+    /// every other slot vacated? The engine's debug checks.
+    pub(crate) fn is_consistent(&self) -> bool {
+        let ranks_agree = self.slot_of.iter().enumerate().all(|(rank, &slot)| {
+            let active = slot != NO_SLOT;
+            self.present.contains(rank as u32) == active
+                && (!active
+                    || (self.rank_of.get(slot as usize) == Some(&(rank as u32))
+                        && self
+                            .slab
+                            .get(slot as usize)
+                            .and_then(|j| j.as_ref().map(JobState::id))
+                            == Some(self.ids[rank])))
+        });
+        ranks_agree
+            && self.rank_of.len() == self.slab.len()
+            && self.slab.iter().flatten().count() == self.len()
+            && self.present.iter().count() == self.len()
+            && !matches!(self.slab.last(), Some(None))
+    }
+}
+
+impl FromIterator<JobState> for JobTable {
+    /// A table over exactly the collected jobs' ids, all active; a later
+    /// job replaces an earlier one with the same id.
+    fn from_iter<I: IntoIterator<Item = JobState>>(iter: I) -> Self {
+        let jobs: Vec<JobState> = iter.into_iter().collect();
+        let mut table = JobTable::with_ids(jobs.iter().map(JobState::id));
+        for job in jobs {
+            table.insert(job);
+        }
+        table
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dollymp_core::job::PhaseSpec;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn two_phase_job() -> JobState {
         let spec = JobSpec::chain(
@@ -723,5 +941,142 @@ mod tests {
                 task: TaskId(0),
             }]
         );
+    }
+
+    /// A one-task job state with id `id`, tagged with `tag` as its usage
+    /// so that a replaced or re-inserted state is told apart.
+    fn tagged_job(id: JobId, tag: f64) -> JobState {
+        let spec = JobSpec::single_phase(id, 1, Resources::new(1.0, 1.0), 1.0, 0.0);
+        let mut job = JobState::new(spec, vec![vec![1.0]]);
+        job.usage_norm = tag;
+        job
+    }
+
+    /// Seeded insert/remove/mutate sequences over contiguous ids, sparse
+    /// ids and ids near `u64::MAX`, checked step by step against a
+    /// `BTreeMap` model.
+    #[test]
+    fn job_table_agrees_with_a_btree_map_model() {
+        let universes: [Vec<u64>; 4] = [
+            (0..150).collect(),
+            (0..150).map(|i| i * i * 7919 + 3).collect(),
+            (0..150).map(|i| u64::MAX - 3 * i).collect(),
+            (u64::MAX - 149..=u64::MAX).collect(),
+        ];
+        for (seed, universe) in universes.iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64(seed as u64);
+            let ids: Vec<JobId> = universe.iter().map(|&i| JobId(i)).collect();
+            let unknown: Vec<JobId> = [0, 1, 4, 150, 7919, u64::MAX / 2, u64::MAX - 1, u64::MAX]
+                .into_iter()
+                .map(JobId)
+                .filter(|id| !ids.contains(id))
+                .collect();
+            assert!(!unknown.is_empty());
+            // Duplicates in the universe are ignored.
+            let mut table = JobTable::with_ids(ids.iter().chain(&ids[..10]).copied());
+            let mut model: BTreeMap<JobId, JobState> = BTreeMap::new();
+            for step in 0..2000 {
+                let id = ids[rng.gen_range(0..ids.len())];
+                let tag = step as f64;
+                let usage = |j: JobState| j.usage();
+                match rng.gen_range(0..10) {
+                    0..=4 => assert_eq!(
+                        table.insert(tagged_job(id, tag)).map(usage),
+                        model.insert(id, tagged_job(id, tag)).map(usage)
+                    ),
+                    5..=8 => assert_eq!(table.remove(id).map(usage), model.remove(&id).map(usage)),
+                    _ => {
+                        // Mutate through both; the checks below compare.
+                        for job in [table.get_mut(id), model.get_mut(&id)]
+                            .into_iter()
+                            .flatten()
+                        {
+                            job.usage_norm += 0.5;
+                        }
+                    }
+                }
+                assert!(table.is_consistent(), "step {step}");
+                assert_eq!(table.len(), model.len());
+                assert_eq!(table.is_empty(), model.is_empty());
+                for &id in &ids {
+                    assert_eq!(table.contains_key(id), model.contains_key(&id));
+                    assert_eq!(
+                        table.get(id).map(|j| (j.id(), j.usage())),
+                        model.get(&id).map(|j| (j.id(), j.usage()))
+                    );
+                }
+                assert!(table.keys().eq(model.keys().copied()));
+                assert!(table
+                    .values()
+                    .map(|j| (j.id(), j.usage()))
+                    .eq(model.values().map(|j| (j.id(), j.usage()))));
+                for &id in &unknown {
+                    assert!(table.get(id).is_none() && !table.contains_key(id));
+                    assert!(table.get_mut(id).is_none() && table.remove(id).is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn job_table_readmits_a_removed_id() {
+        let mut table = JobTable::with_ids([JobId(4), JobId(9), JobId(2)]);
+        for id in [JobId(9), JobId(2), JobId(4)] {
+            assert!(table.insert(tagged_job(id, 1.0)).is_none());
+        }
+        // Removing the first slot only vacates it.
+        assert_eq!(table.remove(JobId(9)).map(|j| j.id()), Some(JobId(9)));
+        assert!(table.remove(JobId(9)).is_none());
+        assert!(table.insert(tagged_job(JobId(9), 2.0)).is_none());
+        assert!(table.is_consistent());
+        let listed: Vec<(JobId, f64)> = table.values().map(|j| (j.id(), j.usage())).collect();
+        assert_eq!(listed, [(JobId(2), 1.0), (JobId(4), 1.0), (JobId(9), 2.0)]);
+    }
+
+    /// Insert 0..8, remove every odd id, then insert again until the
+    /// full slab compacts: the survivors keep their insertion order.
+    #[test]
+    fn job_table_compacts_in_insertion_order() {
+        let mut table = JobTable::with_ids((0..64).map(JobId));
+        for id in 0..8 {
+            table.insert(tagged_job(JobId(id), 0.0));
+        }
+        for id in [1, 3, 5, 7] {
+            table.remove(JobId(id));
+        }
+        // The trailing vacated slot of job 7 is dropped at once.
+        assert_eq!(table.slab.len(), 7);
+        let cap = table.slab.capacity();
+        for id in 8..8 + (cap as u64 - 7) + 1 {
+            table.insert(tagged_job(JobId(id), 0.0));
+        }
+        assert!(table.is_consistent());
+        assert_eq!(table.slab.capacity(), cap, "compacted instead of growing");
+        let slab_order: Vec<u64> = table.slab.iter().flatten().map(|j| j.id().0).collect();
+        let expected: Vec<u64> = [0, 2, 4, 6]
+            .into_iter()
+            .chain(8..8 + (cap as u64 - 7) + 1)
+            .collect();
+        assert_eq!(slab_order, expected);
+        assert!(table.keys().eq(expected.iter().map(|&i| JobId(i))));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the job table's id universe")]
+    fn job_table_rejects_an_id_outside_its_universe() {
+        let mut table = JobTable::with_ids([JobId(0), JobId(1)]);
+        table.insert(tagged_job(JobId(u64::MAX), 0.0));
+    }
+
+    #[test]
+    fn job_table_collects_with_later_duplicates_winning() {
+        let table: JobTable = [(7, 1.0), (3, 1.0), (7, 2.0)]
+            .into_iter()
+            .map(|(id, tag)| tagged_job(JobId(id), tag))
+            .collect();
+        let listed: Vec<(JobId, f64)> = table.values().map(|j| (j.id(), j.usage())).collect();
+        assert_eq!(listed, [(JobId(3), 1.0), (JobId(7), 2.0)]);
+        assert!(JobTable::default().is_empty());
+        assert!(JobTable::default().get(JobId(0)).is_none());
     }
 }

@@ -4,9 +4,16 @@
 //! free resources, which servers are crashed, the active jobs with their
 //! full runtime state, and the clock. A crashed server also shows zero
 //! free capacity; [`ClusterView::is_down`] tells it apart from a full one,
-//! so no policy or wrapper has to rebuild the set from fault hooks. Schedulers never see a copy's *future* finish time — only its
-//! start and elapsed time — so speculation policies must infer progress
-//! the way a real cluster manager would.
+//! so no policy or wrapper has to rebuild the set from fault hooks.
+//! Schedulers never see a copy's *future* finish time — only its start
+//! and elapsed time — so speculation policies must infer progress the way
+//! a real cluster manager would.
+//!
+//! The active jobs are the engine's own [`JobTable`], borrowed:
+//! [`ClusterView::job`] is an O(1) lookup for the contiguous job ids every
+//! generator assigns, and [`ClusterView::jobs`] walks the table in
+//! ascending [`JobId`] order. Tests and benchmarks that build a view by
+//! hand collect their [`JobState`]s into a table.
 //!
 //! Free capacity is not a snapshot `Vec` — the view borrows the engine's
 //! incrementally-maintained [`CapacityIndex`] and always reads its *base*
@@ -17,11 +24,10 @@
 
 use crate::capacity::CapacityIndex;
 use crate::spec::{ClusterSpec, ServerId, ServerSpec};
-use crate::state::JobState;
+use crate::state::{JobState, JobTable};
 use dollymp_core::job::JobId;
 use dollymp_core::resources::Resources;
 use dollymp_core::time::Time;
-use std::collections::BTreeMap;
 
 /// Immutable snapshot of the simulated cluster at one decision point.
 pub struct ClusterView<'a> {
@@ -29,7 +35,7 @@ pub struct ClusterView<'a> {
     pub now: Time,
     pub(crate) spec: &'a ClusterSpec,
     pub(crate) cap: &'a CapacityIndex,
-    pub(crate) jobs: &'a BTreeMap<JobId, JobState>,
+    pub(crate) jobs: &'a JobTable,
     /// The engine's per-server crash counts (a server is down while its
     /// count is nonzero). Empty means no server is down.
     pub(crate) down: &'a [u32],
@@ -48,7 +54,7 @@ impl<'a> ClusterView<'a> {
         now: Time,
         spec: &'a ClusterSpec,
         cap: &'a CapacityIndex,
-        jobs: &'a BTreeMap<JobId, JobState>,
+        jobs: &'a JobTable,
     ) -> Self {
         assert_eq!(cap.len(), spec.len(), "one free entry per server");
         ClusterView {
@@ -112,18 +118,6 @@ impl<'a> ClusterView<'a> {
 
     /// Look up one active job.
     pub fn job(&self, id: JobId) -> Option<&'a JobState> {
-        self.jobs.get(&id)
-    }
-
-    /// Sum of remaining effective volume over active jobs *excluding*
-    /// `except` — the "other jobs' demand" of the §4.1 small-job cloning
-    /// gate.
-    pub fn other_remaining_volume(&self, except: JobId, sigma_weight: f64) -> f64 {
-        let totals = self.totals();
-        self.jobs
-            .values()
-            .filter(|j| j.id() != except)
-            .map(|j| j.remaining_volume(totals, sigma_weight))
-            .sum()
+        self.jobs.get(id)
     }
 }

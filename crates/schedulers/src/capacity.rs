@@ -333,7 +333,6 @@ mod tests {
     fn on_task_lost_retries_in_loss_order_ahead_of_fifo() {
         use dollymp_cluster::view::ClusterView;
         use dollymp_core::job::{PhaseId, TaskId};
-        use std::collections::BTreeMap;
 
         // Direct unit coverage of the recovery queue (the sim-level test
         // above only shows the end-to-end effect): two losses reported in
@@ -354,16 +353,18 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let mut jobs: BTreeMap<JobId, JobState> = BTreeMap::new();
-        for spec in [mk(0, 0), mk(1, 1)] {
-            let tables: Vec<Vec<f64>> = spec
-                .phases()
-                .iter()
-                .enumerate()
-                .map(|(pi, p)| sampler.phase_table(spec.id, PhaseId(pi as u32), p))
-                .collect();
-            jobs.insert(spec.id, JobState::new(spec, tables));
-        }
+        let jobs: JobTable = [mk(0, 0), mk(1, 1)]
+            .into_iter()
+            .map(|spec| {
+                let tables: Vec<Vec<f64>> = spec
+                    .phases()
+                    .iter()
+                    .enumerate()
+                    .map(|(pi, p)| sampler.phase_table(spec.id, PhaseId(pi as u32), p))
+                    .collect();
+                JobState::new(spec, tables)
+            })
+            .collect();
         let free = dollymp_cluster::capacity::CapacityIndex::from_capacities(&cluster);
         let view = ClusterView::new(5, &cluster, &free, &jobs);
 

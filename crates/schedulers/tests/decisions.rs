@@ -7,7 +7,6 @@ use dollymp_cluster::view::ClusterView;
 use dollymp_core::job::{JobId, JobSpec, PhaseSpec};
 use dollymp_core::resources::Resources;
 use dollymp_schedulers::{by_name, DollyMP, LearnedDollyMP, Tetris};
-use std::collections::BTreeMap;
 
 fn job_state(id: u64, ntasks: u32, cpu: f64, mem: f64, theta: f64) -> JobState {
     let spec = JobSpec::single_phase(JobId(id), ntasks, Resources::new(cpu, mem), theta, 0.0);
@@ -18,7 +17,7 @@ fn job_state(id: u64, ntasks: u32, cpu: f64, mem: f64, theta: f64) -> JobState {
 fn view_fixture<'a>(
     cluster: &'a ClusterSpec,
     cap: &'a dollymp_cluster::capacity::CapacityIndex,
-    jobs: &'a BTreeMap<JobId, JobState>,
+    jobs: &'a JobTable,
 ) -> ClusterView<'a> {
     ClusterView::new(0, cluster, cap, jobs)
 }
@@ -27,9 +26,12 @@ fn view_fixture<'a>(
 fn dollymp_assigns_small_job_before_large() {
     let cluster = ClusterSpec::homogeneous(1, 2.0, 2.0);
     let free = vec![Resources::new(2.0, 2.0)];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 1, 2.0, 2.0, 100.0)); // huge
-    jobs.insert(JobId(1), job_state(1, 1, 2.0, 2.0, 2.0)); // tiny
+    let jobs: JobTable = [
+        job_state(0, 1, 2.0, 2.0, 100.0), // huge
+        job_state(1, 1, 2.0, 2.0, 2.0),   // tiny
+    ]
+    .into_iter()
+    .collect();
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
 
@@ -46,8 +48,7 @@ fn dollymp_assigns_small_job_before_large() {
 fn dollymp_batch_never_overcommits_a_server() {
     let cluster = ClusterSpec::homogeneous(2, 4.0, 4.0);
     let free = vec![Resources::new(4.0, 4.0), Resources::new(1.0, 1.0)];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 6, 2.0, 2.0, 5.0));
+    let jobs = JobTable::from_iter([job_state(0, 6, 2.0, 2.0, 5.0)]);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
     let mut s = DollyMP::new();
@@ -68,8 +69,7 @@ fn dollymp_batch_never_overcommits_a_server() {
 fn dollymp_clones_small_job_with_leftovers() {
     let cluster = ClusterSpec::homogeneous(1, 4.0, 4.0);
     let free = vec![Resources::new(4.0, 4.0)];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 1, 1.0, 1.0, 3.0));
+    let jobs = JobTable::from_iter([job_state(0, 1, 1.0, 1.0, 3.0)]);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
     let mut s = DollyMP::new(); // 2 clones allowed
@@ -96,11 +96,7 @@ fn dollymp_pops_a_shared_demand_bucket_from_the_highest_phase_and_task() {
         .phase(PhaseSpec::new(2, demand, 5.0, 0.0))
         .build()
         .expect("two root phases");
-    let mut jobs = BTreeMap::new();
-    jobs.insert(
-        JobId(0),
-        JobState::new(spec, vec![vec![5.0; 66], vec![5.0; 2]]),
-    );
+    let jobs = JobTable::from_iter([JobState::new(spec, vec![vec![5.0; 66], vec![5.0; 2]])]);
     let cluster = ClusterSpec::homogeneous(1, 5.0, 5.0);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&[Resources::new(5.0, 5.0)]);
     let view = view_fixture(&cluster, &cap, &jobs);
@@ -118,8 +114,7 @@ fn dollymp_pops_a_shared_demand_bucket_from_the_highest_phase_and_task() {
 fn dollymp0_emits_no_clones_ever() {
     let cluster = ClusterSpec::homogeneous(2, 8.0, 8.0);
     let free = vec![Resources::new(8.0, 8.0); 2];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 2, 1.0, 1.0, 5.0));
+    let jobs = JobTable::from_iter([job_state(0, 2, 1.0, 1.0, 5.0)]);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
     let mut s = DollyMP::with_clones(0);
@@ -133,9 +128,12 @@ fn tetris_prefers_the_aligned_task() {
     // CPU-rich free vector: the CPU-heavy task scores higher.
     let cluster = ClusterSpec::homogeneous(1, 16.0, 4.0);
     let free = vec![Resources::new(16.0, 4.0)];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 1, 1.0, 3.9, 10.0)); // memory-heavy
-    jobs.insert(JobId(1), job_state(1, 1, 8.0, 1.0, 10.0)); // CPU-heavy
+    let jobs: JobTable = [
+        job_state(0, 1, 1.0, 3.9, 10.0), // memory-heavy
+        job_state(1, 1, 8.0, 1.0, 10.0), // CPU-heavy
+    ]
+    .into_iter()
+    .collect();
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
     let mut s = Tetris::new();
@@ -147,13 +145,45 @@ fn tetris_prefers_the_aligned_task() {
     );
 }
 
+/// Jobs 1 and 2 tie on every pair score (same demand, same SRPT bonus);
+/// job 0 scores lower (longer work) and sits first in the ready list. A
+/// tie goes to the first maximum in ready order, and `swap_remove` then
+/// moves the list's last task into the taken slot, so after job 1's first
+/// task the server takes job 2's tasks from the highest id down.
+#[test]
+fn tetris_breaks_ties_by_ready_order_as_swap_remove_leaves_it() {
+    let cluster = ClusterSpec::homogeneous(1, 4.0, 4.0);
+    let free = vec![Resources::new(4.0, 4.0)];
+    let jobs: JobTable = [
+        job_state(0, 1, 1.0, 1.0, 50.0),
+        job_state(1, 3, 1.0, 1.0, 5.0),
+        job_state(2, 3, 1.0, 1.0, 5.0),
+    ]
+    .into_iter()
+    .collect();
+    let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
+    let view = view_fixture(&cluster, &cap, &jobs);
+    let placed: Vec<(u64, u32)> = Tetris::new()
+        .schedule(&view)
+        .iter()
+        .map(|a| {
+            assert_eq!((a.server, a.kind), (ServerId(0), CopyKind::Primary));
+            (a.task.job.0, a.task.task.0)
+        })
+        .collect();
+    assert_eq!(placed, vec![(1, 0), (2, 2), (2, 1), (2, 0)]);
+}
+
 #[test]
 fn drf_round_robins_equal_jobs() {
     let cluster = ClusterSpec::homogeneous(1, 4.0, 4.0);
     let free = vec![Resources::new(4.0, 4.0)];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 4, 1.0, 1.0, 5.0));
-    jobs.insert(JobId(1), job_state(1, 4, 1.0, 1.0, 5.0));
+    let jobs: JobTable = [
+        job_state(0, 4, 1.0, 1.0, 5.0),
+        job_state(1, 4, 1.0, 1.0, 5.0),
+    ]
+    .into_iter()
+    .collect();
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
     let mut s = by_name("drf").unwrap();
@@ -169,7 +199,6 @@ fn drf_round_robins_equal_jobs() {
 fn capacity_is_strict_fifo_when_everything_fits_the_head() {
     let cluster = ClusterSpec::homogeneous(1, 2.0, 2.0);
     let free = vec![Resources::new(2.0, 2.0)];
-    let mut jobs = BTreeMap::new();
     // Later-arriving short job must NOT jump the queue head.
     let early = {
         let spec = JobSpec::builder(JobId(0))
@@ -187,8 +216,7 @@ fn capacity_is_strict_fifo_when_everything_fits_the_head() {
             .unwrap();
         JobState::new(spec, vec![vec![1.0; 4]])
     };
-    jobs.insert(JobId(0), early);
-    jobs.insert(JobId(1), late);
+    let jobs = JobTable::from_iter([early, late]);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
     let mut s = by_name("capacity-nospec").unwrap();
@@ -206,9 +234,12 @@ fn srpt_and_svf_disagree_exactly_when_they_should() {
     // in priority.rs, but asserted at the decision level).
     let cluster = ClusterSpec::homogeneous(1, 10.0, 10.0);
     let free = vec![Resources::new(10.0, 10.0)];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 1, 10.0, 10.0, 4.0));
-    jobs.insert(JobId(1), job_state(1, 1, 1.0, 1.0, 6.0));
+    let jobs: JobTable = [
+        job_state(0, 1, 10.0, 10.0, 4.0),
+        job_state(1, 1, 1.0, 1.0, 6.0),
+    ]
+    .into_iter()
+    .collect();
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
 
@@ -225,8 +256,7 @@ fn srpt_and_svf_disagree_exactly_when_they_should() {
 fn learned_dollymp_prefers_reputable_servers() {
     let cluster = ClusterSpec::homogeneous(3, 2.0, 2.0);
     let free = vec![Resources::new(2.0, 2.0); 3];
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 1, 1.0, 1.0, 10.0));
+    let jobs = JobTable::from_iter([job_state(0, 1, 1.0, 1.0, 10.0)]);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);
     let view = view_fixture(&cluster, &cap, &jobs);
 

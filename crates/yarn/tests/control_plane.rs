@@ -9,7 +9,6 @@ use dollymp_cluster::view::ClusterView;
 use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId, TaskRef};
 use dollymp_core::resources::Resources;
 use dollymp_yarn::YarnSystem;
-use std::collections::BTreeMap;
 
 fn job_state(id: u64, ntasks: u32, theta: f64) -> JobState {
     let spec = JobSpec::single_phase(JobId(id), ntasks, Resources::new(1.0, 1.0), theta, 0.0);
@@ -23,8 +22,7 @@ fn placement_honors_block_replicas() {
     // task's two replica servers.
     let cluster = ClusterSpec::homogeneous(8, 16.0, 16.0);
     let free = dollymp_cluster::capacity::CapacityIndex::from_capacities(&cluster);
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 6, 10.0));
+    let jobs = JobTable::from_iter([job_state(0, 6, 10.0)]);
     let view = ClusterView::new(0, &cluster, &free, &jobs);
 
     let mut yarn = YarnSystem::new(0);
@@ -47,8 +45,7 @@ fn placement_honors_block_replicas() {
 fn clones_spread_to_a_different_server_than_the_primary() {
     let cluster = ClusterSpec::homogeneous(4, 4.0, 4.0);
     let free = dollymp_cluster::capacity::CapacityIndex::from_capacities(&cluster);
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 1, 10.0));
+    let jobs = JobTable::from_iter([job_state(0, 1, 10.0)]);
     let view = ClusterView::new(0, &cluster, &free, &jobs);
 
     let mut yarn = YarnSystem::new(2);
@@ -78,9 +75,12 @@ fn estimated_priorities_order_unknown_jobs_by_size_not_duration() {
     // is shorter.
     let cluster = ClusterSpec::homogeneous(1, 2.0, 2.0);
     let free = dollymp_cluster::capacity::CapacityIndex::from_free(&[Resources::new(2.0, 2.0)]);
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 40, 1.0)); // many short tasks
-    jobs.insert(JobId(1), job_state(1, 1, 50.0)); // one long task
+    let jobs: JobTable = [
+        job_state(0, 40, 1.0), // many short tasks
+        job_state(1, 1, 50.0), // one long task
+    ]
+    .into_iter()
+    .collect();
     let view = ClusterView::new(0, &cluster, &free, &jobs);
 
     let mut yarn = YarnSystem::new(0);
@@ -100,8 +100,7 @@ fn estimated_priorities_order_unknown_jobs_by_size_not_duration() {
 fn clone_budget_from_am_requests_is_enforced() {
     let cluster = ClusterSpec::homogeneous(6, 4.0, 4.0);
     let free = dollymp_cluster::capacity::CapacityIndex::from_capacities(&cluster);
-    let mut jobs = BTreeMap::new();
-    jobs.insert(JobId(0), job_state(0, 2, 10.0));
+    let jobs = JobTable::from_iter([job_state(0, 2, 10.0)]);
     let view = ClusterView::new(0, &cluster, &free, &jobs);
 
     for clones in [0u32, 1, 2] {

@@ -51,12 +51,6 @@
 //!   "first server with a strictly greater score wins" tie-break exactly.
 //! * [`CapacityOverlay::max_free`] is the tree root; `total_free` is the
 //!   running sum. Both equal their linear-fold counterparts exactly.
-//!
-//! For equivalence tests, [`LinearQueriesGuard`] flips a thread-local
-//! switch that makes every overlay query fall back to the legacy linear
-//! scan over the same effective values — the reference implementation the
-//! proptests compare the tree against, end to end, via byte-identical
-//! `SimReport`s.
 
 use crate::spec::{ClusterSpec, ServerId};
 use crate::view::ClusterView;
@@ -65,41 +59,6 @@ use dollymp_core::job::TaskRef;
 use dollymp_core::online::best_fit_score;
 use dollymp_core::resources::Resources;
 use std::cell::Cell;
-
-thread_local! {
-    /// When set, overlay queries use the legacy linear scans instead of
-    /// the segment tree. Test-only escape hatch (see [`LinearQueriesGuard`]);
-    /// deliberately *not* an `EngineConfig` field so config fingerprints
-    /// stamped into benchmark artifacts are unaffected.
-    static FORCE_LINEAR: Cell<bool> = const { Cell::new(false) };
-}
-
-fn linear_queries() -> bool {
-    FORCE_LINEAR.with(|f| f.get())
-}
-
-/// RAII guard forcing the legacy linear-scan query path on the current
-/// thread for its lifetime. Used by the equivalence proptests to run the
-/// exact same simulation through both query implementations.
-pub struct LinearQueriesGuard {
-    prev: bool,
-}
-
-impl LinearQueriesGuard {
-    /// Enable linear-scan queries until the guard drops.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        let prev = FORCE_LINEAR.with(|f| f.replace(true));
-        LinearQueriesGuard { prev }
-    }
-}
-
-impl Drop for LinearQueriesGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        FORCE_LINEAR.with(|f| f.set(prev));
-    }
-}
 
 /// Segment-tree index of per-server free capacity (see module docs).
 ///
@@ -353,13 +312,6 @@ impl<'a> CapacityOverlay<'a> {
         if self.idx.n == 0 {
             return Resources::ZERO;
         }
-        if linear_queries() {
-            let mut m = Resources::ZERO;
-            for i in 0..self.idx.n {
-                m = m.max(self.node_res(self.idx.size + i));
-            }
-            return m;
-        }
         self.node_res(1)
     }
 
@@ -367,16 +319,6 @@ impl<'a> CapacityOverlay<'a> {
     /// O(1)).
     pub fn total_free(&self) -> Resources {
         self.check_current();
-        if linear_queries() {
-            let mut c = 0u64;
-            let mut m = 0u64;
-            for i in 0..self.idx.n {
-                let (lc, lm) = self.node(self.idx.size + i);
-                c += lc;
-                m += lm;
-            }
-            return Resources::from_milli(c, m);
-        }
         if self.idx.ovl_total_stamp.get() == self.epoch {
             let (c, m) = self.idx.ovl_total.get();
             Resources::from_milli(c, m)
@@ -480,14 +422,6 @@ impl<'a> CapacityOverlay<'a> {
         if start >= n {
             return None;
         }
-        if linear_queries() {
-            for i in start..n {
-                if demand.fits_in(self.node_res(self.idx.size + i)) {
-                    return Some(ServerId(i as u32));
-                }
-            }
-            return None;
-        }
         let size = self.idx.size;
         let fits = |x: usize| -> bool {
             let (c, m) = self.node(x);
@@ -546,20 +480,6 @@ impl<'a> CapacityOverlay<'a> {
         if self.idx.n == 0 {
             return None;
         }
-        if linear_queries() {
-            let mut best: Option<(f64, usize)> = None;
-            for i in 0..self.idx.n {
-                let f = self.node_res(self.idx.size + i);
-                if !demand.fits_in(f) {
-                    continue;
-                }
-                let score = best_fit_score(demand, f);
-                if best.map(|(b, _)| score > b).unwrap_or(true) {
-                    best = Some((score, i));
-                }
-            }
-            return best.map(|(_, i)| ServerId(i as u32));
-        }
         let mut best: Option<(f64, usize)> = None;
         self.best_fit_rec(1, demand, &mut best);
         best.map(|(_, i)| ServerId(i as u32))
@@ -596,93 +516,6 @@ impl<'a> CapacityOverlay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    fn rand_free(rng: &mut SmallRng, n: usize) -> Vec<Resources> {
-        (0..n)
-            .map(|_| {
-                Resources::new(
-                    rng.gen_range(0..=32) as f64,
-                    rng.gen_range(0..=64) as f64 / 2.0,
-                )
-            })
-            .collect()
-    }
-
-    /// Linear reference implementations over a plain Vec.
-    fn lin_first_fit(free: &[Resources], start: usize, d: Resources) -> Option<ServerId> {
-        (start..free.len())
-            .find(|&i| d.fits_in(free[i]))
-            .map(|i| ServerId(i as u32))
-    }
-
-    fn lin_best_fit(free: &[Resources], d: Resources) -> Option<ServerId> {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, f) in free.iter().enumerate() {
-            if !d.fits_in(*f) {
-                continue;
-            }
-            let score = best_fit_score(d, *f);
-            if best.map(|(b, _)| score > b).unwrap_or(true) {
-                best = Some((score, i));
-            }
-        }
-        best.map(|(_, i)| ServerId(i as u32))
-    }
-
-    #[test]
-    fn queries_match_linear_scans_under_random_mutation() {
-        let mut rng = SmallRng::seed_from_u64(42);
-        for n in [1usize, 2, 3, 7, 8, 9, 33, 100] {
-            let mut free = rand_free(&mut rng, n);
-            let mut idx = CapacityIndex::from_free(&free);
-            for _ in 0..200 {
-                // Random base mutation, mirrored on the reference Vec.
-                let s = rng.gen_range(0..n);
-                let r = Resources::new(rng.gen_range(0..=8) as f64, rng.gen_range(0..=8) as f64);
-                match rng.gen_range(0..3) {
-                    0 => {
-                        free[s] = r;
-                        idx.set_free(ServerId(s as u32), r);
-                    }
-                    1 => {
-                        free[s] += r;
-                        idx.add_free(ServerId(s as u32), r);
-                    }
-                    _ => {
-                        let take = free[s].min(r);
-                        free[s] -= take;
-                        idx.sub_free(ServerId(s as u32), take);
-                    }
-                }
-                // Base invariants.
-                let fold: Resources = free.iter().copied().sum();
-                assert_eq!(idx.total_free(), fold);
-                assert_eq!(idx.fold_total_free(), fold);
-                let max = free.iter().copied().fold(Resources::ZERO, Resources::max);
-                assert_eq!(idx.max_free(), max);
-                for (i, f) in free.iter().enumerate() {
-                    assert_eq!(idx.free(ServerId(i as u32)), *f);
-                }
-                // Query identity at a random demand and start.
-                let d = Resources::new(rng.gen_range(0..=9) as f64, rng.gen_range(0..=9) as f64);
-                let start = rng.gen_range(0..=n);
-                let ovl = idx.begin_batch();
-                assert_eq!(
-                    ovl.next_fit_at_or_after(start, d),
-                    lin_first_fit(&free, start, d)
-                );
-                assert_eq!(ovl.first_fit(d), lin_first_fit(&free, 0, d));
-                assert_eq!(ovl.best_fit(d), lin_best_fit(&free, d));
-                assert_eq!(
-                    ovl.fits_anywhere(d),
-                    free.iter().any(|f| d.fits_in(*f)),
-                    "fits_anywhere diverged"
-                );
-            }
-        }
-    }
 
     #[test]
     fn overlay_layers_without_touching_base() {
@@ -709,35 +542,6 @@ mod tests {
         let ovl2 = idx.begin_batch();
         assert_eq!(ovl2.free(ServerId(2)), Resources::new(8.0, 8.0));
         assert_eq!(ovl2.total_free(), Resources::new(13.0, 13.0));
-    }
-
-    #[test]
-    fn overlay_queries_match_linear_scans_while_committing() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        for n in [1usize, 5, 16, 31] {
-            let base = rand_free(&mut rng, n);
-            let idx = CapacityIndex::from_free(&base);
-            let mut eff = base.clone();
-            let ovl = idx.begin_batch();
-            for _ in 0..300 {
-                let d = Resources::new(
-                    rng.gen_range(0..=10) as f64,
-                    rng.gen_range(0..=10) as f64 / 2.0,
-                );
-                assert_eq!(ovl.first_fit(d), lin_first_fit(&eff, 0, d));
-                assert_eq!(ovl.best_fit(d), lin_best_fit(&eff, d));
-                let max = eff.iter().copied().fold(Resources::ZERO, Resources::max);
-                assert_eq!(ovl.max_free(), max);
-                let tot: Resources = eff.iter().copied().sum();
-                assert_eq!(ovl.total_free(), tot);
-                if rng.gen_bool(0.7) {
-                    if let Some(s) = ovl.first_fit(d) {
-                        ovl.commit(s, d);
-                        eff[s.0 as usize] -= d;
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -795,25 +599,6 @@ mod tests {
         assert_eq!(fresh.noted_copies(task(0)), 0);
         assert_eq!(fresh.noted_copies(task(1)), 0);
         assert_eq!(fresh.effective_copies(&view, task(0)), 1);
-    }
-
-    #[test]
-    fn linear_guard_switches_query_path_and_restores() {
-        let free = vec![Resources::new(2.0, 2.0), Resources::new(4.0, 4.0)];
-        let idx = CapacityIndex::from_free(&free);
-        let ovl = idx.begin_batch();
-        let d = Resources::new(3.0, 3.0);
-        let tree = ovl.first_fit(d);
-        {
-            let _g = LinearQueriesGuard::new();
-            assert_eq!(ovl.first_fit(d), tree);
-            assert_eq!(ovl.best_fit(d), Some(ServerId(1)));
-            {
-                let _g2 = LinearQueriesGuard::new();
-            }
-            assert!(super::linear_queries(), "inner guard must not disable");
-        }
-        assert!(!super::linear_queries(), "guard restores on drop");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod view;
 
 /// Commonly used simulator types.
 pub mod prelude {
-    pub use crate::capacity::{CapacityIndex, CapacityOverlay, LinearQueriesGuard};
+    pub use crate::capacity::{CapacityIndex, CapacityOverlay};
     pub use crate::engine::{
         simulate, simulate_recorded, simulate_with_faults, try_simulate, try_simulate_with_faults,
         try_simulate_with_faults_recorded, EngineConfig,

@@ -95,12 +95,6 @@ impl PhaseSpec {
         self
     }
 
-    /// Override the speedup function.
-    pub fn with_speedup(mut self, speedup: SpeedupFn) -> Self {
-        self.speedup = speedup;
-        self
-    }
-
     /// Effective processing time `e = θ + w·σ` (§5). The paper folds
     /// execution-time variability into scheduling priority by penalizing
     /// high-variance phases; `w` is the deployment parameter `r = 1.5`.

@@ -31,8 +31,6 @@
 //!   Application-Master statistics estimator of §5.2.
 //! * [`hash`] — a deterministic FxHash-style hasher for scheduler-internal
 //!   maps (hot-path replacement for SipHash).
-//! * [`packing`] — the 2D strip-packing (NFDH) reference behind
-//!   Theorem 1's level argument, with validated bounds.
 //! * [`theory`] — competitive-ratio machinery: Theorem 1 / Corollary 4.1
 //!   bounds and a brute-force optimal scheduler for tiny instances.
 //!
@@ -76,7 +74,6 @@ pub mod hash;
 pub mod job;
 pub mod knapsack;
 pub mod online;
-pub mod packing;
 pub mod resources;
 pub mod speedup;
 pub mod stats;
@@ -93,7 +90,6 @@ pub mod prelude {
     };
     pub use crate::knapsack::{knapsack_01_dp, sorted_by_weight, unit_profit_knapsack};
     pub use crate::online::{best_fit_score, ClonePolicy, PriorityTable};
-    pub use crate::packing::{lower_bound, nfdh, nfdh_bound, Packing, Rect};
     pub use crate::resources::{dominant_share, Resources};
     pub use crate::speedup::{ParetoSpeedup, Speedup, SpeedupFn};
     pub use crate::stats::RunningStats;

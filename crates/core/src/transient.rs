@@ -33,11 +33,6 @@ pub const PRIORITY_UNSELECTED: u32 = u32::MAX;
 /// any realistic horizon and caps work even on adversarial inputs.
 const MAX_LEVELS: u32 = 60;
 
-/// Below this many jobs the `rayon` feature's parallel paths fall back to
-/// sequential code: scoped-thread fan-out costs more than the work saved.
-#[cfg(feature = "rayon")]
-const PAR_MIN_JOBS: usize = 256;
-
 /// Tunables of the transient process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransientConfig {
@@ -255,20 +250,15 @@ pub fn transient_schedule(jobs: &[TransientJob], cfg: &TransientConfig) -> Trans
 /// the job's effective processing time (`g + 1` when none does). The hot
 /// per-level candidate filter then reduces to one integer comparison. Uses
 /// the same `e_j ≤ 2ˡ` float predicate as the level loop, so eligibility
-/// is bit-identical; per-job scans are independent, and the `rayon`
-/// feature computes them in parallel for large job sets.
+/// is bit-identical.
 fn first_feasible_levels(jobs: &[TransientJob], g: u32) -> Vec<u32> {
-    let level_of = |j: &TransientJob| -> u32 {
-        (1..=g)
-            .find(|&l| j.etime <= (2f64).powi(l as i32))
-            .unwrap_or(g + 1)
-    };
-    #[cfg(feature = "rayon")]
-    if jobs.len() >= PAR_MIN_JOBS {
-        use rayon::prelude::*;
-        return jobs.par_iter().map(level_of).collect();
-    }
-    jobs.iter().map(level_of).collect()
+    jobs.iter()
+        .map(|j| {
+            (1..=g)
+                .find(|&l| j.etime <= (2f64).powi(l as i32))
+                .unwrap_or(g + 1)
+        })
+        .collect()
 }
 
 /// Borrowed inputs of one job's summary — exactly what
@@ -283,28 +273,24 @@ pub struct SummaryInput<'a> {
 }
 
 /// Eq. 16/17 summaries of `inputs`, in input order — the per-job input
-/// Algorithm 1 runs on. Summaries are independent, so the `rayon`
-/// feature computes them in parallel for large job sets.
+/// Algorithm 1 runs on.
 pub fn summarize(
     inputs: &[SummaryInput<'_>],
     cluster_totals: Resources,
     sigma_weight: f64,
 ) -> Vec<TransientJob> {
-    let one = |i: &SummaryInput<'_>| {
-        TransientJob::from_remaining(
-            i.spec,
-            &i.remaining_tasks,
-            &i.finished_phases,
-            cluster_totals,
-            sigma_weight,
-        )
-    };
-    #[cfg(feature = "rayon")]
-    if inputs.len() >= PAR_MIN_JOBS {
-        use rayon::prelude::*;
-        return inputs.par_iter().map(one).collect();
-    }
-    inputs.iter().map(one).collect()
+    inputs
+        .iter()
+        .map(|i| {
+            TransientJob::from_remaining(
+                i.spec,
+                &i.remaining_tasks,
+                &i.finished_phases,
+                cluster_totals,
+                sigma_weight,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Event journals: the in-memory recorders the engine writes into and
-//! the JSONL serialization they round-trip through.
+//! Event journals: the in-memory recorder the engine writes into and
+//! the JSONL serialization it round-trips through.
 //!
 //! A journal file is line-oriented: the first line is the
 //! [`JournalHeader`] (versioned, carrying the scheduler name, the run
@@ -13,7 +13,6 @@ use crate::config_fingerprint;
 use dollymp_cluster::engine::EngineConfig;
 use dollymp_cluster::trace::{Event, Recorder};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Current journal format version. Bump on any schema change; readers
 /// reject newer versions instead of misparsing them.
@@ -176,63 +175,6 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A bounded recorder keeping only the most recent `capacity` events —
-/// the "flight recorder" proper, for long runs where only the tail
-/// matters (e.g. capturing the lead-up to a guard quarantine or an
-/// engine error without the memory cost of the full stream).
-#[derive(Debug, Clone)]
-pub struct RingRecorder {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingRecorder {
-    /// Ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> RingRecorder {
-        RingRecorder {
-            buf: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted from the front to honor the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drain the retained tail into a vector, oldest first.
-    pub fn into_events(self) -> Vec<Event> {
-        self.buf.into_iter().collect()
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&mut self, ev: Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,17 +211,5 @@ mod tests {
             Err(JournalError::BadLine { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected bad-line error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn ring_keeps_only_the_tail() {
-        let mut r = RingRecorder::new(3);
-        for t in 0..10 {
-            r.record(tick(t));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 7);
-        let kept: Vec<Time> = r.events().map(|e| e.at()).collect();
-        assert_eq!(kept, vec![7, 8, 9]);
     }
 }

@@ -5,8 +5,8 @@
 //! through the `Recorder` trait; this crate turns that stream into
 //! artifacts:
 //!
-//! * [`journal`] — a bounded in-memory ring recorder and a JSONL
-//!   journal with a versioned header (scheduler, seed, FNV-1a config
+//! * [`journal`] — the in-memory JSONL journal recorder, with a
+//!   versioned header (scheduler, seed, FNV-1a config
 //!   fingerprint, recording flags);
 //! * [`registry`] — a [`registry::MetricsRegistry`] of counters, gauges
 //!   and nearest-rank histograms over the stream;

@@ -21,8 +21,8 @@ pub struct WorkloadStats {
     /// Job size (task count) quantiles: (p50, p90, p99, max).
     pub size_quantiles: (u64, u64, u64, u64),
     /// Fraction of jobs with ≤ 10 tasks ("small jobs"; the Google trace
-    /// analyses report ~95 % small jobs by a duration criterion — ours is
-    /// the size criterion used in §6.3).
+    /// analyses report ~95 % small jobs by a duration cut-off — ours is
+    /// the size cut-off used in §6.3).
     pub small_job_fraction: f64,
     /// Span of the arrival process in slots (last − first arrival).
     pub arrival_span: u64,

@@ -156,11 +156,6 @@ impl DelayAssigner {
         }
     }
 
-    /// Copies of the upstream task that have finished so far.
-    pub fn finished_count(&self) -> usize {
-        self.finished.len()
-    }
-
     /// Downstream copies still waiting for an input binding.
     pub fn unbound_count(&self) -> usize {
         self.unbound.len()

@@ -1,4 +1,4 @@
-//! Shared helpers for the equivalence suites: a seeded random workload
+//! Shared helpers for the integration suites: a seeded random workload
 //! and a random fault timeline of well-formed crash→restore windows.
 
 use dollymp::prelude::*;

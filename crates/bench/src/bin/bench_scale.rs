@@ -144,7 +144,7 @@ fn measure_cell(cell: Cell, warmup: usize, timed_iters: usize) -> CellResult {
                 10.0 + (i % 7) as f64,
                 4.0,
             );
-            JobState::new(spec, vec![vec![10.0; 4]])
+            JobState::new(spec, vec![10.0; 4])
         })
         .collect();
     let view = ClusterView::new(0, &cluster, &free, &jobs);

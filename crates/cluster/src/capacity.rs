@@ -554,24 +554,15 @@ mod tests {
 
     #[test]
     fn noted_copies_add_to_the_live_ones_and_reset_per_batch() {
-        use crate::state::{JobState, JobTable, Transition};
+        use crate::state::{CopyKind, JobState, JobTable};
         use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId};
 
         let spec = ClusterSpec::homogeneous(1, 8.0, 8.0);
         let idx = CapacityIndex::from_capacities(&spec);
         let job = JobSpec::single_phase(JobId(0), 2, Resources::new(1.0, 1.0), 3.0, 0.0);
-        let mut state = JobState::new(job, vec![vec![3.0; 2]]);
+        let mut state = JobState::new(job, vec![3.0; 2]);
         // Task 0 runs one live copy; task 1 is ready with none.
-        let (_, _, task) = state.launch_parts(PhaseId(0), TaskId(0));
-        task.copies.push(crate::state::CopyState {
-            copy_idx: 0,
-            server: ServerId(0),
-            start: 0,
-            finish: 3,
-            kind: crate::state::CopyKind::Primary,
-            live: true,
-        });
-        state.transition(PhaseId(0), Transition::Launch(TaskId(0)));
+        state.launch(PhaseId(0), TaskId(0), ServerId(0), 0, 3, CopyKind::Primary);
         let jobs = JobTable::from_iter([state]);
         let view = ClusterView::new(0, &spec, &idx, &jobs);
         let task = |t: u32| TaskRef {

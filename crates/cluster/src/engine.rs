@@ -38,7 +38,7 @@ use crate::fault::{FaultEvent, FaultTimeline};
 use crate::metrics::{CopyOutcome, GuardStats, JobMetrics, ReportFold, SimReport};
 use crate::scheduler::{Assignment, Scheduler};
 use crate::spec::{ClusterSpec, ServerId};
-use crate::state::{CopyKind, CopyState, JobState, JobTable, TaskStatus, Transition};
+use crate::state::{CopyKind, JobState, JobTable, TaskStatus, Transition};
 use crate::trace::{Event as TraceEvent, NullRecorder, Recorder};
 use crate::view::ClusterView;
 use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskRef};
@@ -92,12 +92,13 @@ impl Default for EngineConfig {
     }
 }
 
-/// A queued copy finish. Its slot is the key of the [`FinishQueue`]
-/// bucket that holds it.
+/// A queued copy finish: the copy's job and its index in the job's copy
+/// arena. Its slot is the key of the [`FinishQueue`] bucket that holds
+/// it.
 #[derive(Debug, Clone, Copy)]
 struct Event {
-    task: TaskRef,
-    copy_idx: u32,
+    job: JobId,
+    copy: u32,
 }
 
 /// Finish events bucketed by slot. Each bucket is in push order, which
@@ -106,8 +107,9 @@ struct Event {
 type FinishQueue = BTreeMap<Time, Vec<Event>>;
 
 /// The live copies on each server, indexed by server, in no particular
-/// order. Empty, with no entry for any server, when the run has no fault
-/// events: launches and retirements then skip the upkeep.
+/// order: each copy's task and its index in the job's copy arena. Empty,
+/// with no entry for any server, when the run has no fault events:
+/// launches and retirements then skip the upkeep.
 type LiveCopies = Vec<Vec<(TaskRef, u32)>>;
 
 /// Run one simulation to completion and return the report.
@@ -476,12 +478,7 @@ pub fn try_simulate_with_faults_recorded(
                 return Err(SimError::DuplicateJob { job: id });
             }
             last_progress = now;
-            let tables: Vec<Vec<f64>> = spec
-                .phases()
-                .iter()
-                .enumerate()
-                .map(|(pi, p)| sampler.phase_table(id, PhaseId(pi as u32), p))
-                .collect();
+            let tables = sampler.job_tables(&spec);
             active.insert(JobState::new(spec, tables));
             sink.trace(|| TraceEvent::JobArrival { at: now, job: id });
             let view = live_view(now, cluster, &free, &active, &down);
@@ -574,6 +571,10 @@ pub fn try_simulate_with_faults_recorded(
             active.values().all(JobState::index_matches_status),
             "a job's ready/running index drifted from its task statuses at slot {now}"
         );
+        debug_assert!(
+            active.values().all(JobState::copies_match_links),
+            "a job's copy links or per-task copy counters drifted from its copy arena at slot {now}"
+        );
     }
     // Hooks after the last pass (the final `on_job_finish` calls) can
     // still move the guard's counters.
@@ -637,18 +638,15 @@ fn emit_guard_delta(
 /// Events of killed, evicted or stretched copies stay queued until their
 /// bucket comes up, and this check is what skips them.
 fn copy_is_live(active: &JobTable, finish: Time, ev: &Event) -> bool {
-    active.get(ev.task.job).is_some_and(|j| {
-        // A copy's index is its position in the task's copy list.
-        let copy = j
-            .task(ev.task.phase, ev.task.task)
-            .copies
-            .get(ev.copy_idx as usize);
-        debug_assert!(copy.is_none_or(|c| c.copy_idx == ev.copy_idx));
-        // The finish check drops events obsoleted by a fail-slow stretch
-        // (the copy re-queued a later event); without faults a copy's
-        // finish never changes, so it is inert.
-        copy.is_some_and(|c| c.live && c.finish == finish)
-    })
+    // The finish check drops events obsoleted by a fail-slow stretch (the
+    // copy re-queued a later event); without faults a copy's finish never
+    // changes, so it is inert. An event left behind by a finished job
+    // whose id was admitted again passes only for a live copy of the new
+    // job that finishes in this very slot, which it retires on time.
+    active
+        .get(ev.job)
+        .and_then(|j| j.copy(ev.copy))
+        .is_some_and(|c| c.live && c.finish == finish)
 }
 
 /// Apply one fault event: mutate cluster/job state and queue the
@@ -704,25 +702,28 @@ fn apply_fault(
                 #[allow(clippy::expect_used)] // only live copies are listed
                 let job = active.get_mut(tref.job).expect("live copy ⇒ job active");
                 let demand_norm = job.spec().phase(tref.phase).demand.normalized_sum(totals);
-                let task = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize];
-                debug_assert_eq!(task.status(), TaskStatus::Running);
-                for &(_, copy_idx) in copies {
-                    let c = &mut task.copies[copy_idx as usize];
-                    debug_assert!(c.copy_idx == copy_idx && c.live && c.server == server);
-                    c.live = false;
+                debug_assert_eq!(
+                    job.task(tref.phase, tref.task).status(),
+                    TaskStatus::Running
+                );
+                // Arena order is launch order, so within a task the sort
+                // above put the copies in `copy_idx` order.
+                for &(_, copy) in copies {
+                    let c = job.end_copy(copy);
+                    debug_assert!(c.server == server);
                     let wasted = demand_norm * now.saturating_sub(c.start) as f64;
                     job.usage_norm += wasted;
                     sink.emit(TraceEvent::CopyEvict {
                         at: now,
                         task: tref,
-                        copy_idx,
+                        copy_idx: c.copy_idx,
                         server,
                         kind: c.kind,
                         start: c.start,
                         work_lost_norm: wasted,
                     });
                 }
-                if task.copies.iter().any(|c| c.live) {
+                if job.task(tref.phase, tref.task).live_copies() > 0 {
                     // A live clone elsewhere carries the task — cloning
                     // as fault tolerance (§5.2's mechanism repurposed).
                     sink.emit(TraceEvent::TaskSaved {
@@ -768,17 +769,18 @@ fn apply_fault(
             // finish check in `copy_is_live`.
             let stretched = &mut live_on[sid];
             stretched.sort_unstable();
-            for &(tref, copy_idx) in stretched.iter() {
+            for &(tref, copy) in stretched.iter() {
                 #[allow(clippy::expect_used)] // only live copies are listed
                 let job = active.get_mut(tref.job).expect("live copy ⇒ job active");
-                let c = &mut job.tasks[tref.phase.0 as usize][tref.task.0 as usize].copies
-                    [copy_idx as usize];
-                debug_assert!(c.copy_idx == copy_idx && c.live && c.server == server);
+                #[allow(clippy::expect_used)] // listed copies are in the arena
+                let c = job.copy(copy).expect("listed copy in the arena");
+                debug_assert!(c.live && c.server == server);
                 let remaining = c.finish.saturating_sub(now).max(1);
-                c.finish = now + ((remaining as f64 / factor).ceil() as Time).max(1);
-                events.entry(c.finish).or_default().push(Event {
-                    task: tref,
-                    copy_idx,
+                let finish = now + ((remaining as f64 / factor).ceil() as Time).max(1);
+                job.set_finish(copy, finish);
+                events.entry(finish).or_default().push(Event {
+                    job: tref.job,
+                    copy,
                 });
             }
         }
@@ -801,25 +803,39 @@ fn retire_copy(
     sink: &mut Sink<'_>,
 ) {
     #[allow(clippy::expect_used)] // copy_is_live gated the event on this
-    let job = active.get_mut(ev.task.job).expect("live copy ⇒ job active");
-    let demand = job.spec().phase(ev.task.phase).demand;
+    let job = active.get_mut(ev.job).expect("live copy ⇒ job active");
+    #[allow(clippy::expect_used)] // copy_is_live gated the event on this
+    let won = *job.copy(ev.copy).expect("live copy in the arena");
+    let tref = TaskRef {
+        job: ev.job,
+        phase: won.phase,
+        task: won.task,
+    };
+    let demand = job.spec().phase(tref.phase).demand;
     let demand_norm = demand.normalized_sum(totals);
-    let pi = ev.task.phase.0 as usize;
-    let ti = ev.task.task.0 as usize;
+    let pi = tref.phase.0 as usize;
 
-    let task = &mut job.tasks[pi][ti];
-    debug_assert_eq!(task.status(), TaskStatus::Running);
-    let mut winner_start = now;
-    // End every live copy: the winner completes, the rest are killed.
-    for c in task.copies.iter_mut().filter(|c| c.live) {
-        c.live = false;
+    debug_assert_eq!(
+        job.task(tref.phase, tref.task).status(),
+        TaskStatus::Running
+    );
+    // End every live copy in launch order: the winner completes, the rest
+    // are killed.
+    let mut next = job.task(tref.phase, tref.task).first;
+    while let Some(&c) = job.copy(next) {
+        let copy = next;
+        next = c.next;
+        if !c.live {
+            continue;
+        }
+        job.end_copy(copy);
         free.add_free(c.server, demand);
         if let Some(listed) = live_on.get_mut(c.server.0 as usize) {
-            let pos = listed.iter().position(|&e| e == (ev.task, c.copy_idx));
+            let pos = listed.iter().position(|&e| e == (tref, copy));
             debug_assert!(
                 pos.is_some(),
                 "live copy {}#{} missing from server {}'s list",
-                ev.task,
+                tref,
                 c.copy_idx,
                 c.server.0
             );
@@ -828,8 +844,7 @@ fn retire_copy(
             }
         }
         job.usage_norm += demand_norm * now.saturating_sub(c.start) as f64;
-        let outcome = if c.copy_idx == ev.copy_idx {
-            winner_start = c.start;
+        let outcome = if copy == ev.copy {
             CopyOutcome::Won
         } else {
             CopyOutcome::Killed
@@ -837,7 +852,7 @@ fn retire_copy(
         // Journal-only: the report fold ignores copy retirements.
         sink.trace(|| TraceEvent::CopyRetire {
             at: now,
-            task: ev.task,
+            task: tref,
             copy_idx: c.copy_idx,
             server: c.server,
             kind: c.kind,
@@ -845,12 +860,10 @@ fn retire_copy(
             outcome,
         });
     }
-    task.finish = Some(now);
-    task.winner = Some(ev.copy_idx);
-    job.transition(ev.task.phase, Transition::Retire(ev.task.task));
+    job.finish_task(tref.phase, tref.task, now, won.copy_idx);
     job.phases[pi]
         .observed
-        .push(now.saturating_sub(winner_start) as f64);
+        .push(now.saturating_sub(won.start) as f64);
 
     debug_assert!(job.phases[pi].remaining > 0);
     job.phases[pi].remaining -= 1;
@@ -858,7 +871,7 @@ fn retire_copy(
         // Unlock children whose parents are now all complete (Eq. 7).
         // Copied into a reused scratch buffer to release the spec borrow.
         children_scratch.clear();
-        children_scratch.extend_from_slice(job.spec().children(ev.task.phase));
+        children_scratch.extend_from_slice(job.spec().children(tref.phase));
         for &child in children_scratch.iter() {
             let ready = job
                 .spec()
@@ -1011,19 +1024,19 @@ fn apply_assignment(
     let job = active
         .get_mut(a.task.job)
         .expect("checked: assignment for known job");
-    let (spec_phase, table, task) = job.launch_parts(a.task.phase, a.task.task);
+    let spec_phase = job.spec().phase(a.task.phase);
 
     let sid = a.server.0 as usize;
     free.sub_free(a.server, spec_phase.demand);
 
-    let copy_idx = task.launched_copies();
+    let copy_idx = job.task(a.task.phase, a.task.task).launched_copies();
     let mut base = sampler.copy_duration(
         a.task.job,
         a.task.phase,
         a.task.task,
         copy_idx,
         spec_phase,
-        table,
+        job.table(a.task.phase),
     );
     // Data locality: root-phase tasks read their input block remotely
     // when placed off-replica.
@@ -1038,26 +1051,13 @@ fn apply_assignment(
     let dur = ((base / speed).ceil() as Time).max(1);
     let finish = now + dur;
 
-    task.copies.push(CopyState {
-        copy_idx,
-        server: a.server,
-        start: now,
-        finish,
-        kind: a.kind,
-        live: true,
-    });
-    job.transition(a.task.phase, Transition::Launch(a.task.task));
-    if a.kind == CopyKind::Clone {
-        job.clone_launches += 1;
-    }
-    job.first_start.get_or_insert(now);
-
+    let copy = job.launch(a.task.phase, a.task.task, a.server, now, finish, a.kind);
     if let Some(listed) = live_on.get_mut(sid) {
-        listed.push((a.task, copy_idx));
+        listed.push((a.task, copy));
     }
     events.entry(finish).or_default().push(Event {
-        task: a.task,
-        copy_idx,
+        job: a.task.job,
+        copy,
     });
     sink.trace(|| TraceEvent::CopyLaunch {
         at: now,

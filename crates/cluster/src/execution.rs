@@ -24,7 +24,7 @@
 //! Server effects (speed, locality) are applied *at placement* by the
 //! engine, on top of the paired base duration.
 
-use dollymp_core::job::{JobId, PhaseId, PhaseSpec, TaskId};
+use dollymp_core::job::{JobId, JobSpec, PhaseId, PhaseSpec, TaskId};
 use dollymp_core::speedup::ParetoDist;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -90,13 +90,22 @@ impl DurationSampler {
         DurationSampler { seed, model }
     }
 
-    /// The pre-drawn duration table of one phase: `table[l]` is the base
-    /// duration (in the phase's `θ` units) of task `l`'s primary copy.
-    pub fn phase_table(&self, job: JobId, phase: PhaseId, spec: &PhaseSpec) -> Vec<f64> {
+    /// Append the pre-drawn duration table of one phase to `out`: entry
+    /// `l` is the base duration (in the phase's `θ` units) of task `l`'s
+    /// primary copy.
+    fn append_phase_table(&self, job: JobId, phase: PhaseId, spec: &PhaseSpec, out: &mut Vec<f64>) {
         let mut rng = SmallRng::seed_from_u64(mix(self.seed, job.0, phase.0 as u64, 0x9e37));
-        (0..spec.ntasks)
-            .map(|_| self.draw(&mut rng, spec))
-            .collect()
+        out.extend((0..spec.ntasks).map(|_| self.draw(&mut rng, spec)));
+    }
+
+    /// Every phase's duration table of `job`, concatenated in phase order
+    /// — the layout [`crate::state::JobState::new`] takes.
+    pub fn job_tables(&self, job: &JobSpec) -> Vec<f64> {
+        let mut out = Vec::with_capacity(job.total_tasks() as usize);
+        for (pi, p) in job.phases().iter().enumerate() {
+            self.append_phase_table(job.id, PhaseId(pi as u32), p, &mut out);
+        }
+        out
     }
 
     /// Base duration of copy `copy_idx` of a task. Copy 0 (the primary)
@@ -218,10 +227,16 @@ mod tests {
         PhaseSpec::new(n, Resources::new(1.0, 1.0), theta, sigma)
     }
 
+    fn phase_table(s: &DurationSampler, job: JobId, phase: PhaseId, spec: &PhaseSpec) -> Vec<f64> {
+        let mut t = Vec::new();
+        s.append_phase_table(job, phase, spec, &mut t);
+        t
+    }
+
     #[test]
     fn deterministic_model_returns_theta() {
         let s = DurationSampler::new(1, StragglerModel::Deterministic);
-        let t = s.phase_table(JobId(0), PhaseId(0), &phase(7.0, 3.0, 5));
+        let t = phase_table(&s, JobId(0), PhaseId(0), &phase(7.0, 3.0, 5));
         assert!(t.iter().all(|&d| (d - 7.0).abs() < 1e-12));
     }
 
@@ -229,14 +244,18 @@ mod tests {
     fn tables_are_reproducible_and_seed_sensitive() {
         let p = phase(10.0, 4.0, 8);
         let a = DurationSampler::new(5, StragglerModel::ParetoFit);
-        let t1 = a.phase_table(JobId(3), PhaseId(1), &p);
-        let t2 = a.phase_table(JobId(3), PhaseId(1), &p);
+        let t1 = phase_table(&a, JobId(3), PhaseId(1), &p);
+        let t2 = phase_table(&a, JobId(3), PhaseId(1), &p);
         assert_eq!(t1, t2, "same ids → same table");
         let b = DurationSampler::new(6, StragglerModel::ParetoFit);
-        assert_ne!(t1, b.phase_table(JobId(3), PhaseId(1), &p), "seed matters");
         assert_ne!(
             t1,
-            a.phase_table(JobId(4), PhaseId(1), &p),
+            phase_table(&b, JobId(3), PhaseId(1), &p),
+            "seed matters"
+        );
+        assert_ne!(
+            t1,
+            phase_table(&a, JobId(4), PhaseId(1), &p),
             "job id matters"
         );
     }
@@ -245,7 +264,7 @@ mod tests {
     fn pareto_fit_tables_have_roughly_right_mean() {
         let p = phase(10.0, 5.0, 4000);
         let s = DurationSampler::new(9, StragglerModel::ParetoFit);
-        let t = s.phase_table(JobId(0), PhaseId(0), &p);
+        let t = phase_table(&s, JobId(0), PhaseId(0), &p);
         let mean = t.iter().sum::<f64>() / t.len() as f64;
         assert!(
             (mean - 10.0).abs() < 1.0,
@@ -258,7 +277,7 @@ mod tests {
     fn primary_copy_reads_its_slot_clones_resample() {
         let p = phase(10.0, 5.0, 16);
         let s = DurationSampler::new(11, StragglerModel::ParetoFit);
-        let table = s.phase_table(JobId(1), PhaseId(0), &p);
+        let table = phase_table(&s, JobId(1), PhaseId(0), &p);
         for l in 0..16u32 {
             let d = s.copy_duration(JobId(1), PhaseId(0), TaskId(l), 0, &p, &table);
             assert_eq!(d, table[l as usize]);
@@ -277,7 +296,7 @@ mod tests {
     fn bimodal_inflates_some_tasks() {
         let p = phase(10.0, 0.0, 4000);
         let s = DurationSampler::new(2, StragglerModel::google_traces());
-        let t = s.phase_table(JobId(0), PhaseId(0), &p);
+        let t = phase_table(&s, JobId(0), PhaseId(0), &p);
         let stragglers = t.iter().filter(|&&d| d > 12.0).count();
         let frac = stragglers as f64 / t.len() as f64;
         assert!(
@@ -296,7 +315,7 @@ mod tests {
         let _ = R::ZERO;
         let p = phase(8.0, 0.0, 2);
         let s = DurationSampler::new(0, StragglerModel::ExpectedSpeedup { alpha: 2.5 });
-        let table = s.phase_table(JobId(0), PhaseId(0), &p);
+        let table = phase_table(&s, JobId(0), PhaseId(0), &p);
         assert_eq!(table, vec![8.0, 8.0]);
         // Copy 0 = θ; copy 1 = θ / h(2) = 8 / (4/3) = 6.
         assert_eq!(
@@ -313,7 +332,7 @@ mod tests {
     #[test]
     fn zero_sigma_pareto_fit_degenerates() {
         let s = DurationSampler::new(3, StragglerModel::ParetoFit);
-        let t = s.phase_table(JobId(0), PhaseId(0), &phase(4.0, 0.0, 3));
+        let t = phase_table(&s, JobId(0), PhaseId(0), &phase(4.0, 0.0, 3));
         assert!(t.iter().all(|&d| (d - 4.0).abs() < 1e-12));
     }
 }

@@ -649,7 +649,7 @@ mod tests {
         }
         let c = ClusterSpec::homogeneous(2, 8.0, 16.0);
         let spec = JobSpec::single_phase(JobId(0), 1, Resources::new(2.0, 4.0), 12.0, 4.0);
-        let tables = vec![sampler().phase_table(JobId(0), PhaseId(0), &spec.phases()[0])];
+        let tables = sampler().job_tables(&spec);
         let jobs = crate::state::JobTable::from_iter([crate::state::JobState::new(spec, tables)]);
         let cap = crate::capacity::CapacityIndex::from_free(&[
             Resources::ZERO,
@@ -710,8 +710,7 @@ mod tests {
                 .into_iter()
                 .map(|(i, demand)| {
                     let spec = JobSpec::single_phase(JobId(i), 1, demand, 12.0, 4.0);
-                    let tables =
-                        vec![sampler().phase_table(JobId(i), PhaseId(0), &spec.phases()[0])];
+                    let tables = sampler().job_tables(&spec);
                     crate::state::JobState::new(spec, tables)
                 })
                 .collect();

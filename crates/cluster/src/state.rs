@@ -7,7 +7,7 @@
 //! finishes first.
 
 use crate::spec::ServerId;
-use dollymp_core::job::{JobId, JobSpec, PhaseId, PhaseSpec, TaskId, TaskRef};
+use dollymp_core::job::{JobId, JobSpec, PhaseId, TaskId, TaskRef};
 use dollymp_core::resources::Resources;
 use dollymp_core::stats::RunningStats;
 use dollymp_core::time::Time;
@@ -22,7 +22,11 @@ pub enum CopyKind {
     Clone,
 }
 
-/// One running (or finished/killed) copy of a task.
+/// Arena index that names no copy: the end of a task's copy links.
+const NO_COPY: u32 = u32::MAX;
+
+/// One running (or finished/killed) copy of a task. A job keeps all its
+/// copies in one arena in launch order; see [`JobState::copies_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CopyState {
     /// Copy index (0 = primary).
@@ -38,6 +42,13 @@ pub struct CopyState {
     pub kind: CopyKind,
     /// Still occupying resources?
     pub(crate) live: bool,
+    /// The phase of the copy's task.
+    pub(crate) phase: PhaseId,
+    /// The copy's task within its phase.
+    pub(crate) task: TaskId,
+    /// Arena index of the task's next copy in launch order, or
+    /// [`NO_COPY`].
+    pub(crate) next: u32,
 }
 
 impl CopyState {
@@ -65,13 +76,23 @@ pub enum TaskStatus {
     Done,
 }
 
-/// Runtime state of one task.
+/// Runtime state of one task. Its copies live in the job's copy arena,
+/// linked in launch order from `first` to `last`; the counters are kept
+/// by `JobState::launch` and `JobState::end_copy`, the only writers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskState {
     /// Current lifecycle stage; written only by [`JobState::transition`].
     status: TaskStatus,
-    /// All copies ever launched (live and dead).
-    pub copies: Vec<CopyState>,
+    /// Arena indices of the first and last copy, [`NO_COPY`] before the
+    /// first launch.
+    pub(crate) first: u32,
+    last: u32,
+    /// Copies still occupying resources.
+    live: u32,
+    /// Copies ever launched.
+    launched: u32,
+    /// Has a clone copy ever launched?
+    cloned: bool,
     /// Completion time, once done.
     pub finish: Option<Time>,
     /// Index of the copy that finished first (set when done).
@@ -86,7 +107,11 @@ impl TaskState {
             } else {
                 TaskStatus::Ready
             },
-            copies: Vec::new(),
+            first: NO_COPY,
+            last: NO_COPY,
+            live: 0,
+            launched: 0,
+            cloned: false,
             finish: None,
             winner: None,
         }
@@ -99,12 +124,12 @@ impl TaskState {
 
     /// Number of live copies.
     pub fn live_copies(&self) -> u32 {
-        self.copies.iter().filter(|c| c.live).count() as u32
+        self.live
     }
 
     /// Total copies ever launched.
     pub fn launched_copies(&self) -> u32 {
-        self.copies.len() as u32
+        self.launched
     }
 }
 
@@ -249,6 +274,9 @@ pub struct PhaseState {
     ready: TaskSet,
     /// The phase's tasks in [`TaskStatus::Running`].
     running: TaskSet,
+    /// Position of the phase's first task in the job's task list and of
+    /// its first entry in the job's duration tables.
+    offset: u32,
 }
 
 impl PhaseState {
@@ -278,16 +306,21 @@ pub(crate) enum Transition {
     Unlock,
 }
 
-/// Runtime state of one job inside the engine.
+/// Runtime state of one job inside the engine, in a few flat arrays:
+/// every task of every phase in one list, every phase's duration table in
+/// one list (both indexed from the phase's `offset`), and every copy the
+/// job ever launched in one arena, in launch order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobState {
     spec: JobSpec,
-    /// Pre-drawn per-phase duration tables (paired sampling).
-    pub(crate) tables: Vec<Vec<f64>>,
+    /// Pre-drawn duration tables (paired sampling), one entry per task.
+    tables: Vec<f64>,
     /// Per-phase runtime state.
     pub(crate) phases: Vec<PhaseState>,
-    /// Per-phase, per-task runtime state.
-    pub(crate) tasks: Vec<Vec<TaskState>>,
+    /// Per-task runtime state, phase after phase.
+    tasks: Vec<TaskState>,
+    /// Every copy launched so far, in launch order.
+    copies: Vec<CopyState>,
     /// First copy start across the whole job.
     pub(crate) first_start: Option<Time>,
     /// Job completion time.
@@ -301,34 +334,43 @@ pub struct JobState {
 }
 
 impl JobState {
-    /// Instantiate runtime state for a job. Called by the engine when a
-    /// job is admitted; public so that control-plane layers (the YARN
-    /// simulation) and tests can build job states directly.
-    pub fn new(spec: JobSpec, tables: Vec<Vec<f64>>) -> Self {
+    /// Instantiate runtime state for a job. `tables` holds every phase's
+    /// duration table in phase order, one entry per task (what
+    /// [`crate::execution::DurationSampler::job_tables`] draws). Called by
+    /// the engine when a job is admitted; public so that control-plane
+    /// layers (the YARN simulation) and tests can build job states
+    /// directly.
+    ///
+    /// # Panics
+    /// Panics when `tables` does not hold exactly one entry per task.
+    pub fn new(spec: JobSpec, tables: Vec<f64>) -> Self {
+        assert_eq!(
+            tables.len() as u64,
+            spec.total_tasks(),
+            "a job's duration tables hold one entry per task"
+        );
+        let mut offset = 0u32;
+        let mut tasks = Vec::with_capacity(tables.len());
         let phases: Vec<PhaseState> = spec
             .phases()
             .iter()
             .map(|p| {
+                let root = p.parents.is_empty();
                 let mut ready = TaskSet::new(p.ntasks);
-                if p.parents.is_empty() {
+                if root {
                     ready.fill(p.ntasks);
                 }
-                PhaseState {
+                tasks.extend((0..p.ntasks).map(|_| TaskState::new(!root)));
+                let st = PhaseState {
                     remaining: p.ntasks,
-                    runnable: p.parents.is_empty(),
+                    runnable: root,
                     observed: RunningStats::new(),
                     ready,
                     running: TaskSet::new(p.ntasks),
-                }
-            })
-            .collect();
-        let tasks: Vec<Vec<TaskState>> = spec
-            .phases()
-            .iter()
-            .map(|p| {
-                (0..p.ntasks)
-                    .map(|_| TaskState::new(!p.parents.is_empty()))
-                    .collect()
+                    offset,
+                };
+                offset += p.ntasks;
+                st
             })
             .collect();
         JobState {
@@ -336,6 +378,7 @@ impl JobState {
             tables,
             phases,
             tasks,
+            copies: Vec::new(),
             first_start: None,
             finish: None,
             usage_norm: 0.0,
@@ -353,24 +396,127 @@ impl JobState {
         self.spec.id
     }
 
-    /// Runtime state of one task.
-    pub fn task(&self, phase: PhaseId, task: TaskId) -> &TaskState {
-        &self.tasks[phase.0 as usize][task.0 as usize]
+    /// The range of a phase's tasks in `tasks` and its entries in
+    /// `tables`.
+    fn phase_range(&self, phase: PhaseId) -> std::ops::Range<usize> {
+        let start = self.phases[phase.0 as usize].offset as usize;
+        start..start + self.spec.phase(phase).ntasks as usize
     }
 
-    /// What launching a copy of a task needs at once: the phase spec and
-    /// its duration table (shared) next to the task's state (mutable).
-    pub(crate) fn launch_parts(
+    /// Position of a task in `tasks`.
+    ///
+    /// # Panics
+    /// Panics when the task is outside its phase.
+    fn task_index(&self, phase: PhaseId, task: TaskId) -> usize {
+        let range = self.phase_range(phase);
+        assert!(
+            (task.0 as usize) < range.len(),
+            "task {} outside phase {} of job {}",
+            task.0,
+            phase.0,
+            self.spec.id.0
+        );
+        range.start + task.0 as usize
+    }
+
+    /// Runtime state of one task.
+    pub fn task(&self, phase: PhaseId, task: TaskId) -> &TaskState {
+        &self.tasks[self.task_index(phase, task)]
+    }
+
+    /// A task's copies, live and dead, in launch order (so `copy_idx`
+    /// counts up from 0).
+    pub fn copies_of(&self, phase: PhaseId, task: TaskId) -> impl Iterator<Item = &CopyState> + '_ {
+        let mut next = self.task(phase, task).first;
+        std::iter::from_fn(move || {
+            let c = self.copy(next)?;
+            next = c.next;
+            Some(c)
+        })
+    }
+
+    /// The copy at arena index `copy`, if there is one.
+    pub(crate) fn copy(&self, copy: u32) -> Option<&CopyState> {
+        self.copies.get(copy as usize)
+    }
+
+    /// A phase's pre-drawn duration table.
+    pub(crate) fn table(&self, phase: PhaseId) -> &[f64] {
+        &self.tables[self.phase_range(phase)]
+    }
+
+    /// Launch a copy of a task at `start` that would finish at `finish`:
+    /// append it to the arena and to the task's links, count it, and move
+    /// a ready task to running. Returns the copy's arena index.
+    pub(crate) fn launch(
         &mut self,
         phase: PhaseId,
         task: TaskId,
-    ) -> (&PhaseSpec, &[f64], &mut TaskState) {
-        let pi = phase.0 as usize;
-        (
-            self.spec.phase(phase),
-            &self.tables[pi],
-            &mut self.tasks[pi][task.0 as usize],
-        )
+        server: ServerId,
+        start: Time,
+        finish: Time,
+        kind: CopyKind,
+    ) -> u32 {
+        assert!(
+            self.copies.len() < NO_COPY as usize,
+            "a job's copy arena holds fewer than u32::MAX copies"
+        );
+        let idx = self.copies.len() as u32;
+        let ti = self.task_index(phase, task);
+        let t = &mut self.tasks[ti];
+        self.copies.push(CopyState {
+            copy_idx: t.launched,
+            server,
+            start,
+            finish,
+            kind,
+            live: true,
+            phase,
+            task,
+            next: NO_COPY,
+        });
+        match t.last {
+            NO_COPY => t.first = idx,
+            last => self.copies[last as usize].next = idx,
+        }
+        t.last = idx;
+        t.live += 1;
+        t.launched += 1;
+        if kind == CopyKind::Clone {
+            t.cloned = true;
+            self.clone_launches += 1;
+        }
+        self.transition(phase, Transition::Launch(task));
+        self.first_start.get_or_insert(start);
+        idx
+    }
+
+    /// End the live copy at arena index `copy` (it won, was killed or was
+    /// evicted): it stops occupying resources. Returns it.
+    pub(crate) fn end_copy(&mut self, copy: u32) -> CopyState {
+        let c = &mut self.copies[copy as usize];
+        debug_assert!(c.live, "ending a copy that already ended");
+        c.live = false;
+        let c = *c;
+        let ti = self.task_index(c.phase, c.task);
+        self.tasks[ti].live -= 1;
+        c
+    }
+
+    /// Record a task's completion at `at` by its copy `winner` (a
+    /// `copy_idx`): Running → Done.
+    pub(crate) fn finish_task(&mut self, phase: PhaseId, task: TaskId, at: Time, winner: u32) {
+        let ti = self.task_index(phase, task);
+        let t = &mut self.tasks[ti];
+        t.finish = Some(at);
+        t.winner = Some(winner);
+        self.transition(phase, Transition::Retire(task));
+    }
+
+    /// Move the live copy at arena index `copy` to a new finish slot (a
+    /// fail-slow stretch).
+    pub(crate) fn set_finish(&mut self, copy: u32, finish: Time) {
+        self.copies[copy as usize].finish = finish;
     }
 
     /// Runtime state of one phase.
@@ -382,9 +528,9 @@ impl JobState {
     /// [`Transition::Unlock`], to a whole phase), keeping the phase's
     /// ready and running sets in step.
     pub(crate) fn transition(&mut self, phase: PhaseId, step: Transition) {
-        let pi = phase.0 as usize;
-        let st = &mut self.phases[pi];
-        let tasks = &mut self.tasks[pi];
+        let range = self.phase_range(phase);
+        let st = &mut self.phases[phase.0 as usize];
+        let tasks = &mut self.tasks[range];
         match step {
             Transition::Launch(t) => {
                 let task = &mut tasks[t.0 as usize];
@@ -424,7 +570,9 @@ impl JobState {
     /// Do the per-phase ready and running sets hold exactly the tasks a
     /// status filter over every task finds? The engine's debug checks.
     pub(crate) fn index_matches_status(&self) -> bool {
-        self.phases.iter().zip(&self.tasks).all(|(st, tasks)| {
+        (0..self.phases.len()).all(|pi| {
+            let phase = PhaseId(pi as u32);
+            let (st, tasks) = (&self.phases[pi], &self.tasks[self.phase_range(phase)]);
             let matches = |set: &TaskSet, status: TaskStatus| {
                 let filtered = tasks
                     .iter()
@@ -435,6 +583,42 @@ impl JobState {
             };
             matches(&st.ready, TaskStatus::Ready) && matches(&st.running, TaskStatus::Running)
         })
+    }
+
+    /// Does walking each task's links visit exactly its copies, with
+    /// `copy_idx` counting 0, 1, 2, …, and every arena copy once, and do
+    /// the task's live, launched and cloned counters (and its running
+    /// status) match that walk? The engine's debug checks.
+    ///
+    /// A walk only accepts copies that name its task, and a revisit would
+    /// repeat a smaller `copy_idx`, so no copy is visited twice; the
+    /// walks then cover the arena when their lengths add up to its size.
+    pub(crate) fn copies_match_links(&self) -> bool {
+        let mut visited = 0usize;
+        let tasks_agree = (0..self.phases.len()).all(|pi| {
+            let phase = PhaseId(pi as u32);
+            let range = self.phase_range(phase);
+            self.tasks[range].iter().enumerate().all(|(ti, t)| {
+                let (mut launched, mut live, mut cloned, mut last) = (0u32, 0u32, false, NO_COPY);
+                let mut next = t.first;
+                while let Some(c) = self.copy(next) {
+                    if c.copy_idx != launched || (c.phase, c.task) != (phase, TaskId(ti as u32)) {
+                        return false;
+                    }
+                    launched += 1;
+                    live += u32::from(c.live);
+                    cloned |= c.kind == CopyKind::Clone;
+                    last = next;
+                    next = c.next;
+                }
+                visited += launched as usize;
+                next == NO_COPY
+                    && last == t.last
+                    && (launched, live, cloned) == (t.launched, t.live, t.cloned)
+                    && (t.status == TaskStatus::Running) == (live > 0)
+            })
+        });
+        tasks_agree && visited == self.copies.len()
     }
 
     /// The members of one per-phase set of every phase, in (phase, task)
@@ -480,16 +664,6 @@ impl JobState {
         self.iter_running().collect()
     }
 
-    /// Unfinished task count per phase (`n_j^k(t)` of Eq. 16).
-    pub fn remaining_tasks(&self) -> Vec<u32> {
-        self.phases.iter().map(|p| p.remaining).collect()
-    }
-
-    /// Per-phase completion flags (for Eq. 17).
-    pub fn finished_phases(&self) -> Vec<bool> {
-        self.phases.iter().map(|p| p.remaining == 0).collect()
-    }
-
     /// Remaining effective volume `v_j(t)` (Eq. 16). Computed directly
     /// from the per-phase remaining counts (same term order as
     /// `JobSpec::remaining_volume`, without materializing the counts).
@@ -507,7 +681,7 @@ impl JobState {
     /// Remaining effective processing time `e_j(t)` (Eq. 17).
     pub fn remaining_etime(&self, sigma_weight: f64) -> f64 {
         self.spec
-            .remaining_effective_time(&self.finished_phases(), sigma_weight)
+            .remaining_effective_time(|p| self.phases[p.0 as usize].remaining == 0, sigma_weight)
     }
 
     /// Has every phase completed?
@@ -550,18 +724,22 @@ impl JobState {
     /// in `dollymp-schedulers::learned`).
     pub fn completion_records(&self) -> Vec<(ServerId, PhaseId, f64, f64)> {
         let mut out = Vec::new();
-        for (pi, tasks) in self.tasks.iter().enumerate() {
-            let theta = self.spec.phase(PhaseId(pi as u32)).theta;
-            for t in tasks {
+        for (pi, p) in self.spec.phases().iter().enumerate() {
+            let phase = PhaseId(pi as u32);
+            for ti in 0..p.ntasks {
+                let t = self.task(phase, TaskId(ti));
                 let (Some(finish), Some(winner)) = (t.finish, t.winner) else {
                     continue;
                 };
-                if let Some(c) = t.copies.iter().find(|c| c.copy_idx == winner) {
+                if let Some(c) = self
+                    .copies_of(phase, TaskId(ti))
+                    .find(|c| c.copy_idx == winner)
+                {
                     out.push((
                         c.server,
-                        PhaseId(pi as u32),
+                        phase,
                         finish.saturating_sub(c.start) as f64,
-                        theta,
+                        p.theta,
                     ));
                 }
             }
@@ -573,11 +751,7 @@ impl JobState {
     /// kind, not launch count: a task re-executed after a crash eviction
     /// launches a second *primary*, which is not cloning.)
     pub fn tasks_cloned(&self) -> u64 {
-        self.tasks
-            .iter()
-            .flatten()
-            .filter(|t| t.copies.iter().any(|c| c.kind == CopyKind::Clone))
-            .count() as u64
+        self.tasks.iter().filter(|t| t.cloned).count() as u64
     }
 }
 
@@ -809,8 +983,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let tables = vec![vec![10.0, 10.0], vec![5.0]];
-        JobState::new(spec, tables)
+        JobState::new(spec, vec![10.0, 10.0, 5.0])
     }
 
     #[test]
@@ -821,7 +994,8 @@ mod tests {
         assert!(ready.iter().all(|t| t.phase == PhaseId(0)));
         assert_eq!(j.task(PhaseId(1), TaskId(0)).status, TaskStatus::Blocked);
         assert!(!j.is_done());
-        assert_eq!(j.remaining_tasks(), vec![2, 1]);
+        let remaining = |p| j.phase_state(PhaseId(p)).remaining;
+        assert_eq!((remaining(0), remaining(1)), (2, 1));
     }
 
     #[test]
@@ -836,28 +1010,41 @@ mod tests {
     #[test]
     fn copy_counters() {
         let mut j = two_phase_job();
-        let t = &mut j.tasks[0][0];
-        t.copies.push(CopyState {
-            copy_idx: 0,
-            server: ServerId(0),
-            start: 0,
-            finish: 10,
-            kind: CopyKind::Primary,
-            live: true,
-        });
-        t.copies.push(CopyState {
-            copy_idx: 1,
-            server: ServerId(1),
-            start: 2,
-            finish: 8,
-            kind: CopyKind::Clone,
-            live: true,
-        });
-        j.transition(PhaseId(0), Transition::Launch(TaskId(0)));
-        assert_eq!(j.task(PhaseId(0), TaskId(0)).live_copies(), 2);
+        let (p, t) = (PhaseId(0), TaskId(0));
+        let primary = j.launch(p, t, ServerId(0), 0, 10, CopyKind::Primary);
+        let clone = j.launch(p, t, ServerId(1), 2, 8, CopyKind::Clone);
+        assert_eq!((primary, clone), (0, 1));
+        assert_eq!(j.task(p, t).live_copies(), 2);
         assert_eq!(j.tasks_cloned(), 1);
         assert_eq!(j.running_tasks().len(), 1);
-        assert_eq!(j.task(PhaseId(0), TaskId(0)).copies[1].elapsed(5), 3);
+        assert_eq!(j.copies_of(p, t).nth(1).map(|c| c.elapsed(5)), Some(3));
+        assert!(j.copies_match_links());
+    }
+
+    #[test]
+    fn copy_links_survive_interleaved_launches_and_ends() {
+        let mut j = two_phase_job();
+        let (p, t0, t1) = (PhaseId(0), TaskId(0), TaskId(1));
+        let a = j.launch(p, t0, ServerId(0), 0, 10, CopyKind::Primary);
+        j.launch(p, t1, ServerId(1), 0, 10, CopyKind::Primary);
+        // A crash evicts task 0's only copy; its re-run is copy 1.
+        j.end_copy(a);
+        j.transition(p, Transition::Requeue(t0));
+        assert_eq!(j.task(p, t0).live_copies(), 0);
+        j.launch(p, t0, ServerId(2), 4, 14, CopyKind::Primary);
+        j.launch(p, t1, ServerId(3), 5, 9, CopyKind::Clone);
+        assert!(j.copies_match_links());
+        let servers = |t| {
+            j.copies_of(p, t)
+                .map(|c| (c.copy_idx, c.server.0, c.is_live()))
+        };
+        assert!(servers(t0).eq([(0, 0, false), (1, 2, true)]));
+        assert!(servers(t1).eq([(0, 1, true), (1, 3, true)]));
+        assert_eq!(
+            (j.task(p, t0).launched_copies(), j.task(p, t1).live_copies()),
+            (2, 2)
+        );
+        assert_eq!(j.tasks_cloned(), 1);
     }
 
     #[test]
@@ -947,7 +1134,7 @@ mod tests {
     /// so that a replaced or re-inserted state is told apart.
     fn tagged_job(id: JobId, tag: f64) -> JobState {
         let spec = JobSpec::single_phase(id, 1, Resources::new(1.0, 1.0), 1.0, 0.0);
-        let mut job = JobState::new(spec, vec![vec![1.0]]);
+        let mut job = JobState::new(spec, vec![1.0]);
         job.usage_norm = tag;
         job
     }

@@ -16,6 +16,10 @@ use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Phase count up to which [`JobSpec::remaining_effective_time`] keeps
+/// its per-phase path lengths on the stack.
+const INLINE_PHASES: usize = 32;
+
 /// Unique job identifier.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
@@ -252,7 +256,7 @@ impl JobSpec {
     /// path `L_j` under effective phase times `e_k = θ_k + w·σ_k`
     /// (Eq. 14, right).
     pub fn effective_time(&self, sigma_weight: f64) -> f64 {
-        self.remaining_effective_time(&vec![false; self.phases.len()], sigma_weight)
+        self.remaining_effective_time(|_| false, sigma_weight)
     }
 
     /// Effective job volume `v_j = Σ_k n_k · e_k · d_k` (Eq. 14, left).
@@ -287,19 +291,29 @@ impl JobSpec {
     }
 
     /// Remaining effective processing time `e_j(t)` (Eq. 17): length of
-    /// the critical path over *unfinished* phases. Finished phases
-    /// contribute zero length but still connect the path.
-    ///
-    /// # Panics
-    /// Panics when `finished.len()` differs from the phase count.
-    pub fn remaining_effective_time(&self, finished: &[bool], sigma_weight: f64) -> f64 {
-        assert_eq!(finished.len(), self.phases.len());
-        let mut longest = vec![0.0f64; self.phases.len()];
+    /// the critical path over *unfinished* phases, where `finished(p)`
+    /// says whether phase `p` has completed. Finished phases contribute
+    /// zero length but still connect the path. Allocates nothing for a
+    /// job of at most 32 phases.
+    pub fn remaining_effective_time(
+        &self,
+        finished: impl Fn(PhaseId) -> bool,
+        sigma_weight: f64,
+    ) -> f64 {
+        let mut inline = [0.0f64; INLINE_PHASES];
+        let mut spilled = Vec::new();
+        let longest: &mut [f64] = match inline.get_mut(..self.phases.len()) {
+            Some(longest) => longest,
+            None => {
+                spilled.resize(self.phases.len(), 0.0);
+                &mut spilled
+            }
+        };
         let mut best = 0.0f64;
         for &pid in &self.topo {
             let idx = pid.0 as usize;
             let p = &self.phases[idx];
-            let own = if finished[idx] {
+            let own = if finished(pid) {
                 0.0
             } else {
                 p.effective_time(sigma_weight)
@@ -525,8 +539,23 @@ mod tests {
             .unwrap();
         assert!((j.effective_time(0.0) - 40.0).abs() < 1e-12); // 10 + 20 + 10
                                                                // Finishing the long middle phase shortens the remaining path.
-        let rem = j.remaining_effective_time(&[true, false, true, false], 0.0);
+        let finished = [true, false, true, false];
+        let rem = j.remaining_effective_time(|p| finished[p.0 as usize], 0.0);
         assert!((rem - 15.0).abs() < 1e-12); // 5 + 10 through the left branch
+    }
+
+    /// A chain longer than [`INLINE_PHASES`] keeps its path lengths on
+    /// the heap and still measures the unfinished suffix.
+    #[test]
+    fn long_chain_critical_path() {
+        let n = INLINE_PHASES as u32 + 8;
+        let phases = (0..n)
+            .map(|_| PhaseSpec::new(1, demand(), 2.0, 0.0))
+            .collect();
+        let j = JobSpec::chain(JobId(0), phases).unwrap();
+        assert!((j.effective_time(0.0) - 2.0 * n as f64).abs() < 1e-12);
+        let rem = j.remaining_effective_time(|p| p.0 < 10, 0.0);
+        assert!((rem - 2.0 * (n - 10) as f64).abs() < 1e-12);
     }
 
     #[test]
@@ -645,12 +674,12 @@ mod tests {
             fn remaining_time_is_monotone(job in arb_job()) {
                 let n = job.num_phases();
                 let mut finished = vec![false; n];
-                let mut last = job.remaining_effective_time(&finished, 1.5);
+                let mut last = job.remaining_effective_time(|p| finished[p.0 as usize], 1.5);
                 // Finish phases in topological order (respects real
                 // execution order).
                 for &p in job.topo_order() {
                     finished[p.0 as usize] = true;
-                    let now = job.remaining_effective_time(&finished, 1.5);
+                    let now = job.remaining_effective_time(|p| finished[p.0 as usize], 1.5);
                     prop_assert!(now <= last + 1e-9, "remaining path grew");
                     last = now;
                 }

@@ -91,6 +91,9 @@ impl TransientJob {
 
     /// Summarize the *remaining* work of a partially executed job
     /// (Eq. 16/17).
+    ///
+    /// # Panics
+    /// Panics when either slice's length differs from the phase count.
     pub fn from_remaining(
         spec: &JobSpec,
         remaining_tasks: &[u32],
@@ -98,6 +101,7 @@ impl TransientJob {
         cluster_totals: Resources,
         sigma_weight: f64,
     ) -> Self {
+        assert_eq!(finished_phases.len(), spec.num_phases());
         let speedup = spec
             .topo_order()
             .iter()
@@ -107,7 +111,7 @@ impl TransientJob {
         TransientJob {
             id: spec.id,
             volume: spec.remaining_volume(remaining_tasks, cluster_totals, sigma_weight),
-            etime: spec.remaining_effective_time(finished_phases, sigma_weight),
+            etime: spec.remaining_effective_time(|p| finished_phases[p.0 as usize], sigma_weight),
             dominant: spec.max_dominant_share(cluster_totals),
             speedup,
         }
@@ -267,9 +271,9 @@ pub struct SummaryInput<'a> {
     /// The immutable job description.
     pub spec: &'a JobSpec,
     /// Unfinished task count per phase (`n_j^k(t)` of Eq. 16).
-    pub remaining_tasks: Vec<u32>,
+    pub remaining_tasks: &'a [u32],
     /// Per-phase completion flags (Eq. 17).
-    pub finished_phases: Vec<bool>,
+    pub finished_phases: &'a [bool],
 }
 
 /// Eq. 16/17 summaries of `inputs`, in input order — the per-job input
@@ -284,8 +288,8 @@ pub fn summarize(
         .map(|i| {
             TransientJob::from_remaining(
                 i.spec,
-                &i.remaining_tasks,
-                &i.finished_phases,
+                i.remaining_tasks,
+                i.finished_phases,
                 cluster_totals,
                 sigma_weight,
             )

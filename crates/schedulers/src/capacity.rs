@@ -156,10 +156,8 @@ impl CapacityScheduler {
                 if mean <= 0.0 {
                     continue;
                 }
-                let ts = job.task(task.phase, task.task);
-                let slow = ts
-                    .copies
-                    .iter()
+                let slow = job
+                    .copies_of(task.phase, task.task)
                     .filter(|c| c.is_live())
                     .all(|c| c.elapsed(view.now) as f64 > cfg.slowdown_threshold * mean);
                 if !slow {
@@ -356,12 +354,7 @@ mod tests {
         let jobs: JobTable = [mk(0, 0), mk(1, 1)]
             .into_iter()
             .map(|spec| {
-                let tables: Vec<Vec<f64>> = spec
-                    .phases()
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, p)| sampler.phase_table(spec.id, PhaseId(pi as u32), p))
-                    .collect();
+                let tables = sampler.job_tables(&spec);
                 JobState::new(spec, tables)
             })
             .collect();

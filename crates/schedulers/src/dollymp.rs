@@ -170,6 +170,11 @@ struct Scratch {
     placed_ranges: FxHashMap<JobId, (u32, u32)>,
     /// Primaries of this batch, grouped contiguously per job.
     placed_arena: Vec<TaskRef>,
+    /// Per-phase remaining task counts of every job, in view order, for
+    /// Algorithm 1's inputs.
+    remaining: Vec<u32>,
+    /// Per-phase completion flags, aligned with `remaining`.
+    finished: Vec<bool>,
     /// Clone candidates of this decision point, in priority order.
     candidates: Vec<CloneCandidate>,
     /// `cloned[i]`: candidate `i` received a clone in this batch.
@@ -239,12 +244,29 @@ impl DollyMP {
     }
 
     fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
+        // Every job's per-phase counts and flags go into two flat scratch
+        // buffers, which the inputs then borrow job by job.
+        let s = &mut self.scratch;
+        s.remaining.clear();
+        s.finished.clear();
+        for j in view.jobs() {
+            for pi in 0..j.spec().num_phases() {
+                let remaining = j.phase_state(PhaseId(pi as u32)).remaining;
+                s.remaining.push(remaining);
+                s.finished.push(remaining == 0);
+            }
+        }
+        let mut offset = 0;
         let inputs: Vec<SummaryInput<'_>> = view
             .jobs()
-            .map(|j| SummaryInput {
-                spec: j.spec(),
-                remaining_tasks: j.remaining_tasks(),
-                finished_phases: j.finished_phases(),
+            .map(|j| {
+                let phases = offset..offset + j.spec().num_phases();
+                offset = phases.end;
+                SummaryInput {
+                    spec: j.spec(),
+                    remaining_tasks: &s.remaining[phases.clone()],
+                    finished_phases: &s.finished[phases],
+                }
             })
             .collect();
         let summaries = summarize(&inputs, view.totals(), self.transient.sigma_weight);

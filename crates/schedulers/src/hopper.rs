@@ -21,7 +21,7 @@
 
 use crate::common::ready_tasks_of;
 use dollymp_cluster::prelude::*;
-use dollymp_core::job::JobId;
+use dollymp_core::job::{JobId, PhaseId};
 use serde::{Deserialize, Serialize};
 
 /// Hopper-lite configuration.
@@ -62,7 +62,9 @@ impl Hopper {
 
     /// A job's virtual size: remaining tasks × (1 + budget).
     fn virtual_size(&self, job: &JobState) -> f64 {
-        let remaining: u32 = job.remaining_tasks().iter().sum();
+        let remaining: u32 = (0..job.spec().num_phases())
+            .map(|pi| job.phase_state(PhaseId(pi as u32)).remaining)
+            .sum();
         remaining as f64 * (1.0 + self.cfg.budget_frac)
     }
 }
@@ -124,9 +126,8 @@ impl Scheduler for Hopper {
                     if mean <= 0.0 {
                         return None;
                     }
-                    let elapsed = ts
-                        .copies
-                        .iter()
+                    let elapsed = job
+                        .copies_of(t.phase, t.task)
                         .filter(|c| c.is_live())
                         .map(|c| c.elapsed(view.now))
                         .max()

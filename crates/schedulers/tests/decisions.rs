@@ -10,8 +10,7 @@ use dollymp_schedulers::{by_name, DollyMP, LearnedDollyMP, Tetris};
 
 fn job_state(id: u64, ntasks: u32, cpu: f64, mem: f64, theta: f64) -> JobState {
     let spec = JobSpec::single_phase(JobId(id), ntasks, Resources::new(cpu, mem), theta, 0.0);
-    let tables = vec![vec![theta; ntasks as usize]];
-    JobState::new(spec, tables)
+    JobState::new(spec, vec![theta; ntasks as usize])
 }
 
 fn view_fixture<'a>(
@@ -96,7 +95,7 @@ fn dollymp_pops_a_shared_demand_bucket_from_the_highest_phase_and_task() {
         .phase(PhaseSpec::new(2, demand, 5.0, 0.0))
         .build()
         .expect("two root phases");
-    let jobs = JobTable::from_iter([JobState::new(spec, vec![vec![5.0; 66], vec![5.0; 2]])]);
+    let jobs = JobTable::from_iter([JobState::new(spec, vec![5.0; 68])]);
     let cluster = ClusterSpec::homogeneous(1, 5.0, 5.0);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&[Resources::new(5.0, 5.0)]);
     let view = view_fixture(&cluster, &cap, &jobs);
@@ -206,7 +205,7 @@ fn capacity_is_strict_fifo_when_everything_fits_the_head() {
             .phase(PhaseSpec::new(4, Resources::new(1.0, 1.0), 50.0, 0.0))
             .build()
             .unwrap();
-        JobState::new(spec, vec![vec![50.0; 4]])
+        JobState::new(spec, vec![50.0; 4])
     };
     let late = {
         let spec = JobSpec::builder(JobId(1))
@@ -214,7 +213,7 @@ fn capacity_is_strict_fifo_when_everything_fits_the_head() {
             .phase(PhaseSpec::new(4, Resources::new(1.0, 1.0), 1.0, 0.0))
             .build()
             .unwrap();
-        JobState::new(spec, vec![vec![1.0; 4]])
+        JobState::new(spec, vec![1.0; 4])
     };
     let jobs = JobTable::from_iter([early, late]);
     let cap = dollymp_cluster::capacity::CapacityIndex::from_free(&free);

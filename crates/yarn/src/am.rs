@@ -94,8 +94,8 @@ impl ApplicationMaster {
     pub fn report(&self, job: &JobState, cluster: &ClusterSpec) -> JobReport {
         let totals = cluster.totals();
         let spec = job.spec();
-        let remaining = job.remaining_tasks();
-        let finished = job.finished_phases();
+        let remaining = |p: PhaseId| job.phase_state(p).remaining;
+        let finished = |p: PhaseId| remaining(p) == 0;
         let w = self.cfg.sigma_weight;
 
         // Remaining volume with estimated stats (Eq. 16 with θ̂, σ̂).
@@ -105,7 +105,7 @@ impl ApplicationMaster {
             let d = dominant_share(p.demand, totals);
             dominant = dominant.max(d);
             let (theta, sigma) = self.estimate_phase(job, PhaseId(pi as u32));
-            volume += remaining[pi] as f64 * (theta + w * sigma) * d;
+            volume += remaining(PhaseId(pi as u32)) as f64 * (theta + w * sigma) * d;
         }
 
         // Remaining critical path with estimated stats (Eq. 17).
@@ -113,7 +113,7 @@ impl ApplicationMaster {
         let mut etime = 0.0f64;
         for &pid in spec.topo_order() {
             let idx = pid.0 as usize;
-            let own = if finished[idx] {
+            let own = if finished(pid) {
                 0.0
             } else {
                 let (theta, sigma) = self.estimate_phase(job, pid);
@@ -134,7 +134,7 @@ impl ApplicationMaster {
         let speedup = spec
             .topo_order()
             .iter()
-            .find(|p| !finished[p.0 as usize])
+            .find(|&&p| !finished(p))
             .map(|&p| {
                 let (theta, sigma) = self.estimate_phase(job, p);
                 dollymp_core::speedup::SpeedupFn::fit_pareto(theta, sigma)
@@ -205,7 +205,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let tables = vec![vec![100.0; 4], vec![50.0; 2]];
+        let tables = [[100.0; 4].as_slice(), &[50.0; 2]].concat();
         JobState::new(spec, tables)
     }
 

@@ -243,9 +243,7 @@ impl Scheduler for YarnSystem {
                             // already hosting live copies of this task —
                             // both from the view and from this batch.
                             let mut avoid: Vec<ServerId> = job
-                                .task(task.phase, task.task)
-                                .copies
-                                .iter()
+                                .copies_of(task.phase, task.task)
                                 .filter(|c| c.is_live())
                                 .map(|c| c.server)
                                 .collect();

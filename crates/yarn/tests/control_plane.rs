@@ -12,8 +12,7 @@ use dollymp_yarn::YarnSystem;
 
 fn job_state(id: u64, ntasks: u32, theta: f64) -> JobState {
     let spec = JobSpec::single_phase(JobId(id), ntasks, Resources::new(1.0, 1.0), theta, 0.0);
-    let tables = vec![vec![theta; ntasks as usize]];
-    JobState::new(spec, tables)
+    JobState::new(spec, vec![theta; ntasks as usize])
 }
 
 #[test]

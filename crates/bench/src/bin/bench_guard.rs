@@ -21,10 +21,11 @@
 //!    mode (`try_simulate`) refuses it with a typed error instead of
 //!    panicking.
 
-use dollymp_bench::{config_fingerprint, run_named, scale};
+use dollymp_bench::{run_named, scale};
 use dollymp_cluster::guard::{GuardConfig, GuardedScheduler};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobSpec;
+use dollymp_obs::config_fingerprint;
 use dollymp_schedulers::{AdversarialConfig, AdversarialScheduler};
 use dollymp_workload::suite::light_load;
 use serde::Serialize;

@@ -15,10 +15,11 @@
 //! verify in CI, and exits non-zero on any divergence — the CI
 //! record→replay smoke step.
 
+use dollymp_bench::out_dir;
 use dollymp_bench::runner::{cell_seed, json_obj as obj, run_matrix, Parallelism};
-use dollymp_bench::{config_fingerprint, out_dir};
 use dollymp_cluster::prelude::*;
 use dollymp_faults::FaultConfig;
+use dollymp_obs::config_fingerprint;
 use dollymp_obs::journal::Journal;
 use dollymp_obs::registry::MetricsRegistry;
 use dollymp_obs::replay;

@@ -18,11 +18,12 @@
 //!    loses strictly fewer tasks (`tasks_requeued`) than `dollymp0`,
 //!    because an evicted primary often has a live clone elsewhere.
 
-use dollymp_bench::{config_fingerprint, run_named, scale};
+use dollymp_bench::{run_named, scale};
 use dollymp_cluster::engine::simulate_with_faults;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobSpec;
 use dollymp_faults::{generate, FaultConfig};
+use dollymp_obs::config_fingerprint;
 use dollymp_workload::suite::light_load;
 use serde::Serialize;
 

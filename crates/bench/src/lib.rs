@@ -12,9 +12,8 @@
 //! the paper's: Fig. 8 then simulates 3 000 servers, a tenth of the
 //! paper's 30 000. `all_figures` runs everything.
 //!
-//! Criterion micro-benchmarks live in `benches/` (`knapsack`,
-//! `simulator`); the §6.3.3 decision-pass timer is the `bench_scale`
-//! binary.
+//! There are no `cargo bench` targets: the §6.3.3 decision-pass timer
+//! is the `bench_scale` binary.
 
 pub mod runner;
 
@@ -49,18 +48,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
         writeln!(f, "{r}").expect("write row");
     }
     path
-}
-
-/// A deterministic fingerprint of a benchmark's configuration: FNV-1a
-/// over the seed followed by the config serialized as JSON. Stamped into
-/// `BENCH_*.json` artifacts so two result files can be compared at a
-/// glance — equal fingerprints mean the runs used identical parameters.
-///
-/// Delegates to [`dollymp_obs::config_fingerprint`] — journal headers
-/// carry the *same* fingerprint, which is how a flight-recorder journal
-/// is matched to the bench artifact of the run that produced it.
-pub fn config_fingerprint<T: serde::Serialize>(seed: u64, cfg: &T) -> String {
-    dollymp_obs::config_fingerprint(seed, cfg)
 }
 
 /// Run a named scheduler on a workload and return its report.
@@ -209,18 +196,6 @@ mod tests {
         );
         // Arrivals sorted, ids preserved.
         assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic_and_sensitive() {
-        let cfg = ("paper_30_node", vec![0.0, 1e-3]);
-        let a = config_fingerprint(7, &cfg);
-        let b = config_fingerprint(7, &cfg);
-        assert_eq!(a, b, "same seed + config ⇒ same fingerprint");
-        assert_eq!(a.len(), 16);
-        assert_ne!(a, config_fingerprint(8, &cfg), "seed changes it");
-        let other = ("paper_30_node", vec![0.0]);
-        assert_ne!(a, config_fingerprint(7, &other), "config changes it");
     }
 
     #[test]

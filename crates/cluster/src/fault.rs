@@ -66,7 +66,7 @@ pub struct TimedFault {
 ///
 /// An empty timeline makes `simulate_with_faults` byte-identical to
 /// [`crate::engine::simulate`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultTimeline {
     events: Vec<TimedFault>,
 }
@@ -170,16 +170,5 @@ mod tests {
             at: 0,
             event: FaultEvent::Degrade(ServerId(0), 0.0),
         }]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = FaultTimeline::new(vec![TimedFault {
-            at: 7,
-            event: FaultEvent::Degrade(ServerId(2), 0.25),
-        }]);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: FaultTimeline = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -133,6 +133,82 @@ impl<'o> ServerWalk<'o> {
     }
 }
 
+/// The server-driven placement walk shared by the primary and clone
+/// passes (the RM hands free capacity to requests as heartbeats come in).
+/// Each visited server's free capacity goes to `pick`, which places one
+/// request that fits `avail` and returns its demand, or `None` to leave
+/// the server; the walk stops after `n` placements. A server's
+/// placements accumulate locally and commit to the capacity index once,
+/// on leaving it, since the index is only queried again for the next
+/// server. `min_demand` is a component-wise lower bound on every
+/// request: a server without room for it is left at once.
+fn walk_servers(
+    order: Option<&[ServerId]>,
+    free: &CapacityOverlay,
+    min_demand: Resources,
+    mut n: usize,
+    mut pick: impl FnMut(ServerId, Resources) -> Option<Resources>,
+) {
+    let mut walk = ServerWalk::new(order);
+    while n > 0 {
+        let Some(server) = walk.next(free, min_demand) else {
+            break;
+        };
+        let mut avail = free.free(server);
+        let mut used = Resources::ZERO;
+        while n > 0 && min_demand.fits_in(avail) {
+            let Some(demand) = pick(server, avail) else {
+                break;
+            };
+            avail -= demand; // `pick` only places what fits
+            used += demand;
+            n -= 1;
+        }
+        if used != Resources::ZERO {
+            free.commit(server, used);
+        }
+    }
+}
+
+/// Appends one group of demand queues over `(demand, entry)` items: one
+/// queue per distinct demand in first-seen order, each holding its
+/// entries in item order, laid out contiguously at the end of `entries`
+/// (count, prefix, scatter). Returns the group's range into `queues`.
+fn push_queue_group(
+    queues: &mut Vec<DemandQueue>,
+    entries: &mut Vec<u32>,
+    items: impl Iterator<Item = (Resources, u32)> + Clone,
+) -> (u32, u32) {
+    let qstart = queues.len();
+    for (demand, _) in items.clone() {
+        match queues[qstart..].iter_mut().find(|q| q.demand == demand) {
+            Some(q) => q.end += 1,
+            None => queues.push(DemandQueue {
+                demand,
+                head: 0,
+                end: 1,
+            }),
+        }
+    }
+    let mut cursor = entries.len() as u32;
+    for q in &mut queues[qstart..] {
+        let count = q.end;
+        q.head = cursor;
+        q.end = cursor;
+        cursor += count;
+    }
+    entries.resize(cursor as usize, 0);
+    for (demand, entry) in items {
+        let q = queues[qstart..]
+            .iter_mut()
+            .find(|q| q.demand == demand)
+            .expect("queue created in the counting pass");
+        entries[q.end as usize] = entry;
+        q.end += 1;
+    }
+    (qstart as u32, queues.len() as u32)
+}
+
 /// Reusable buffers for one decision point. Everything here is cleared
 /// and refilled each pass, so at steady state a full Algorithm 2 pass
 /// performs no heap allocation beyond the returned batch itself.
@@ -144,19 +220,21 @@ struct Scratch {
     levels: Vec<(u32, u32)>,
     /// Flattened members of all levels, in ascending (level, id) order.
     members: Vec<JobId>,
-    /// One entry per (job, distinct-demand), contiguous per job.
+    /// One entry per (job, distinct-demand), contiguous per job, jobs in
+    /// priority order (so each level's buckets are contiguous too).
     buckets: Vec<Bucket>,
-    /// Bucket range of each job with ready tasks.
-    job_buckets: FxHashMap<JobId, (u32, u32)>,
-    /// Demand queues of all levels, contiguous per level.
+    /// Demand queues of the current pass: per level for the primary
+    /// pass, one group for a clone pass.
     queues: Vec<DemandQueue>,
-    /// Per priority level: `(start, end)` range into `queues`.
+    /// Per priority level: `(start, end)` range into `buckets` while they
+    /// are built, then into `queues`.
     level_queues: Vec<(u32, u32)>,
     /// Per priority level: ready tasks not yet placed (drives the
     /// skip-empty-prefix cursor of the placement loop).
     level_remaining: Vec<u32>,
-    /// Entry arena for `queues`: `(group position, bucket index)`.
-    entries: Vec<(u32, u32)>,
+    /// Entry arena for `queues`: bucket indices in the primary pass,
+    /// candidate indices in a clone pass.
+    entries: Vec<u32>,
     /// Remaining volume per job (Eq. 16), aligned with ascending-id view
     /// order, for the §4.1 gate.
     vols: Vec<f64>,
@@ -179,10 +257,6 @@ struct Scratch {
     candidates: Vec<CloneCandidate>,
     /// `cloned[i]`: candidate `i` received a clone in this batch.
     cloned: Vec<bool>,
-    /// Demand queues of the current clone pass.
-    clone_queues: Vec<DemandQueue>,
-    /// Entry arena for `clone_queues`: candidate indices.
-    clone_entries: Vec<u32>,
 }
 
 /// The DollyMP scheduler (Algorithm 2). `DollyMP::with_clones(r)` builds
@@ -284,24 +358,24 @@ impl DollyMP {
     /// arenas living in [`Scratch`] (buckets, per-level demand queues),
     /// so the pass allocates nothing at steady state:
     ///
-    /// * buckets are built from the per-phase ready *counts* of each job,
-    ///   so building them costs O(phases), not O(tasks); a bucket names no
-    ///   task until it is popped, when it takes the highest remaining
-    ///   ready id of its last non-empty phase from the job's ready set
-    ///   (the historical LIFO `Vec::pop` over (phase, task) order);
-    /// * a level's demand queues collapse its buckets by distinct demand
-    ///   — buckets sharing a demand have the same Tetris score against
-    ///   any server, and the scan's strict `score > best` keeps the first
-    ///   seen, so the argmax only needs the frontmost alive bucket per
-    ///   demand, with exact-score ties across demands breaking toward the
-    ///   smaller group position (first-seen-wins, verbatim);
+    /// * buckets are built in priority order from the per-phase ready
+    ///   *counts* of each job, so building them costs O(phases), not
+    ///   O(tasks); a bucket names no task until it is popped, when it
+    ///   takes the highest remaining ready id of its last non-empty phase
+    ///   from the job's ready set (the historical LIFO `Vec::pop` over
+    ///   (phase, task) order);
+    /// * each level's buckets form one [`push_queue_group`] group keyed by
+    ///   demand, with bucket indices as entries — buckets sharing a
+    ///   demand have the same Tetris score against any server, and the
+    ///   scan's strict `score > best` keeps the first seen, so the argmax
+    ///   only needs the frontmost alive bucket per demand, with
+    ///   exact-score ties across demands breaking toward the smaller
+    ///   bucket index (first-seen-wins, verbatim);
     /// * fully drained levels are skipped by a monotone cursor — a level
     ///   with no tasks left can never match again.
     ///
-    /// When `order` is `None` (the identity walk of plain `schedule`),
-    /// the next server is found with the capacity index's
-    /// `next_fit_at_or_after`, which hops over non-fitting servers in
-    /// O(log n) instead of probing each id.
+    /// The servers are visited by [`walk_servers`]; the pick rule is the
+    /// best-aligned queue of the highest non-empty level that fits.
     fn place_primaries(
         &self,
         view: &ClusterView<'_>,
@@ -311,106 +385,64 @@ impl DollyMP {
         out: &mut Vec<Assignment>,
     ) {
         s.buckets.clear();
-        s.job_buckets.clear();
-        let mut ready_count: usize = 0;
-        let mut min_demand: Option<Resources> = None;
-        for j in view.jobs() {
-            let bstart = s.buckets.len();
-            // One bucket per distinct demand, in first-ready-phase order;
-            // a bucket's `phase` ends at its highest phase.
-            for (pi, p) in j.spec().phases().iter().enumerate() {
-                let count = j.phase_state(PhaseId(pi as u32)).ready().len();
-                if count == 0 {
-                    continue;
-                }
-                ready_count += count as usize;
-                min_demand = Some(match min_demand {
-                    Some(m) => m.min(p.demand),
-                    None => p.demand,
-                });
-                match s.buckets[bstart..]
-                    .iter_mut()
-                    .find(|b| b.demand == p.demand)
-                {
-                    Some(b) => {
-                        b.phase = PhaseId(pi as u32);
-                        b.len += count;
-                    }
-                    None => s.buckets.push(Bucket {
-                        demand: p.demand,
-                        job: j.id(),
-                        phase: PhaseId(pi as u32),
-                        below: u32::MAX,
-                        len: count,
-                    }),
-                }
-            }
-            if s.buckets.len() > bstart {
-                s.job_buckets
-                    .insert(j.id(), (bstart as u32, s.buckets.len() as u32));
-            }
-        }
-        if ready_count == 0 {
-            return;
-        }
-        let min_demand = min_demand.expect("ready_count > 0");
-        if !free.could_fit(min_demand) {
-            // Nothing fits anywhere in the cluster — skip the server walk.
-            return;
-        }
-
-        // Per-level demand queues, two-pass into flat arenas.
-        s.queues.clear();
         s.level_queues.clear();
         s.level_remaining.clear();
-        s.entries.clear();
+        let mut ready_count: usize = 0;
+        let mut min_demand: Option<Resources> = None;
         for &(mstart, mend) in &s.levels {
-            let qstart = s.queues.len();
-            let estart = s.entries.len() as u32;
+            let lstart = s.buckets.len() as u32;
             let mut level_tasks = 0u32;
             for &jid in &s.members[mstart as usize..mend as usize] {
-                let Some(&(lo, hi)) = s.job_buckets.get(&jid) else {
-                    continue;
-                };
-                for bidx in lo..hi {
-                    let b = s.buckets[bidx as usize];
-                    level_tasks += b.len;
-                    match s.queues[qstart..].iter_mut().find(|q| q.demand == b.demand) {
-                        Some(q) => q.end += 1,
-                        None => s.queues.push(DemandQueue {
-                            demand: b.demand,
-                            head: 0,
-                            end: 1,
+                let j = view.job(jid).expect("levels group the view's jobs");
+                let bstart = s.buckets.len();
+                // One bucket per distinct demand, in first-ready-phase
+                // order; a bucket's `phase` ends at its highest phase.
+                for (pi, p) in j.spec().phases().iter().enumerate() {
+                    let count = j.phase_state(PhaseId(pi as u32)).ready().len();
+                    if count == 0 {
+                        continue;
+                    }
+                    level_tasks += count;
+                    min_demand = Some(match min_demand {
+                        Some(m) => m.min(p.demand),
+                        None => p.demand,
+                    });
+                    match s.buckets[bstart..]
+                        .iter_mut()
+                        .find(|b| b.demand == p.demand)
+                    {
+                        Some(b) => {
+                            b.phase = PhaseId(pi as u32);
+                            b.len += count;
+                        }
+                        None => s.buckets.push(Bucket {
+                            demand: p.demand,
+                            job: jid,
+                            phase: PhaseId(pi as u32),
+                            below: u32::MAX,
+                            len: count,
                         }),
                     }
                 }
             }
-            let mut cursor = estart;
-            for q in &mut s.queues[qstart..] {
-                let count = q.end;
-                q.head = cursor;
-                q.end = cursor;
-                cursor += count;
-            }
-            s.entries.resize(cursor as usize, (0, 0));
-            let mut pos = 0u32;
-            for &jid in &s.members[mstart as usize..mend as usize] {
-                let Some(&(lo, hi)) = s.job_buckets.get(&jid) else {
-                    continue;
-                };
-                for bidx in lo..hi {
-                    let demand = s.buckets[bidx as usize].demand;
-                    let q = s.queues[qstart..]
-                        .iter_mut()
-                        .find(|q| q.demand == demand)
-                        .expect("queue created in the counting pass");
-                    s.entries[q.end as usize] = (pos, bidx);
-                    q.end += 1;
-                    pos += 1;
-                }
-            }
-            s.level_queues.push((qstart as u32, s.queues.len() as u32));
+            ready_count += level_tasks as usize;
+            s.level_queues.push((lstart, s.buckets.len() as u32));
             s.level_remaining.push(level_tasks);
+        }
+        let Some(min_demand) = min_demand else {
+            return;
+        };
+        if !free.could_fit(min_demand) {
+            // Nothing fits anywhere in the cluster — skip the queues and
+            // the server walk.
+            return;
+        }
+        s.queues.clear();
+        s.entries.clear();
+        for range in &mut s.level_queues {
+            let buckets = &s.buckets;
+            let items = (range.0..range.1).map(|b| (buckets[b as usize].demand, b));
+            *range = push_queue_group(&mut s.queues, &mut s.entries, items);
         }
 
         out.reserve(ready_count);
@@ -419,82 +451,57 @@ impl DollyMP {
         let mut last_job: Option<&JobState> = None;
         let nlevels = s.level_queues.len();
         let mut first_active = 0usize;
-        let mut walk = ServerWalk::new(order);
-        while let Some(server) = walk.next(free, min_demand) {
-            // The index is only queried again when moving to the next
-            // server, so the server's placements accumulate locally and
-            // commit to the tree once, on leaving it.
-            let mut avail = free.free(server);
-            let mut used = Resources::ZERO;
-            'server: loop {
-                // Component-wise lower bound: if even the smallest demand
-                // cannot fit, nothing can — leave this server instantly.
-                if !min_demand.fits_in(avail) {
-                    break;
+        walk_servers(order, free, min_demand, ready_count, |server, avail| {
+            while first_active < nlevels && s.level_remaining[first_active] == 0 {
+                first_active += 1;
+            }
+            // Highest-priority level with a fitting task; within the
+            // level, the best-aligned demand queue (step 12).
+            for li in first_active..nlevels {
+                if s.level_remaining[li] == 0 {
+                    continue;
                 }
-                while first_active < nlevels && s.level_remaining[first_active] == 0 {
-                    first_active += 1;
-                }
-                // Highest-priority level with a fitting task; within the
-                // level, the best-aligned demand queue (step 12).
-                for li in first_active..nlevels {
-                    if s.level_remaining[li] == 0 {
+                let (qs, qe) = s.level_queues[li];
+                let mut best: Option<(f64, u32, u32)> = None;
+                for qi in qs..qe {
+                    let q = s.queues[qi as usize];
+                    if q.head == q.end || !q.demand.fits_in(avail) {
                         continue;
                     }
-                    let (qs, qe) = s.level_queues[li];
-                    let mut best: Option<(f64, u32, u32)> = None;
-                    for qi in qs..qe {
-                        let q = s.queues[qi as usize];
-                        if q.head == q.end || !q.demand.fits_in(avail) {
-                            continue;
-                        }
-                        let (pos, _) = s.entries[q.head as usize];
-                        let score = best_fit_score(q.demand, avail);
-                        let better = match best {
-                            None => true,
-                            Some((b, bpos, _)) => score > b || (score == b && pos < bpos),
-                        };
-                        if better {
-                            best = Some((score, pos, qi));
-                        }
-                    }
-                    if let Some((_, _, qi)) = best {
-                        let head = s.queues[qi as usize].head;
-                        let (_, bidx) = s.entries[head as usize];
-                        let b = &mut s.buckets[bidx as usize];
-                        let job = match last_job {
-                            Some(j) if j.id() == b.job => j,
-                            _ => view.job(b.job).expect("buckets come from the view's jobs"),
-                        };
-                        last_job = Some(job);
-                        let task = b.pop(job);
-                        if b.len == 0 {
-                            s.queues[qi as usize].head += 1;
-                        }
-                        avail -= b.demand; // fits_in checked above
-                        used += b.demand;
-                        out.push(Assignment {
-                            task,
-                            server,
-                            kind: CopyKind::Primary,
-                        });
-                        s.level_remaining[li] -= 1;
-                        ready_count -= 1;
-                        if ready_count == 0 {
-                            free.commit(server, used);
-                            return;
-                        }
-                        continue 'server;
+                    let bidx = s.entries[q.head as usize];
+                    let score = best_fit_score(q.demand, avail);
+                    let better = match best {
+                        None => true,
+                        Some((b, bb, _)) => score > b || (score == b && bidx < bb),
+                    };
+                    if better {
+                        best = Some((score, bidx, qi));
                     }
                 }
-                break;
+                let Some((_, bidx, qi)) = best else {
+                    continue;
+                };
+                let b = &mut s.buckets[bidx as usize];
+                let job = match last_job {
+                    Some(j) if j.id() == b.job => j,
+                    _ => view.job(b.job).expect("buckets come from the view's jobs"),
+                };
+                last_job = Some(job);
+                let task = b.pop(job);
+                if b.len == 0 {
+                    s.queues[qi as usize].head += 1;
+                }
+                s.level_remaining[li] -= 1;
+                out.push(Assignment {
+                    task,
+                    server,
+                    kind: CopyKind::Primary,
+                });
+                return Some(b.demand);
             }
-            if used != Resources::ZERO {
-                free.commit(server, used);
-            }
-        }
+            None
+        });
     }
-
     /// Clone candidates for this decision point, in priority order
     /// (Algorithm 2 step 16's input set).
     ///
@@ -610,18 +617,17 @@ impl DollyMP {
     ///
     /// `candidates` comes from [`Self::clone_candidates`]; the filters
     /// that change between passes (copy budget, one-new-clone-per-task)
-    /// are applied here.
+    /// are applied here, and the candidates that pass form one
+    /// [`push_queue_group`] group with candidate indices as entries.
     ///
-    /// The priority-ordered request queue is kept as one FIFO per
-    /// *distinct demand* over flattened arenas in [`Scratch`]. Free
-    /// capacity on a server only shrinks during its scan, so a request
-    /// that does not fit when passed over never fits later on that server
-    /// — picking the earliest-position request that fits, repeatedly,
-    /// places exactly the same set as a sequential walk of the flat
-    /// queue, while costing `O(placements × #demands)` instead of
-    /// `O(queue length)` per server. Queue entries are candidate indices;
-    /// the index is a monotone relabeling of the historical per-pass
-    /// position counter, so the earliest-fitting selection is unchanged.
+    /// The servers are visited by [`walk_servers`]; the pick rule is the
+    /// earliest candidate that fits. Free capacity on a server only
+    /// shrinks during its scan, so a request that does not fit when
+    /// passed over never fits later on that server — picking the
+    /// earliest-index request that fits, repeatedly, places exactly the
+    /// same set as a sequential walk of the flat priority-ordered queue,
+    /// while costing `O(placements × #demands)` instead of
+    /// `O(queue length)` per server.
     ///
     /// Returns the number of clones placed (appended to `out`).
     fn place_clones(
@@ -631,117 +637,52 @@ impl DollyMP {
         s: &mut Scratch,
         out: &mut Vec<Assignment>,
     ) -> usize {
-        s.clone_queues.clear();
-        s.clone_entries.clear();
-        let mut remaining = 0usize;
-        let mut min_demand: Option<Resources> = None;
-        // Per-pass filters, two-pass into the flat queue arenas. At most
-        // one new clone per task per decision point (`cloned`): the RM
-        // grants clone containers round by round ("repeat Step 9" spans
-        // allocation rounds, not one batch), so a task's second clone can
-        // only arrive at a later decision point.
-        let eligible = |s: &Scratch, i: usize, c: &CloneCandidate| {
-            !s.cloned[i] && c.effective_copies < self.clone_policy.max_copies
-        };
-        for (i, c) in s.candidates.iter().enumerate() {
-            if !eligible(s, i, c) {
-                continue;
-            }
-            min_demand = Some(match min_demand {
-                Some(m) => m.min(c.demand),
-                None => c.demand,
-            });
-            match s.clone_queues.iter_mut().find(|q| q.demand == c.demand) {
-                Some(q) => q.end += 1,
-                None => s.clone_queues.push(DemandQueue {
-                    demand: c.demand,
-                    head: 0,
-                    end: 1,
-                }),
-            }
-            remaining += 1;
-        }
-        if remaining == 0 {
+        // At most one new clone per task per decision point (`cloned`):
+        // the RM grants clone containers round by round ("repeat Step 9"
+        // spans allocation rounds, not one batch), so a task's second
+        // clone can only arrive at a later decision point.
+        let max_copies = self.clone_policy.max_copies;
+        let eligible = s
+            .candidates
+            .iter()
+            .zip(&s.cloned)
+            .enumerate()
+            .filter(move |(_, (c, &cloned))| !cloned && c.effective_copies < max_copies)
+            .map(|(i, (c, _))| (c.demand, i as u32));
+        s.queues.clear();
+        s.entries.clear();
+        push_queue_group(&mut s.queues, &mut s.entries, eligible);
+        let Some(min_demand) = s.queues.iter().map(|q| q.demand).reduce(Resources::min) else {
             return 0;
-        }
-        let mut cursor = 0u32;
-        for q in &mut s.clone_queues {
-            let count = q.end;
-            q.head = cursor;
-            q.end = cursor;
-            cursor += count;
-        }
-        s.clone_entries.resize(cursor as usize, 0);
-        for i in 0..s.candidates.len() {
-            let c = s.candidates[i];
-            if !eligible(s, i, &c) {
-                continue;
-            }
-            let q = s
-                .clone_queues
-                .iter_mut()
-                .find(|q| q.demand == c.demand)
-                .expect("queue created in the counting pass");
-            s.clone_entries[q.end as usize] = i as u32;
-            q.end += 1;
-        }
-
-        // Server-driven placement (the RM hands leftover capacity to
-        // clone requests as heartbeats come in): walk servers in order and
-        // satisfy the queue in priority order. A global min-demand bound
-        // skips exhausted servers (O(1) per probe in an explicit order,
-        // O(log n) hops in the index-driven identity walk).
-        let min_demand = min_demand.expect("remaining > 0");
+        };
         if !free.could_fit(min_demand) {
             // No server in the whole cluster has room for even the
             // smallest request — skip the server walk entirely.
             return 0;
         }
         let placed_before = out.len();
-        let mut walk = ServerWalk::new(order);
-        while remaining > 0 {
-            let Some(server) = walk.next(free, min_demand) else {
-                break;
-            };
-            // As in the primary pass, placements on one server accumulate
-            // locally and commit to the index once, on leaving it.
-            let mut avail = free.free(server);
-            if !min_demand.fits_in(avail) {
-                continue;
-            }
-            let mut used = Resources::ZERO;
-            loop {
-                // Earliest-position request that fits the current free.
-                let mut best: Option<(u32, usize)> = None;
-                for (qi, q) in s.clone_queues.iter().enumerate() {
-                    if q.head == q.end || !q.demand.fits_in(avail) {
-                        continue;
-                    }
-                    let p = s.clone_entries[q.head as usize];
-                    if best.map(|(bp, _)| p < bp).unwrap_or(true) {
-                        best = Some((p, qi));
-                    }
+        walk_servers(order, free, min_demand, s.entries.len(), |server, avail| {
+            let mut best: Option<(u32, usize)> = None;
+            for (qi, q) in s.queues.iter().enumerate() {
+                if q.head == q.end || !q.demand.fits_in(avail) {
+                    continue;
                 }
-                let Some((ci, qi)) = best else { break };
-                s.clone_queues[qi].head += 1;
-                let c = s.candidates[ci as usize];
-                avail -= c.demand; // fits_in checked above
-                used += c.demand;
-                s.cloned[ci as usize] = true;
-                out.push(Assignment {
-                    task: c.task,
-                    server,
-                    kind: CopyKind::Clone,
-                });
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
+                let ci = s.entries[q.head as usize];
+                if best.map(|(bc, _)| ci < bc).unwrap_or(true) {
+                    best = Some((ci, qi));
                 }
             }
-            if used != Resources::ZERO {
-                free.commit(server, used);
-            }
-        }
+            let (ci, qi) = best?;
+            s.queues[qi].head += 1;
+            let c = s.candidates[ci as usize];
+            s.cloned[ci as usize] = true;
+            out.push(Assignment {
+                task: c.task,
+                server,
+                kind: CopyKind::Clone,
+            });
+            Some(c.demand)
+        });
         out.len() - placed_before
     }
 }

@@ -9,13 +9,10 @@
 //! task IDs + clone budgets + locality preferences, and archive finished
 //! runs back into the history.
 //!
+//! There is no node side: container launch, kill-on-first-finish and
+//! crash eviction are the engine's own bookkeeping (`dollymp-cluster`).
 //!
 //! * [`protocol`] — the AM ↔ RM message types;
-//! * [`nm`] — the node-side container manager (launch / complete / kill
-//!   / heartbeat / crash), the surface §5.2's kill-on-first-finish talks
-//!   to;
-//! * [`failover`] — the RM-side node-liveness monitor (heartbeat-timeout
-//!   detection of crashed NMs);
 //! * [`shuffle`] — the Dolly-style delay assignment of upstream outputs
 //!   to downstream clones;
 //! * [`history`] — the recurring-job statistics registry;
@@ -33,17 +30,13 @@
 #![warn(clippy::all)]
 
 pub mod am;
-pub mod failover;
 pub mod history;
-pub mod nm;
 pub mod protocol;
 pub mod rm;
 pub mod shuffle;
 pub mod system;
 
 pub use am::{AmConfig, ApplicationMaster};
-pub use failover::{HeartbeatMonitor, NodeLiveness};
 pub use history::HistoryRegistry;
-pub use nm::{NodeHeartbeat, NodeManager};
 pub use rm::ResourceManager;
 pub use system::YarnSystem;

@@ -72,17 +72,6 @@ pub struct JobReport {
     pub speedup: dollymp_core::speedup::SpeedupFn,
 }
 
-/// RM → AM grant of one container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ContainerGrant {
-    /// The task it was requested for.
-    pub task: TaskRef,
-    /// The server the container was placed on.
-    pub server: ServerId,
-    /// Whether this is a cloned container.
-    pub is_clone: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -664,9 +664,8 @@ impl JobState {
         self.iter_running().collect()
     }
 
-    /// Remaining effective volume `v_j(t)` (Eq. 16). Computed directly
-    /// from the per-phase remaining counts (same term order as
-    /// `JobSpec::remaining_volume`, without materializing the counts).
+    /// Remaining effective volume `v_j(t)` (Eq. 16): like
+    /// [`JobSpec::volume`] but with each phase's *unfinished* task count.
     pub fn remaining_volume(&self, totals: Resources, sigma_weight: f64) -> f64 {
         self.spec
             .phases()
@@ -1005,6 +1004,42 @@ mod tests {
         // v = 2·10·0.1 + 1·5·0.1 = 2.5 (w = 0)
         assert!((j.remaining_volume(totals, 0.0) - 2.5).abs() < 1e-12);
         assert!((j.remaining_etime(0.0) - 15.0).abs() < 1e-12);
+    }
+
+    /// Seeded chains: the remaining volume starts at the full volume
+    /// (Eq. 14), never grows as tasks finish, and ends at zero.
+    #[test]
+    fn remaining_volume_is_monotone() {
+        let totals = Resources::new(100.0, 200.0);
+        let mut rng = SmallRng::seed_from_u64(16);
+        for _ in 0..64 {
+            let phases: Vec<PhaseSpec> = (0..rng.gen_range(1..8))
+                .map(|_| {
+                    let demand = Resources::new(rng.gen_range(0.5..4.0), rng.gen_range(0.5..8.0));
+                    PhaseSpec::new(
+                        rng.gen_range(1..6),
+                        demand,
+                        rng.gen_range(0.5..50.0),
+                        rng.gen_range(0.0..20.0),
+                    )
+                })
+                .collect();
+            let spec = JobSpec::chain(JobId(0), phases).expect("a chain is acyclic");
+            let ntasks = spec.phases().iter().map(|p| p.ntasks as usize).sum();
+            let full = spec.volume(totals, 1.5);
+            let mut job = JobState::new(spec, vec![1.0; ntasks]);
+            let mut last = job.remaining_volume(totals, 1.5);
+            assert!((full - last).abs() < 1e-9);
+            for pi in 0..job.phases.len() {
+                while job.phases[pi].remaining > 0 {
+                    job.phases[pi].remaining -= 1;
+                    let v = job.remaining_volume(totals, 1.5);
+                    assert!(v <= last + 1e-9, "remaining volume grew");
+                    last = v;
+                }
+            }
+            assert!(last.abs() < 1e-9, "all finished ⇒ zero volume");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! DAG jobs, phases and tasks — the job model of §3, plus the derived
 //! quantities DollyMP schedules on: *effective processing time*
 //! `e = θ + w·σ` (§5), *critical path* `L_j`, *job volume* (Eq. 10/14) and
-//! their remaining-work refreshes (Eq. 16/17).
+//! the remaining critical path (Eq. 17). The remaining volume (Eq. 16)
+//! needs per-phase task counts, so it lives with the runtime job state.
 //!
 //! A [`JobSpec`] is an immutable description of a job: a set of
 //! [`PhaseSpec`]s connected by parent (upstream) edges. Every task inside a
@@ -265,27 +266,6 @@ impl JobSpec {
             .iter()
             .map(|p| {
                 p.ntasks as f64 * p.effective_time(sigma_weight) * p.dominant_share(cluster_totals)
-            })
-            .sum()
-    }
-
-    /// Remaining volume `v_j(t)` (Eq. 16): like [`JobSpec::volume`] but
-    /// with per-phase *unfinished* task counts.
-    ///
-    /// # Panics
-    /// Panics when `remaining_tasks.len()` differs from the phase count.
-    pub fn remaining_volume(
-        &self,
-        remaining_tasks: &[u32],
-        cluster_totals: Resources,
-        sigma_weight: f64,
-    ) -> f64 {
-        assert_eq!(remaining_tasks.len(), self.phases.len());
-        self.phases
-            .iter()
-            .zip(remaining_tasks)
-            .map(|(p, &n)| {
-                n as f64 * p.effective_time(sigma_weight) * p.dominant_share(cluster_totals)
             })
             .sum()
     }
@@ -571,9 +551,6 @@ mod tests {
         .unwrap();
         // v = 4·10·0.2 + 2·5·0.2 = 8 + 2 = 10
         assert!((j.volume(totals, 0.0) - 10.0).abs() < 1e-12);
-        // Remaining: 1 task left in phase 0, phase 1 untouched.
-        let v = j.remaining_volume(&[1, 2], totals, 0.0);
-        assert!((v - 4.0).abs() < 1e-12); // 1·10·0.2 + 2·5·0.2
     }
 
     #[test]
@@ -684,28 +661,6 @@ mod tests {
                     last = now;
                 }
                 prop_assert!(last.abs() < 1e-9, "all finished ⇒ zero path");
-            }
-
-            /// Remaining volume decreases monotonically as tasks complete
-            /// and matches the full volume when nothing has run.
-            #[test]
-            fn remaining_volume_is_monotone(job in arb_job()) {
-                let totals = Resources::new(100.0, 200.0);
-                let mut remaining: Vec<u32> =
-                    job.phases().iter().map(|p| p.ntasks).collect();
-                let full = job.volume(totals, 1.5);
-                let v0 = job.remaining_volume(&remaining, totals, 1.5);
-                prop_assert!((full - v0).abs() < 1e-9);
-                let mut last = v0;
-                for pi in 0..job.num_phases() {
-                    while remaining[pi] > 0 {
-                        remaining[pi] -= 1;
-                        let v = job.remaining_volume(&remaining, totals, 1.5);
-                        prop_assert!(v <= last + 1e-9);
-                        last = v;
-                    }
-                }
-                prop_assert!(last.abs() < 1e-9);
             }
 
             /// topo_order is a permutation placing every parent before

@@ -18,13 +18,14 @@
 //! * [`speedup`] — the cloning speedup function `h(r)` of Eq. (1), including
 //!   the Pareto fit of Eq. (2)–(3).
 //! * [`job`] — DAG jobs, phases and tasks; effective processing times,
-//!   critical paths and job volumes of Eq. (10)/(14)/(16)/(17).
+//!   critical paths and job volumes of Eq. (10)/(14)/(17).
 //! * [`knapsack`] — the unit-profit knapsack oracle of Algorithm 1 (§4.2.1)
 //!   plus an exact DP used to validate it.
 //! * [`transient`] — Algorithm 1, the transient scheduling process that
 //!   assigns knapsack-based priorities.
-//! * [`online`] — decision helpers for Algorithm 2 (priority refresh,
-//!   Tetris-style best-fit tie-breaking, clone budgeting).
+//! * [`online`] — decision helpers for Algorithm 2 (the job order of the
+//!   last Algorithm 1 run, Tetris-style best-fit tie-breaking, clone
+//!   budgeting).
 //! * [`cloning`] — the §4.1 analysis of *when cloning helps* (the
 //!   flow₁/flow₂/flow₃ case study) and clone-count selection.
 //! * [`stats`] — streaming mean/standard-deviation estimation used by the
@@ -89,14 +90,13 @@ pub mod prelude {
         DagError, JobId, JobSpec, JobSpecBuilder, PhaseId, PhaseSpec, TaskId, TaskRef,
     };
     pub use crate::knapsack::{knapsack_01_dp, sorted_by_weight, unit_profit_knapsack};
-    pub use crate::online::{best_fit_score, ClonePolicy, PriorityTable};
+    pub use crate::online::{best_fit_score, ClonePolicy, PriorityOrder};
     pub use crate::resources::{dominant_share, Resources};
     pub use crate::speedup::{ParetoSpeedup, Speedup, SpeedupFn};
     pub use crate::stats::RunningStats;
     pub use crate::theory::{theorem1_bound, BruteForceOptimal};
     pub use crate::time::{Duration, Time};
     pub use crate::transient::{
-        summarize, transient_schedule, SummaryInput, TransientConfig, TransientJob,
-        TransientOutput, PRIORITY_UNSELECTED,
+        transient_schedule, TransientConfig, TransientJob, TransientOutput, PRIORITY_UNSELECTED,
     };
 }

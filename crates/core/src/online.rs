@@ -6,137 +6,68 @@
 //! with free resources, and finally spends leftover capacity on clones.
 //! This module holds the pure pieces of that loop:
 //!
-//! * [`PriorityTable`] — the per-job priority/copy-count snapshot produced
-//!   by the latest Algorithm 1 run;
+//! * [`PriorityOrder`] — the job order of the latest Algorithm 1 run,
+//!   grouped by priority level;
 //! * [`best_fit_score`] — the Tetris-style alignment inner product used to
 //!   break ties inside one priority group (Algorithm 2, step 12);
 //! * [`ClonePolicy`] — the cloning budget of §5 (≤ 2 extra copies) plus
 //!   the §4.1 *small-job gate* parameterized by `δ`.
 
-use crate::hash::FxHashMap;
 use crate::job::JobId;
 use crate::resources::Resources;
-use crate::transient::{TransientJob, TransientOutput, PRIORITY_UNSELECTED};
+use crate::transient::{TransientJob, TransientOutput};
 use serde::{Deserialize, Serialize};
 
-/// Snapshot of the latest Algorithm 1 output, keyed by job.
+/// The job order of the latest Algorithm 1 run: its jobs grouped by
+/// ascending priority level, ids ascending inside a level, so jobs
+/// Algorithm 1 left unselected ([`crate::transient::PRIORITY_UNSELECTED`])
+/// come last. This is the deterministic order Algorithm 2's placement
+/// loop walks, in the simulator scheduler and in the YARN RM alike.
 ///
-/// Refreshed (only) on job arrivals, per §5: *"the scheduling order of all
-/// jobs in the cluster won't be updated until the next job arrival"*.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PriorityTable {
-    entries: FxHashMap<JobId, PriorityEntry>,
+/// Refilled (only) when the order goes stale, per §5: *"the scheduling
+/// order of all jobs in the cluster won't be updated until the next job
+/// arrival"*. A job that finishes in between stays in the order until
+/// the next refill; readers skip jobs that are no longer active.
+#[derive(Debug, Clone, Default)]
+pub struct PriorityOrder {
+    /// The jobs, level after level.
+    members: Vec<JobId>,
+    /// Per level: `(level, start, end)`, the level's range in `members`.
+    levels: Vec<(u32, u32, u32)>,
 }
 
-/// One job's priority data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PriorityEntry {
-    /// Knapsack level from Algorithm 1 (smaller = earlier).
-    pub level: u32,
-    /// Recommended concurrent copies from Corollary 4.1 (≥ 1).
-    pub copies: u32,
-}
-
-impl PriorityTable {
-    /// Build a table from Algorithm 1 inputs and output (same order).
+impl PriorityOrder {
+    /// Replace the order with Algorithm 1's output `out` over `jobs`
+    /// (aligned slices). Reuses the buffers' capacity, so refilling at
+    /// steady state allocates nothing.
     ///
     /// # Panics
     /// Panics when the slices disagree in length.
-    pub fn from_output(jobs: &[TransientJob], out: &TransientOutput) -> Self {
+    pub fn refill(&mut self, jobs: &[TransientJob], out: &TransientOutput) {
         assert_eq!(jobs.len(), out.priorities.len());
-        let entries = jobs
+        self.members.clear();
+        self.levels.clear();
+        // `out.order` visits the jobs by ascending level.
+        for &i in &out.order {
+            let (level, at) = (out.priorities[i], self.members.len() as u32);
+            match self.levels.last_mut() {
+                Some(last) if last.0 == level => last.2 = at + 1,
+                _ => self.levels.push((level, at, at + 1)),
+            }
+            self.members.push(jobs[i].id);
+        }
+        // Ids are unique, so the unstable sort is deterministic.
+        for &(_, start, end) in &self.levels {
+            self.members[start as usize..end as usize].sort_unstable();
+        }
+    }
+
+    /// The groups by ascending level: each level with its jobs, ids
+    /// ascending.
+    pub fn groups(&self) -> impl Iterator<Item = (u32, &[JobId])> + '_ {
+        self.levels
             .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                (
-                    j.id,
-                    PriorityEntry {
-                        level: out.priorities[i],
-                        copies: out.recommended_copies[i],
-                    },
-                )
-            })
-            .collect();
-        PriorityTable { entries }
-    }
-
-    /// The priority level of a job; unknown jobs sort last.
-    pub fn level(&self, job: JobId) -> u32 {
-        self.entries
-            .get(&job)
-            .map(|e| e.level)
-            .unwrap_or(PRIORITY_UNSELECTED)
-    }
-
-    /// The recommended copy count of a job (1 when unknown).
-    pub fn copies(&self, job: JobId) -> u32 {
-        self.entries.get(&job).map(|e| e.copies).unwrap_or(1)
-    }
-
-    /// Number of jobs tracked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no jobs are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop a completed job.
-    pub fn remove(&mut self, job: JobId) {
-        self.entries.remove(&job);
-    }
-
-    /// Group the given jobs by ascending priority level (jobs unknown to
-    /// the table sort last). Within a level, jobs are ordered by id —
-    /// the deterministic iteration order Algorithm 2's placement loop
-    /// uses in both the simulator scheduler and the YARN RM.
-    pub fn grouped(&self, jobs: impl Iterator<Item = JobId>) -> Vec<(u32, Vec<JobId>)> {
-        let mut tagged: Vec<(u32, JobId)> = jobs.map(|j| (self.level(j), j)).collect();
-        tagged.sort();
-        let mut groups: Vec<(u32, Vec<JobId>)> = Vec::new();
-        for (level, id) in tagged {
-            match groups.last_mut() {
-                Some((l, v)) if *l == level => v.push(id),
-                _ => groups.push((level, vec![id])),
-            }
-        }
-        groups
-    }
-
-    /// Flattened [`PriorityTable::grouped`]: the same ascending-level
-    /// grouping, written into caller-owned buffers — `members` is the
-    /// arena of job ids, `levels` holds one `(start, end)` range per
-    /// priority level. Reuses the buffers' capacity, so a scheduler that
-    /// regroups at every decision point allocates nothing at steady
-    /// state. `tagged` is sort scratch.
-    pub fn grouped_into(
-        &self,
-        jobs: impl Iterator<Item = JobId>,
-        tagged: &mut Vec<(u32, JobId)>,
-        levels: &mut Vec<(u32, u32)>,
-        members: &mut Vec<JobId>,
-    ) {
-        tagged.clear();
-        levels.clear();
-        members.clear();
-        tagged.extend(jobs.map(|j| (self.level(j), j)));
-        // (level, id) pairs are unique (ids are), so the unstable sort is
-        // deterministic and agrees with `grouped`'s stable sort.
-        tagged.sort_unstable();
-        let mut prev: Option<u32> = None;
-        for &(level, id) in tagged.iter() {
-            if prev != Some(level) {
-                let start = members.len() as u32;
-                levels.push((start, start));
-                prev = Some(level);
-            }
-            members.push(id);
-            if let Some(last) = levels.last_mut() {
-                last.1 = members.len() as u32;
-            }
-        }
+            .map(|&(level, start, end)| (level, &self.members[start as usize..end as usize]))
     }
 }
 
@@ -195,19 +126,6 @@ impl ClonePolicy {
         }
     }
 
-    /// Whether a task currently holding `running_copies` copies may launch
-    /// one more, given the job's Corollary 4.1 recommendation.
-    pub fn may_add_copy(&self, running_copies: u32, recommended: u32) -> bool {
-        running_copies < self.max_copies.min(recommended.max(1)).max(1)
-            && running_copies < self.max_copies
-    }
-
-    /// Hard budget check only (ignores the recommendation): may this task
-    /// ever take another copy?
-    pub fn under_budget(&self, running_copies: u32) -> bool {
-        running_copies < self.max_copies
-    }
-
     /// The §4.1 small-job gate: is a job with `job_remaining_volume`
     /// clone-eligible when the other unfinished jobs total
     /// `other_remaining_volume`?
@@ -227,71 +145,68 @@ impl ClonePolicy {
 mod tests {
     use super::*;
     use crate::speedup::SpeedupFn;
-    use crate::transient::{transient_schedule, TransientConfig};
+    use crate::transient::{transient_schedule, TransientConfig, PRIORITY_UNSELECTED};
+    use proptest::prelude::*;
 
-    fn jobs() -> Vec<TransientJob> {
-        vec![
-            TransientJob {
-                id: JobId(10),
-                volume: 0.5,
-                etime: 1.0,
+    /// Algorithm 1 inputs from `(volume, etime, unselectable)` triples,
+    /// with ids out of input order; an unselectable job has infinite
+    /// volume, so no knapsack level packs it.
+    fn jobs(raw: &[(f64, f64, usize)]) -> Vec<TransientJob> {
+        raw.iter()
+            .enumerate()
+            .map(|(i, &(volume, etime, unselectable))| TransientJob {
+                id: JobId(i as u64 * 37 % 101),
+                volume: if unselectable == 0 {
+                    f64::INFINITY
+                } else {
+                    volume
+                },
+                etime,
                 dominant: 0.1,
                 speedup: SpeedupFn::Pareto { alpha: 2.0 },
-            },
-            TransientJob {
-                id: JobId(20),
-                volume: 50.0,
-                etime: 80.0,
-                dominant: 0.1,
-                speedup: SpeedupFn::Pareto { alpha: 2.0 },
-            },
-        ]
+            })
+            .collect()
     }
 
-    #[test]
-    fn table_round_trips_algorithm1() {
-        let js = jobs();
-        let out = transient_schedule(&js, &TransientConfig::default());
-        let table = PriorityTable::from_output(&js, &out);
-        assert_eq!(table.len(), 2);
-        assert!(table.level(JobId(10)) < table.level(JobId(20)));
-        assert!(table.copies(JobId(10)) >= 1);
-    }
-
-    #[test]
-    fn unknown_jobs_sort_last_with_one_copy() {
-        let table = PriorityTable::default();
-        assert_eq!(table.level(JobId(99)), PRIORITY_UNSELECTED);
-        assert_eq!(table.copies(JobId(99)), 1);
-        assert!(table.is_empty());
-    }
-
-    #[test]
-    fn remove_drops_entries() {
-        let js = jobs();
-        let out = transient_schedule(&js, &TransientConfig::default());
-        let mut table = PriorityTable::from_output(&js, &out);
-        table.remove(JobId(10));
-        assert_eq!(table.level(JobId(10)), PRIORITY_UNSELECTED);
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn grouped_orders_levels_and_ids() {
-        let js = jobs();
-        let out = transient_schedule(&js, &TransientConfig::default());
-        let table = PriorityTable::from_output(&js, &out);
-        // Known job ids plus an unknown one (sorts last).
-        let groups = table.grouped([JobId(20), JobId(10), JobId(99)].into_iter());
-        assert!(groups.len() >= 2);
-        // First group holds the small job; last group the unknown.
-        assert_eq!(groups.first().unwrap().1, vec![JobId(10)]);
-        let (last_level, last_members) = groups.last().unwrap();
-        assert_eq!(*last_level, PRIORITY_UNSELECTED);
-        assert_eq!(last_members, &vec![JobId(99)]);
-        // Levels strictly ascending.
-        for w in groups.windows(2) {
-            assert!(w[0].0 < w[1].0);
+    proptest! {
+        /// The refilled order holds every input job exactly once, in the
+        /// group of its own level; levels strictly ascend, unselected jobs
+        /// come last and ids ascend inside a group. The order is refilled
+        /// into the buffers of an earlier, unrelated one, which leaves
+        /// nothing of it behind.
+        #[test]
+        fn refill_groups_algorithm1_output_by_level_then_id(
+            earlier in prop::collection::vec((0.01f64..30.0, 0.1f64..60.0, 0usize..10), 0..40),
+            raw in prop::collection::vec((0.01f64..30.0, 0.1f64..60.0, 0usize..10), 0..40),
+        ) {
+            let cfg = TransientConfig::default();
+            let mut order = PriorityOrder::default();
+            let before = jobs(&earlier);
+            order.refill(&before, &transient_schedule(&before, &cfg));
+            let jobs = jobs(&raw);
+            let out = transient_schedule(&jobs, &cfg);
+            order.refill(&jobs, &out);
+            let groups: Vec<(u32, &[JobId])> = order.groups().collect();
+            let total: usize = groups.iter().map(|(_, m)| m.len()).sum();
+            prop_assert_eq!(total, jobs.len());
+            for (i, job) in jobs.iter().enumerate() {
+                let holding: Vec<u32> = groups
+                    .iter()
+                    .filter(|(_, m)| m.contains(&job.id))
+                    .map(|&(level, _)| level)
+                    .collect();
+                prop_assert_eq!(holding, vec![out.priorities[i]]);
+            }
+            for w in groups.windows(2) {
+                prop_assert!(w[0].0 < w[1].0, "levels strictly ascend");
+            }
+            for (_, members) in &groups {
+                prop_assert!(!members.is_empty());
+                prop_assert!(members.windows(2).all(|w| w[0] < w[1]));
+            }
+            if out.priorities.contains(&PRIORITY_UNSELECTED) {
+                prop_assert_eq!(groups.last().map(|g| g.0), Some(PRIORITY_UNSELECTED));
+            }
         }
     }
 
@@ -304,21 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn clone_budget_limits_copies() {
-        let p = ClonePolicy::default(); // max 3 copies
-        assert!(p.may_add_copy(1, 3));
-        assert!(p.may_add_copy(2, 3));
-        assert!(!p.may_add_copy(3, 3));
-        // Recommendation of 1 blocks cloning even under budget.
-        assert!(!p.may_add_copy(1, 1));
-        assert!(p.under_budget(2));
-        assert!(!p.under_budget(3));
-    }
-
-    #[test]
     fn disabled_policy_never_clones() {
         let p = ClonePolicy::disabled();
-        assert!(!p.may_add_copy(1, 5));
         assert!(!p.small_job_gate(0.0, 0.0));
     }
 
@@ -326,38 +228,6 @@ mod tests {
     fn with_clones_sets_budget() {
         assert_eq!(ClonePolicy::with_clones(2).max_copies, 3);
         assert_eq!(ClonePolicy::with_clones(0).max_copies, 1);
-    }
-
-    #[test]
-    fn grouped_into_matches_grouped() {
-        let jobs: Vec<TransientJob> = (0..7)
-            .map(|i| TransientJob {
-                id: JobId(i),
-                volume: 1.0 + i as f64,
-                etime: 1.0,
-                dominant: 0.1,
-                speedup: crate::speedup::SpeedupFn::Pareto { alpha: 2.0 },
-            })
-            .collect();
-        let out = crate::transient::transient_schedule(
-            &jobs,
-            &crate::transient::TransientConfig::default(),
-        );
-        let table = PriorityTable::from_output(&jobs, &out);
-        // Include a job unknown to the table: it must sort last both ways.
-        let ids = || (0..7).map(JobId).chain(std::iter::once(JobId(99)));
-        let reference = table.grouped(ids());
-        let (mut tagged, mut levels, mut members) = (Vec::new(), Vec::new(), Vec::new());
-        // Run twice to prove buffer reuse leaves no stale state behind.
-        for _ in 0..2 {
-            table.grouped_into(ids(), &mut tagged, &mut levels, &mut members);
-            let flat: Vec<Vec<JobId>> = levels
-                .iter()
-                .map(|&(s, e)| members[s as usize..e as usize].to_vec())
-                .collect();
-            let expect: Vec<Vec<JobId>> = reference.iter().map(|(_, v)| v.clone()).collect();
-            assert_eq!(flat, expect);
-        }
     }
 
     #[test]

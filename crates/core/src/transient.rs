@@ -88,34 +88,6 @@ impl TransientJob {
             speedup,
         }
     }
-
-    /// Summarize the *remaining* work of a partially executed job
-    /// (Eq. 16/17).
-    ///
-    /// # Panics
-    /// Panics when either slice's length differs from the phase count.
-    pub fn from_remaining(
-        spec: &JobSpec,
-        remaining_tasks: &[u32],
-        finished_phases: &[bool],
-        cluster_totals: Resources,
-        sigma_weight: f64,
-    ) -> Self {
-        assert_eq!(finished_phases.len(), spec.num_phases());
-        let speedup = spec
-            .topo_order()
-            .iter()
-            .find(|p| !finished_phases[p.0 as usize])
-            .map(|&p| spec.phase(p).speedup)
-            .unwrap_or(SpeedupFn::None);
-        TransientJob {
-            id: spec.id,
-            volume: spec.remaining_volume(remaining_tasks, cluster_totals, sigma_weight),
-            etime: spec.remaining_effective_time(|p| finished_phases[p.0 as usize], sigma_weight),
-            dominant: spec.max_dominant_share(cluster_totals),
-            speedup,
-        }
-    }
 }
 
 /// Result of Algorithm 1, aligned with the input job slice.
@@ -132,13 +104,6 @@ pub struct TransientOutput {
     pub order: Vec<usize>,
     /// Number of doubling levels `g` actually used.
     pub levels: u32,
-}
-
-impl TransientOutput {
-    /// Priority of a given input index.
-    pub fn priority(&self, idx: usize) -> u32 {
-        self.priorities[idx]
-    }
 }
 
 /// Run Algorithm 1 over a job set.
@@ -261,38 +226,6 @@ fn first_feasible_levels(jobs: &[TransientJob], g: u32) -> Vec<u32> {
             (1..=g)
                 .find(|&l| j.etime <= (2f64).powi(l as i32))
                 .unwrap_or(g + 1)
-        })
-        .collect()
-}
-
-/// Borrowed inputs of one job's summary — exactly what
-/// [`TransientJob::from_remaining`] consumes.
-pub struct SummaryInput<'a> {
-    /// The immutable job description.
-    pub spec: &'a JobSpec,
-    /// Unfinished task count per phase (`n_j^k(t)` of Eq. 16).
-    pub remaining_tasks: &'a [u32],
-    /// Per-phase completion flags (Eq. 17).
-    pub finished_phases: &'a [bool],
-}
-
-/// Eq. 16/17 summaries of `inputs`, in input order — the per-job input
-/// Algorithm 1 runs on.
-pub fn summarize(
-    inputs: &[SummaryInput<'_>],
-    cluster_totals: Resources,
-    sigma_weight: f64,
-) -> Vec<TransientJob> {
-    inputs
-        .iter()
-        .map(|i| {
-            TransientJob::from_remaining(
-                i.spec,
-                i.remaining_tasks,
-                i.finished_phases,
-                cluster_totals,
-                sigma_weight,
-            )
         })
         .collect()
 }

@@ -2,12 +2,14 @@
 //!
 //! After a job arrival (or a crash-induced task loss), the priorities of
 //! *all* unfinished jobs are recomputed by the transient Algorithm 1 over
-//! their remaining volumes and critical paths (Eq. 16/17); between
-//! arrivals the order is frozen (§5: "the scheduling order of all jobs in
-//! the cluster won't be updated until the next job arrival"). The hooks
-//! only mark the order stale: the simulator is slotted (§6.3), so every
-//! arrival of a slot is acted on at that slot's decision point, and
-//! Algorithm 1 runs once there, over the slot's final state.
+//! their remaining volumes and critical paths (Eq. 16/17), and the
+//! resulting job order is stored; between arrivals it is frozen (§5: "the
+//! scheduling order of all jobs in the cluster won't be updated until the
+//! next job arrival"), and each pass walks it, skipping jobs that have
+//! finished since. The hooks only mark the order stale: the simulator is
+//! slotted (§6.3), so every arrival of a slot is acted on at that slot's
+//! decision point, and Algorithm 1 runs once there, over the slot's final
+//! state.
 //!
 //! At each decision point the scheduler then:
 //!
@@ -24,9 +26,30 @@
 use dollymp_cluster::prelude::*;
 use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
-use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityTable};
+use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityOrder};
 use dollymp_core::resources::Resources;
-use dollymp_core::transient::{summarize, transient_schedule, SummaryInput, TransientConfig};
+use dollymp_core::speedup::SpeedupFn;
+use dollymp_core::transient::{transient_schedule, TransientConfig, TransientJob};
+
+/// Algorithm 1's input for one job: its remaining volume and remaining
+/// critical path (Eq. 16/17), its largest dominant share, and the
+/// speedup of its first unfinished phase in topological order, whose
+/// clones the scheduler launches first.
+fn transient_job(job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob {
+    let spec = job.spec();
+    let speedup = spec
+        .topo_order()
+        .iter()
+        .find(|&&p| job.phase_state(p).remaining > 0)
+        .map_or(SpeedupFn::None, |&p| spec.phase(p).speedup);
+    TransientJob {
+        id: job.id(),
+        volume: job.remaining_volume(totals, sigma_weight),
+        etime: job.remaining_etime(sigma_weight),
+        dominant: spec.max_dominant_share(totals),
+        speedup,
+    }
+}
 
 /// A cloning candidate: a task of a §4.1-eligible job, with its demand
 /// and *effective* copy count (view-side live copies plus the primary
@@ -209,17 +232,12 @@ fn push_queue_group(
     (qstart as u32, queues.len() as u32)
 }
 
-/// Reusable buffers for one decision point. Everything here is cleared
-/// and refilled each pass, so at steady state a full Algorithm 2 pass
-/// performs no heap allocation beyond the returned batch itself.
+/// Reusable buffers for the placement half of one decision point.
+/// Everything here is cleared and refilled each pass, so at steady state
+/// a pass that does not refresh the job order performs no heap
+/// allocation beyond the returned batch itself.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Sort scratch for `PriorityTable::grouped_into`.
-    tagged: Vec<(u32, JobId)>,
-    /// Per priority level: `(start, end)` range into `members`.
-    levels: Vec<(u32, u32)>,
-    /// Flattened members of all levels, in ascending (level, id) order.
-    members: Vec<JobId>,
     /// One entry per (job, distinct-demand), contiguous per job, jobs in
     /// priority order (so each level's buckets are contiguous too).
     buckets: Vec<Bucket>,
@@ -248,11 +266,6 @@ struct Scratch {
     placed_ranges: FxHashMap<JobId, (u32, u32)>,
     /// Primaries of this batch, grouped contiguously per job.
     placed_arena: Vec<TaskRef>,
-    /// Per-phase remaining task counts of every job, in view order, for
-    /// Algorithm 1's inputs.
-    remaining: Vec<u32>,
-    /// Per-phase completion flags, aligned with `remaining`.
-    finished: Vec<bool>,
     /// Clone candidates of this decision point, in priority order.
     candidates: Vec<CloneCandidate>,
     /// `cloned[i]`: candidate `i` received a clone in this batch.
@@ -267,7 +280,8 @@ pub struct DollyMP {
     pub transient: TransientConfig,
     /// Cloning budget and §4.1 small-job gate.
     pub clone_policy: ClonePolicy,
-    table: PriorityTable,
+    /// The job order of the last Algorithm 1 run.
+    order: PriorityOrder,
     /// Set by the arrival and task-loss hooks: the next pass re-runs
     /// Algorithm 1 before placing anything.
     stale: bool,
@@ -298,7 +312,7 @@ impl DollyMP {
                 ..TransientConfig::default()
             },
             clone_policy,
-            table: PriorityTable::default(),
+            order: PriorityOrder::default(),
             stale: false,
             scratch: Scratch::default(),
             last_span: PassSpan::default(),
@@ -317,35 +331,12 @@ impl DollyMP {
         self
     }
 
+    /// Re-run Algorithm 1 over every job in the view and store its order.
     fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
-        // Every job's per-phase counts and flags go into two flat scratch
-        // buffers, which the inputs then borrow job by job.
-        let s = &mut self.scratch;
-        s.remaining.clear();
-        s.finished.clear();
-        for j in view.jobs() {
-            for pi in 0..j.spec().num_phases() {
-                let remaining = j.phase_state(PhaseId(pi as u32)).remaining;
-                s.remaining.push(remaining);
-                s.finished.push(remaining == 0);
-            }
-        }
-        let mut offset = 0;
-        let inputs: Vec<SummaryInput<'_>> = view
-            .jobs()
-            .map(|j| {
-                let phases = offset..offset + j.spec().num_phases();
-                offset = phases.end;
-                SummaryInput {
-                    spec: j.spec(),
-                    remaining_tasks: &s.remaining[phases.clone()],
-                    finished_phases: &s.finished[phases],
-                }
-            })
-            .collect();
-        let summaries = summarize(&inputs, view.totals(), self.transient.sigma_weight);
-        let out = transient_schedule(&summaries, &self.transient);
-        self.table = PriorityTable::from_output(&summaries, &out);
+        let (totals, w) = (view.totals(), self.transient.sigma_weight);
+        let jobs: Vec<TransientJob> = view.jobs().map(|j| transient_job(j, totals, w)).collect();
+        let out = transient_schedule(&jobs, &self.transient);
+        self.order.refill(&jobs, &out);
     }
 
     /// The primary placement pass (Algorithm 2 steps 6–15).
@@ -389,11 +380,13 @@ impl DollyMP {
         s.level_remaining.clear();
         let mut ready_count: usize = 0;
         let mut min_demand: Option<Resources> = None;
-        for &(mstart, mend) in &s.levels {
+        let mut found = 0usize;
+        for (_, members) in self.order.groups() {
             let lstart = s.buckets.len() as u32;
             let mut level_tasks = 0u32;
-            for &jid in &s.members[mstart as usize..mend as usize] {
-                let j = view.job(jid).expect("levels group the view's jobs");
+            // Jobs that finished since the last refresh have left the view.
+            for j in members.iter().filter_map(|&jid| view.job(jid)) {
+                found += 1;
                 let bstart = s.buckets.len();
                 // One bucket per distinct demand, in first-ready-phase
                 // order; a bucket's `phase` ends at its highest phase.
@@ -417,7 +410,7 @@ impl DollyMP {
                         }
                         None => s.buckets.push(Bucket {
                             demand: p.demand,
-                            job: jid,
+                            job: j.id(),
                             phase: PhaseId(pi as u32),
                             below: u32::MAX,
                             len: count,
@@ -429,6 +422,9 @@ impl DollyMP {
             s.level_queues.push((lstart, s.buckets.len() as u32));
             s.level_remaining.push(level_tasks);
         }
+        // Every arrival and task loss marks the order stale, so the last
+        // refresh saw every job now in the view.
+        debug_assert_eq!(found, view.num_jobs(), "every view job is in the order");
         let Some(min_demand) = min_demand else {
             return;
         };
@@ -602,9 +598,9 @@ impl DollyMP {
         }
         // Reshuffle into priority order (Algorithm 2 step 16 walks jobs
         // in the frozen Algorithm 1 order).
-        for &(mstart, mend) in &s.levels {
-            for &jid in &s.members[mstart as usize..mend as usize] {
-                if let Some(&(start, end)) = s.cand_ranges.get(&jid) {
+        for (_, members) in self.order.groups() {
+            for jid in members {
+                if let Some(&(start, end)) = s.cand_ranges.get(jid) {
                     s.candidates
                         .extend_from_slice(&s.cand_arena[start as usize..end as usize]);
                 }
@@ -702,10 +698,6 @@ impl Scheduler for DollyMP {
         self.stale = true;
     }
 
-    fn on_job_finish(&mut self, job: &dollymp_cluster::state::JobState) {
-        self.table.remove(job.id());
-    }
-
     fn on_task_lost(&mut self, _view: &ClusterView<'_>, _task: TaskRef) {
         // A crash is as much a scheduling shock as an arrival: the next
         // pass re-runs Algorithm 1 so the frozen order reflects the
@@ -751,16 +743,10 @@ impl DollyMP {
         if std::mem::take(&mut self.stale) {
             self.refresh_priorities(view);
         }
+        let prepare_ns = pass_start.elapsed().as_nanos() as u64;
         // The scratch moves out of `self` for the duration of the pass so
         // the `&self` helper methods can borrow it mutably alongside.
         let mut s = std::mem::take(&mut self.scratch);
-        self.table.grouped_into(
-            view.jobs().map(|j| j.id()),
-            &mut s.tagged,
-            &mut s.levels,
-            &mut s.members,
-        );
-        let prepare_ns = pass_start.elapsed().as_nanos() as u64;
         let free = view.capacity().begin_batch();
         let mut batch: Vec<Assignment> = Vec::new();
         self.place_primaries(view, order, &free, &mut s, &mut batch);
@@ -801,6 +787,40 @@ mod tests {
         assert_eq!(DollyMP::with_clones(0).name(), "dollymp0");
         assert_eq!(DollyMP::with_clones(1).name(), "dollymp1");
         assert_eq!(DollyMP::new().name(), "dollymp2");
+    }
+
+    /// A job finishes between two refreshes: the next pass skips it and
+    /// places the rest in the stored order, even though the survivors'
+    /// states would now rank them the other way round (the order stays
+    /// frozen until the next arrival, §5).
+    #[test]
+    fn passes_walk_the_last_refresh_order_past_finished_jobs() {
+        use dollymp_cluster::capacity::CapacityIndex;
+        let job = |id, theta| {
+            let spec = JobSpec::single_phase(JobId(id), 1, Resources::new(1.0, 1.0), theta, 0.0);
+            JobState::new(spec, vec![theta])
+        };
+        let cluster = ClusterSpec::homogeneous(1, 4.0, 4.0);
+        let mut s = DollyMP::with_clones(0);
+        // Full server: the first pass only refreshes the order, ranking
+        // job 1 (tiny), then job 2 (mid), then job 0 (huge).
+        let jobs = JobTable::from_iter([job(0, 100.0), job(1, 1.0), job(2, 10.0)]);
+        let cap = CapacityIndex::from_free(&[Resources::ZERO]);
+        let view = ClusterView::new(0, &cluster, &cap, &jobs);
+        s.on_job_arrival(&view, JobId(2));
+        assert!(s.schedule(&view).is_empty());
+        let groups = |s: &DollyMP| -> Vec<Vec<JobId>> {
+            s.order.groups().map(|(_, m)| m.to_vec()).collect()
+        };
+        let refreshed = groups(&s);
+        assert_eq!(refreshed, [[JobId(1)], [JobId(2)], [JobId(0)]]);
+        // Job 1 finished; job 0 now looks smaller than job 2.
+        let jobs = JobTable::from_iter([job(0, 1.0), job(2, 10.0)]);
+        let cap = CapacityIndex::from_free(&[Resources::new(4.0, 4.0)]);
+        let view = ClusterView::new(1, &cluster, &cap, &jobs);
+        let placed: Vec<JobId> = s.schedule(&view).iter().map(|a| a.task.job).collect();
+        assert_eq!(placed, [JobId(2), JobId(0)]);
+        assert_eq!(groups(&s), refreshed, "no refresh without an arrival");
     }
 
     #[test]

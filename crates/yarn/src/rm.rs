@@ -10,7 +10,7 @@ use crate::protocol::{ContainerRequest, JobReport};
 use dollymp_cluster::error::RejectReason;
 use dollymp_cluster::spec::ClusterSpec;
 use dollymp_core::job::JobId;
-use dollymp_core::online::PriorityTable;
+use dollymp_core::online::PriorityOrder;
 use dollymp_core::transient::{transient_schedule, TransientConfig, TransientJob};
 use std::collections::HashMap;
 
@@ -19,7 +19,8 @@ use std::collections::HashMap;
 pub struct ResourceManager {
     cfg: TransientConfig,
     reports: HashMap<JobId, JobReport>,
-    table: PriorityTable,
+    /// The job order of the last Algorithm 1 run over the reports.
+    order: PriorityOrder,
     /// AM container requests refused by [`ResourceManager::admit_request`],
     /// bucketed on the same [`RejectReason`] taxonomy the engine and the
     /// guard use.
@@ -32,7 +33,7 @@ impl ResourceManager {
         ResourceManager {
             cfg,
             reports: HashMap::new(),
-            table: PriorityTable::default(),
+            order: PriorityOrder::default(),
             rejections: HashMap::new(),
         }
     }
@@ -106,14 +107,14 @@ impl ResourceManager {
         self.reports.insert(report.job, report);
     }
 
-    /// Forget a finished job.
+    /// Forget a finished job. It stays in the job order until the next
+    /// recompute.
     pub fn retire_job(&mut self, job: JobId) {
         self.reports.remove(&job);
-        self.table.remove(job);
     }
 
-    /// Recompute the global priority table from the current reports —
-    /// done on every new-AM registration, per §5.2.
+    /// Recompute the global job order from the current reports — done on
+    /// every new-AM registration, per §5.2.
     pub fn recompute_priorities(&mut self) {
         let mut inputs: Vec<TransientJob> = self
             .reports
@@ -129,12 +130,12 @@ impl ResourceManager {
         // Deterministic input order regardless of HashMap iteration.
         inputs.sort_by_key(|j| j.id);
         let out = transient_schedule(&inputs, &self.cfg);
-        self.table = PriorityTable::from_output(&inputs, &out);
+        self.order.refill(&inputs, &out);
     }
 
-    /// The current priority table.
-    pub fn priorities(&self) -> &PriorityTable {
-        &self.table
+    /// The job order of the last recompute.
+    pub fn priorities(&self) -> &PriorityOrder {
+        &self.order
     }
 
     /// Latest report for a job, if any.
@@ -157,7 +158,6 @@ impl ResourceManager {
 mod tests {
     use super::*;
     use dollymp_core::speedup::SpeedupFn;
-    use dollymp_core::transient::PRIORITY_UNSELECTED;
 
     fn report(id: u64, volume: f64, etime: f64) -> JobReport {
         JobReport {
@@ -169,13 +169,21 @@ mod tests {
         }
     }
 
+    /// Position of `job`'s group in the RM's job order.
+    fn group_of(rm: &ResourceManager, job: JobId) -> usize {
+        rm.priorities()
+            .groups()
+            .position(|(_, members)| members.contains(&job))
+            .expect("the job is in the order")
+    }
+
     #[test]
     fn priorities_follow_reports() {
         let mut rm = ResourceManager::new(TransientConfig::default());
         rm.submit_report(report(0, 50.0, 100.0));
         rm.submit_report(report(1, 0.5, 1.0));
         rm.recompute_priorities();
-        assert!(rm.priorities().level(JobId(1)) < rm.priorities().level(JobId(0)));
+        assert_eq!((group_of(&rm, JobId(1)), group_of(&rm, JobId(0))), (0, 1));
     }
 
     #[test]
@@ -184,11 +192,11 @@ mod tests {
         rm.submit_report(report(0, 50.0, 100.0));
         rm.submit_report(report(1, 0.5, 1.0));
         rm.recompute_priorities();
-        let before = rm.priorities().level(JobId(0));
+        assert_eq!(group_of(&rm, JobId(0)), 1);
         // Job 0 shrank (most of it finished): its report improves.
         rm.submit_report(report(0, 0.1, 0.5));
         rm.recompute_priorities();
-        assert!(rm.priorities().level(JobId(0)) <= before);
+        assert_eq!(group_of(&rm, JobId(0)), 0);
         assert_eq!(rm.len(), 2);
     }
 
@@ -199,7 +207,10 @@ mod tests {
         rm.recompute_priorities();
         rm.retire_job(JobId(0));
         assert!(rm.is_empty());
-        assert_eq!(rm.priorities().level(JobId(0)), PRIORITY_UNSELECTED);
+        // The order keeps the job until the next recompute.
+        assert_eq!(group_of(&rm, JobId(0)), 0);
+        rm.recompute_priorities();
+        assert_eq!(rm.priorities().groups().count(), 0);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl YarnSystem {
         self.rm.recompute_priorities();
     }
 
-    /// Jobs grouped by ascending RM priority.
-    fn priority_groups(&self, view: &ClusterView<'_>) -> Vec<(u32, Vec<JobId>)> {
-        self.rm.priorities().grouped(view.jobs().map(|j| j.id()))
-    }
-
     /// Place one container, preferring the task's replica servers (AM
     /// second-level scheduling), falling back to the best-aligned server.
     fn place_with_locality(
@@ -145,7 +140,6 @@ impl Scheduler for YarnSystem {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let groups = self.priority_groups(view);
         let mut free = view.capacity().begin_batch();
         let mut out: Vec<Assignment> = Vec::new();
 
@@ -167,10 +161,11 @@ impl Scheduler for YarnSystem {
             }
         }
 
-        // Primary pass in RM priority order, locality-aware.
+        // Primary pass in RM priority order, locality-aware. Jobs that
+        // finished since the last recompute have no requests.
         let mut newly_placed: HashMap<JobId, Vec<TaskRef>> = HashMap::new();
         let mut request_index: HashMap<TaskRef, ContainerRequest> = HashMap::new();
-        for (_, members) in &groups {
+        for (_, members) in self.rm.priorities().groups() {
             for &jid in members {
                 let Some(reqs) = requests.remove(&jid) else {
                     continue;
@@ -206,8 +201,8 @@ impl Scheduler for YarnSystem {
         if self.clone_policy.max_copies > 1 {
             for _ in 0..2 {
                 let mut any = false;
-                for (level, members) in &groups {
-                    if *level == PRIORITY_UNSELECTED {
+                for (level, members) in self.rm.priorities().groups() {
+                    if level == PRIORITY_UNSELECTED {
                         continue;
                     }
                     for &jid in members {

@@ -8,7 +8,8 @@
 //! setups:
 //!
 //! * the paper's 30-node cluster with a small Google-like workload, for
-//!   every registered scheduler;
+//!   every registered scheduler, DollyMP² under the guard and DollyMP²
+//!   in the YARN-like control plane;
 //! * a small heterogeneous `google_like` fleet with the §6.2.2 PageRank
 //!   suite, whose chained iterations share one demand, for DollyMP² and
 //!   the non-cloning Tetris.
@@ -31,10 +32,16 @@ const FLEET: [&str; 2] = ["dollymp2", "tetris"];
 /// DollyMP² under the default guard. The watchdog only counts overruns
 /// and the scrub zeroes that count, so the cell is host-load independent.
 const GUARDED: &str = "guarded-dollymp2";
+/// DollyMP² inside the YARN-like RM/AM control plane, scheduling on the
+/// AMs' estimated statistics.
+const YARN: &str = "yarn-dollymp2";
 
 fn policy(name: &str) -> Box<dyn Scheduler> {
     if name == GUARDED {
         return Box::new(GuardedScheduler::new(DollyMP::new()));
+    }
+    if name == YARN {
+        return Box::new(YarnSystem::new(2));
     }
     dollymp_schedulers::by_name(name).expect("registered scheduler")
 }
@@ -126,9 +133,11 @@ fn reports_match_the_golden_corpus() {
         actual.push_str(&cell(&paper, name, true));
         actual.push('\n');
     }
-    for with_faults in [false, true] {
-        actual.push_str(&cell(&paper, GUARDED, with_faults));
-        actual.push('\n');
+    for name in [GUARDED, YARN] {
+        for with_faults in [false, true] {
+            actual.push_str(&cell(&paper, name, with_faults));
+            actual.push('\n');
+        }
     }
     for name in FLEET {
         for with_faults in [false, true] {

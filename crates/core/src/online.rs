@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// ascending priority level, ids ascending inside a level, so jobs
 /// Algorithm 1 left unselected ([`crate::transient::PRIORITY_UNSELECTED`])
 /// come last. This is the deterministic order Algorithm 2's placement
-/// loop walks, in the simulator scheduler and in the YARN RM alike.
+/// loop walks (DollyMP's pass, which the YARN RM runs too).
 ///
 /// Refilled (only) when the order goes stale, per §5: *"the scheduling
 /// order of all jobs in the cluster won't be updated until the next job

@@ -22,6 +22,12 @@
 //!    clone-eligible (small, §4.1-gated) job up to
 //!    `max_copies − 1` extra copies; the pass is repeated twice, mirroring
 //!    Algorithm 2's "Repeat Step 9 twice".
+//!
+//! The per-job statistics of both steps (Algorithm 1's inputs and the
+//! §4.1 gate's remaining volumes) come from one [`JobStatistics`]
+//! source: the [`Oracle`] reads the true `(θ, σ)` of each phase, and the
+//! YARN control plane passes its Application Masters' estimates. The
+//! pass is the same for both.
 
 use dollymp_cluster::prelude::*;
 use dollymp_core::hash::FxHashMap;
@@ -31,23 +37,44 @@ use dollymp_core::resources::Resources;
 use dollymp_core::speedup::SpeedupFn;
 use dollymp_core::transient::{transient_schedule, TransientConfig, TransientJob};
 
-/// Algorithm 1's input for one job: its remaining volume and remaining
-/// critical path (Eq. 16/17), its largest dominant share, and the
-/// speedup of its first unfinished phase in topological order, whose
-/// clones the scheduler launches first.
-fn transient_job(job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob {
-    let spec = job.spec();
-    let speedup = spec
-        .topo_order()
-        .iter()
-        .find(|&&p| job.phase_state(p).remaining > 0)
-        .map_or(SpeedupFn::None, |&p| spec.phase(p).speedup);
-    TransientJob {
-        id: job.id(),
-        volume: job.remaining_volume(totals, sigma_weight),
-        etime: job.remaining_etime(sigma_weight),
-        dominant: spec.max_dominant_share(totals),
-        speedup,
+/// Where DollyMP reads its per-job statistics from: Algorithm 1's inputs
+/// and the remaining volumes the §4.1 small-job gate compares. The pass
+/// itself is the same for every source.
+pub trait JobStatistics {
+    /// Algorithm 1's input for one job: its remaining volume and
+    /// remaining critical path (Eq. 16/17), its largest dominant share,
+    /// and the speedup of its first unfinished phase in topological
+    /// order, whose clones the scheduler launches first.
+    fn transient_job(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob;
+
+    /// The job's remaining volume (Eq. 16), as the §4.1 gate reads it.
+    fn remaining_volume(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> f64;
+}
+
+/// The simulator's oracle: every phase's true `(θ, σ)`, read from the
+/// job's [`JobState`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Oracle;
+
+impl JobStatistics for Oracle {
+    fn transient_job(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob {
+        let spec = job.spec();
+        let speedup = spec
+            .topo_order()
+            .iter()
+            .find(|&&p| job.phase_state(p).remaining > 0)
+            .map_or(SpeedupFn::None, |&p| spec.phase(p).speedup);
+        TransientJob {
+            id: job.id(),
+            volume: job.remaining_volume(totals, sigma_weight),
+            etime: job.remaining_etime(sigma_weight),
+            dominant: spec.max_dominant_share(totals),
+            speedup,
+        }
+    }
+
+    fn remaining_volume(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> f64 {
+        job.remaining_volume(totals, sigma_weight)
     }
 }
 
@@ -273,13 +300,17 @@ struct Scratch {
 }
 
 /// The DollyMP scheduler (Algorithm 2). `DollyMP::with_clones(r)` builds
-/// the paper's DollyMP^r variants.
+/// the paper's DollyMP^r variants on the [`Oracle`] statistics;
+/// [`DollyMP::with_statistics`] runs the same pass on another
+/// [`JobStatistics`] source.
 #[derive(Debug, Clone)]
-pub struct DollyMP {
+pub struct DollyMP<S = Oracle> {
     /// Algorithm 1 configuration (σ-weight `w = 1.5` by default).
     pub transient: TransientConfig,
     /// Cloning budget and §4.1 small-job gate.
     pub clone_policy: ClonePolicy,
+    /// Where the per-job statistics come from.
+    stats: S,
     /// The job order of the last Algorithm 1 run.
     order: PriorityOrder,
     /// Set by the arrival and task-loss hooks: the next pass re-runs
@@ -301,6 +332,13 @@ impl DollyMP {
 
     /// DollyMP^r: at most `clones` extra copies per task.
     pub fn with_clones(clones: u32) -> Self {
+        DollyMP::with_statistics(clones, Oracle)
+    }
+}
+
+impl<S: JobStatistics> DollyMP<S> {
+    /// DollyMP^r scheduling on the statistics `stats` reports.
+    pub fn with_statistics(clones: u32, stats: S) -> Self {
         let clone_policy = if clones == 0 {
             ClonePolicy::disabled()
         } else {
@@ -312,6 +350,7 @@ impl DollyMP {
                 ..TransientConfig::default()
             },
             clone_policy,
+            stats,
             order: PriorityOrder::default(),
             stale: false,
             scratch: Scratch::default(),
@@ -331,10 +370,18 @@ impl DollyMP {
         self
     }
 
+    /// The statistics source the pass reads.
+    pub fn statistics(&self) -> &S {
+        &self.stats
+    }
+
     /// Re-run Algorithm 1 over every job in the view and store its order.
     fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
         let (totals, w) = (view.totals(), self.transient.sigma_weight);
-        let jobs: Vec<TransientJob> = view.jobs().map(|j| transient_job(j, totals, w)).collect();
+        let jobs: Vec<TransientJob> = view
+            .jobs()
+            .map(|j| self.stats.transient_job(j, totals, w))
+            .collect();
         let out = transient_schedule(&jobs, &self.transient);
         self.order.refill(&jobs, &out);
     }
@@ -502,9 +549,9 @@ impl DollyMP {
     /// (Algorithm 2 step 16's input set).
     ///
     /// Candidates are the tasks already running in the view *plus* the
-    /// primaries placed earlier in this very batch (`newly_placed`) — the
-    /// paper clones small jobs "when they are scheduled" (Fig. 2), not one
-    /// decision point later. The §4.1 gate, remaining volumes, and the
+    /// primaries placed earlier in this very batch — the paper clones
+    /// small jobs "when they are scheduled" (Fig. 2), not one decision
+    /// point later. The §4.1 gate, remaining volumes, and the
     /// candidate walk depend only on the immutable view and the primary
     /// batch, so this is computed **once** per decision point and shared
     /// by both clone passes; the per-pass copy-budget filters are applied
@@ -550,7 +597,7 @@ impl DollyMP {
         s.vols.clear();
         let mut total_volume = 0.0f64;
         for j in view.jobs() {
-            let v = j.remaining_volume(totals, w);
+            let v = self.stats.remaining_volume(j, totals, w);
             total_volume += v;
             s.vols.push(v);
         }
@@ -689,7 +736,7 @@ impl Default for DollyMP {
     }
 }
 
-impl Scheduler for DollyMP {
+impl<S: JobStatistics> Scheduler for DollyMP<S> {
     fn name(&self) -> String {
         format!("dollymp{}", self.clone_policy.max_copies - 1)
     }
@@ -706,7 +753,7 @@ impl Scheduler for DollyMP {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        self.schedule_inner(view, None)
+        self.schedule_on(view, &view.capacity().begin_batch())
     }
 
     fn pass_span(&self) -> Option<PassSpan> {
@@ -714,7 +761,7 @@ impl Scheduler for DollyMP {
     }
 }
 
-impl DollyMP {
+impl<S: JobStatistics> DollyMP<S> {
     /// Run one full Algorithm 2 pass visiting servers in the given order
     /// — the hook the `learned` extension uses to prefer fast machines.
     /// `schedule` calls the identity-order equivalent, driven directly by
@@ -724,7 +771,19 @@ impl DollyMP {
         view: &ClusterView<'_>,
         server_order: &[ServerId],
     ) -> Vec<Assignment> {
-        self.schedule_inner(view, Some(server_order))
+        let free = view.capacity().begin_batch();
+        self.schedule_inner(view, Some(server_order), &free)
+    }
+
+    /// Run one full Algorithm 2 pass that commits on the caller's
+    /// overlay, which afterwards holds the whole batch — so a caller
+    /// can adjust the batch's placements on it and keep it admissible.
+    pub fn schedule_on(
+        &mut self,
+        view: &ClusterView<'_>,
+        free: &CapacityOverlay,
+    ) -> Vec<Assignment> {
+        self.schedule_inner(view, None, free)
     }
 
     /// One full Algorithm 2 decision point: the Algorithm 1 refresh if a
@@ -735,6 +794,7 @@ impl DollyMP {
         &mut self,
         view: &ClusterView<'_>,
         order: Option<&[ServerId]>,
+        free: &CapacityOverlay,
     ) -> Vec<Assignment> {
         let pass_start = std::time::Instant::now();
         // The engine changes nothing Algorithm 1 reads between a slot's
@@ -747,9 +807,8 @@ impl DollyMP {
         // The scratch moves out of `self` for the duration of the pass so
         // the `&self` helper methods can borrow it mutably alongside.
         let mut s = std::mem::take(&mut self.scratch);
-        let free = view.capacity().begin_batch();
         let mut batch: Vec<Assignment> = Vec::new();
-        self.place_primaries(view, order, &free, &mut s, &mut batch);
+        self.place_primaries(view, order, free, &mut s, &mut batch);
         // "Repeat Step 9 twice if there are available resources" — but at
         // most one *new* clone per task per decision point (clone
         // containers are granted round by round). The candidate set is
@@ -757,7 +816,7 @@ impl DollyMP {
         self.clone_candidates(view, &batch, &mut s);
         if !s.candidates.is_empty() {
             for _ in 0..2 {
-                if self.place_clones(order, &free, &mut s, &mut batch) == 0 {
+                if self.place_clones(order, free, &mut s, &mut batch) == 0 {
                     break;
                 }
             }
@@ -821,6 +880,10 @@ mod tests {
         let placed: Vec<JobId> = s.schedule(&view).iter().map(|a| a.task.job).collect();
         assert_eq!(placed, [JobId(2), JobId(0)]);
         assert_eq!(groups(&s), refreshed, "no refresh without an arrival");
+        // The next arrival's refresh reads the survivors' new statistics.
+        s.on_job_arrival(&view, JobId(2));
+        let _ = s.schedule(&view);
+        assert_eq!(groups(&s), [[JobId(0)], [JobId(2)]]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod tetris;
 pub use adversarial::{AdversarialConfig, AdversarialScheduler};
 pub use capacity::{CapacityScheduler, SpeculationConfig};
 pub use carbyne::Carbyne;
-pub use dollymp::DollyMP;
+pub use dollymp::{DollyMP, JobStatistics, Oracle};
 pub use drf::Drf;
 pub use hopper::{Hopper, HopperConfig};
 pub use learned::{LearnedDollyMP, ServerReputation};

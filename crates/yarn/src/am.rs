@@ -1,9 +1,8 @@
 //! The simulated Application Master (§5.2).
 //!
-//! One AM per job. Its responsibility here is **estimation**: unlike the
-//! plain simulator schedulers, which read a phase's true `(θ, σ)` from
-//! the job spec, a YARN AM must *estimate* task statistics, in the
-//! paper's three-tier order:
+//! Its responsibility here is **estimation**: unlike the oracle, which
+//! reads a phase's true `(θ, σ)` from the job spec, a YARN AM must
+//! *estimate* task statistics, in the paper's three-tier order:
 //!
 //! 1. prior runs of the same recurring application (the
 //!    [`HistoryRegistry`]);
@@ -13,17 +12,22 @@
 //! 3. otherwise a configured default guess (all the AM knows is the
 //!    container request).
 //!
-//! From these estimates the AM computes the job's remaining effective
-//! volume and processing time (Eq. 14/16/17 with `θ̂, σ̂`) and reports
-//! them to the RM, and emits container requests carrying task IDs,
-//! clone budgets and locality preferences.
+//! From these estimates the AM computes a job's remaining effective
+//! volume and processing time (Eq. 14/16/17 with `θ̂, σ̂`): it is the
+//! [`JobStatistics`] source of the RM's DollyMP pass. It also writes the
+//! container request behind each granted container (task ID, clone
+//! budget, locality preferences) and archives finished runs into the
+//! history. An AM keeps no per-job state, so one serves every job.
 
 use crate::history::HistoryRegistry;
-use crate::protocol::{ContainerRequest, JobReport};
-use dollymp_cluster::spec::ClusterSpec;
+use crate::protocol::ContainerRequest;
+use dollymp_cluster::execution::block_replicas;
 use dollymp_cluster::state::JobState;
-use dollymp_core::job::PhaseId;
-use dollymp_core::resources::dominant_share;
+use dollymp_core::job::{PhaseId, TaskRef};
+use dollymp_core::resources::Resources;
+use dollymp_core::speedup::SpeedupFn;
+use dollymp_core::transient::TransientJob;
+use dollymp_schedulers::JobStatistics;
 use serde::{Deserialize, Serialize};
 
 /// AM estimation configuration.
@@ -52,7 +56,7 @@ impl Default for AmConfig {
     }
 }
 
-/// The per-job Application Master.
+/// The Application Master estimator.
 #[derive(Debug, Clone)]
 pub struct ApplicationMaster {
     cfg: AmConfig,
@@ -89,87 +93,20 @@ impl ApplicationMaster {
         }
     }
 
-    /// The report the AM sends to the RM: estimated remaining volume,
-    /// estimated remaining critical path and the dominant share.
-    pub fn report(&self, job: &JobState, cluster: &ClusterSpec) -> JobReport {
-        let totals = cluster.totals();
-        let spec = job.spec();
-        let remaining = |p: PhaseId| job.phase_state(p).remaining;
-        let finished = |p: PhaseId| remaining(p) == 0;
-        let w = self.cfg.sigma_weight;
-
-        // Remaining volume with estimated stats (Eq. 16 with θ̂, σ̂).
-        let mut volume = 0.0;
-        let mut dominant = 0.0f64;
-        for (pi, p) in spec.phases().iter().enumerate() {
-            let d = dominant_share(p.demand, totals);
-            dominant = dominant.max(d);
-            let (theta, sigma) = self.estimate_phase(job, PhaseId(pi as u32));
-            volume += remaining(PhaseId(pi as u32)) as f64 * (theta + w * sigma) * d;
-        }
-
-        // Remaining critical path with estimated stats (Eq. 17).
-        let mut longest = vec![0.0f64; spec.num_phases()];
-        let mut etime = 0.0f64;
-        for &pid in spec.topo_order() {
-            let idx = pid.0 as usize;
-            let own = if finished(pid) {
-                0.0
-            } else {
-                let (theta, sigma) = self.estimate_phase(job, pid);
-                theta + w * sigma
-            };
-            let up = spec
-                .phase(pid)
-                .parents
-                .iter()
-                .map(|p| longest[p.0 as usize])
-                .fold(0.0f64, f64::max);
-            longest[idx] = up + own;
-            etime = etime.max(longest[idx]);
-        }
-
-        // Speedup fit for the first unfinished phase — what the RM's
-        // Corollary 4.1 clone recommendation will act on.
-        let speedup = spec
-            .topo_order()
-            .iter()
-            .find(|&&p| !finished(p))
-            .map(|&p| {
-                let (theta, sigma) = self.estimate_phase(job, p);
-                dollymp_core::speedup::SpeedupFn::fit_pareto(theta, sigma)
-            })
-            .unwrap_or(dollymp_core::speedup::SpeedupFn::None);
-
-        JobReport {
-            job: job.id(),
-            volume,
-            etime,
-            dominant,
-            speedup,
-        }
-    }
-
-    /// Container requests for the job's currently-ready tasks, with
-    /// locality preferences set to the task's input-block replicas from
-    /// the shared block map ([`dollymp_cluster::execution::block_replicas`])
-    /// — the same map the engine's remote-read penalty consults, so the
-    /// AM's preferences are *correct*, not merely plausible.
-    pub fn container_requests(
+    /// The request behind one of `task`'s containers: its demand, the
+    /// AM's clone budget, and the servers holding replicas of its input
+    /// block ([`block_replicas`], the map the engine's remote-read
+    /// penalty consults, so the preferences are *correct*, not merely
+    /// plausible).
+    pub fn container_request(
         &self,
-        job: &JobState,
-        cluster: &ClusterSpec,
-    ) -> Vec<ContainerRequest> {
-        job.ready_tasks()
-            .into_iter()
-            .map(|task| {
-                let demand = job.spec().phase(task.phase).demand;
-                let replicas = dollymp_cluster::execution::block_replicas(task, cluster.len());
-                ContainerRequest::new(task, demand)
-                    .with_max_clones(self.cfg.max_clones)
-                    .with_preferred(replicas.to_vec())
-            })
-            .collect()
+        task: TaskRef,
+        demand: Resources,
+        nservers: usize,
+    ) -> ContainerRequest {
+        ContainerRequest::new(task, demand)
+            .with_max_clones(self.cfg.max_clones)
+            .with_preferred(block_replicas(task, nservers).to_vec())
     }
 
     /// On job completion, fold the run's observed per-phase statistics
@@ -184,6 +121,65 @@ impl ApplicationMaster {
     /// This AM's configuration.
     pub fn config(&self) -> &AmConfig {
         &self.cfg
+    }
+
+    /// The shared history registry.
+    pub fn history(&self) -> &HistoryRegistry {
+        &self.history
+    }
+}
+
+/// The AM's report (§5.2: "Application Master computes the job volume
+/// along with the processing time, and sends them to the Resource
+/// Manager"), with estimated `(θ̂, σ̂)` wherever the oracle reads the
+/// spec.
+impl JobStatistics for ApplicationMaster {
+    fn transient_job(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob {
+        let spec = job.spec();
+        // Remaining critical path (Eq. 17) and the speedup fitted from
+        // the first unfinished phase, whose clones launch first.
+        let mut longest = vec![0.0f64; spec.num_phases()];
+        let mut etime = 0.0f64;
+        let mut speedup = None;
+        for &pid in spec.topo_order() {
+            let own = if job.phase_state(pid).remaining == 0 {
+                0.0
+            } else {
+                let (theta, sigma) = self.estimate_phase(job, pid);
+                speedup.get_or_insert_with(|| SpeedupFn::fit_pareto(theta, sigma));
+                theta + sigma_weight * sigma
+            };
+            let up = spec
+                .phase(pid)
+                .parents
+                .iter()
+                .map(|p| longest[p.0 as usize])
+                .fold(0.0f64, f64::max);
+            longest[pid.0 as usize] = up + own;
+            etime = etime.max(up + own);
+        }
+        TransientJob {
+            id: job.id(),
+            volume: self.remaining_volume(job, totals, sigma_weight),
+            etime,
+            dominant: spec.max_dominant_share(totals),
+            speedup: speedup.unwrap_or(SpeedupFn::None),
+        }
+    }
+
+    /// Eq. 16 with `θ̂, σ̂`.
+    fn remaining_volume(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> f64 {
+        let mut volume = 0.0;
+        for (pi, p) in job.spec().phases().iter().enumerate() {
+            let pid = PhaseId(pi as u32);
+            let remaining = job.phase_state(pid).remaining;
+            if remaining > 0 {
+                let (theta, sigma) = self.estimate_phase(job, pid);
+                volume +=
+                    remaining as f64 * (theta + sigma_weight * sigma) * p.dominant_share(totals);
+            }
+        }
+        volume
     }
 }
 
@@ -270,7 +266,7 @@ mod tests {
         let cluster = dollymp_cluster::spec::ClusterSpec::homogeneous(4, 8.0, 16.0);
         let a = am(HistoryRegistry::new());
         let job = job_state("cold");
-        let r = a.report(&job, &cluster);
+        let r = a.transient_job(&job, cluster.totals(), 1.5);
         // With the default guess θ̂ = 10 and σ̂ = 0 for both phases, the
         // estimated critical path is 20 (≪ the true 100 + 50 + w·σ).
         assert!((r.etime - 20.0).abs() < 1e-9, "etime {}", r.etime);
@@ -278,14 +274,21 @@ mod tests {
         let expected = 4.0 * 10.0 * (2.0 / 64.0) + 2.0 * 10.0 * (4.0 / 64.0);
         assert!((r.volume - expected).abs() < 1e-9, "volume {}", r.volume);
         assert!((r.dominant - 4.0 / 64.0).abs() < 1e-9);
+        // The §4.1 gate reads the same estimated volume.
+        assert_eq!(a.remaining_volume(&job, cluster.totals(), 1.5), r.volume);
     }
 
     #[test]
     fn container_requests_cover_ready_frontier_with_replicas() {
-        let cluster = dollymp_cluster::spec::ClusterSpec::homogeneous(10, 8.0, 16.0);
         let a = am(HistoryRegistry::new());
         let job = job_state("cold");
-        let reqs = a.container_requests(&job, &cluster);
+        let requests = || -> Vec<ContainerRequest> {
+            job.ready_tasks()
+                .into_iter()
+                .map(|t| a.container_request(t, job.spec().phase(t.phase).demand, 10))
+                .collect()
+        };
+        let reqs = requests();
         // Only phase 0 is ready: 4 tasks.
         assert_eq!(reqs.len(), 4);
         for r in &reqs {
@@ -295,7 +298,7 @@ mod tests {
             assert_eq!(r.demand, Resources::new(1.0, 2.0));
         }
         // Deterministic per identity.
-        assert_eq!(reqs, a.container_requests(&job, &cluster));
+        assert_eq!(reqs, requests());
     }
 
     #[test]

@@ -2,24 +2,26 @@
 //!
 //! A simulated Hadoop-YARN-like control plane reproducing the paper's
 //! deployment architecture (§5.2, Fig. 3): a **Resource Manager** running
-//! the DollyMP scheduling logic over job reports, and per-job
-//! **Application Masters** that *estimate* task statistics (from
-//! recurring-job history, then in-run observations, then defaults),
-//! compute job volumes/processing times, request containers tagged with
-//! task IDs + clone budgets + locality preferences, and archive finished
-//! runs back into the history.
+//! DollyMP's scheduling pass, and **Application Masters** that
+//! *estimate* task statistics (from recurring-job history, then in-run
+//! observations, then defaults), feed the resulting job volumes and
+//! processing times to that pass, stand behind container requests tagged
+//! with task IDs + clone budgets + locality preferences, and archive
+//! finished runs back into the history.
 //!
 //! There is no node side: container launch, kill-on-first-finish and
 //! crash eviction are the engine's own bookkeeping (`dollymp-cluster`).
 //!
-//! * [`protocol`] — the AM ↔ RM message types;
+//! * [`protocol`] — the AM's container request;
 //! * [`shuffle`] — the Dolly-style delay assignment of upstream outputs
 //!   to downstream clones;
 //! * [`history`] — the recurring-job statistics registry;
-//! * [`am`] — the Application Master estimator;
-//! * [`rm`] — the Resource Manager (Algorithm 1 over reports);
+//! * [`am`] — the Application Master estimator, DollyMP's
+//!   [`JobStatistics`](dollymp_schedulers::JobStatistics) source;
+//! * [`rm`] — the Resource Manager's AM registry and request validation;
 //! * [`system`] — [`system::YarnSystem`], the assembled control plane as
-//!   a `Scheduler`.
+//!   a `Scheduler`: DollyMP's pass on the AMs' estimates, then the AMs'
+//!   locality moves over its batch.
 //!
 //! The headline difference from using `dollymp_schedulers::DollyMP`
 //! directly: [`system::YarnSystem`] schedules on *estimated* statistics,

@@ -1,16 +1,19 @@
-//! The container protocol between Application Masters and the Resource
-//! Manager — the surface the paper modifies in YARN (§5.2):
+//! The container request an Application Master stands behind — the
+//! surface the paper modifies in YARN (§5.2):
 //!
 //! * container requests carry the **task ID** (so the RM can launch
 //!   cloned containers for a specific task) and the **maximum number of
 //!   clones** (default two);
 //! * requests carry data-locality preferences (the replica servers of the
-//!   task's input block);
-//! * AMs report each job's **effective volume and processing time** to
-//!   the RM, which feeds them to the transient scheduling algorithm.
+//!   task's input block).
+//!
+//! The other half of §5.2's protocol, each job's **effective volume and
+//! processing time**, is the AM's
+//! [`JobStatistics`](dollymp_schedulers::JobStatistics) report, which
+//! the RM's DollyMP pass feeds to the transient scheduling algorithm.
 
 use dollymp_cluster::spec::ServerId;
-use dollymp_core::job::{JobId, TaskRef};
+use dollymp_core::job::TaskRef;
 use dollymp_core::resources::Resources;
 use serde::{Deserialize, Serialize};
 
@@ -54,28 +57,10 @@ impl ContainerRequest {
     }
 }
 
-/// An AM → RM report of its job's scheduling summary (§5.2: "Application
-/// Master computes the job volume along with the processing time, and
-/// sends them to the Resource Manager").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct JobReport {
-    /// The job.
-    pub job: JobId,
-    /// Estimated remaining effective volume `v̂_j(t)`.
-    pub volume: f64,
-    /// Estimated remaining effective processing time `ê_j(t)`.
-    pub etime: f64,
-    /// Maximum dominant share across phases.
-    pub dominant: f64,
-    /// Cloning speedup fitted from the estimated `(θ̂, σ̂)` of the first
-    /// unfinished phase.
-    pub speedup: dollymp_core::speedup::SpeedupFn,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_core::job::{PhaseId, TaskId};
+    use dollymp_core::job::{JobId, PhaseId, TaskId};
 
     fn task() -> TaskRef {
         TaskRef {
@@ -107,16 +92,5 @@ mod tests {
         let s = serde_json::to_string(&r).unwrap();
         let back: ContainerRequest = serde_json::from_str(&s).unwrap();
         assert_eq!(r, back);
-
-        let rep = JobReport {
-            job: JobId(7),
-            volume: 1.5,
-            etime: 12.0,
-            dominant: 0.05,
-            speedup: dollymp_core::speedup::SpeedupFn::Pareto { alpha: 2.5 },
-        };
-        let s = serde_json::to_string(&rep).unwrap();
-        let back: JobReport = serde_json::from_str(&s).unwrap();
-        assert_eq!(rep, back);
     }
 }

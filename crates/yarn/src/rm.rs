@@ -1,26 +1,25 @@
-//! The simulated Resource Manager (§5.2): receives [`JobReport`]s from
-//! the Application Masters and runs the transient scheduling algorithm
-//! over them to produce the cluster-wide job priority order. The paper's
-//! modification lives exactly here — "we implement the scheduling
-//! algorithm in Section 5 under the Resource Manager of YARN; the new
-//! scheduling logic combines DRF, SVF, and SRPT to recompute the priority
-//! of each job whenever a new Application Master is created".
+//! The simulated Resource Manager (§5.2). The paper's modification lives
+//! here — "we implement the scheduling algorithm in Section 5 under the
+//! Resource Manager of YARN; the new scheduling logic combines DRF, SVF,
+//! and SRPT to recompute the priority of each job whenever a new
+//! Application Master is created". That logic is DollyMP's own pass
+//! ([`crate::system::YarnSystem`] runs it on the AMs' estimates); this
+//! type is the RM's bookkeeping around it: which jobs have a registered
+//! AM, and the validation of each granted container's request.
 
-use crate::protocol::{ContainerRequest, JobReport};
+use crate::protocol::ContainerRequest;
 use dollymp_cluster::error::RejectReason;
 use dollymp_cluster::spec::ClusterSpec;
 use dollymp_core::job::JobId;
-use dollymp_core::online::PriorityOrder;
-use dollymp_core::transient::{transient_schedule, TransientConfig, TransientJob};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// The RM's scheduling brain: report intake + Algorithm 1 priorities.
+/// The RM's registry of AMs and its request validation.
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
-    cfg: TransientConfig,
-    reports: HashMap<JobId, JobReport>,
-    /// The job order of the last Algorithm 1 run over the reports.
-    order: PriorityOrder,
+    /// Per-task copy cap (a primary plus the clone budget).
+    max_copies: u32,
+    /// Jobs whose AM has registered and not yet finished.
+    jobs: HashSet<JobId>,
     /// AM container requests refused by [`ResourceManager::admit_request`],
     /// bucketed on the same [`RejectReason`] taxonomy the engine and the
     /// guard use.
@@ -28,12 +27,11 @@ pub struct ResourceManager {
 }
 
 impl ResourceManager {
-    /// A fresh RM.
-    pub fn new(cfg: TransientConfig) -> Self {
+    /// A fresh RM granting at most `max_copies` copies per task.
+    pub fn new(max_copies: u32) -> Self {
         ResourceManager {
-            cfg,
-            reports: HashMap::new(),
-            order: PriorityOrder::default(),
+            max_copies,
+            jobs: HashSet::new(),
             rejections: HashMap::new(),
         }
     }
@@ -42,7 +40,7 @@ impl ResourceManager {
     /// side of the containment story (a compromised or buggy AM must not
     /// be able to poison placement):
     ///
-    /// * [`RejectReason::UnknownJob`] — no report registered for the
+    /// * [`RejectReason::UnknownJob`] — no AM registered for the
     ///   request's job (an AM must introduce its job before asking for
     ///   containers);
     /// * [`RejectReason::DuplicateCopy`] — the clone budget exceeds the
@@ -56,10 +54,10 @@ impl ResourceManager {
         cluster: &ClusterSpec,
         req: &ContainerRequest,
     ) -> Result<(), RejectReason> {
-        if !self.reports.contains_key(&req.task.job) {
+        if !self.jobs.contains(&req.task.job) {
             return Err(RejectReason::UnknownJob);
         }
-        if req.max_clones + 1 > self.cfg.max_copies.max(1) {
+        if req.max_clones + 1 > self.max_copies.max(1) {
             return Err(RejectReason::DuplicateCopy);
         }
         if req
@@ -102,121 +100,39 @@ impl ResourceManager {
         self.rejections.values().sum()
     }
 
-    /// Ingest (or refresh) a job's report.
-    pub fn submit_report(&mut self, report: JobReport) {
-        self.reports.insert(report.job, report);
+    /// Register a new job's AM.
+    pub fn register(&mut self, job: JobId) {
+        self.jobs.insert(job);
     }
 
-    /// Forget a finished job. It stays in the job order until the next
-    /// recompute.
+    /// Forget a finished job.
     pub fn retire_job(&mut self, job: JobId) {
-        self.reports.remove(&job);
-    }
-
-    /// Recompute the global job order from the current reports — done on
-    /// every new-AM registration, per §5.2.
-    pub fn recompute_priorities(&mut self) {
-        let mut inputs: Vec<TransientJob> = self
-            .reports
-            .values()
-            .map(|r| TransientJob {
-                id: r.job,
-                volume: r.volume,
-                etime: r.etime,
-                dominant: r.dominant,
-                speedup: r.speedup,
-            })
-            .collect();
-        // Deterministic input order regardless of HashMap iteration.
-        inputs.sort_by_key(|j| j.id);
-        let out = transient_schedule(&inputs, &self.cfg);
-        self.order.refill(&inputs, &out);
-    }
-
-    /// The job order of the last recompute.
-    pub fn priorities(&self) -> &PriorityOrder {
-        &self.order
-    }
-
-    /// Latest report for a job, if any.
-    pub fn report(&self, job: JobId) -> Option<&JobReport> {
-        self.reports.get(&job)
+        self.jobs.remove(&job);
     }
 
     /// Number of registered jobs.
     pub fn len(&self) -> usize {
-        self.reports.len()
+        self.jobs.len()
     }
 
     /// True when no jobs are registered.
     pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
+        self.jobs.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_core::speedup::SpeedupFn;
-
-    fn report(id: u64, volume: f64, etime: f64) -> JobReport {
-        JobReport {
-            job: JobId(id),
-            volume,
-            etime,
-            dominant: 0.1,
-            speedup: SpeedupFn::Pareto { alpha: 2.0 },
-        }
-    }
-
-    /// Position of `job`'s group in the RM's job order.
-    fn group_of(rm: &ResourceManager, job: JobId) -> usize {
-        rm.priorities()
-            .groups()
-            .position(|(_, members)| members.contains(&job))
-            .expect("the job is in the order")
-    }
-
-    #[test]
-    fn priorities_follow_reports() {
-        let mut rm = ResourceManager::new(TransientConfig::default());
-        rm.submit_report(report(0, 50.0, 100.0));
-        rm.submit_report(report(1, 0.5, 1.0));
-        rm.recompute_priorities();
-        assert_eq!((group_of(&rm, JobId(1)), group_of(&rm, JobId(0))), (0, 1));
-    }
-
-    #[test]
-    fn resubmitting_updates_a_job() {
-        let mut rm = ResourceManager::new(TransientConfig::default());
-        rm.submit_report(report(0, 50.0, 100.0));
-        rm.submit_report(report(1, 0.5, 1.0));
-        rm.recompute_priorities();
-        assert_eq!(group_of(&rm, JobId(0)), 1);
-        // Job 0 shrank (most of it finished): its report improves.
-        rm.submit_report(report(0, 0.1, 0.5));
-        rm.recompute_priorities();
-        assert_eq!(group_of(&rm, JobId(0)), 0);
-        assert_eq!(rm.len(), 2);
-    }
 
     #[test]
     fn retire_removes_job() {
-        let mut rm = ResourceManager::new(TransientConfig::default());
-        rm.submit_report(report(0, 1.0, 1.0));
-        rm.recompute_priorities();
-        rm.retire_job(JobId(0));
+        let mut rm = ResourceManager::new(3);
         assert!(rm.is_empty());
-        // The order keeps the job until the next recompute.
-        assert_eq!(group_of(&rm, JobId(0)), 0);
-        rm.recompute_priorities();
-        assert_eq!(rm.priorities().groups().count(), 0);
-    }
-
-    #[test]
-    fn empty_rm_recompute_is_safe() {
-        let mut rm = ResourceManager::new(TransientConfig::default());
-        rm.recompute_priorities();
+        rm.register(JobId(0));
+        rm.register(JobId(0));
+        assert_eq!(rm.len(), 1);
+        rm.retire_job(JobId(0));
         assert!(rm.is_empty());
     }
 
@@ -228,12 +144,9 @@ mod tests {
         use dollymp_core::resources::Resources;
 
         let cluster = ClusterSpec::homogeneous(2, 4.0, 8.0);
-        let cfg = TransientConfig {
-            max_copies: 3, // DollyMP²: a primary plus at most two clones
-            ..TransientConfig::default()
-        };
-        let mut rm = ResourceManager::new(cfg);
-        rm.submit_report(report(0, 1.0, 1.0));
+        // DollyMP²: a primary plus at most two clones.
+        let mut rm = ResourceManager::new(3);
+        rm.register(JobId(0));
 
         let task = TaskRef {
             job: JobId(0),
@@ -245,7 +158,7 @@ mod tests {
         assert!(rm.admit_request(&cluster, &ok));
         assert_eq!(rm.total_rejected(), 0);
 
-        // Unknown job: no report submitted for job 9.
+        // Unknown job: no AM registered for job 9.
         let mut unknown = ok.clone();
         unknown.task.job = JobId(9);
         assert_eq!(

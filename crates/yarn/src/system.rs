@@ -1,34 +1,43 @@
-//! The assembled YARN-like system: Resource Manager + per-job Application
-//! Masters, packaged as a [`Scheduler`] so it runs on the same simulation
-//! engine as every other policy.
+//! The assembled YARN-like system: the Resource Manager runs DollyMP's
+//! pass on the Application Masters' estimates, packaged as a
+//! [`Scheduler`] so it runs on the same simulation engine as every other
+//! policy.
 //!
-//! This is the "deployment" configuration of the paper (§5.2/§6.2): the
-//! DollyMP scheduling logic runs inside the RM, but — crucially — on
-//! **estimated** task statistics reported by the AMs rather than the
-//! ground-truth distributions the plain simulator schedulers read from
-//! the job specs. Container requests carry task IDs, clone budgets and
-//! data-locality preferences; the AM's second-level placement prefers a
-//! task's replica servers and spreads a task's clones across distinct
-//! replicas.
+//! This is the "deployment" configuration of the paper (§5.2/§6.2). The
+//! RM's scheduling logic is [`DollyMP`] itself, but it reads
+//! **estimated** task statistics, with an [`ApplicationMaster`] as its
+//! [`JobStatistics`](dollymp_schedulers::JobStatistics) source, rather
+//! than the ground truth the oracle reads from the job specs. The AMs
+//! then add the one thing only they know, where each task's input block
+//! lives, as a second-level placement over the batch DollyMP returns:
+//!
+//! 1. the RM validates the request behind each granted container and
+//!    drops the refused ones;
+//! 2. a primary moves onto one of its task's replica servers if that
+//!    server has room;
+//! 3. a clone moves off a server that already hosts a copy of its task:
+//!    to a replica if one has room, else to the first server that does.
+//!
+//! Each move commits on the overlay that holds the whole batch, and the
+//! server it left is not released, so the batch stays admissible.
 
 use crate::am::{AmConfig, ApplicationMaster};
 use crate::history::HistoryRegistry;
-use crate::protocol::ContainerRequest;
 use crate::rm::ResourceManager;
+use dollymp_cluster::execution::block_replicas;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
-use dollymp_core::online::ClonePolicy;
-use dollymp_core::transient::{TransientConfig, PRIORITY_UNSELECTED};
-use std::collections::HashMap;
+use dollymp_core::resources::Resources;
+use dollymp_schedulers::DollyMP;
 
 /// The RM + AMs control plane as one schedulable unit.
 #[derive(Debug, Clone)]
 pub struct YarnSystem {
-    am_cfg: AmConfig,
-    clone_policy: ClonePolicy,
-    history: HistoryRegistry,
+    /// The RM's scheduling logic, on the AMs' estimates.
+    dollymp: DollyMP<ApplicationMaster>,
     rm: ResourceManager,
-    ams: HashMap<JobId, ApplicationMaster>,
+    /// The current batch's primaries, sorted (reused across passes).
+    primaries: Vec<(TaskRef, ServerId)>,
 }
 
 impl YarnSystem {
@@ -45,233 +54,122 @@ impl YarnSystem {
             max_clones: clones,
             ..AmConfig::default()
         };
-        let clone_policy = if clones == 0 {
-            ClonePolicy::disabled()
-        } else {
-            ClonePolicy::with_clones(clones)
-        };
         YarnSystem {
-            am_cfg,
-            clone_policy,
-            history,
-            rm: ResourceManager::new(TransientConfig {
-                max_copies: clones + 1,
-                sigma_weight: am_cfg.sigma_weight,
-            }),
-            ams: HashMap::new(),
+            dollymp: DollyMP::with_statistics(clones, ApplicationMaster::new(am_cfg, history))
+                .with_sigma_weight(am_cfg.sigma_weight),
+            rm: ResourceManager::new(clones + 1),
+            primaries: Vec::new(),
         }
     }
 
     /// The shared history registry (clone it to reuse across runs).
     pub fn history(&self) -> &HistoryRegistry {
-        &self.history
+        self.dollymp.statistics().history()
     }
 
-    fn refresh_all_reports(&mut self, view: &ClusterView<'_>) {
-        for job in view.jobs() {
-            let am = self
-                .ams
-                .entry(job.id())
-                .or_insert_with(|| ApplicationMaster::new(self.am_cfg, self.history.clone()));
-            let report = am.report(job, view.cluster());
-            self.rm.submit_report(report);
-        }
-        self.rm.recompute_priorities();
-    }
-
-    /// Place one container, preferring the task's replica servers (AM
-    /// second-level scheduling), falling back to the best-aligned server.
-    fn place_with_locality(
+    /// The AMs' second-level placement over DollyMP's `batch`, committed
+    /// on `free`, the overlay that holds the batch (module docs).
+    fn place_locally(
+        &mut self,
+        view: &ClusterView<'_>,
         free: &CapacityOverlay,
-        req: &ContainerRequest,
-        avoid: &[ServerId],
-    ) -> Option<ServerId> {
-        for &s in &req.preferred_servers {
-            if (s.0 as usize) < free.len()
-                && !avoid.contains(&s)
-                && req.demand.fits_in(free.free(s))
-            {
-                return Some(s);
+        batch: &mut Vec<Assignment>,
+    ) {
+        let (cluster, n) = (view.cluster(), view.cluster().len());
+        let am = self.dollymp.statistics();
+        let demand = |t: TaskRef| {
+            let job = view.job(t.job).expect("a batch places tasks of view jobs");
+            job.spec().phase(t.phase).demand
+        };
+        let has_room = |s: ServerId, d: Resources| !view.is_down(s) && d.fits_in(free.free(s));
+        let rm = &mut self.rm;
+        batch.retain(|a| {
+            rm.admit_request(cluster, &am.container_request(a.task, demand(a.task), n))
+        });
+
+        for a in batch.iter_mut().filter(|a| a.kind == CopyKind::Primary) {
+            let (replicas, d) = (block_replicas(a.task, n), demand(a.task));
+            if replicas.contains(&a.server) {
+                continue;
+            }
+            if let Some(&r) = replicas.iter().find(|&&r| has_room(r, d)) {
+                free.commit(r, d);
+                a.server = r;
             }
         }
-        free.best_fit(req.demand)
-    }
 
-    /// Like [`Self::place_with_locality`] but also keeps the fallback off
-    /// the avoid list when any other server fits — used for clones, which
-    /// must spread across machines to be worth anything.
-    fn place_with_locality_avoiding(
-        free: &CapacityOverlay,
-        req: &ContainerRequest,
-        avoid: &[ServerId],
-    ) -> Option<ServerId> {
-        if let Some(s) = Self::place_with_locality(free, req, avoid) {
-            if !avoid.contains(&s) {
-                return Some(s);
+        self.primaries.clear();
+        self.primaries.extend(
+            batch
+                .iter()
+                .filter(|a| a.kind == CopyKind::Primary)
+                .map(|a| (a.task, a.server)),
+        );
+        self.primaries.sort_unstable();
+        for a in batch.iter_mut().filter(|a| a.kind == CopyKind::Clone) {
+            let (task, d) = (a.task, demand(a.task));
+            let job = view
+                .job(task.job)
+                .expect("a batch places tasks of view jobs");
+            let primaries = &self.primaries;
+            let hosts = |s: ServerId| {
+                primaries.binary_search(&(task, s)).is_ok()
+                    || job
+                        .copies_of(task.phase, task.task)
+                        .any(|c| c.is_live() && c.server == s)
+            };
+            if !hosts(a.server) {
+                continue;
             }
-            // Fallback landed on an avoided server: look for any other
-            // fitting server before accepting co-location.
-            let alt = (0..free.len() as u32)
-                .map(ServerId)
-                .find(|s| !avoid.contains(s) && req.demand.fits_in(free.free(*s)));
-            return alt.or(Some(s));
+            let spare = |s: ServerId| !hosts(s) && has_room(s, d);
+            let target = block_replicas(task, n)
+                .into_iter()
+                .find(|&s| spare(s))
+                .or_else(|| {
+                    let mut next = 0;
+                    while let Some(s) = free.next_fit_at_or_after(next, d) {
+                        if spare(s) {
+                            return Some(s);
+                        }
+                        next = s.0 as usize + 1;
+                    }
+                    None
+                });
+            if let Some(s) = target {
+                free.commit(s, d);
+                a.server = s;
+            }
         }
-        None
     }
 }
 
 impl Scheduler for YarnSystem {
     fn name(&self) -> String {
-        format!("yarn-dollymp{}", self.clone_policy.max_copies - 1)
+        format!("yarn-{}", self.dollymp.name())
     }
 
-    fn on_job_arrival(&mut self, view: &ClusterView<'_>, _job: JobId) {
-        // "Recompute the priority of each job whenever a new Application
-        // Master is created" (§5.2) — every AM re-estimates with its
-        // freshest observations, then the RM re-runs Algorithm 1.
-        self.refresh_all_reports(view);
+    fn on_job_arrival(&mut self, view: &ClusterView<'_>, job: JobId) {
+        // A new AM registers, and "the priority of each job" is
+        // recomputed (§5.2): DollyMP re-runs Algorithm 1 over every AM's
+        // fresh estimates before its next pass.
+        self.rm.register(job);
+        self.dollymp.on_job_arrival(view, job);
     }
 
     fn on_job_finish(&mut self, job: &JobState) {
-        if let Some(am) = self.ams.remove(&job.id()) {
-            am.archive(job);
-        }
+        self.dollymp.statistics().archive(job);
         self.rm.retire_job(job.id());
     }
 
+    fn on_task_lost(&mut self, view: &ClusterView<'_>, task: TaskRef) {
+        self.dollymp.on_task_lost(view, task);
+    }
+
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let mut free = view.capacity().begin_batch();
-        let mut out: Vec<Assignment> = Vec::new();
-
-        // Gather container requests per job (ready tasks only). The RM
-        // validates each request rather than trusting the AM (same
-        // RejectReason taxonomy as the engine/guard); invalid ones are
-        // dropped and counted.
-        let mut requests: HashMap<JobId, Vec<ContainerRequest>> = HashMap::new();
-        for job in view.jobs() {
-            if let Some(am) = self.ams.get(&job.id()) {
-                let reqs: Vec<ContainerRequest> = am
-                    .container_requests(job, view.cluster())
-                    .into_iter()
-                    .filter(|r| self.rm.admit_request(view.cluster(), r))
-                    .collect();
-                if !reqs.is_empty() {
-                    requests.insert(job.id(), reqs);
-                }
-            }
-        }
-
-        // Primary pass in RM priority order, locality-aware. Jobs that
-        // finished since the last recompute have no requests.
-        let mut newly_placed: HashMap<JobId, Vec<TaskRef>> = HashMap::new();
-        let mut request_index: HashMap<TaskRef, ContainerRequest> = HashMap::new();
-        for (_, members) in self.rm.priorities().groups() {
-            for &jid in members {
-                let Some(reqs) = requests.remove(&jid) else {
-                    continue;
-                };
-                for req in reqs {
-                    if let Some(server) = Self::place_with_locality(&free, &req, &[]) {
-                        free.commit(server, req.demand);
-                        free.note_copy(req.task);
-                        out.push(Assignment {
-                            task: req.task,
-                            server,
-                            kind: CopyKind::Primary,
-                        });
-                        newly_placed.entry(jid).or_default().push(req.task);
-                    }
-                    request_index.insert(req.task, req);
-                }
-            }
-        }
-
-        // Clone passes ("repeat twice") over leftover resources — but at
-        // most one *new* clone per task per decision point (clone
-        // containers are granted round by round, matching DollyMP;
-        // DESIGN.md §4.8).
-        let mut cloned_this_batch: std::collections::HashSet<TaskRef> =
-            std::collections::HashSet::new();
-        // Servers already hosting a copy of each task *in this batch* —
-        // clones must spread across machines like replicas do.
-        let mut batch_servers: HashMap<TaskRef, Vec<ServerId>> = HashMap::new();
-        for a in &out {
-            batch_servers.entry(a.task).or_default().push(a.server);
-        }
-        if self.clone_policy.max_copies > 1 {
-            for _ in 0..2 {
-                let mut any = false;
-                for (level, members) in self.rm.priorities().groups() {
-                    if level == PRIORITY_UNSELECTED {
-                        continue;
-                    }
-                    for &jid in members {
-                        let Some(job) = view.job(jid) else { continue };
-                        // §4.1 small-job gate on *reported* volumes.
-                        let mine = self.rm.report(jid).map(|r| r.volume).unwrap_or(f64::MAX);
-                        let others: f64 = view
-                            .jobs()
-                            .filter(|j| j.id() != jid)
-                            .filter_map(|j| self.rm.report(j.id()).map(|r| r.volume))
-                            .sum();
-                        if !self.clone_policy.small_job_gate(mine, others) {
-                            continue;
-                        }
-                        let mut candidates = job.running_tasks();
-                        if let Some(extra) = newly_placed.get(&jid) {
-                            candidates.extend(extra.iter().copied());
-                        }
-                        for task in candidates {
-                            let am_budget = request_index
-                                .get(&task)
-                                .map(|r| r.max_clones + 1)
-                                .unwrap_or(self.am_cfg.max_clones + 1);
-                            let cap = self.clone_policy.max_copies.min(am_budget);
-                            if free.effective_copies(view, task) >= cap {
-                                continue;
-                            }
-                            if cloned_this_batch.contains(&task) {
-                                continue;
-                            }
-                            let demand = job.spec().phase(task.phase).demand;
-                            // Spread clones across machines: avoid servers
-                            // already hosting live copies of this task —
-                            // both from the view and from this batch.
-                            let mut avoid: Vec<ServerId> = job
-                                .copies_of(task.phase, task.task)
-                                .filter(|c| c.is_live())
-                                .map(|c| c.server)
-                                .collect();
-                            if let Some(extra) = batch_servers.get(&task) {
-                                avoid.extend(extra.iter().copied());
-                            }
-                            let req = request_index
-                                .get(&task)
-                                .cloned()
-                                .unwrap_or_else(|| ContainerRequest::new(task, demand));
-                            if let Some(server) =
-                                Self::place_with_locality_avoiding(&free, &req, &avoid)
-                            {
-                                free.commit(server, demand);
-                                free.note_copy(task);
-                                cloned_this_batch.insert(task);
-                                batch_servers.entry(task).or_default().push(server);
-                                out.push(Assignment {
-                                    task,
-                                    server,
-                                    kind: CopyKind::Clone,
-                                });
-                                any = true;
-                            }
-                        }
-                    }
-                }
-                if !any {
-                    break;
-                }
-            }
-        }
-        out
+        let free = view.capacity().begin_batch();
+        let mut batch = self.dollymp.schedule_on(view, &free);
+        self.place_locally(view, &free, &mut batch);
+        batch
     }
 }
 

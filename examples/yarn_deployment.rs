@@ -5,7 +5,7 @@
 //!
 //! The example submits the same recurring WordCount workload twice —
 //! first against a cold history registry, then against the registry
-//! warmed by the first run — and compares both against the oracle
+//! warmed by the first run — and prints each run's gap to the oracle
 //! (spec-informed) DollyMP scheduler.
 //!
 //! Run with:
@@ -86,9 +86,25 @@ fn main() {
             r.jobs.iter().map(|j| j.clone_copies).sum::<u64>()
         );
     }
+    // Every job shares one label, so history shifts every job's θ̂ alike
+    // and barely changes the order: the closing line reports the gaps as
+    // measured instead of assuming warm beats cold.
+    let oracle = r_oracle.total_flowtime() as f64;
+    let gap = |r: &SimReport| (r.total_flowtime() as f64 - oracle).abs();
+    let (cold_gap, warm_gap) = (gap(&r_cold), gap(&r_warm));
+    let closer = if warm_gap < cold_gap {
+        "warm estimates track the oracle more closely than cold ones"
+    } else if warm_gap > cold_gap {
+        "cold estimates track the oracle more closely than warm ones"
+    } else {
+        "warm and cold estimates track the oracle equally closely"
+    };
     println!(
-        "\nhistory registry now holds {} (label, phase) entries; \
-         warm estimates track the oracle more closely than cold ones.",
-        history.len()
+        "\ngap to the oracle's total flow: cold {cold_gap}, warm {warm_gap} — {closer}.\n\
+         The history registry holds {} (label, phase) entries. Warm history moved total \
+         flow by {:+.1} % against cold: all jobs share one label, so history shifts every \
+         estimate alike.",
+        history.len(),
+        (r_warm.total_flowtime() as f64 / r_cold.total_flowtime() as f64 - 1.0) * 100.0
     );
 }

@@ -181,3 +181,42 @@ fn yarn_clone_budget_matches_request_budget() {
         }
     }
 }
+
+#[test]
+fn faulted_yarn_run_replays_from_its_journal() {
+    // The YARN control plane moves placements after DollyMP's pass; the
+    // journal must still fold back into the live report byte for byte.
+    let cluster = ClusterSpec::paper_30_node();
+    let jobs = recurring_workload(23, 12);
+    let faults = dollymp::faults::generate(
+        &cluster,
+        &FaultConfig::new(23, 200)
+            .with_crash_rate(0.004, 10.0)
+            .with_fail_slow(0.2, 0.5),
+    );
+    assert!(!faults.is_empty());
+    let sampler = DurationSampler::new(23, StragglerModel::ParetoFit);
+    let cfg = EngineConfig {
+        record_utilization: true,
+        ..EngineConfig::default()
+    };
+    let mut yarn = YarnSystem::new(2);
+    let mut journal = dollymp_obs::journal::Journal::for_run(&yarn.name(), 23, &cfg, &cfg);
+    let live = simulate_recorded(
+        &cluster,
+        jobs,
+        &sampler,
+        &mut yarn,
+        &cfg,
+        &faults,
+        &mut journal,
+    );
+    assert_eq!(live.scheduler, "yarn-dollymp2");
+    assert!(
+        live.faults.tasks_requeued > 0,
+        "the faults hit running tasks"
+    );
+    if let Err(d) = dollymp_obs::replay::verify(&journal, &live) {
+        panic!("yarn-dollymp2 replay diverged: {d}");
+    }
+}

@@ -15,8 +15,9 @@
 //!   the non-cloning Tetris.
 //!
 //! There is deliberately no regeneration switch. On a mismatch the test
-//! prints the actual corpus; an intended behaviour change is a hand edit
-//! of the committed file, recorded in `CHANGES.md` with the reason.
+//! lists each changed cell as `cell: expected → actual`, then prints the
+//! actual corpus; an intended behaviour change is a hand edit of the
+//! committed file, recorded in `CHANGES.md` with the reason.
 
 use dollymp::cluster::trace::copy_spans;
 use dollymp::prelude::*;
@@ -120,6 +121,40 @@ fn cell(setup: &Setup, name: &str, with_faults: bool) -> String {
     )
 }
 
+/// One line per cell whose fingerprint differs between two corpora,
+/// `cell: expected → actual`, with `(none)` for a cell missing from one
+/// side.
+fn changed_cells(expected: &str, actual: &str) -> String {
+    let cells = |corpus: &str| -> Vec<(String, String)> {
+        corpus
+            .lines()
+            .map(|l| {
+                let (cell, fp) = l.rsplit_once(' ').unwrap_or((l, ""));
+                (cell.to_string(), fp.to_string())
+            })
+            .collect()
+    };
+    let (expected, actual) = (cells(expected), cells(actual));
+    let find = |side: &[(String, String)], cell: &str| {
+        side.iter()
+            .find(|(c, _)| c == cell)
+            .map_or("(none)".to_string(), |(_, fp)| fp.clone())
+    };
+    let mut out = String::new();
+    for (cell, fp) in &actual {
+        let old = find(&expected, cell);
+        if &old != fp {
+            out.push_str(&format!("{cell}: {old} → {fp}\n"));
+        }
+    }
+    for (cell, fp) in &expected {
+        if find(&actual, cell) == "(none)" {
+            out.push_str(&format!("{cell}: {fp} → (none)\n"));
+        }
+    }
+    out
+}
+
 #[test]
 fn reports_match_the_golden_corpus() {
     let paper = paper_google40();
@@ -148,6 +183,7 @@ fn reports_match_the_golden_corpus() {
     let expected = include_str!("golden/reports.txt");
     assert!(
         actual == expected,
-        "golden report corpus changed; actual corpus:\n{actual}"
+        "golden report corpus changed; changed cells:\n{}actual corpus:\n{actual}",
+        changed_cells(expected, &actual)
     );
 }

@@ -177,3 +177,43 @@ fn overload_guard_throttles_clones_under_saturation() {
         "no offence committed"
     );
 }
+
+/// The YARN control plane moves DollyMP's placements after its pass
+/// (primaries onto block replicas, clones off servers that host a copy
+/// of their task). Every move must stay admissible: on the golden
+/// corpus's 30-node setup with its fault timeline, the strict engine
+/// accepts every batch, and the guard rejects nothing and changes
+/// nothing.
+#[test]
+fn yarn_placement_moves_stay_admissible_under_faults() {
+    let seed = 7;
+    let cluster = ClusterSpec::paper_30_node();
+    let jobs = generate_google(&GoogleConfig {
+        njobs: 40,
+        mean_gap_slots: 2.0,
+        seed,
+        ..Default::default()
+    });
+    let faults = dollymp::faults::generate(
+        &cluster,
+        &FaultConfig::new(seed, 300)
+            .with_crash_rate(0.004, 10.0)
+            .with_fail_slow(0.2, 0.5),
+    );
+    assert!(!faults.is_empty(), "the setup exercises downed servers");
+    let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
+    let cfg = EngineConfig::default();
+    let strict = try_simulate_with_faults(
+        &cluster,
+        jobs.clone(),
+        &sampler,
+        &mut YarnSystem::new(2),
+        &cfg,
+        &faults,
+    )
+    .expect("the strict engine accepts every batch");
+    let mut guard = dollymp_cluster::guard::GuardedScheduler::new(YarnSystem::new(2));
+    let guarded = simulate_with_faults(&cluster, jobs, &sampler, &mut guard, &cfg, &faults);
+    assert_eq!(guarded.guard.total_rejections(), 0, "{:?}", guarded.guard);
+    assert_eq!(strict.scrubbed(), guarded.scrubbed());
+}

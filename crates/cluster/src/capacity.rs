@@ -52,7 +52,9 @@
 //! * [`CapacityOverlay::max_free`] is the tree root; `total_free` is the
 //!   running sum. Both equal their linear-fold counterparts exactly.
 
+use crate::scheduler::Assignment;
 use crate::spec::{ClusterSpec, ServerId};
+use crate::state::CopyKind;
 use crate::view::ClusterView;
 use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::TaskRef;
@@ -378,6 +380,24 @@ impl<'a> CapacityOverlay<'a> {
     /// Record that this batch adds one copy of `task`.
     pub fn note_copy(&mut self, task: TaskRef) {
         *self.noted.entry(task).or_insert(0) += 1;
+    }
+
+    /// Place one copy of `task` on `server`: commit `demand`, note the
+    /// copy and append the assignment to `batch`.
+    ///
+    /// # Panics
+    /// Panics if `demand` does not fit `server` (see [`Self::commit`]).
+    pub fn place(
+        &mut self,
+        batch: &mut Vec<Assignment>,
+        task: TaskRef,
+        server: ServerId,
+        demand: Resources,
+        kind: CopyKind,
+    ) {
+        self.commit(server, demand);
+        self.note_copy(task);
+        batch.push(Assignment { task, server, kind });
     }
 
     /// Copies of `task` this batch has added so far.

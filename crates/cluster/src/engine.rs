@@ -1271,14 +1271,14 @@ mod tests {
         fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
             let mut out = Vec::new();
             for job in view.jobs() {
-                for task in job.ready_tasks() {
+                for task in job.iter_ready() {
                     out.push(Assignment {
                         task,
                         server: ServerId(0),
                         kind: CopyKind::Primary,
                     });
                 }
-                for task in job.running_tasks() {
+                for task in job.iter_running() {
                     let t = job.task(task.phase, task.task);
                     if t.live_copies() == 1 && t.launched_copies() == 1 {
                         out.push(Assignment {
@@ -1334,7 +1334,7 @@ mod tests {
         fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
             let mut out = Vec::new();
             for job in view.jobs() {
-                for task in job.ready_tasks() {
+                for task in job.iter_ready() {
                     out.push(Assignment {
                         task,
                         server: ServerId(0),
@@ -1386,7 +1386,7 @@ mod tests {
             fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
                 // Assign both tasks to server 0 ignoring capacity.
                 view.jobs()
-                    .flat_map(|j| j.ready_tasks())
+                    .flat_map(|j| j.iter_ready())
                     .map(|task| Assignment {
                         task,
                         server: ServerId(0),
@@ -1933,7 +1933,7 @@ mod tests {
                 }
                 fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
                     view.jobs()
-                        .flat_map(|j| j.ready_tasks())
+                        .flat_map(|j| j.iter_ready())
                         .map(|task| Assignment {
                             task,
                             server: ServerId(0),

@@ -265,11 +265,7 @@ impl<S: Scheduler> GuardedScheduler<S> {
         let mut rejected_any = false;
         for (i, a) in batch.into_iter().enumerate() {
             match check_assignment(view, Some(&free), &a) {
-                Ok(demand) => {
-                    free.commit(a.server, demand);
-                    free.note_copy(a.task);
-                    admitted.push(a);
-                }
+                Ok(demand) => free.place(&mut admitted, a.task, a.server, demand, a.kind),
                 Err(err) => {
                     if i >= count_from {
                         rejected_any = true;
@@ -638,7 +634,7 @@ mod tests {
             }
             fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
                 view.jobs()
-                    .flat_map(|j| j.ready_tasks())
+                    .flat_map(|j| j.iter_ready())
                     .map(|task| Assignment {
                         task,
                         server: ServerId(0),
@@ -741,7 +737,7 @@ mod tests {
                 "cloner".into()
             }
             fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-                let ready: Vec<TaskRef> = view.jobs().flat_map(|j| j.ready_tasks()).collect();
+                let ready: Vec<TaskRef> = view.jobs().flat_map(|j| j.iter_ready()).collect();
                 ready
                     .into_iter()
                     .flat_map(|task| {

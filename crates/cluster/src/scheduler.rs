@@ -1,10 +1,12 @@
-//! The scheduler interface and a reference FIFO/first-fit implementation.
+//! The scheduler interface, the shared first-fit walk and a reference
+//! FIFO/first-fit implementation.
 //!
 //! Every policy in `dollymp-schedulers` (DollyMP itself, Tetris, DRF,
 //! Carbyne, the Capacity scheduler, …) implements [`Scheduler`] and is
 //! driven by the same engine through the same [`ClusterView`] — keeping
 //! cross-scheduler comparisons apples-to-apples (DESIGN.md §4.2).
 
+use crate::capacity::CapacityOverlay;
 use crate::spec::ServerId;
 use crate::state::CopyKind;
 use crate::view::ClusterView;
@@ -125,11 +127,45 @@ impl Scheduler for Box<dyn Scheduler> {
     }
 }
 
+/// The active jobs in arrival order, ties by id: the FIFO queue.
+pub fn arrival_order(view: &ClusterView<'_>) -> Vec<JobId> {
+    let mut order: Vec<_> = view.jobs().map(|j| (j.spec().arrival, j.id())).collect();
+    order.sort_unstable();
+    order.into_iter().map(|(_, id)| id).collect()
+}
+
+/// Greedy work-conserving pass: walk the jobs in `order`, each job's ready
+/// tasks in (phase, task) order, and place every task that fits on the
+/// first server with room. A task this batch already placed a copy of is
+/// skipped. Returns the primaries it placed.
+///
+/// `first_fit` is the index's O(log n) leftmost-fitting-server query,
+/// which visits exactly the servers a linear scan would accept.
+pub fn place_in_job_order(
+    view: &ClusterView<'_>,
+    order: &[JobId],
+    free: &mut CapacityOverlay<'_>,
+) -> Vec<Assignment> {
+    let mut out = Vec::new();
+    for &jid in order {
+        let Some(job) = view.job(jid) else { continue };
+        for task in job.iter_ready() {
+            if free.noted_copies(task) > 0 {
+                continue;
+            }
+            let demand = job.spec().phase(task.phase).demand;
+            if let Some(server) = free.first_fit(demand) {
+                free.place(&mut out, task, server, demand, CopyKind::Primary);
+            }
+        }
+    }
+    out
+}
+
 /// Reference policy: FIFO job order, first-fit placement, no cloning.
 ///
-/// Used by the engine's own tests and as the simplest baseline. Jobs are
-/// visited in arrival order (ties by id), tasks in (phase, task) order,
-/// and each task goes to the first server with room.
+/// Used by the engine's own tests, as the guard's safe fallback and as
+/// the simplest baseline: [`place_in_job_order`] over [`arrival_order`].
 #[derive(Debug, Default, Clone)]
 pub struct FifoFirstFit;
 
@@ -139,26 +175,79 @@ impl Scheduler for FifoFirstFit {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        // Tentative commitments go on a capacity overlay (O(1) to start);
-        // first_fit is the index's O(log n) leftmost-fitting-server query,
-        // which visits exactly the servers a linear scan would accept.
-        let free = view.capacity().begin_batch();
-        let mut out = Vec::new();
-        let mut jobs: Vec<_> = view.jobs().collect();
-        jobs.sort_by_key(|j| (j.spec().arrival, j.id()));
-        for job in jobs {
-            for task in job.iter_ready() {
-                let demand = job.spec().phase(task.phase).demand;
-                if let Some(server) = free.first_fit(demand) {
-                    free.commit(server, demand);
-                    out.push(Assignment {
-                        task,
-                        server,
-                        kind: CopyKind::Primary,
-                    });
+        let mut free = view.capacity().begin_batch();
+        place_in_job_order(view, &arrival_order(view), &mut free)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{simulate, EngineConfig};
+    use crate::execution::{DurationSampler, StragglerModel};
+    use crate::spec::ClusterSpec;
+    use dollymp_core::job::JobSpec;
+    use dollymp_core::resources::Resources;
+
+    /// Checks the overlay inside a pass: every committed server's free
+    /// capacity shrank by exactly the demands the walk placed on it.
+    struct Probe {
+        observed_fit: bool,
+    }
+    impl Scheduler for Probe {
+        fn name(&self) -> String {
+            "probe".into()
+        }
+        fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+            let mut free = view.capacity().begin_batch();
+            assert_eq!(free.len(), 2);
+            let order: Vec<JobId> = view.jobs().map(|j| j.id()).collect();
+            let batch = place_in_job_order(view, &order, &mut free);
+            if !batch.is_empty() {
+                self.observed_fit = true;
+                let mut committed: Vec<(ServerId, Resources)> = Vec::new();
+                for a in &batch {
+                    let demand = view
+                        .job(a.task.job)
+                        .expect("placed job is active")
+                        .spec()
+                        .phase(a.task.phase)
+                        .demand;
+                    match committed.iter_mut().find(|(s, _)| *s == a.server) {
+                        Some((_, d)) => *d += demand,
+                        None => committed.push((a.server, demand)),
+                    }
+                }
+                for &(server, demand) in &committed {
+                    let expected = view
+                        .free(server)
+                        .checked_sub(demand)
+                        .expect("overlay never over-commits");
+                    assert_eq!(
+                        free.free(server),
+                        expected,
+                        "server {server:?} free did not shrink by the committed demand"
+                    );
                 }
             }
+            batch
         }
-        out
+    }
+
+    #[test]
+    fn place_in_job_order_is_work_conserving() {
+        let cluster = ClusterSpec::homogeneous(2, 2.0, 2.0);
+        let jobs: Vec<JobSpec> = (0..4)
+            .map(|i| JobSpec::single_phase(JobId(i), 1, Resources::new(2.0, 2.0), 3.0, 0.0))
+            .collect();
+        let sampler = DurationSampler::new(1, StragglerModel::Deterministic);
+        let mut p = Probe {
+            observed_fit: false,
+        };
+        let r = simulate(&cluster, jobs, &sampler, &mut p, &EngineConfig::default());
+        assert!(p.observed_fit);
+        // 4 single-server jobs on 2 servers: two waves of 3 slots.
+        assert_eq!(r.makespan, 6);
+        assert_eq!(r.total_flowtime(), 3 + 3 + 6 + 6);
     }
 }

@@ -640,28 +640,15 @@ impl JobState {
     }
 
     /// All tasks currently in [`TaskStatus::Ready`], in (phase, task)
-    /// order — the schedulable frontier. Allocation-free variant of
-    /// [`JobState::ready_tasks`] for hot scheduler loops.
+    /// order — the schedulable frontier.
     pub fn iter_ready(&self) -> impl Iterator<Item = TaskRef> + '_ {
         self.members(PhaseState::ready)
     }
 
-    /// All tasks currently in [`TaskStatus::Ready`], in (phase, task)
-    /// order — the schedulable frontier.
-    pub fn ready_tasks(&self) -> Vec<TaskRef> {
-        self.iter_ready().collect()
-    }
-
-    /// All tasks currently running, in (phase, task) order.
-    /// Allocation-free variant of [`JobState::running_tasks`].
-    pub fn iter_running(&self) -> impl Iterator<Item = TaskRef> + '_ {
-        self.members(PhaseState::running)
-    }
-
     /// All tasks currently running (clone candidates), in (phase, task)
     /// order.
-    pub fn running_tasks(&self) -> Vec<TaskRef> {
-        self.iter_running().collect()
+    pub fn iter_running(&self) -> impl Iterator<Item = TaskRef> + '_ {
+        self.members(PhaseState::running)
     }
 
     /// Remaining effective volume `v_j(t)` (Eq. 16): like
@@ -988,7 +975,7 @@ mod tests {
     #[test]
     fn initial_frontier_is_root_phase_only() {
         let j = two_phase_job();
-        let ready = j.ready_tasks();
+        let ready: Vec<TaskRef> = j.iter_ready().collect();
         assert_eq!(ready.len(), 2);
         assert!(ready.iter().all(|t| t.phase == PhaseId(0)));
         assert_eq!(j.task(PhaseId(1), TaskId(0)).status, TaskStatus::Blocked);
@@ -1051,7 +1038,7 @@ mod tests {
         assert_eq!((primary, clone), (0, 1));
         assert_eq!(j.task(p, t).live_copies(), 2);
         assert_eq!(j.tasks_cloned(), 1);
-        assert_eq!(j.running_tasks().len(), 1);
+        assert_eq!(j.iter_running().count(), 1);
         assert_eq!(j.copies_of(p, t).nth(1).map(|c| c.elapsed(5)), Some(3));
         assert!(j.copies_match_links());
     }
@@ -1147,7 +1134,7 @@ mod tests {
         j.transition(PhaseId(0), Transition::Requeue(TaskId(0)));
         assert!(j.index_matches_status());
         assert_eq!(j.phase_state(PhaseId(0)).ready().len(), 1);
-        assert_eq!(j.running_tasks().len(), 1);
+        assert_eq!(j.iter_running().count(), 1);
         j.transition(PhaseId(0), Transition::Launch(TaskId(0)));
         for t in [TaskId(0), TaskId(1)] {
             j.transition(PhaseId(0), Transition::Retire(t));
@@ -1156,7 +1143,7 @@ mod tests {
         assert!(j.index_matches_status());
         assert_eq!(j.task(PhaseId(1), TaskId(0)).status(), TaskStatus::Ready);
         assert_eq!(
-            j.ready_tasks(),
+            j.iter_ready().collect::<Vec<_>>(),
             vec![TaskRef {
                 job: JobId(1),
                 phase: PhaseId(1),

@@ -39,12 +39,12 @@ impl Scheduler for ChaosScheduler {
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
         let mut free: Vec<Resources> = view.servers().map(|(_, _, f)| f).collect();
         let mut out = Vec::new();
-        let mut placed_any_running = view.jobs().any(|j| !j.running_tasks().is_empty());
+        let mut placed_any_running = view.jobs().any(|j| j.iter_running().next().is_some());
 
         // Primaries: each ready task is placed with probability 0.7, on a
         // uniformly random fitting server.
         for job in view.jobs() {
-            for task in job.ready_tasks() {
+            for task in job.iter_ready() {
                 let demand = job.spec().phase(task.phase).demand;
                 let must_place = !placed_any_running && out.is_empty();
                 if !must_place && self.rng.gen_bool(0.3) {
@@ -66,7 +66,7 @@ impl Scheduler for ChaosScheduler {
         }
         // Clones: random running tasks under the copy budget.
         for job in view.jobs() {
-            for task in job.running_tasks() {
+            for task in job.iter_running() {
                 if job.task(task.phase, task.task).live_copies() >= self.max_copies {
                     continue;
                 }

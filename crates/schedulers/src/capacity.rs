@@ -15,11 +15,10 @@
 //! (b) its elapsed time exceeds `slowdown_threshold ×` the observed mean
 //! duration of its phase.
 
-use crate::common::{place_in_job_order, ready_tasks_of};
 use dollymp_cluster::prelude::*;
+use dollymp_cluster::scheduler::{arrival_order, place_in_job_order};
 use dollymp_core::job::{JobId, TaskRef};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Speculative-execution tunables (Hadoop-like defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,8 +51,7 @@ pub struct CapacityScheduler {
     pub speculation: Option<SpeculationConfig>,
     /// Tasks whose last copy a crash evicted, in loss order. YARN retries
     /// failed attempts ahead of fresh containers, so these jump the FIFO
-    /// queue until re-placed (empty in fault-free runs — the scheduling
-    /// path is then exactly the pre-fault one).
+    /// queue until re-placed (always empty in fault-free runs).
     recovering: Vec<TaskRef>,
 }
 
@@ -74,16 +72,10 @@ impl CapacityScheduler {
         }
     }
 
-    /// Place crash-recovered tasks before anything else, then run the
-    /// normal FIFO pass over the remaining ready tasks.
-    fn place_with_recovery(
-        &mut self,
-        view: &ClusterView<'_>,
-        order: &[JobId],
-        free: &mut CapacityOverlay,
-    ) -> Vec<Assignment> {
+    /// Re-place crash-recovered tasks, in loss order, ahead of the FIFO
+    /// queue. A task that does not fit yet keeps its place at the head.
+    fn recover(&mut self, view: &ClusterView<'_>, free: &mut CapacityOverlay) -> Vec<Assignment> {
         let mut out = Vec::new();
-        let mut placed: HashSet<TaskRef> = HashSet::new();
         self.recovering.retain(|&task| {
             // Drop stale entries: job retired, or the task was already
             // re-launched (e.g. speculation) and is no longer Ready.
@@ -94,38 +86,12 @@ impl CapacityScheduler {
                 return false;
             }
             let demand = job.spec().phase(task.phase).demand;
-            if let Some(server) = free.first_fit(demand) {
-                free.commit(server, demand);
-                free.note_copy(task);
-                placed.insert(task);
-                out.push(Assignment {
-                    task,
-                    server,
-                    kind: CopyKind::Primary,
-                });
-                false
-            } else {
-                // No room yet; keep it at the head of the queue.
-                true
-            }
+            let Some(server) = free.first_fit(demand) else {
+                return true;
+            };
+            free.place(&mut out, task, server, demand, CopyKind::Primary);
+            false
         });
-        for &jid in order {
-            let Some(job) = view.job(jid) else { continue };
-            for rt in ready_tasks_of(job) {
-                if placed.contains(&rt.task) {
-                    continue;
-                }
-                if let Some(server) = free.first_fit(rt.demand) {
-                    free.commit(server, rt.demand);
-                    free.note_copy(rt.task);
-                    out.push(Assignment {
-                        task: rt.task,
-                        server,
-                        kind: CopyKind::Primary,
-                    });
-                }
-            }
-        }
         out
     }
 
@@ -141,7 +107,7 @@ impl CapacityScheduler {
         let mut out = Vec::new();
         for &jid in order {
             let Some(job) = view.job(jid) else { continue };
-            for task in job.running_tasks() {
+            for task in job.iter_running() {
                 let phase = job.spec().phase(task.phase);
                 let ps = job.phase_state(task.phase);
                 // (a) enough peers finished for significance…
@@ -167,13 +133,7 @@ impl CapacityScheduler {
                     continue;
                 }
                 if let Some(server) = free.first_fit(phase.demand) {
-                    free.commit(server, phase.demand);
-                    free.note_copy(task);
-                    out.push(Assignment {
-                        task,
-                        server,
-                        kind: CopyKind::Clone,
-                    });
+                    free.place(&mut out, task, server, phase.demand, CopyKind::Clone);
                 }
             }
         }
@@ -191,17 +151,10 @@ impl Scheduler for CapacityScheduler {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let mut order: Vec<(dollymp_core::time::Time, JobId)> =
-            view.jobs().map(|j| (j.spec().arrival, j.id())).collect();
-        order.sort();
-        let order: Vec<JobId> = order.into_iter().map(|(_, id)| id).collect();
-
+        let order = arrival_order(view);
         let mut free = view.capacity().begin_batch();
-        let mut batch = if self.recovering.is_empty() {
-            place_in_job_order(view, &order, &mut free)
-        } else {
-            self.place_with_recovery(view, &order, &mut free)
-        };
+        let mut batch = self.recover(view, &mut free);
+        batch.extend(place_in_job_order(view, &order, &mut free));
         batch.extend(self.speculate(view, &order, &mut free));
         batch
     }

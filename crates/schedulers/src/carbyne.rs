@@ -8,9 +8,10 @@
 //! estimation, plan-ahead); we implement its published core loop, as
 //! documented in DESIGN.md/EXPERIMENTS.md:
 //!
-//! 1. **Fair pass** — DRF progressive filling, but a job stops receiving
-//!    resources once its dominant share reaches its fair share `1/N`
-//!    (jobs are *entitled* to fairness but not more);
+//! 1. **Fair pass** — DRF's progressive filling ([`crate::drf`]), but a
+//!    job stops receiving resources once its dominant share reaches its
+//!    fair share `1/N` (jobs are *entitled* to fairness but not more), and
+//!    each task goes to its best-fit server rather than the first fit;
 //! 2. **Altruistic pass** — the leftover capacity is redistributed to
 //!    ready tasks in SRPT order with Tetris best-fit placement, which is
 //!    what "redistributed … for better job performance (completion time)
@@ -19,12 +20,9 @@
 //! No cloning — like the other baselines, Carbyne spends resources on
 //! distinct tasks only.
 
-use crate::common::{ready_tasks_of, ReadyTask};
-use crate::drf::allocated;
+use crate::drf::fill;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
-use dollymp_core::resources::dominant_share;
-use std::collections::HashMap;
 
 /// The Carbyne-style altruistic scheduler.
 #[derive(Debug, Clone, Default)]
@@ -36,80 +34,23 @@ impl Scheduler for Carbyne {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let totals = view.totals();
-        let n_jobs = view.num_jobs().max(1);
-        let fair = 1.0 / n_jobs as f64;
+        let fair = 1.0 / view.num_jobs().max(1) as f64;
         let mut free = view.capacity().begin_batch();
         let mut out = Vec::new();
 
-        let mut share: HashMap<JobId, f64> = HashMap::new();
-        let mut ready: HashMap<JobId, Vec<ReadyTask>> = HashMap::new();
-        let mut srpt: Vec<(f64, JobId)> = Vec::new();
-        for job in view.jobs() {
-            share.insert(job.id(), dominant_share(allocated(job), totals));
-            let rts = ready_tasks_of(job);
-            if !rts.is_empty() {
-                ready.insert(job.id(), rts);
-            }
-            srpt.push((job.remaining_etime(0.0), job.id()));
-        }
-        srpt.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-
-        // Pass 1: DRF up to the fair share.
-        loop {
-            let mut pick: Option<(f64, JobId)> = None;
-            for (&jid, tasks) in &ready {
-                if share[&jid] >= fair {
-                    continue;
-                }
-                if !tasks.iter().any(|rt| free.fits_anywhere(rt.demand)) {
-                    continue;
-                }
-                let s = share[&jid];
-                match pick {
-                    Some((bs, bj)) if (s, jid) >= (bs, bj) => {}
-                    _ => pick = Some((s, jid)),
-                }
-            }
-            let Some((_, jid)) = pick else { break };
-            let tasks = ready.get_mut(&jid).expect("picked");
-            let idx = tasks
-                .iter()
-                .position(|rt| free.fits_anywhere(rt.demand))
-                .expect("checked");
-            let rt = tasks.remove(idx);
-            if tasks.is_empty() {
-                ready.remove(&jid);
-            }
-            let server = free.best_fit(rt.demand).expect("fits somewhere");
-            free.commit(server, rt.demand);
-            free.note_copy(rt.task);
-            *share.get_mut(&jid).expect("tracked") += dominant_share(rt.demand, totals);
-            out.push(Assignment {
-                task: rt.task,
-                server,
-                kind: CopyKind::Primary,
-            });
-        }
+        // Pass 1: DRF up to the fair share, best-fit.
+        let mut ready = fill(view, &mut free, fair, CapacityOverlay::best_fit, &mut out);
 
         // Pass 2: altruistic redistribution of leftovers, SRPT order.
-        for &(_, jid) in &srpt {
-            let Some(tasks) = ready.get_mut(&jid) else {
-                continue;
-            };
-            let mut i = 0;
-            while i < tasks.len() {
-                if let Some(server) = free.best_fit(tasks[i].demand) {
-                    let rt = tasks.remove(i);
-                    free.commit(server, rt.demand);
-                    free.note_copy(rt.task);
-                    out.push(Assignment {
-                        task: rt.task,
-                        server,
-                        kind: CopyKind::Primary,
-                    });
-                } else {
-                    i += 1;
+        let mut srpt: Vec<(f64, JobId)> = view
+            .jobs()
+            .map(|j| (j.remaining_etime(0.0), j.id()))
+            .collect();
+        srpt.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        for (_, jid) in srpt {
+            for rt in ready.remove(&jid).unwrap_or_default() {
+                if let Some(server) = free.best_fit(rt.demand) {
+                    free.place(&mut out, rt.task, server, rt.demand, CopyKind::Primary);
                 }
             }
         }

@@ -8,7 +8,8 @@
 //! share (ties by job id), until nothing fits. Shares are computed from
 //! the resources the job's live copies actually hold, plus what this batch
 //! has tentatively granted. No cloning — DRF spends every resource on
-//! distinct tasks.
+//! distinct tasks. Carbyne's fair pass runs the same `fill` with a share
+//! cap and best-fit placement.
 
 use crate::common::{ready_tasks_of, ReadyTask};
 use dollymp_cluster::prelude::*;
@@ -23,12 +24,68 @@ pub struct Drf;
 /// Resources currently held by a job's live copies.
 pub(crate) fn allocated(job: &JobState) -> Resources {
     let mut total = Resources::ZERO;
-    for task in job.running_tasks() {
+    for task in job.iter_running() {
         let demand = job.spec().phase(task.phase).demand;
         let live = job.task(task.phase, task.task).live_copies() as u64;
         total += demand * live;
     }
     total
+}
+
+/// Progressive filling, shared by DRF and Carbyne's fair pass: offer one
+/// task at a time to the job with the smallest `(dominant share, JobId)`
+/// among those whose share is below `cap` and that have a ready task
+/// fitting some server. That job's first such task in (phase, task)
+/// order goes to the server `fit` picks, and its share grows by the
+/// task's dominant share. Stops when no job qualifies.
+///
+/// Returns the ready tasks left unplaced, per job (a job with none left
+/// is absent).
+pub(crate) fn fill<'a>(
+    view: &ClusterView<'_>,
+    free: &mut CapacityOverlay<'a>,
+    cap: f64,
+    fit: fn(&CapacityOverlay<'a>, Resources) -> Option<ServerId>,
+    out: &mut Vec<Assignment>,
+) -> HashMap<JobId, Vec<ReadyTask>> {
+    let totals = view.totals();
+    let mut share: HashMap<JobId, f64> = HashMap::new();
+    let mut ready: HashMap<JobId, Vec<ReadyTask>> = HashMap::new();
+    for job in view.jobs() {
+        share.insert(job.id(), dominant_share(allocated(job), totals));
+        let rts = ready_tasks_of(job);
+        if !rts.is_empty() {
+            ready.insert(job.id(), rts);
+        }
+    }
+
+    loop {
+        let mut pick: Option<(f64, JobId)> = None;
+        for (&jid, tasks) in &ready {
+            let s = share[&jid];
+            if s >= cap || !tasks.iter().any(|rt| free.fits_anywhere(rt.demand)) {
+                continue;
+            }
+            match pick {
+                Some((bs, bj)) if (s, jid) >= (bs, bj) => {}
+                _ => pick = Some((s, jid)),
+            }
+        }
+        let Some((_, jid)) = pick else { break };
+        let tasks = ready.get_mut(&jid).expect("picked from map");
+        let idx = tasks
+            .iter()
+            .position(|rt| free.fits_anywhere(rt.demand))
+            .expect("checked above");
+        let rt = tasks.remove(idx);
+        if tasks.is_empty() {
+            ready.remove(&jid);
+        }
+        let server = fit(free, rt.demand).expect("fits somewhere");
+        free.place(out, rt.task, server, rt.demand, CopyKind::Primary);
+        *share.get_mut(&jid).expect("tracked") += dominant_share(rt.demand, totals);
+    }
+    ready
 }
 
 impl Scheduler for Drf {
@@ -37,55 +94,15 @@ impl Scheduler for Drf {
     }
 
     fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
-        let totals = view.totals();
-        let mut free = view.capacity().begin_batch();
         let mut out = Vec::new();
-
-        // Current dominant share and pending ready tasks per job.
-        let mut share: HashMap<JobId, f64> = HashMap::new();
-        let mut ready: HashMap<JobId, Vec<ReadyTask>> = HashMap::new();
-        for job in view.jobs() {
-            share.insert(job.id(), dominant_share(allocated(job), totals));
-            let rts = ready_tasks_of(job);
-            if !rts.is_empty() {
-                ready.insert(job.id(), rts);
-            }
-        }
-
-        loop {
-            // Job with the smallest dominant share that still has a task
-            // fitting somewhere.
-            let mut pick: Option<(f64, JobId)> = None;
-            for (&jid, tasks) in &ready {
-                if !tasks.iter().any(|rt| free.fits_anywhere(rt.demand)) {
-                    continue;
-                }
-                let s = share[&jid];
-                match pick {
-                    Some((bs, bj)) if (s, jid) >= (bs, bj) => {}
-                    _ => pick = Some((s, jid)),
-                }
-            }
-            let Some((_, jid)) = pick else { break };
-            let tasks = ready.get_mut(&jid).expect("picked from map");
-            let idx = tasks
-                .iter()
-                .position(|rt| free.fits_anywhere(rt.demand))
-                .expect("checked above");
-            let rt = tasks.remove(idx);
-            if tasks.is_empty() {
-                ready.remove(&jid);
-            }
-            let server = free.first_fit(rt.demand).expect("fits somewhere");
-            free.commit(server, rt.demand);
-            free.note_copy(rt.task);
-            *share.get_mut(&jid).expect("tracked") += dominant_share(rt.demand, totals);
-            out.push(Assignment {
-                task: rt.task,
-                server,
-                kind: CopyKind::Primary,
-            });
-        }
+        let mut free = view.capacity().begin_batch();
+        fill(
+            view,
+            &mut free,
+            f64::INFINITY,
+            CapacityOverlay::first_fit,
+            &mut out,
+        );
         out
     }
 }

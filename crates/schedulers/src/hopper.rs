@@ -90,8 +90,7 @@ impl Scheduler for Hopper {
             // This job is entitled to ⌈vsize⌉ concurrent copies; count
             // what it already holds.
             let mut held: u32 = job
-                .running_tasks()
-                .iter()
+                .iter_running()
                 .map(|t| job.task(t.phase, t.task).live_copies())
                 .sum();
             let entitlement = vsize.ceil() as u32;
@@ -102,21 +101,14 @@ impl Scheduler for Hopper {
                     break;
                 }
                 if let Some(server) = free.first_fit(rt.demand) {
-                    free.commit(server, rt.demand);
-                    free.note_copy(rt.task);
-                    out.push(Assignment {
-                        task: rt.task,
-                        server,
-                        kind: CopyKind::Primary,
-                    });
+                    free.place(&mut out, rt.task, server, rt.demand, CopyKind::Primary);
                     held += 1;
                 }
             }
             // 2) Speculation within the remaining budget: slowest running
             // copies first.
             let mut candidates: Vec<(f64, dollymp_core::job::TaskRef)> = job
-                .running_tasks()
-                .into_iter()
+                .iter_running()
                 .filter_map(|t| {
                     let ts = job.task(t.phase, t.task);
                     if ts.live_copies() >= self.cfg.max_copies {
@@ -149,13 +141,7 @@ impl Scheduler for Hopper {
                 }
                 let demand = job.spec().phase(task.phase).demand;
                 if let Some(server) = free.first_fit(demand) {
-                    free.commit(server, demand);
-                    free.note_copy(task);
-                    out.push(Assignment {
-                        task,
-                        server,
-                        kind: CopyKind::Clone,
-                    });
+                    free.place(&mut out, task, server, demand, CopyKind::Clone);
                     held += 1;
                 }
             }
@@ -165,19 +151,14 @@ impl Scheduler for Hopper {
             // fall through to a minimal work-conserving rescue below.
         }
 
-        if out.is_empty() && view.jobs().all(|j| j.running_tasks().is_empty()) {
+        if out.is_empty() && view.jobs().all(|j| j.iter_running().next().is_none()) {
             // Rescue pass: place the first ready task that fits anywhere
             // (keeps the simulation live without changing the policy's
             // character under load).
             for job in view.jobs() {
                 for rt in ready_tasks_of(job) {
                     if let Some(server) = free.first_fit(rt.demand) {
-                        free.commit(server, rt.demand);
-                        out.push(Assignment {
-                            task: rt.task,
-                            server,
-                            kind: CopyKind::Primary,
-                        });
+                        free.place(&mut out, rt.task, server, rt.demand, CopyKind::Primary);
                         return out;
                     }
                 }

@@ -15,6 +15,14 @@
 //! | [`Hopper`] | §7's speculation-aware prior work (documented approximation) | [`hopper`] |
 //! | [`LearnedDollyMP`] | §8 future work: server-reputation learning | [`learned`] |
 //!
+//! The baselines share one placement vocabulary. Each places a copy with
+//! `CapacityOverlay::place` (commit the demand, note the copy, append the
+//! assignment) on the batch overlay of `dollymp-cluster`. FIFO, Capacity,
+//! SRPT and SVF run that crate's one first-fit walk,
+//! `dollymp_cluster::scheduler::place_in_job_order`, over their job
+//! orders. DRF and Carbyne's fair pass run one progressive-filling loop,
+//! which differs only in the share cap and the server fit.
+//!
 //! Use [`by_name`] to build a scheduler from its string name (the
 //! experiment binaries' CLI contract).
 //!

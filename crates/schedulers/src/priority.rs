@@ -7,8 +7,8 @@
 //! resources, SVF starves large-demand jobs — which is what Algorithm 1's
 //! knapsack combination fixes.
 
-use crate::common::place_in_job_order;
 use dollymp_cluster::prelude::*;
+use dollymp_cluster::scheduler::place_in_job_order;
 use dollymp_core::job::JobId;
 
 /// How a priority baseline ranks jobs.

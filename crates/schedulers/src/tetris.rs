@@ -112,13 +112,7 @@ impl Scheduler for Tetris {
                 }
                 let Some((_, idx)) = best else { break };
                 let (_, rt) = ready.swap_remove(idx);
-                free.commit(server, rt.demand);
-                free.note_copy(rt.task);
-                out.push(Assignment {
-                    task: rt.task,
-                    server,
-                    kind: CopyKind::Primary,
-                });
+                free.place(&mut out, rt.task, server, rt.demand, CopyKind::Primary);
             }
         }
 
@@ -138,23 +132,14 @@ impl Scheduler for Tetris {
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             for job in jobs {
-                let mut candidates = job.running_tasks();
-                if let Some(extra) = placed_primary.get(&job.id()) {
-                    candidates.extend(extra.iter().copied());
-                }
-                for task in candidates {
+                let placed = placed_primary.get(&job.id()).into_iter().flatten();
+                for task in job.iter_running().chain(placed.copied()) {
                     if free.effective_copies(view, task) >= self.max_copies {
                         continue;
                     }
                     let demand = job.spec().phase(task.phase).demand;
                     if let Some(server) = free.best_fit(demand) {
-                        free.commit(server, demand);
-                        free.note_copy(task);
-                        out.push(Assignment {
-                            task,
-                            server,
-                            kind: CopyKind::Clone,
-                        });
+                        free.place(&mut out, task, server, demand, CopyKind::Clone);
                     }
                 }
             }

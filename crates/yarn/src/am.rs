@@ -283,8 +283,7 @@ mod tests {
         let a = am(HistoryRegistry::new());
         let job = job_state("cold");
         let requests = || -> Vec<ContainerRequest> {
-            job.ready_tasks()
-                .into_iter()
+            job.iter_ready()
                 .map(|t| a.container_request(t, job.spec().phase(t.phase).demand, 10))
                 .collect()
         };

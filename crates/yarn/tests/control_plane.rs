@@ -125,7 +125,7 @@ fn clone_budget_from_am_requests_is_enforced() {
 fn view_round_trip_ids_are_consistent() {
     // Sanity for the fixtures themselves: ready tasks enumerate phase 0.
     let js = job_state(7, 3, 5.0);
-    let ready = js.ready_tasks();
+    let ready: Vec<TaskRef> = js.iter_ready().collect();
     assert_eq!(ready.len(), 3);
     for (i, t) in ready.iter().enumerate() {
         assert_eq!(t.job, JobId(7));

@@ -115,7 +115,7 @@ impl Scheduler for CloneHappy {
         }
         // One clone per running task into whatever is left.
         for job in view.jobs() {
-            for task in job.running_tasks() {
+            for task in job.iter_running() {
                 if job.task(task.phase, task.task).live_copies() >= 2 {
                     continue;
                 }

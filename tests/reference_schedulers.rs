@@ -1,0 +1,237 @@
+//! Reference oracles for the fair-share baselines: DRF and Carbyne written
+//! straight from their definitions, recomputing every job's share from
+//! scratch before each placement and scanning servers linearly.
+//!
+//! The fast schedulers (`Drf`, `Carbyne`) share one progressive-filling
+//! loop over a capacity overlay with incrementally tracked shares. The
+//! engine is deterministic, so a scrubbed `SimReport` equal to the
+//! reference's means every decision was equal. Each rule the references
+//! apply is stated once, with its tie-break, where it is applied.
+
+use dollymp::prelude::*;
+use dollymp_core::job::{PhaseId, PhaseSpec, TaskRef};
+use dollymp_core::online::best_fit_score;
+use dollymp_core::resources::dominant_share;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+// Each suite uses a subset of the shared helpers.
+#[allow(dead_code)]
+mod common;
+use common::fault_timeline;
+
+/// Which fair-share baseline a [`NaiveFair`] reproduces.
+#[derive(Clone, Copy, PartialEq)]
+enum Policy {
+    Drf,
+    Carbyne,
+}
+
+/// Naive DRF / Carbyne: one placement per iteration, everything
+/// recomputed from the view and the batch so far.
+struct NaiveFair(Policy);
+
+/// Rule (share): a job's share is the dominant share of what its live
+/// copies hold, plus the dominant share of each task this batch granted
+/// it, added in grant order. (This is not the dominant share of the
+/// summed allocation: a job holding CPU-heavy copies that is granted a
+/// memory-heavy task is charged the two dominant shares added up.)
+fn share(job: &JobState, batch: &[(Assignment, Resources)], totals: Resources) -> f64 {
+    let mut held = Resources::ZERO;
+    for task in job.iter_running() {
+        let demand = job.spec().phase(task.phase).demand;
+        for _ in job.copies_of(task.phase, task.task).filter(|c| c.is_live()) {
+            held += demand;
+        }
+    }
+    batch
+        .iter()
+        .filter(|(a, _)| a.task.job == job.id())
+        .fold(dominant_share(held, totals), |s, &(_, d)| {
+            s + dominant_share(d, totals)
+        })
+}
+
+/// Rule (first-fit, DRF): the lowest-id server with room.
+fn first_fit(free: &[Resources], demand: Resources) -> Option<usize> {
+    free.iter().position(|&f| demand.fits_in(f))
+}
+
+/// Rule (best-fit, Carbyne): the server with room maximizing the
+/// alignment score `demand · free`; on equal scores the lowest id wins.
+fn best_fit(free: &[Resources], demand: Resources) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (s, &f) in free.iter().enumerate() {
+        if !demand.fits_in(f) {
+            continue;
+        }
+        let score = best_fit_score(demand, f);
+        if best.is_none_or(|(b, _)| score > b) {
+            best = Some((score, s));
+        }
+    }
+    best.map(|(_, s)| s)
+}
+
+/// The ready tasks of `job` this batch has not placed, in (phase, task)
+/// order.
+fn unplaced<'a>(
+    job: &'a JobState,
+    batch: &'a [(Assignment, Resources)],
+) -> impl Iterator<Item = (TaskRef, Resources)> + 'a {
+    job.iter_ready()
+        .filter(|&t| batch.iter().all(|(a, _)| a.task != t))
+        .map(|t| (t, job.spec().phase(t.phase).demand))
+}
+
+impl Scheduler for NaiveFair {
+    fn name(&self) -> String {
+        match self.0 {
+            Policy::Drf => "drf".into(),
+            Policy::Carbyne => "carbyne".into(),
+        }
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        let totals = view.totals();
+        let mut free: Vec<Resources> = view.servers().map(|(_, _, f)| f).collect();
+        let mut batch: Vec<(Assignment, Resources)> = Vec::new();
+        // Rule (cap): DRF has none; Carbyne stops offering to a job once
+        // its share reaches the fair share 1/N of the N active jobs.
+        let cap = match self.0 {
+            Policy::Drf => f64::INFINITY,
+            Policy::Carbyne => 1.0 / view.num_jobs().max(1) as f64,
+        };
+        let fit = match self.0 {
+            Policy::Drf => first_fit,
+            Policy::Carbyne => best_fit,
+        };
+        let place = |free: &mut Vec<Resources>, batch: &mut Vec<_>, task, demand| {
+            let Some(s) = fit(free, demand) else { return };
+            free[s] = free[s].checked_sub(demand).expect("the server has room");
+            let server = ServerId(s as u32);
+            let kind = CopyKind::Primary;
+            batch.push((Assignment { task, server, kind }, demand));
+        };
+
+        loop {
+            // Rule (pick): among jobs under the cap with an unplaced ready
+            // task that fits some server, the smallest (share, JobId)
+            // wins. It offers its first such task in (phase, task) order.
+            let mut pick: Option<(f64, JobId, TaskRef, Resources)> = None;
+            for job in view.jobs() {
+                let s = share(job, &batch, totals);
+                if s >= cap {
+                    continue;
+                }
+                let fits = |&(_, d): &(TaskRef, Resources)| free.iter().any(|&f| d.fits_in(f));
+                let Some((task, demand)) = unplaced(job, &batch).find(fits) else {
+                    continue;
+                };
+                if pick.is_none_or(|(ps, pj, ..)| (s, job.id()) < (ps, pj)) {
+                    pick = Some((s, job.id(), task, demand));
+                }
+            }
+            let Some((_, _, task, demand)) = pick else {
+                break;
+            };
+            place(&mut free, &mut batch, task, demand);
+        }
+
+        if self.0 == Policy::Carbyne {
+            // Rule (leftovers, Carbyne): jobs in SRPT order, by remaining
+            // critical-path time, then JobId; each offers every unplaced
+            // ready task in (phase, task) order, placed best-fit.
+            let mut jobs: Vec<&JobState> = view.jobs().collect();
+            jobs.sort_by(|a, b| {
+                (a.remaining_etime(0.0), a.id())
+                    .partial_cmp(&(b.remaining_etime(0.0), b.id()))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            for job in jobs {
+                let leftovers: Vec<_> = unplaced(job, &batch).collect();
+                for (task, demand) in leftovers {
+                    place(&mut free, &mut batch, task, demand);
+                }
+            }
+        }
+        batch.into_iter().map(|(a, _)| a).collect()
+    }
+}
+
+/// 1–64 heterogeneous servers (capacities and speeds).
+fn cluster(rng: &mut SmallRng) -> ClusterSpec {
+    let n = rng.gen_range(1..=64u32);
+    ClusterSpec::new(
+        (0..n)
+            .map(|_| {
+                let cpu = [4.0, 8.0, 16.0, 32.0][rng.gen_range(0..4usize)];
+                let mem = [4.0, 8.0, 16.0, 64.0][rng.gen_range(0..4usize)];
+                let speed = [0.5, 1.0, 2.0][rng.gen_range(0..3usize)];
+                ServerSpec::new(cpu, mem).with_speed(speed)
+            })
+            .collect(),
+    )
+}
+
+/// 1–40 jobs of 1–4 phases whose parents are a random subset of the
+/// earlier phases, so several phases of one job, with different demands,
+/// can be ready at once. Every demand fits the smallest server.
+fn jobs(rng: &mut SmallRng) -> Vec<JobSpec> {
+    let n = rng.gen_range(1..=40u64);
+    (0..n)
+        .map(|i| {
+            let mut b = JobSpec::builder(JobId(i)).arrival(rng.gen_range(0..2 * n));
+            for p in 0..rng.gen_range(1..=4u32) {
+                let parents = (0..p).filter(|_| rng.gen_bool(0.5)).map(PhaseId).collect();
+                let demand =
+                    Resources::new(rng.gen_range(1..=4) as f64, rng.gen_range(1..=4) as f64);
+                b = b.phase(
+                    PhaseSpec::new(
+                        rng.gen_range(1..=8),
+                        demand,
+                        rng.gen_range(2.0..12.0),
+                        rng.gen_range(0.0..5.0),
+                    )
+                    .with_parents(parents),
+                );
+            }
+            b.build().expect("valid spec")
+        })
+        .collect()
+}
+
+/// Run `fast` and the reference on one seeded draw and assert equal
+/// scrubbed reports.
+fn agrees(fast: &str, policy: Policy, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let cluster = cluster(&mut rng);
+    let jobs = jobs(&mut rng);
+    let faults = if rng.gen_bool(0.5) {
+        fault_timeline(seed, cluster.len() as u32, 120)
+    } else {
+        FaultTimeline::empty()
+    };
+    let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
+    let cfg = EngineConfig::default();
+    let mut fast = by_name(fast).expect("registered scheduler");
+    let got = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut fast, &cfg, &faults);
+    let mut naive = NaiveFair(policy);
+    let want = simulate_with_faults(&cluster, jobs, &sampler, &mut naive, &cfg, &faults);
+    assert_eq!(got.scrubbed(), want.scrubbed(), "seed {seed}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn drf_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("drf", Policy::Drf, seed);
+    }
+
+    #[test]
+    fn carbyne_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("carbyne", Policy::Carbyne, seed);
+    }
+}

@@ -7,9 +7,8 @@
 //! that must *contain* third-party policies: a panic aborts the whole
 //! sweep. This module gives every abort path a typed representation:
 //!
-//! * [`RejectReason`] — the coarse taxonomy shared by the engine, the
-//!   [`crate::guard::GuardedScheduler`] containment layer and the YARN
-//!   Resource Manager's request validation;
+//! * [`RejectReason`] — the coarse taxonomy shared by the engine and the
+//!   [`crate::guard::GuardedScheduler`] containment layer;
 //! * [`AdmissionError`] — one rejected assignment with full context;
 //! * [`SimError`] — everything that can abort a run, returned by
 //!   [`crate::engine::try_simulate`] /
@@ -28,10 +27,9 @@ use dollymp_core::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why an input (an assignment batch entry, an AM container request, or
-/// the run as a whole) was refused. One taxonomy across layers so that
-/// guard statistics, RM rejection counters and engine errors aggregate
-/// on the same axis.
+/// Why an input (an assignment batch entry, or the run as a whole) was
+/// refused. One taxonomy across layers so that guard statistics and
+/// engine errors aggregate on the same axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum RejectReason {
     /// The demand does not fit the target's remaining free capacity (or,

@@ -652,22 +652,18 @@ impl JobState {
     }
 
     /// Remaining effective volume `v_j(t)` (Eq. 16): like
-    /// [`JobSpec::volume`] but with each phase's *unfinished* task count.
-    pub fn remaining_volume(&self, totals: Resources, sigma_weight: f64) -> f64 {
-        self.spec
-            .phases()
-            .iter()
-            .zip(self.phases.iter())
-            .map(|(p, st)| {
-                st.remaining as f64 * p.effective_time(sigma_weight) * p.dominant_share(totals)
-            })
-            .sum()
-    }
-
-    /// Remaining effective processing time `e_j(t)` (Eq. 17).
-    pub fn remaining_etime(&self, sigma_weight: f64) -> f64 {
-        self.spec
-            .remaining_effective_time(|p| self.phases[p.0 as usize].remaining == 0, sigma_weight)
+    /// [`JobSpec::volume`] but over the unfinished phases only, in index
+    /// order, with each phase's unfinished task count and `etime(p)` as
+    /// its effective time.
+    pub fn remaining_volume(&self, totals: Resources, etime: impl Fn(PhaseId) -> f64) -> f64 {
+        let mut volume = 0.0;
+        for (pi, (p, st)) in self.spec.phases().iter().zip(&self.phases).enumerate() {
+            if st.remaining > 0 {
+                let e = etime(PhaseId(pi as u32));
+                volume += st.remaining as f64 * e * p.dominant_share(totals);
+            }
+        }
+        volume
     }
 
     /// Has every phase completed?
@@ -988,9 +984,10 @@ mod tests {
     fn remaining_metrics_delegate_to_spec() {
         let j = two_phase_job();
         let totals = Resources::new(10.0, 10.0);
+        let etime = |p| j.spec().phase(p).effective_time(0.0);
         // v = 2·10·0.1 + 1·5·0.1 = 2.5 (w = 0)
-        assert!((j.remaining_volume(totals, 0.0) - 2.5).abs() < 1e-12);
-        assert!((j.remaining_etime(0.0) - 15.0).abs() < 1e-12);
+        assert!((j.remaining_volume(totals, etime) - 2.5).abs() < 1e-12);
+        assert!((j.spec().remaining_effective_time(etime) - 15.0).abs() < 1e-12);
     }
 
     /// Seeded chains: the remaining volume starts at the full volume
@@ -1015,12 +1012,15 @@ mod tests {
             let ntasks = spec.phases().iter().map(|p| p.ntasks as usize).sum();
             let full = spec.volume(totals, 1.5);
             let mut job = JobState::new(spec, vec![1.0; ntasks]);
-            let mut last = job.remaining_volume(totals, 1.5);
+            let volume = |j: &JobState| {
+                j.remaining_volume(totals, |p| j.spec().phase(p).effective_time(1.5))
+            };
+            let mut last = volume(&job);
             assert!((full - last).abs() < 1e-9);
             for pi in 0..job.phases.len() {
                 while job.phases[pi].remaining > 0 {
                     job.phases[pi].remaining -= 1;
-                    let v = job.remaining_volume(totals, 1.5);
+                    let v = volume(&job);
                     assert!(v <= last + 1e-9, "remaining volume grew");
                     last = v;
                 }

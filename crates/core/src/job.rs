@@ -244,20 +244,11 @@ impl JobSpec {
         &self.topo
     }
 
-    /// Phases with no parents — runnable immediately on job start.
-    pub fn root_phases(&self) -> impl Iterator<Item = PhaseId> + '_ {
-        self.phases
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.parents.is_empty())
-            .map(|(i, _)| PhaseId(i as u32))
-    }
-
     /// Effective job processing time `e_j` — the length of the critical
     /// path `L_j` under effective phase times `e_k = θ_k + w·σ_k`
     /// (Eq. 14, right).
     pub fn effective_time(&self, sigma_weight: f64) -> f64 {
-        self.remaining_effective_time(|_| false, sigma_weight)
+        self.remaining_effective_time(|p| self.phase(p).effective_time(sigma_weight))
     }
 
     /// Effective job volume `v_j = Σ_k n_k · e_k · d_k` (Eq. 14, left).
@@ -271,15 +262,11 @@ impl JobSpec {
     }
 
     /// Remaining effective processing time `e_j(t)` (Eq. 17): length of
-    /// the critical path over *unfinished* phases, where `finished(p)`
-    /// says whether phase `p` has completed. Finished phases contribute
-    /// zero length but still connect the path. Allocates nothing for a
-    /// job of at most 32 phases.
-    pub fn remaining_effective_time(
-        &self,
-        finished: impl Fn(PhaseId) -> bool,
-        sigma_weight: f64,
-    ) -> f64 {
+    /// the critical path when phase `p` takes `etime(p)`, which is 0 for
+    /// a finished phase, so finished phases add no length but still
+    /// connect the path. The phases are walked in topological order.
+    /// Allocates nothing for a job of at most 32 phases.
+    pub fn remaining_effective_time(&self, etime: impl Fn(PhaseId) -> f64) -> f64 {
         let mut inline = [0.0f64; INLINE_PHASES];
         let mut spilled = Vec::new();
         let longest: &mut [f64] = match inline.get_mut(..self.phases.len()) {
@@ -292,18 +279,12 @@ impl JobSpec {
         let mut best = 0.0f64;
         for &pid in &self.topo {
             let idx = pid.0 as usize;
-            let p = &self.phases[idx];
-            let own = if finished(pid) {
-                0.0
-            } else {
-                p.effective_time(sigma_weight)
-            };
-            let upstream = p
+            let upstream = self.phases[idx]
                 .parents
                 .iter()
                 .map(|par| longest[par.0 as usize])
                 .fold(0.0f64, f64::max);
-            longest[idx] = upstream + own;
+            longest[idx] = upstream + etime(pid);
             best = best.max(longest[idx]);
         }
         best
@@ -417,6 +398,22 @@ impl JobSpecBuilder {
 mod tests {
     use super::*;
 
+    /// Each phase's effective time at weight `w`, 0 where `finished`
+    /// holds: the per-phase input of Eq. 17.
+    fn etime_unless<'a>(
+        j: &'a JobSpec,
+        finished: impl Fn(PhaseId) -> bool + 'a,
+        w: f64,
+    ) -> impl Fn(PhaseId) -> f64 + 'a {
+        move |p| {
+            if finished(p) {
+                0.0
+            } else {
+                j.phase(p).effective_time(w)
+            }
+        }
+    }
+
     fn demand() -> Resources {
         Resources::new(1.0, 2.0)
     }
@@ -426,7 +423,6 @@ mod tests {
         let j = JobSpec::single_phase(JobId(7), 4, demand(), 10.0, 2.0);
         assert_eq!(j.num_phases(), 1);
         assert_eq!(j.total_tasks(), 4);
-        assert_eq!(j.root_phases().collect::<Vec<_>>(), vec![PhaseId(0)]);
         // e = θ + 1.5σ = 13
         assert!((j.effective_time(1.5) - 13.0).abs() < 1e-12);
     }
@@ -520,7 +516,7 @@ mod tests {
         assert!((j.effective_time(0.0) - 40.0).abs() < 1e-12); // 10 + 20 + 10
                                                                // Finishing the long middle phase shortens the remaining path.
         let finished = [true, false, true, false];
-        let rem = j.remaining_effective_time(|p| finished[p.0 as usize], 0.0);
+        let rem = j.remaining_effective_time(etime_unless(&j, |p| finished[p.0 as usize], 0.0));
         assert!((rem - 15.0).abs() < 1e-12); // 5 + 10 through the left branch
     }
 
@@ -534,7 +530,7 @@ mod tests {
             .collect();
         let j = JobSpec::chain(JobId(0), phases).unwrap();
         assert!((j.effective_time(0.0) - 2.0 * n as f64).abs() < 1e-12);
-        let rem = j.remaining_effective_time(|p| p.0 < 10, 0.0);
+        let rem = j.remaining_effective_time(etime_unless(&j, |p| p.0 < 10, 0.0));
         assert!((rem - 2.0 * (n - 10) as f64).abs() < 1e-12);
     }
 
@@ -651,12 +647,14 @@ mod tests {
             fn remaining_time_is_monotone(job in arb_job()) {
                 let n = job.num_phases();
                 let mut finished = vec![false; n];
-                let mut last = job.remaining_effective_time(|p| finished[p.0 as usize], 1.5);
+                let mut last =
+                    job.remaining_effective_time(etime_unless(&job, |p| finished[p.0 as usize], 1.5));
                 // Finish phases in topological order (respects real
                 // execution order).
                 for &p in job.topo_order() {
                     finished[p.0 as usize] = true;
-                    let now = job.remaining_effective_time(|p| finished[p.0 as usize], 1.5);
+                    let now = job
+                        .remaining_effective_time(etime_unless(&job, |p| finished[p.0 as usize], 1.5));
                     prop_assert!(now <= last + 1e-9, "remaining path grew");
                     last = now;
                 }

@@ -61,7 +61,13 @@
 //! let cfg = TransientConfig::default();
 //! let inputs: Vec<TransientJob> = jobs
 //!     .iter()
-//!     .map(|j| TransientJob::from_spec(j, totals, cfg.sigma_weight))
+//!     .map(|j| TransientJob {
+//!         id: j.id,
+//!         volume: j.volume(totals, cfg.sigma_weight),
+//!         etime: j.effective_time(cfg.sigma_weight),
+//!         dominant: j.max_dominant_share(totals),
+//!         speedup: j.phase(PhaseId(0)).speedup,
+//!     })
 //!     .collect();
 //! let out = transient_schedule(&inputs, &cfg);
 //! assert_eq!(out.priorities.len(), 3);

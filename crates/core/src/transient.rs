@@ -19,9 +19,8 @@
 //! `r_j = min { r : 2ˡ · h_j(r) ≥ e_j }` — the fewest copies that squeeze
 //! job `j`'s expected duration under its level's horizon.
 
-use crate::job::{JobId, JobSpec};
+use crate::job::JobId;
 use crate::knapsack::sorted_by_weight;
-use crate::resources::Resources;
 use crate::speedup::{Speedup, SpeedupFn};
 use serde::{Deserialize, Serialize};
 
@@ -64,30 +63,9 @@ pub struct TransientJob {
     pub etime: f64,
     /// Maximum dominant share `d_j` over the job's phases (Eq. 15).
     pub dominant: f64,
-    /// Cloning speedup function (the job's first unfinished phase's, or a
-    /// job-level aggregate).
+    /// Cloning speedup function: that of the job's first unfinished phase
+    /// in topological order, whose clones launch first.
     pub speedup: SpeedupFn,
-}
-
-impl TransientJob {
-    /// Summarize a full (not yet started) job against cluster totals.
-    pub fn from_spec(spec: &JobSpec, cluster_totals: Resources, sigma_weight: f64) -> Self {
-        // Use the first root phase's speedup as the job-level speedup; for
-        // single-phase jobs this is exact, for DAGs it is the phase whose
-        // clones the online scheduler will launch first.
-        let speedup = spec
-            .root_phases()
-            .next()
-            .map(|p| spec.phase(p).speedup)
-            .unwrap_or(SpeedupFn::None);
-        TransientJob {
-            id: spec.id,
-            volume: spec.volume(cluster_totals, sigma_weight),
-            etime: spec.effective_time(sigma_weight),
-            dominant: spec.max_dominant_share(cluster_totals),
-            speedup,
-        }
-    }
 }
 
 /// Result of Algorithm 1, aligned with the input job slice.

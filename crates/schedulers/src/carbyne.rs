@@ -20,6 +20,7 @@
 //! No cloning — like the other baselines, Carbyne spends resources on
 //! distinct tasks only.
 
+use crate::dollymp::{JobStatistics, Oracle};
 use crate::drf::fill;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::JobId;
@@ -44,7 +45,7 @@ impl Scheduler for Carbyne {
         // Pass 2: altruistic redistribution of leftovers, SRPT order.
         let mut srpt: Vec<(f64, JobId)> = view
             .jobs()
-            .map(|j| (j.remaining_etime(0.0), j.id()))
+            .map(|j| (Oracle.remaining_etime(j, 0.0), j.id()))
             .collect();
         srpt.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         for (_, jid) in srpt {

@@ -23,11 +23,12 @@
 //!    `max_copies − 1` extra copies; the pass is repeated twice, mirroring
 //!    Algorithm 2's "Repeat Step 9 twice".
 //!
-//! The per-job statistics of both steps (Algorithm 1's inputs and the
-//! §4.1 gate's remaining volumes) come from one [`JobStatistics`]
-//! source: the [`Oracle`] reads the true `(θ, σ)` of each phase, and the
-//! YARN control plane passes its Application Masters' estimates. The
-//! pass is the same for both.
+//! The statistics of both steps (Algorithm 1's inputs and the §4.1
+//! gate's remaining volumes) are assembled from one [`JobStatistics`]
+//! source's per-phase `(θ, σ)` and speedup: the [`Oracle`] reads the
+//! true ones from each job's spec, and the YARN control plane passes its
+//! Application Masters' estimates. The assembly and the pass are the
+//! same for both.
 
 use dollymp_cluster::prelude::*;
 use dollymp_core::hash::FxHashMap;
@@ -37,44 +38,75 @@ use dollymp_core::resources::Resources;
 use dollymp_core::speedup::SpeedupFn;
 use dollymp_core::transient::{transient_schedule, TransientConfig, TransientJob};
 
-/// Where DollyMP reads its per-job statistics from: Algorithm 1's inputs
-/// and the remaining volumes the §4.1 small-job gate compares. The pass
-/// itself is the same for every source.
+/// Where DollyMP reads its per-phase statistics from. A source supplies
+/// two facts per phase; the provided methods assemble Algorithm 1's
+/// inputs and the §4.1 gate's remaining volumes from them, the same way
+/// for every source, and the pass itself is the same too.
 pub trait JobStatistics {
-    /// Algorithm 1's input for one job: its remaining volume and
-    /// remaining critical path (Eq. 16/17), its largest dominant share,
-    /// and the speedup of its first unfinished phase in topological
-    /// order, whose clones the scheduler launches first.
-    fn transient_job(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob;
+    /// `(θ, σ)`: the mean and standard deviation of the durations of
+    /// `phase`'s tasks.
+    fn phase_stats(&self, job: &JobState, phase: PhaseId) -> (f64, f64);
+
+    /// The cloning speedup of `phase`, whose statistics are `(θ, σ)`.
+    fn speedup(&self, job: &JobState, phase: PhaseId, theta: f64, sigma: f64) -> SpeedupFn;
+
+    /// Effective time `θ + w·σ` (§5) of `phase`, or 0 once it finished.
+    fn effective_time(&self, job: &JobState, phase: PhaseId, sigma_weight: f64) -> f64 {
+        if job.phase_state(phase).remaining == 0 {
+            return 0.0;
+        }
+        let (theta, sigma) = self.phase_stats(job, phase);
+        theta + sigma_weight * sigma
+    }
 
     /// The job's remaining volume (Eq. 16), as the §4.1 gate reads it.
-    fn remaining_volume(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> f64;
-}
+    fn remaining_volume(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> f64 {
+        job.remaining_volume(totals, |p| self.effective_time(job, p, sigma_weight))
+    }
 
-/// The simulator's oracle: every phase's true `(θ, σ)`, read from the
-/// job's [`JobState`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Oracle;
+    /// The job's remaining critical path (Eq. 17).
+    fn remaining_etime(&self, job: &JobState, sigma_weight: f64) -> f64 {
+        job.spec()
+            .remaining_effective_time(|p| self.effective_time(job, p, sigma_weight))
+    }
 
-impl JobStatistics for Oracle {
+    /// Algorithm 1's input for one job: its remaining volume and
+    /// remaining critical path, its largest dominant share, and the
+    /// speedup of its first unfinished phase in topological order, whose
+    /// clones the scheduler launches first.
     fn transient_job(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob {
         let spec = job.spec();
         let speedup = spec
             .topo_order()
             .iter()
             .find(|&&p| job.phase_state(p).remaining > 0)
-            .map_or(SpeedupFn::None, |&p| spec.phase(p).speedup);
+            .map_or(SpeedupFn::None, |&p| {
+                let (theta, sigma) = self.phase_stats(job, p);
+                self.speedup(job, p, theta, sigma)
+            });
         TransientJob {
             id: job.id(),
-            volume: job.remaining_volume(totals, sigma_weight),
-            etime: job.remaining_etime(sigma_weight),
+            volume: self.remaining_volume(job, totals, sigma_weight),
+            etime: self.remaining_etime(job, sigma_weight),
             dominant: spec.max_dominant_share(totals),
             speedup,
         }
     }
+}
 
-    fn remaining_volume(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> f64 {
-        job.remaining_volume(totals, sigma_weight)
+/// The simulator's oracle: each phase's true `(θ, σ)` and speedup, read
+/// from the job's spec.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Oracle;
+
+impl JobStatistics for Oracle {
+    fn phase_stats(&self, job: &JobState, phase: PhaseId) -> (f64, f64) {
+        let p = job.spec().phase(phase);
+        (p.theta, p.sigma)
+    }
+
+    fn speedup(&self, job: &JobState, phase: PhaseId, _theta: f64, _sigma: f64) -> SpeedupFn {
+        job.spec().phase(phase).speedup
     }
 }
 

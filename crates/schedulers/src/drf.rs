@@ -5,11 +5,11 @@
 //!
 //! Implemented as progressive filling: repeatedly offer one task's worth
 //! of resources to the active job with the smallest current dominant
-//! share (ties by job id), until nothing fits. Shares are computed from
-//! the resources the job's live copies actually hold, plus what this batch
-//! has tentatively granted. No cloning — DRF spends every resource on
-//! distinct tasks. Carbyne's fair pass runs the same `fill` with a share
-//! cap and best-fit placement.
+//! share (ties by job id), until nothing fits. A job's share is the
+//! dominant share of its allocation: the resources its live copies
+//! actually hold plus what this batch has tentatively granted. No
+//! cloning — DRF spends every resource on distinct tasks. Carbyne's fair
+//! pass runs the same `fill` with a share cap and best-fit placement.
 
 use crate::common::{ready_tasks_of, ReadyTask};
 use dollymp_cluster::prelude::*;
@@ -36,8 +36,9 @@ pub(crate) fn allocated(job: &JobState) -> Resources {
 /// task at a time to the job with the smallest `(dominant share, JobId)`
 /// among those whose share is below `cap` and that have a ready task
 /// fitting some server. That job's first such task in (phase, task)
-/// order goes to the server `fit` picks, and its share grows by the
-/// task's dominant share. Stops when no job qualifies.
+/// order goes to the server `fit` picks, and the task's demand joins the
+/// job's allocation, whose dominant share is the job's new share. Stops
+/// when no job qualifies.
 ///
 /// Returns the ready tasks left unplaced, per job (a job with none left
 /// is absent).
@@ -49,10 +50,12 @@ pub(crate) fn fill<'a>(
     out: &mut Vec<Assignment>,
 ) -> HashMap<JobId, Vec<ReadyTask>> {
     let totals = view.totals();
-    let mut share: HashMap<JobId, f64> = HashMap::new();
+    // Each job's allocation and its dominant share.
+    let mut share: HashMap<JobId, (Resources, f64)> = HashMap::new();
     let mut ready: HashMap<JobId, Vec<ReadyTask>> = HashMap::new();
     for job in view.jobs() {
-        share.insert(job.id(), dominant_share(allocated(job), totals));
+        let held = allocated(job);
+        share.insert(job.id(), (held, dominant_share(held, totals)));
         let rts = ready_tasks_of(job);
         if !rts.is_empty() {
             ready.insert(job.id(), rts);
@@ -62,7 +65,7 @@ pub(crate) fn fill<'a>(
     loop {
         let mut pick: Option<(f64, JobId)> = None;
         for (&jid, tasks) in &ready {
-            let s = share[&jid];
+            let s = share[&jid].1;
             if s >= cap || !tasks.iter().any(|rt| free.fits_anywhere(rt.demand)) {
                 continue;
             }
@@ -83,7 +86,9 @@ pub(crate) fn fill<'a>(
         }
         let server = fit(free, rt.demand).expect("fits somewhere");
         free.place(out, rt.task, server, rt.demand, CopyKind::Primary);
-        *share.get_mut(&jid).expect("tracked") += dominant_share(rt.demand, totals);
+        let (held, s) = share.get_mut(&jid).expect("tracked");
+        *held += rt.demand;
+        *s = dominant_share(*held, totals);
     }
     ready
 }

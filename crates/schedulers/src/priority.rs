@@ -7,6 +7,7 @@
 //! resources, SVF starves large-demand jobs — which is what Algorithm 1's
 //! knapsack combination fixes.
 
+use crate::dollymp::{JobStatistics, Oracle};
 use dollymp_cluster::prelude::*;
 use dollymp_cluster::scheduler::place_in_job_order;
 use dollymp_core::job::JobId;
@@ -43,8 +44,8 @@ impl PriorityScheduler {
 
     fn key(&self, view: &ClusterView<'_>, job: &JobState) -> f64 {
         match self.rank {
-            Rank::RemainingTime => job.remaining_etime(0.0),
-            Rank::RemainingVolume => job.remaining_volume(view.totals(), 0.0),
+            Rank::RemainingTime => Oracle.remaining_etime(job, 0.0),
+            Rank::RemainingVolume => Oracle.remaining_volume(job, view.totals(), 0.0),
         }
     }
 }

@@ -17,6 +17,7 @@
 //! against.
 
 use crate::common::{ready_tasks_of, ReadyTask};
+use crate::dollymp::{JobStatistics, Oracle};
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
 use dollymp_core::online::best_fit_score;
@@ -52,7 +53,7 @@ impl Tetris {
 
     /// SRPT bonus of a job: larger for shorter remaining work.
     fn srpt_bonus(&self, job: &JobState) -> f64 {
-        1.0 / (1.0 + job.remaining_etime(0.0))
+        1.0 / (1.0 + Oracle.remaining_etime(job, 0.0))
     }
 
     fn pair_score(

@@ -4,21 +4,20 @@
 //! deployment architecture (§5.2, Fig. 3): a **Resource Manager** running
 //! DollyMP's scheduling pass, and **Application Masters** that
 //! *estimate* task statistics (from recurring-job history, then in-run
-//! observations, then defaults), feed the resulting job volumes and
-//! processing times to that pass, stand behind container requests tagged
-//! with task IDs + clone budgets + locality preferences, and archive
-//! finished runs back into the history.
+//! observations, then a default), feed them to that pass, move the
+//! granted containers next to their input blocks, and archive finished
+//! runs back into the history.
 //!
 //! There is no node side: container launch, kill-on-first-finish and
-//! crash eviction are the engine's own bookkeeping (`dollymp-cluster`).
+//! crash eviction are the engine's own bookkeeping (`dollymp-cluster`),
+//! and the engine's admission rules (with `GuardedScheduler` to contain
+//! a bad batch) check every container.
 //!
-//! * [`protocol`] — the AM's container request;
 //! * [`shuffle`] — the Dolly-style delay assignment of upstream outputs
 //!   to downstream clones;
 //! * [`history`] — the recurring-job statistics registry;
 //! * [`am`] — the Application Master estimator, DollyMP's
 //!   [`JobStatistics`](dollymp_schedulers::JobStatistics) source;
-//! * [`rm`] — the Resource Manager's AM registry and request validation;
 //! * [`system`] — [`system::YarnSystem`], the assembled control plane as
 //!   a `Scheduler`: DollyMP's pass on the AMs' estimates, then the AMs'
 //!   locality moves over its batch.
@@ -33,12 +32,9 @@
 
 pub mod am;
 pub mod history;
-pub mod protocol;
-pub mod rm;
 pub mod shuffle;
 pub mod system;
 
-pub use am::{AmConfig, ApplicationMaster};
+pub use am::ApplicationMaster;
 pub use history::HistoryRegistry;
-pub use rm::ResourceManager;
 pub use system::YarnSystem;

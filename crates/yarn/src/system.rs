@@ -11,19 +11,19 @@
 //! then add the one thing only they know, where each task's input block
 //! lives, as a second-level placement over the batch DollyMP returns:
 //!
-//! 1. the RM validates the request behind each granted container and
-//!    drops the refused ones;
-//! 2. a primary moves onto one of its task's replica servers if that
+//! 1. a primary moves onto one of its task's replica servers if that
 //!    server has room;
-//! 3. a clone moves off a server that already hosts a copy of its task:
+//! 2. a clone moves off a server that already hosts a copy of its task:
 //!    to a replica if one has room, else to the first server that does.
 //!
 //! Each move commits on the overlay that holds the whole batch, and the
-//! server it left is not released, so the batch stays admissible.
+//! server it left is not released, so the batch stays admissible. Each
+//! [`Assignment`] carries what §5.2 adds to a container request, the
+//! task ID and whether the copy is a clone; the clone budget is
+//! DollyMP's `r`.
 
-use crate::am::{AmConfig, ApplicationMaster};
+use crate::am::ApplicationMaster;
 use crate::history::HistoryRegistry;
-use crate::rm::ResourceManager;
 use dollymp_cluster::execution::block_replicas;
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, TaskRef};
@@ -35,7 +35,6 @@ use dollymp_schedulers::DollyMP;
 pub struct YarnSystem {
     /// The RM's scheduling logic, on the AMs' estimates.
     dollymp: DollyMP<ApplicationMaster>,
-    rm: ResourceManager,
     /// The current batch's primaries, sorted (reused across passes).
     primaries: Vec<(TaskRef, ServerId)>,
 }
@@ -50,14 +49,8 @@ impl YarnSystem {
     /// Like [`YarnSystem::new`] but sharing an existing history registry
     /// — how recurring-job knowledge survives across runs.
     pub fn with_history(clones: u32, history: HistoryRegistry) -> Self {
-        let am_cfg = AmConfig {
-            max_clones: clones,
-            ..AmConfig::default()
-        };
         YarnSystem {
-            dollymp: DollyMP::with_statistics(clones, ApplicationMaster::new(am_cfg, history))
-                .with_sigma_weight(am_cfg.sigma_weight),
-            rm: ResourceManager::new(clones + 1),
+            dollymp: DollyMP::with_statistics(clones, ApplicationMaster::new(history)),
             primaries: Vec::new(),
         }
     }
@@ -73,19 +66,14 @@ impl YarnSystem {
         &mut self,
         view: &ClusterView<'_>,
         free: &CapacityOverlay,
-        batch: &mut Vec<Assignment>,
+        batch: &mut [Assignment],
     ) {
-        let (cluster, n) = (view.cluster(), view.cluster().len());
-        let am = self.dollymp.statistics();
+        let n = view.cluster().len();
         let demand = |t: TaskRef| {
             let job = view.job(t.job).expect("a batch places tasks of view jobs");
             job.spec().phase(t.phase).demand
         };
         let has_room = |s: ServerId, d: Resources| !view.is_down(s) && d.fits_in(free.free(s));
-        let rm = &mut self.rm;
-        batch.retain(|a| {
-            rm.admit_request(cluster, &am.container_request(a.task, demand(a.task), n))
-        });
 
         for a in batch.iter_mut().filter(|a| a.kind == CopyKind::Primary) {
             let (replicas, d) = (block_replicas(a.task, n), demand(a.task));
@@ -152,13 +140,11 @@ impl Scheduler for YarnSystem {
         // A new AM registers, and "the priority of each job" is
         // recomputed (§5.2): DollyMP re-runs Algorithm 1 over every AM's
         // fresh estimates before its next pass.
-        self.rm.register(job);
         self.dollymp.on_job_arrival(view, job);
     }
 
     fn on_job_finish(&mut self, job: &JobState) {
         self.dollymp.statistics().archive(job);
-        self.rm.retire_job(job.id());
     }
 
     fn on_task_lost(&mut self, view: &ClusterView<'_>, task: TaskRef) {

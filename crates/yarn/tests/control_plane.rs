@@ -1,7 +1,8 @@
 //! Decision-level tests of the assembled YARN control plane: hand-built
 //! cluster views, exact assertions on the placement batches the RM + AMs
 //! produce — locality preferences, estimation-driven ordering, and clone
-//! budgets, without a simulation in the loop.
+//! budgets, without a simulation in the loop — plus a bit-exact pin of
+//! the Algorithm 1 inputs the oracle and the AM report.
 
 use dollymp_cluster::execution::block_replicas;
 use dollymp_cluster::prelude::*;
@@ -83,6 +84,8 @@ fn estimated_priorities_order_unknown_jobs_by_size_not_duration() {
     let view = ClusterView::new(0, &cluster, &free, &jobs);
 
     let mut yarn = YarnSystem::new(0);
+    // The engine calls the arrival hook for every job before a pass.
+    yarn.on_job_arrival(&view, JobId(0));
     yarn.on_job_arrival(&view, JobId(1));
     let batch = yarn.schedule(&view);
     assert!(!batch.is_empty());
@@ -131,5 +134,137 @@ fn view_round_trip_ids_are_consistent() {
         assert_eq!(t.job, JobId(7));
         assert_eq!(t.phase, PhaseId(0));
         assert_eq!(t.task, TaskId(i as u32));
+    }
+}
+
+/// Records the first view of job 0 in which its root phase has finished
+/// and its two children have not started, then schedules first-fit.
+#[derive(Default)]
+struct CaptureAfterRoot {
+    seen: Option<JobState>,
+}
+
+impl Scheduler for CaptureAfterRoot {
+    fn name(&self) -> String {
+        "capture".to_string()
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        if let Some(j) = view.job(JobId(0)) {
+            if self.seen.is_none() && j.phase_state(PhaseId(0)).remaining == 0 {
+                self.seen = Some(j.clone());
+            }
+        }
+        FifoFirstFit.schedule(view)
+    }
+}
+
+/// `(volume, etime, dominant, speedup α)` as bits, with α = 0 for no
+/// speedup.
+fn input_bits<S: dollymp_schedulers::JobStatistics>(
+    stats: &S,
+    job: &JobState,
+    totals: Resources,
+) -> [u64; 4] {
+    let t = stats.transient_job(job, totals, 1.5);
+    assert_eq!(
+        stats.remaining_volume(job, totals, 1.5).to_bits(),
+        t.volume.to_bits(),
+        "the §4.1 gate reads Algorithm 1's volume"
+    );
+    let alpha = match t.speedup {
+        dollymp_core::speedup::SpeedupFn::Pareto { alpha } => alpha.to_bits(),
+        dollymp_core::speedup::SpeedupFn::None => 0,
+        other => panic!("no phase has a {other:?} speedup"),
+    };
+    [
+        t.volume.to_bits(),
+        t.etime.to_bits(),
+        t.dominant.to_bits(),
+        alpha,
+    ]
+}
+
+/// Algorithm 1's inputs for a three-phase DAG job whose root phase has
+/// finished, from the oracle and from the AM at each estimation tier,
+/// pinned to the bit.
+#[test]
+fn algorithm1_inputs_are_pinned_for_the_oracle_and_every_am_tier() {
+    use dollymp_core::job::PhaseSpec;
+    use dollymp_core::stats::RunningStats;
+    use dollymp_yarn::{ApplicationMaster, HistoryRegistry};
+
+    let spec = JobSpec::builder(JobId(0))
+        .label("dag")
+        .phase(PhaseSpec::new(2, Resources::new(1.0, 2.0), 6.0, 2.0))
+        .phase(PhaseSpec::new(3, Resources::new(2.0, 1.0), 9.0, 4.0).with_parents(vec![PhaseId(0)]))
+        .phase(PhaseSpec::new(2, Resources::new(1.0, 3.0), 4.0, 1.5).with_parents(vec![PhaseId(0)]))
+        .build()
+        .unwrap();
+    let cluster = ClusterSpec::homogeneous(2, 4.0, 8.0);
+    let mut probe = CaptureAfterRoot::default();
+    dollymp_cluster::engine::simulate(
+        &cluster,
+        vec![spec],
+        &DurationSampler::new(5, StragglerModel::ParetoFit),
+        &mut probe,
+        &dollymp_cluster::engine::EngineConfig::default(),
+    );
+    let job = probe.seen.expect("the root phase finishes first");
+    assert_eq!(job.phase_state(PhaseId(1)).remaining, 3);
+    assert_eq!(job.phase_state(PhaseId(2)).remaining, 2);
+    let totals = cluster.totals();
+
+    let oracle = input_bits(&dollymp_schedulers::Oracle, &job, totals);
+    let cold = ApplicationMaster::new(HistoryRegistry::new());
+    let default_tier = input_bits(&cold, &job, totals);
+    let mut observed = job.clone();
+    for (phase, xs) in [(1, [7.0, 12.0]), (2, [3.0, 5.5])] {
+        for x in xs {
+            observed.push_observed(PhaseId(phase), x);
+        }
+    }
+    let in_run = input_bits(&cold, &observed, totals);
+    let history = HistoryRegistry::new();
+    for (phase, xs) in [(1, [8.0, 10.0, 15.0]), (2, [2.0, 6.0, 4.5])] {
+        let mut s = RunningStats::new();
+        for x in xs {
+            s.push(x);
+        }
+        history.record("dag", phase, &s);
+    }
+    let warm = ApplicationMaster::new(history);
+    let history_tier = input_bits(&warm, &job, totals);
+
+    // 0.25, phase 1's CPU share: the job's largest dominant share.
+    let d = 0x3fd0000000000000;
+    let expected = [
+        [
+            0x402b300000000000,
+            0x402e000000000000,
+            d,
+            0x400ec8b4e0e81b84,
+        ],
+        [
+            0x402c1adfb431aa4a,
+            0x402ed4ee47b6f882,
+            d,
+            0x400dbab497612474,
+        ],
+        [
+            0x4028780000000000,
+            0x402a800000000000,
+            d,
+            0x40122d10b3f6dee6,
+        ],
+        [0x4026800000000000, 0x4024000000000000, d, 0],
+    ];
+    let got = [oracle, history_tier, in_run, default_tier];
+    for ((tier, want), got) in ["oracle", "history", "in-run", "default"]
+        .iter()
+        .zip(expected)
+        .zip(got)
+    {
+        assert_eq!(got, want, "{tier}: {got:#x?}");
     }
 }

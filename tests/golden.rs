@@ -12,7 +12,10 @@
 //!   in the YARN-like control plane;
 //! * a small heterogeneous `google_like` fleet with the §6.2.2 PageRank
 //!   suite, whose chained iterations share one demand, for DollyMP² and
-//!   the non-cloning Tetris.
+//!   the non-cloning Tetris;
+//! * the first setup with a 2× remote-read penalty on root tasks placed
+//!   off their input block's replicas, for DollyMP² and the YARN control
+//!   plane, whose locality moves are what the penalty rewards.
 //!
 //! There is deliberately no regeneration switch. On a mismatch the test
 //! lists each changed cell as `cell: expected → actual`, then prints the
@@ -55,6 +58,8 @@ struct Setup {
     name: &'static str,
     cluster: ClusterSpec,
     jobs: Vec<JobSpec>,
+    /// The engine's remote-read penalty (1 = off).
+    remote_penalty: f64,
 }
 
 fn paper_google40() -> Setup {
@@ -67,6 +72,15 @@ fn paper_google40() -> Setup {
             seed: SEED,
             ..Default::default()
         }),
+        remote_penalty: 1.0,
+    }
+}
+
+fn paper_google40_remote() -> Setup {
+    Setup {
+        name: "paper_30_node/google40/remote_penalty=2",
+        remote_penalty: 2.0,
+        ..paper_google40()
     }
 }
 
@@ -75,6 +89,7 @@ fn fleet_pagerank() -> Setup {
         name: "google_like60/heavy_pagerank25",
         cluster: ClusterSpec::google_like(60, SEED),
         jobs: dollymp::workload::suite::heavy_pagerank(SEED, 20),
+        remote_penalty: 1.0,
     }
 }
 
@@ -94,6 +109,7 @@ fn cell(setup: &Setup, name: &str, with_faults: bool) -> String {
     let sampler = DurationSampler::new(SEED, StragglerModel::ParetoFit);
     let cfg = EngineConfig {
         record_utilization: true,
+        remote_penalty: setup.remote_penalty,
         ..EngineConfig::default()
     };
     let mut policy = policy(name);
@@ -185,6 +201,11 @@ fn reports_match_the_golden_corpus() {
     }
     for name in ALL_NAMES.iter().filter(|n| !FAULTED_FIRST.contains(n)) {
         actual.push_str(&cell(&paper, name, true));
+        actual.push('\n');
+    }
+    let remote = paper_google40_remote();
+    for name in ["dollymp2", YARN] {
+        actual.push_str(&cell(&remote, name, false));
         actual.push('\n');
     }
     let expected = include_str!("golden/reports.txt");

@@ -12,6 +12,7 @@ use dollymp::prelude::*;
 use dollymp_core::job::{PhaseId, PhaseSpec, TaskRef};
 use dollymp_core::online::best_fit_score;
 use dollymp_core::resources::dominant_share;
+use dollymp_schedulers::{JobStatistics, Oracle};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -32,11 +33,9 @@ enum Policy {
 /// recomputed from the view and the batch so far.
 struct NaiveFair(Policy);
 
-/// Rule (share): a job's share is the dominant share of what its live
-/// copies hold, plus the dominant share of each task this batch granted
-/// it, added in grant order. (This is not the dominant share of the
-/// summed allocation: a job holding CPU-heavy copies that is granted a
-/// memory-heavy task is charged the two dominant shares added up.)
+/// Rule (share): a job's share is the dominant share of its allocation,
+/// the resources its live copies hold plus each task this batch granted
+/// it.
 fn share(job: &JobState, batch: &[(Assignment, Resources)], totals: Resources) -> f64 {
     let mut held = Resources::ZERO;
     for task in job.iter_running() {
@@ -45,12 +44,11 @@ fn share(job: &JobState, batch: &[(Assignment, Resources)], totals: Resources) -
             held += demand;
         }
     }
-    batch
+    let granted = batch
         .iter()
         .filter(|(a, _)| a.task.job == job.id())
-        .fold(dominant_share(held, totals), |s, &(_, d)| {
-            s + dominant_share(d, totals)
-        })
+        .fold(Resources::ZERO, |sum, &(_, d)| sum + d);
+    dominant_share(held + granted, totals)
 }
 
 /// Rule (first-fit, DRF): the lowest-id server with room.
@@ -145,8 +143,8 @@ impl Scheduler for NaiveFair {
             // ready task in (phase, task) order, placed best-fit.
             let mut jobs: Vec<&JobState> = view.jobs().collect();
             jobs.sort_by(|a, b| {
-                (a.remaining_etime(0.0), a.id())
-                    .partial_cmp(&(b.remaining_etime(0.0), b.id()))
+                (Oracle.remaining_etime(a, 0.0), a.id())
+                    .partial_cmp(&(Oracle.remaining_etime(b, 0.0), b.id()))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             for job in jobs {

@@ -1,12 +1,15 @@
-//! Reference oracles for the fair-share baselines: DRF and Carbyne written
-//! straight from their definitions, recomputing every job's share from
-//! scratch before each placement and scanning servers linearly.
+//! Reference oracles for DollyMP and the fair-share baselines: each
+//! scheduler written straight from its definition, recomputing
+//! everything from the view and the batch so far before each placement
+//! and scanning servers linearly.
 //!
-//! The fast schedulers (`Drf`, `Carbyne`) share one progressive-filling
-//! loop over a capacity overlay with incrementally tracked shares. The
-//! engine is deterministic, so a scrubbed `SimReport` equal to the
-//! reference's means every decision was equal. Each rule the references
-//! apply is stated once, with its tie-break, where it is applied.
+//! The fast schedulers share one placement machinery: `Drf` and
+//! `Carbyne` one progressive-filling loop over a capacity overlay with
+//! incrementally tracked shares, `DollyMP` bucketed demand queues and a
+//! capacity-index server walk. The engine is deterministic, so a
+//! scrubbed `SimReport` equal to the reference's means every decision
+//! was equal. Each rule the references apply is stated once, with its
+//! tie-break, where it is applied.
 
 use dollymp::prelude::*;
 use dollymp_core::job::{PhaseId, PhaseSpec, TaskRef};
@@ -16,6 +19,7 @@ use dollymp_schedulers::{JobStatistics, Oracle};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 // Each suite uses a subset of the shared helpers.
 #[allow(dead_code)]
@@ -158,6 +162,198 @@ impl Scheduler for NaiveFair {
     }
 }
 
+/// The σ-weight `w` of DollyMP's effective times `θ + w·σ`, in
+/// Algorithm 1 and in the §4.1 gate.
+const W: f64 = 1.5;
+
+/// The §4.1 gate's `δ`.
+const DELTA: f64 = 0.3;
+
+/// Naive DollyMP^r (Algorithm 2): no buckets, no demand queues, no
+/// capacity index; every pick rescans the jobs, their ready tasks and
+/// the batch so far.
+struct NaiveDollyMP {
+    /// `r`: a task holds at most `r + 1` copies.
+    clones: u32,
+    /// The last Algorithm 1 run's jobs, by `(level, JobId)`.
+    order: Vec<(u32, JobId)>,
+    /// A job arrived or a task was lost since that run.
+    stale: bool,
+}
+
+impl NaiveDollyMP {
+    fn new(clones: u32) -> Self {
+        NaiveDollyMP {
+            clones,
+            order: Vec::new(),
+            stale: false,
+        }
+    }
+}
+
+/// The distinct demands of `job`'s ready tasks, by their lowest ready
+/// phase. The view is fixed during a pass, so this is their order at its
+/// start.
+fn demands_by_first_ready_phase(job: &JobState) -> Vec<Resources> {
+    let mut demands = Vec::new();
+    for task in job.iter_ready() {
+        let demand = job.spec().phase(task.phase).demand;
+        if !demands.contains(&demand) {
+            demands.push(demand);
+        }
+    }
+    demands
+}
+
+impl Scheduler for NaiveDollyMP {
+    fn name(&self) -> String {
+        format!("dollymp{}", self.clones)
+    }
+
+    fn on_job_arrival(&mut self, _view: &ClusterView<'_>, _job: JobId) {
+        self.stale = true;
+    }
+
+    fn on_task_lost(&mut self, _view: &ClusterView<'_>, _task: TaskRef) {
+        self.stale = true;
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        let totals = view.totals();
+        let max_copies = self.clones + 1;
+        // Rule (order): on the first pass after an arrival or a task
+        // loss, run Algorithm 1 over every job in the view and sort the
+        // jobs by (level, JobId); otherwise keep the last order.
+        if std::mem::take(&mut self.stale) {
+            let jobs: Vec<TransientJob> = view
+                .jobs()
+                .map(|j| Oracle.transient_job(j, totals, W))
+                .collect();
+            let cfg = TransientConfig {
+                sigma_weight: W,
+                max_copies,
+            };
+            let out = transient_schedule(&jobs, &cfg);
+            self.order = jobs
+                .iter()
+                .map(|j| j.id)
+                .zip(out.priorities)
+                .map(|(id, l)| (l, id))
+                .collect();
+            self.order.sort_unstable();
+        }
+        // Jobs that finished since that run are skipped.
+        let levels: Vec<Vec<&JobState>> = self
+            .order
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|level| level.iter().filter_map(|&(_, id)| view.job(id)).collect())
+            .collect();
+        let mut free: Vec<Resources> = view.servers().map(|(_, _, f)| f).collect();
+        let mut batch: Vec<Assignment> = Vec::new();
+        let mut placed: HashSet<TaskRef> = HashSet::new();
+
+        // Rule (primary pass): servers by ascending id; on each, take
+        // again and again from the first level that has an unplaced ready
+        // task fitting the server's room. Within the level the largest
+        // score `demand · room` wins; on equal scores the earlier job of
+        // the level, then within a job the demand whose lowest ready
+        // phase comes first at the start of the pass. The task taken is
+        // the highest (phase, task) of that job's unplaced ready tasks of
+        // that demand.
+        for (s, room) in free.iter_mut().enumerate() {
+            loop {
+                let mut pick: Option<(f64, TaskRef, Resources)> = None;
+                for level in &levels {
+                    for job in level {
+                        for demand in demands_by_first_ready_phase(job) {
+                            if !demand.fits_in(*room) {
+                                continue;
+                            }
+                            let highest = job
+                                .iter_ready()
+                                .filter(|t| {
+                                    job.spec().phase(t.phase).demand == demand
+                                        && !placed.contains(t)
+                                })
+                                .last();
+                            let Some(task) = highest else {
+                                continue;
+                            };
+                            let score = best_fit_score(demand, *room);
+                            if pick.is_none_or(|(best, ..)| score > best) {
+                                pick = Some((score, task, demand));
+                            }
+                        }
+                    }
+                    if pick.is_some() {
+                        break;
+                    }
+                }
+                let Some((_, task, demand)) = pick else {
+                    break;
+                };
+                *room -= demand;
+                placed.insert(task);
+                let (server, kind) = (ServerId(s as u32), CopyKind::Primary);
+                batch.push(Assignment { task, server, kind });
+            }
+        }
+
+        // Rule (gate, §4.1): a job may be cloned when its remaining
+        // volume is at most δ times the others' total, or when the others
+        // have none left. The total is summed in ascending-JobId order.
+        let volumes: Vec<(JobId, f64)> = view
+            .jobs()
+            .map(|j| (j.id(), Oracle.remaining_volume(j, totals, W)))
+            .collect();
+        let total = volumes.iter().fold(0.0f64, |sum, &(_, v)| sum + v);
+        let gated = |id: JobId| {
+            let mine = volumes
+                .iter()
+                .find(|&&(j, _)| j == id)
+                .map_or(0.0, |&(_, v)| v);
+            let others = (total - mine).max(0.0);
+            others <= 0.0 || mine <= DELTA * others
+        };
+        // Rule (candidates): the gated jobs in the stored order; within
+        // a job, its running tasks in (phase, task) order with their live
+        // copies, then its primaries of this batch in batch order, one
+        // copy each.
+        let mut candidates: Vec<(TaskRef, Resources, u32)> = Vec::new();
+        for job in levels.iter().flatten().filter(|j| gated(j.id())) {
+            let demand = |t: TaskRef| job.spec().phase(t.phase).demand;
+            for t in job.iter_running() {
+                let copies = job.task(t.phase, t.task).live_copies();
+                candidates.push((t, demand(t), copies));
+            }
+            for a in batch.iter().filter(|a| a.task.job == job.id()) {
+                candidates.push((a.task, demand(a.task), 1));
+            }
+        }
+        // Rule (clones): "repeat Step 9 twice", literally. Each round
+        // walks the servers by ascending id and offers each server's room
+        // to the candidates in order. A candidate takes it if it fits,
+        // holds fewer than `r + 1` copies and got no clone yet at this
+        // decision point. Clones are emitted server by server: the engine
+        // retires tied finishes in launch order.
+        let mut cloned = vec![false; candidates.len()];
+        for _round in 0..2 {
+            for (s, room) in free.iter_mut().enumerate() {
+                for (i, &(task, demand, copies)) in candidates.iter().enumerate() {
+                    if cloned[i] || copies >= max_copies || !demand.fits_in(*room) {
+                        continue;
+                    }
+                    *room -= demand;
+                    cloned[i] = true;
+                    let (server, kind) = (ServerId(s as u32), CopyKind::Clone);
+                    batch.push(Assignment { task, server, kind });
+                }
+            }
+        }
+        batch
+    }
+}
+
 /// 1–64 heterogeneous servers (capacities and speeds).
 fn cluster(rng: &mut SmallRng) -> ClusterSpec {
     let n = rng.gen_range(1..=64u32);
@@ -200,9 +396,9 @@ fn jobs(rng: &mut SmallRng) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Run `fast` and the reference on one seeded draw and assert equal
-/// scrubbed reports.
-fn agrees(fast: &str, policy: Policy, seed: u64) {
+/// Run `fast` and the reference `naive` on one seeded draw and assert
+/// equal scrubbed reports.
+fn agrees(fast: &str, mut naive: impl Scheduler, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let cluster = cluster(&mut rng);
     let jobs = jobs(&mut rng);
@@ -215,7 +411,6 @@ fn agrees(fast: &str, policy: Policy, seed: u64) {
     let cfg = EngineConfig::default();
     let mut fast = by_name(fast).expect("registered scheduler");
     let got = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut fast, &cfg, &faults);
-    let mut naive = NaiveFair(policy);
     let want = simulate_with_faults(&cluster, jobs, &sampler, &mut naive, &cfg, &faults);
     assert_eq!(got.scrubbed(), want.scrubbed(), "seed {seed}");
 }
@@ -225,11 +420,26 @@ proptest! {
 
     #[test]
     fn drf_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("drf", Policy::Drf, seed);
+        agrees("drf", NaiveFair(Policy::Drf), seed);
     }
 
     #[test]
     fn carbyne_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("carbyne", Policy::Carbyne, seed);
+        agrees("carbyne", NaiveFair(Policy::Carbyne), seed);
+    }
+
+    #[test]
+    fn dollymp0_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("dollymp0", NaiveDollyMP::new(0), seed);
+    }
+
+    #[test]
+    fn dollymp1_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("dollymp1", NaiveDollyMP::new(1), seed);
+    }
+
+    #[test]
+    fn dollymp2_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("dollymp2", NaiveDollyMP::new(2), seed);
     }
 }

@@ -110,15 +110,8 @@ impl Default for ClonePolicy {
 }
 
 impl ClonePolicy {
-    /// A policy that never clones (DollyMP⁰).
-    pub fn disabled() -> Self {
-        ClonePolicy {
-            max_copies: 1,
-            delta: 0.0,
-        }
-    }
-
-    /// A policy with `clones` extra copies (DollyMP¹ → `clones = 1`, …).
+    /// A policy with `clones` extra copies (DollyMP¹ → `clones = 1`, …);
+    /// `with_clones(0)` never clones (DollyMP⁰), whatever `δ`.
     pub fn with_clones(clones: u32) -> Self {
         ClonePolicy {
             max_copies: clones + 1,
@@ -220,7 +213,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_never_clones() {
-        let p = ClonePolicy::disabled();
+        let p = ClonePolicy::with_clones(0);
         assert!(!p.small_job_gate(0.0, 0.0));
     }
 

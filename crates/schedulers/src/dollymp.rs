@@ -17,11 +17,13 @@
 //!    level that has a fitting ready task and, within the level, the task
 //!    with the best Tetris alignment (`R·c` inner product, Algorithm 2
 //!    step 12);
-//! 2. **Clone passes** — with the leftover resources, walk tasks of jobs
+//! 2. **Clone pass** — with the leftover resources, walk tasks of jobs
 //!    in the same priority order and give each *running* task of a
-//!    clone-eligible (small, §4.1-gated) job up to
-//!    `max_copies − 1` extra copies; the pass is repeated twice, mirroring
-//!    Algorithm 2's "Repeat Step 9 twice".
+//!    clone-eligible (small, §4.1-gated) job that holds fewer than
+//!    `max_copies` copies one extra copy. Algorithm 2 repeats this step
+//!    twice, but a task gets at most one new clone per decision point,
+//!    and under that rule the second round can place nothing (DESIGN §4
+//!    item 8), so the pass runs once.
 //!
 //! The statistics of both steps (Algorithm 1's inputs and the §4.1
 //! gate's remaining volumes) are assembled from one [`JobStatistics`]
@@ -31,7 +33,6 @@
 //! same for both.
 
 use dollymp_cluster::prelude::*;
-use dollymp_core::hash::FxHashMap;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
 use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityOrder};
 use dollymp_core::resources::Resources;
@@ -108,17 +109,6 @@ impl JobStatistics for Oracle {
     fn speedup(&self, job: &JobState, phase: PhaseId, _theta: f64, _sigma: f64) -> SpeedupFn {
         job.spec().phase(phase).speedup
     }
-}
-
-/// A cloning candidate: a task of a §4.1-eligible job, with its demand
-/// and *effective* copy count (view-side live copies plus the primary
-/// placed for it earlier in this batch, if any) cached so the per-pass
-/// budget filter needs no map lookups at all.
-#[derive(Debug, Clone, Copy)]
-struct CloneCandidate {
-    task: TaskRef,
-    demand: Resources,
-    effective_copies: u32,
 }
 
 /// One (job, distinct-demand) bucket of ready tasks: the ready tasks of
@@ -301,7 +291,7 @@ struct Scratch {
     /// priority order (so each level's buckets are contiguous too).
     buckets: Vec<Bucket>,
     /// Demand queues of the current pass: per level for the primary
-    /// pass, one group for a clone pass.
+    /// pass, one group for the clone pass.
     queues: Vec<DemandQueue>,
     /// Per priority level: `(start, end)` range into `buckets` while they
     /// are built, then into `queues`.
@@ -310,25 +300,16 @@ struct Scratch {
     /// skip-empty-prefix cursor of the placement loop).
     level_remaining: Vec<u32>,
     /// Entry arena for `queues`: bucket indices in the primary pass,
-    /// candidate indices in a clone pass.
+    /// candidate indices in the clone pass.
     entries: Vec<u32>,
-    /// Remaining volume per job (Eq. 16), aligned with ascending-id view
-    /// order, for the §4.1 gate.
-    vols: Vec<f64>,
-    /// Candidate arena in ascending-id view order; reshuffled into
-    /// priority order via `cand_ranges`.
-    cand_arena: Vec<CloneCandidate>,
-    /// Per gated-in job: `(start, end)` range into `cand_arena`.
-    cand_ranges: FxHashMap<JobId, (u32, u32)>,
-    /// Per job: `(fill, start)` range of its newly placed primaries in
-    /// `placed_arena` (`[start, fill)` once scattered).
-    placed_ranges: FxHashMap<JobId, (u32, u32)>,
-    /// Primaries of this batch, grouped contiguously per job.
-    placed_arena: Vec<TaskRef>,
-    /// Clone candidates of this decision point, in priority order.
-    candidates: Vec<CloneCandidate>,
-    /// `cloned[i]`: candidate `i` received a clone in this batch.
-    cloned: Vec<bool>,
+    /// The jobs the §4.1 gate lets clone with their remaining volumes
+    /// (Eq. 16), ids ascending.
+    gated: Vec<(JobId, f64)>,
+    /// This batch's primaries as `(job, batch index)`, sorted.
+    placed: Vec<(JobId, u32)>,
+    /// Clone candidates of this decision point with their demands, in
+    /// priority order.
+    candidates: Vec<(Resources, TaskRef)>,
 }
 
 /// The DollyMP scheduler (Algorithm 2). `DollyMP::with_clones(r)` builds
@@ -371,17 +352,12 @@ impl DollyMP {
 impl<S: JobStatistics> DollyMP<S> {
     /// DollyMP^r scheduling on the statistics `stats` reports.
     pub fn with_statistics(clones: u32, stats: S) -> Self {
-        let clone_policy = if clones == 0 {
-            ClonePolicy::disabled()
-        } else {
-            ClonePolicy::with_clones(clones)
-        };
         DollyMP {
             transient: TransientConfig {
                 max_copies: clones + 1,
                 ..TransientConfig::default()
             },
-            clone_policy,
+            clone_policy: ClonePolicy::with_clones(clones),
             stats,
             order: PriorityOrder::default(),
             stale: false,
@@ -577,122 +553,16 @@ impl<S: JobStatistics> DollyMP<S> {
             None
         });
     }
-    /// Clone candidates for this decision point, in priority order
-    /// (Algorithm 2 step 16's input set).
+
+    /// The clone pass over leftover resources (Algorithm 2 step 16).
     ///
     /// Candidates are the tasks already running in the view *plus* the
     /// primaries placed earlier in this very batch — the paper clones
     /// small jobs "when they are scheduled" (Fig. 2), not one decision
-    /// point later. The §4.1 gate, remaining volumes, and the
-    /// candidate walk depend only on the immutable view and the primary
-    /// batch, so this is computed **once** per decision point and shared
-    /// by both clone passes; the per-pass copy-budget filters are applied
-    /// at queue-build time inside [`Self::place_clones`].
-    fn clone_candidates(&self, view: &ClusterView<'_>, batch: &[Assignment], s: &mut Scratch) {
-        s.candidates.clear();
-        s.cloned.clear();
-        if self.clone_policy.max_copies <= 1 {
-            return;
-        }
-        // Group this batch's primaries by job via a counting scatter into
-        // a reused arena (each job's tasks stay in batch order). Entry
-        // layout: `(fill, start)` — the count lands in `fill` first, then
-        // the prefix pass turns it into a cursor starting at `start`, so
-        // `[start, fill)` is the final range.
-        s.placed_ranges.clear();
-        s.placed_arena.clear();
-        for a in batch {
-            s.placed_ranges.entry(a.task.job).or_insert((0, 0)).0 += 1;
-        }
-        let mut cursor = 0u32;
-        for range in s.placed_ranges.values_mut() {
-            let count = range.0;
-            *range = (cursor, cursor);
-            cursor += count;
-        }
-        s.placed_arena.resize(cursor as usize, TaskRef::default());
-        for a in batch {
-            let range = s
-                .placed_ranges
-                .get_mut(&a.task.job)
-                .expect("counted in the first pass");
-            s.placed_arena[range.0 as usize] = a.task;
-            range.0 += 1;
-        }
-        let w = self.transient.sigma_weight;
-        // Remaining volumes, computed once (the §4.1 gate needs every
-        // job's volume against the sum of the others'; recomputing per
-        // candidate would make this pass quadratic). The total is summed
-        // in ascending-JobId view order so it cannot depend on any map's
-        // iteration order.
-        let totals = view.totals();
-        s.vols.clear();
-        let mut total_volume = 0.0f64;
-        for j in view.jobs() {
-            let v = self.stats.remaining_volume(j, totals, w);
-            total_volume += v;
-            s.vols.push(v);
-        }
-        // Single pass over the view (no per-member job lookups): gate
-        // each job and emit its candidates into an id-ordered arena;
-        // the arena is then reshuffled into priority order below.
-        s.cand_arena.clear();
-        s.cand_ranges.clear();
-        for (j, &mine) in view.jobs().zip(s.vols.iter()) {
-            // §4.1 small-job gate.
-            let others = (total_volume - mine).max(0.0);
-            if !self.clone_policy.small_job_gate(mine, others) {
-                continue;
-            }
-            let start = s.cand_arena.len() as u32;
-            for task in j.iter_running() {
-                s.cand_arena.push(CloneCandidate {
-                    task,
-                    demand: j.spec().phase(task.phase).demand,
-                    // Copies live in the (immutable) view — cached so
-                    // the per-pass budget filter needs no job lookup.
-                    effective_copies: j.task(task.phase, task.task).live_copies(),
-                });
-            }
-            if let Some(&(fill, pstart)) = s.placed_ranges.get(&j.id()) {
-                for &task in &s.placed_arena[pstart as usize..fill as usize] {
-                    debug_assert_eq!(
-                        j.task(task.phase, task.task).live_copies(),
-                        0,
-                        "a task placed as primary this batch was ready, hence copy-free"
-                    );
-                    s.cand_arena.push(CloneCandidate {
-                        task,
-                        demand: j.spec().phase(task.phase).demand,
-                        // A primary placed this very batch is one copy the
-                        // view cannot see yet.
-                        effective_copies: 1,
-                    });
-                }
-            }
-            if s.cand_arena.len() as u32 > start {
-                s.cand_ranges
-                    .insert(j.id(), (start, s.cand_arena.len() as u32));
-            }
-        }
-        // Reshuffle into priority order (Algorithm 2 step 16 walks jobs
-        // in the frozen Algorithm 1 order).
-        for (_, members) in self.order.groups() {
-            for jid in members {
-                if let Some(&(start, end)) = s.cand_ranges.get(jid) {
-                    s.candidates
-                        .extend_from_slice(&s.cand_arena[start as usize..end as usize]);
-                }
-            }
-        }
-        s.cloned.resize(s.candidates.len(), false);
-    }
-
-    /// One clone pass over leftover resources (Algorithm 2 step 16).
-    ///
-    /// `candidates` comes from [`Self::clone_candidates`]; the filters
-    /// that change between passes (copy budget, one-new-clone-per-task)
-    /// are applied here, and the candidates that pass form one
+    /// point later. They come job by job in the stored Algorithm 1 order,
+    /// from the jobs the §4.1 gate lets clone; within a job its running
+    /// tasks holding fewer than `max_copies` copies, then its primaries
+    /// of this batch in batch order. The candidates form one
     /// [`push_queue_group`] group with candidate indices as entries.
     ///
     /// The servers are visited by [`walk_servers`]; the pick rule is the
@@ -704,38 +574,93 @@ impl<S: JobStatistics> DollyMP<S> {
     /// while costing `O(placements × #demands)` instead of
     /// `O(queue length)` per server.
     ///
-    /// Returns the number of clones placed (appended to `out`).
+    /// Each candidate gets at most one clone here: the RM grants clone
+    /// containers round by round ("repeat Step 9" spans allocation
+    /// rounds, not one batch), so a task's second clone can only arrive
+    /// at a later decision point. A second round within this decision
+    /// point would place nothing: the walk leaves a server only when no
+    /// remaining candidate fits there, and skips only servers without
+    /// room for the smallest one, so every candidate left over fits no
+    /// server, and free capacity only shrinks.
     fn place_clones(
         &self,
+        view: &ClusterView<'_>,
         order: Option<&[ServerId]>,
         free: &CapacityOverlay,
         s: &mut Scratch,
-        out: &mut Vec<Assignment>,
-    ) -> usize {
-        // At most one new clone per task per decision point (`cloned`):
-        // the RM grants clone containers round by round ("repeat Step 9"
-        // spans allocation rounds, not one batch), so a task's second
-        // clone can only arrive at a later decision point.
+        batch: &mut Vec<Assignment>,
+    ) {
         let max_copies = self.clone_policy.max_copies;
-        let eligible = s
-            .candidates
-            .iter()
-            .zip(&s.cloned)
-            .enumerate()
-            .filter(move |(_, (c, &cloned))| !cloned && c.effective_copies < max_copies)
-            .map(|(i, (c, _))| (c.demand, i as u32));
+        if max_copies <= 1 {
+            return;
+        }
+        let w = self.transient.sigma_weight;
+        // Remaining volumes, computed once (the §4.1 gate needs every
+        // job's volume against the sum of the others'; recomputing per
+        // candidate would make this pass quadratic). The total is summed
+        // in ascending-JobId view order so it cannot depend on any map's
+        // iteration order.
+        let totals = view.totals();
+        s.gated.clear();
+        let volumes = view
+            .jobs()
+            .map(|j| (j.id(), self.stats.remaining_volume(j, totals, w)));
+        s.gated.extend(volumes);
+        let total_volume = s.gated.iter().fold(0.0f64, |sum, &(_, v)| sum + v);
+        let gate = &self.clone_policy;
+        s.gated
+            .retain(|&(_, mine)| gate.small_job_gate(mine, (total_volume - mine).max(0.0)));
+        s.placed.clear();
+        s.placed.extend(
+            batch
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.task.job, i as u32)),
+        );
+        s.placed.sort_unstable();
+        s.candidates.clear();
+        for (_, members) in self.order.groups() {
+            for &jid in members {
+                if s.gated.binary_search_by_key(&jid, |&(id, _)| id).is_err() {
+                    continue;
+                }
+                let j = view.job(jid).expect("gated jobs are in the view");
+                let demand = |t: TaskRef| j.spec().phase(t.phase).demand;
+                s.candidates.extend(
+                    j.iter_running()
+                        .filter(|t| j.task(t.phase, t.task).live_copies() < max_copies)
+                        .map(|t| (demand(t), t)),
+                );
+                // A primary placed this very batch is one copy the view
+                // cannot see yet, so it always has room for a clone.
+                let from = s.placed.partition_point(|&(job, _)| job < jid);
+                for &(_, i) in s.placed[from..].iter().take_while(|&&(job, _)| job == jid) {
+                    let task = batch[i as usize].task;
+                    debug_assert_eq!(
+                        j.task(task.phase, task.task).live_copies(),
+                        0,
+                        "a task placed as primary this batch was ready, hence copy-free"
+                    );
+                    s.candidates.push((demand(task), task));
+                }
+            }
+        }
         s.queues.clear();
         s.entries.clear();
-        push_queue_group(&mut s.queues, &mut s.entries, eligible);
+        let items = s.candidates.iter().enumerate();
+        push_queue_group(
+            &mut s.queues,
+            &mut s.entries,
+            items.map(|(i, &(demand, _))| (demand, i as u32)),
+        );
         let Some(min_demand) = s.queues.iter().map(|q| q.demand).reduce(Resources::min) else {
-            return 0;
+            return;
         };
         if !free.could_fit(min_demand) {
             // No server in the whole cluster has room for even the
             // smallest request — skip the server walk entirely.
-            return 0;
+            return;
         }
-        let placed_before = out.len();
         walk_servers(order, free, min_demand, s.entries.len(), |server, avail| {
             let mut best: Option<(u32, usize)> = None;
             for (qi, q) in s.queues.iter().enumerate() {
@@ -743,22 +668,20 @@ impl<S: JobStatistics> DollyMP<S> {
                     continue;
                 }
                 let ci = s.entries[q.head as usize];
-                if best.map(|(bc, _)| ci < bc).unwrap_or(true) {
+                if best.is_none_or(|(bc, _)| ci < bc) {
                     best = Some((ci, qi));
                 }
             }
             let (ci, qi) = best?;
             s.queues[qi].head += 1;
-            let c = s.candidates[ci as usize];
-            s.cloned[ci as usize] = true;
-            out.push(Assignment {
-                task: c.task,
+            let (demand, task) = s.candidates[ci as usize];
+            batch.push(Assignment {
+                task,
                 server,
                 kind: CopyKind::Clone,
             });
-            Some(c.demand)
+            Some(demand)
         });
-        out.len() - placed_before
     }
 }
 
@@ -819,9 +742,9 @@ impl<S: JobStatistics> DollyMP<S> {
     }
 
     /// One full Algorithm 2 decision point: the Algorithm 1 refresh if a
-    /// hook marked the order stale, the primary pass, then up to two
-    /// clone passes over the leftovers. `order` is `None` for the
-    /// identity server walk.
+    /// hook marked the order stale, the primary pass, then the clone pass
+    /// over the leftovers. `order` is `None` for the identity server
+    /// walk.
     fn schedule_inner(
         &mut self,
         view: &ClusterView<'_>,
@@ -841,18 +764,7 @@ impl<S: JobStatistics> DollyMP<S> {
         let mut s = std::mem::take(&mut self.scratch);
         let mut batch: Vec<Assignment> = Vec::new();
         self.place_primaries(view, order, free, &mut s, &mut batch);
-        // "Repeat Step 9 twice if there are available resources" — but at
-        // most one *new* clone per task per decision point (clone
-        // containers are granted round by round). The candidate set is
-        // invariant across the two passes, so it is collected once.
-        self.clone_candidates(view, &batch, &mut s);
-        if !s.candidates.is_empty() {
-            for _ in 0..2 {
-                if self.place_clones(order, free, &mut s, &mut batch) == 0 {
-                    break;
-                }
-            }
-        }
+        self.place_clones(view, order, free, &mut s, &mut batch);
         self.scratch = s;
         self.last_span = PassSpan {
             prepare_ns,

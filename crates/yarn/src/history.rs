@@ -3,22 +3,18 @@
 //! for such jobs, AM directly applies task statistics measured in prior
 //! runs of the job."*
 //!
-//! Keyed by `(application label, phase index)`; thread-safe behind a
+//! Keyed by application label, then phase index; thread-safe behind a
 //! [`parking_lot::RwLock`] so a shared registry can serve many simulated
 //! AMs (and parallel experiment sweeps).
 
 use dollymp_core::stats::RunningStats;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Aggregated duration statistics of prior runs, per application phase.
-#[derive(Debug, Default, Serialize, Deserialize)]
-pub struct HistoryData {
-    /// `(label, phase index)` → duration stats across runs.
-    phases: HashMap<(String, u32), RunningStats>,
-}
+/// Aggregated duration statistics of prior runs: label → per-phase-index
+/// stats across runs (a phase not yet recorded holds an empty entry).
+type HistoryData = HashMap<String, Vec<RunningStats>>;
 
 /// Shared, thread-safe history registry.
 #[derive(Debug, Clone, Default)]
@@ -38,25 +34,30 @@ impl HistoryRegistry {
             return;
         }
         let mut data = self.inner.write();
-        data.phases
-            .entry((label.to_string(), phase_idx))
-            .or_default()
-            .merge(observed);
+        let phases = data.entry(label.to_string()).or_default();
+        let idx = phase_idx as usize;
+        if phases.len() <= idx {
+            phases.resize_with(idx + 1, RunningStats::new);
+        }
+        phases[idx].merge(observed);
     }
 
     /// Prior `(mean, std, samples)` for a phase of a recurring
     /// application, if any run has been recorded.
     pub fn prior(&self, label: &str, phase_idx: u32) -> Option<(f64, f64, u64)> {
         let data = self.inner.read();
-        data.phases
-            .get(&(label.to_string(), phase_idx))
+        data.get(label)?
+            .get(phase_idx as usize)
             .filter(|s| s.count() > 0)
             .map(|s| (s.mean(), s.population_std(), s.count()))
     }
 
     /// Number of distinct `(label, phase)` entries.
     pub fn len(&self) -> usize {
-        self.inner.read().phases.len()
+        let data = self.inner.read();
+        data.values()
+            .map(|phases| phases.iter().filter(|s| s.count() > 0).count())
+            .sum()
     }
 
     /// True when nothing has been recorded.
@@ -104,6 +105,19 @@ mod tests {
         let (mean, _, n) = r.prior("pagerank", 2).unwrap();
         assert_eq!(n, 2);
         assert!((mean - 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn len_counts_recorded_phases_only() {
+        let r = HistoryRegistry::new();
+        let mut s = RunningStats::new();
+        s.push(4.0);
+        r.record("sort", 2, &s);
+        assert_eq!(r.len(), 1, "the phases below 2 are not entries");
+        assert_eq!(r.prior("sort", 0), None);
+        r.record("sort", 0, &s);
+        r.record("grep", 0, &s);
+        assert_eq!(r.len(), 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    slow the work down.
 //! 3. **Containment** — the adversarial policy under the guard still
 //!    completes every job (with a nonzero audit trail), while strict
-//!    mode (`try_simulate`) refuses it with a typed error instead of
+//!    mode (`try_simulate_with_faults`) refuses it with a typed error instead of
 //!    panicking.
 
 use dollymp_bench::{run_named, scale};
@@ -195,24 +195,24 @@ fn main() {
             ..GuardConfig::default()
         },
     );
-    let contained = try_simulate(
+    let contained = simulate(
         &cluster,
         adv_jobs.clone(),
         &sampler,
         &mut guard,
         &EngineConfig::default(),
-    )
-    .expect("guard must contain the adversary");
+    );
     assert_eq!(contained.jobs.len(), adv_jobs.len());
     assert!(!contained.guard.is_clean());
 
     let mut bare_adv = AdversarialScheduler::new();
-    let strict_err = try_simulate(
+    let strict_err = try_simulate_with_faults(
         &cluster,
         adv_jobs.clone(),
         &sampler,
         &mut bare_adv,
         &EngineConfig::default(),
+        &FaultTimeline::empty(),
     )
     .expect_err("strict mode must refuse the adversary");
     let adversarial = Adversarial {

@@ -65,14 +65,15 @@ fn case(seed: u64, njobs: usize) -> Case {
 fn run_off(c: &Case, name: &str) -> (SimReport, u64) {
     let mut s = dollymp_schedulers::by_name(name).expect("known scheduler");
     let t0 = Instant::now();
-    let r = simulate_with_faults(
+    let r = try_simulate_with_faults(
         &c.cluster,
         c.jobs.clone(),
         &c.sampler,
         s.as_mut(),
         &c.cfg,
         &c.faults,
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     (r, t0.elapsed().as_nanos() as u64)
 }
 
@@ -80,7 +81,7 @@ fn run_on(c: &Case, name: &str) -> (SimReport, Journal, u64) {
     let mut s = dollymp_schedulers::by_name(name).expect("known scheduler");
     let mut journal = Journal::for_run(name, SEED, &c.cfg, &c.cfg);
     let t0 = Instant::now();
-    let r = simulate_recorded(
+    let r = try_simulate_with_faults_recorded(
         &c.cluster,
         c.jobs.clone(),
         &c.sampler,
@@ -88,7 +89,8 @@ fn run_on(c: &Case, name: &str) -> (SimReport, Journal, u64) {
         &c.cfg,
         &c.faults,
         &mut journal,
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     (r, journal, t0.elapsed().as_nanos() as u64)
 }
 

@@ -3,14 +3,17 @@
 //! The engine advances an integer slot clock, but *event-accelerated*: all
 //! arrivals and durations are integer slots, so every state change lands
 //! on a slot boundary and the engine jumps directly to the next one with
-//! work to do. At each decision point it
+//! work to do. A run is one crate-private `Simulation`, whose `step`
+//! runs one decision point as one method per layer:
 //!
-//! 1. retires every copy finishing at that slot (the first copy of a task
-//!    to finish wins; all sibling copies are killed and their resources
-//!    freed, per the kill-on-first-finish rule of §5.2),
-//! 2. unlocks phases whose parents completed (Eq. 7),
-//! 3. admits arriving jobs (notifying the scheduler),
-//! 4. invokes [`Scheduler::schedule`] once and applies the returned batch.
+//! 1. `retire_due` retires every copy finishing at that slot (the first
+//!    copy of a task to finish wins; all sibling copies are killed and
+//!    their resources freed, per the kill-on-first-finish rule of §5.2)
+//!    and unlocks phases whose parents completed (Eq. 7),
+//! 2. `apply_faults_due` applies the fault events due at that slot,
+//! 3. `admit_arrivals` admits arriving jobs (notifying the scheduler),
+//! 4. `decide` invokes [`Scheduler::schedule`] once, and `launch` checks
+//!    and launches the returned batch.
 //!
 //! Each event costs what it touches. Copy finishes queue in per-slot
 //! buckets, each in launch order, which is the order they retire in; a
@@ -24,17 +27,18 @@
 //! assignment aborts the run, because a buggy scheduler must fail loudly
 //! rather than silently skew an experiment. The admission rules live in
 //! one crate-internal function, `check_assignment`, which the guard
-//! calls too. Two fail-loud flavours exist:
-//! [`simulate`] / [`simulate_with_faults`] panic (the historical research
-//! contract), while [`try_simulate`] / [`try_simulate_with_faults`]
-//! return a typed [`SimError`] so a sweep harness can contain one bad
-//! run without dying. To *tolerate* a misbehaving policy instead of
-//! aborting on it, wrap it in [`crate::guard::GuardedScheduler`].
+//! calls too. Of the three entry points, [`try_simulate_with_faults`]
+//! returns a typed [`SimError`] so a sweep harness can contain one bad
+//! run without dying, [`try_simulate_with_faults_recorded`] does the same
+//! with a flight recorder attached, and [`simulate`] runs without faults
+//! and panics with the error's message (the historical contract). To
+//! *tolerate* a misbehaving policy instead of aborting on it, wrap it in
+//! [`crate::guard::GuardedScheduler`].
 
 use crate::capacity::{CapacityIndex, CapacityOverlay};
 use crate::error::{AdmissionError, ProgressSnapshot, RejectReason, SimError};
 use crate::execution::DurationSampler;
-use crate::fault::{FaultEvent, FaultTimeline};
+use crate::fault::{FaultEvent, FaultTimeline, TimedFault};
 use crate::metrics::{CopyOutcome, GuardStats, JobMetrics, ReportFold, SimReport};
 use crate::scheduler::{Assignment, Scheduler};
 use crate::spec::{ClusterSpec, ServerId};
@@ -119,6 +123,8 @@ type LiveCopies = Vec<Vec<(TaskRef, u32)>>;
 /// see [`crate::execution`]) scaled by server speed at placement.
 ///
 /// # Panics
+/// Where [`try_simulate_with_faults`] returns an error, with the error's
+/// Display form as the message:
 /// * if any phase demand fits no server in the cluster (the job could
 ///   never run);
 /// * on invalid assignments (unknown job/task, over-commitment, cloning a
@@ -133,34 +139,55 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     cfg: &EngineConfig,
 ) -> SimReport {
-    simulate_with_faults(
-        cluster,
-        jobs,
-        sampler,
-        scheduler,
-        cfg,
-        &FaultTimeline::empty(),
-    )
+    let faults = FaultTimeline::empty();
+    match try_simulate_with_faults(cluster, jobs, sampler, scheduler, cfg, &faults) {
+        Ok(report) => report,
+        // Fail-loud contract: the panic message is the typed error's
+        // Display form (it preserves the historical phrasing).
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// Non-panicking [`simulate`]: every abort path comes back as a typed
-/// [`SimError`] instead of a panic, so one bad policy or workload cannot
-/// kill a whole sweep. The happy path is byte-identical to [`simulate`].
-pub fn try_simulate(
+/// Run one simulation under a fault schedule (see [`crate::fault`]),
+/// returning a typed [`SimError`] where [`simulate`] panics, so one bad
+/// policy or workload cannot kill a whole sweep.
+///
+/// Fault events fire at their slot *after* completions of that slot are
+/// retired and *before* arrivals and the scheduling pass, so a task
+/// re-queued by a crash is schedulable in the same slot its copies died.
+/// With an empty timeline the report is byte-identical to [`simulate`]'s.
+/// A timeline adds two errors: an assignment to a downed server
+/// ([`SimError::Rejected`]) and a `Restore` for a server that is not
+/// down ([`SimError::InvalidTimeline`]).
+pub fn try_simulate_with_faults(
     cluster: &ClusterSpec,
     jobs: Vec<JobSpec>,
     sampler: &DurationSampler,
     scheduler: &mut dyn Scheduler,
     cfg: &EngineConfig,
+    faults: &FaultTimeline,
 ) -> Result<SimReport, SimError> {
-    try_simulate_with_faults(
-        cluster,
-        jobs,
-        sampler,
-        scheduler,
-        cfg,
-        &FaultTimeline::empty(),
-    )
+    let recorder = &mut NullRecorder;
+    try_simulate_with_faults_recorded(cluster, jobs, sampler, scheduler, cfg, faults, recorder)
+}
+
+/// [`try_simulate_with_faults`] with a flight recorder attached: every
+/// observable state transition is emitted as a [`TraceEvent`] (see
+/// [`crate::trace`]), in deterministic engine order. With a
+/// [`NullRecorder`] nothing is journaled and the report is
+/// byte-identical — the recorder's `enabled()` flag is read once. On an
+/// `Err` return the journal simply stops at the abort point (replay is
+/// only defined for completed runs).
+pub fn try_simulate_with_faults_recorded(
+    cluster: &ClusterSpec,
+    jobs: Vec<JobSpec>,
+    sampler: &DurationSampler,
+    scheduler: &mut dyn Scheduler,
+    cfg: &EngineConfig,
+    faults: &FaultTimeline,
+    recorder: &mut dyn Recorder,
+) -> Result<SimReport, SimError> {
+    Simulation::new(cluster, jobs, sampler, cfg, faults, recorder)?.run(scheduler)
 }
 
 /// Deferred scheduler callback for a fault applied this slot: mutations
@@ -197,269 +224,260 @@ impl Sink<'_> {
     }
 }
 
-/// [`simulate`] under a fault schedule (see [`crate::fault`]).
-///
-/// Fault events fire at their slot *after* completions of that slot are
-/// retired and *before* arrivals and the scheduling pass, so a task
-/// re-queued by a crash is schedulable in the same slot its copies died.
-/// With an empty timeline this is byte-identical to [`simulate`].
-///
-/// Additional panics over [`simulate`]:
-/// * an assignment targeting a downed server;
-/// * a `Restore` for a server that is not down (generator bug).
-pub fn simulate_with_faults(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-    faults: &FaultTimeline,
-) -> SimReport {
-    match try_simulate_with_faults(cluster, jobs, sampler, scheduler, cfg, faults) {
-        Ok(report) => report,
-        // Fail-loud contract: the panic message is the typed error's
-        // Display form (it preserves the historical phrasing).
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Snapshot of the engine's progress state for stall/overrun errors.
-fn progress_snapshot(active: &JobTable, last_progress: Time) -> ProgressSnapshot {
-    ProgressSnapshot {
-        active_jobs: active.keys().take(ProgressSnapshot::MAX_LISTED).collect(),
-        total_active: active.len(),
-        pending_tasks: active.values().map(|j| j.iter_ready().count()).sum(),
-        last_progress,
-    }
-}
-
-/// Non-panicking [`simulate_with_faults`]: returns `Err` where the
-/// panicking entry points abort, byte-identical reports otherwise.
-pub fn try_simulate_with_faults(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-    faults: &FaultTimeline,
-) -> Result<SimReport, SimError> {
-    try_simulate_with_faults_recorded(
-        cluster,
-        jobs,
-        sampler,
-        scheduler,
-        cfg,
-        faults,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_with_faults`] with a flight recorder attached: every
-/// observable state transition is emitted as a [`TraceEvent`] (see
-/// [`crate::trace`]). With a [`NullRecorder`] this is byte-identical to
-/// the unrecorded entry points — the recorder's `enabled()` flag is read
-/// once and nothing is journaled.
-///
-/// # Panics
-/// Exactly where [`simulate_with_faults`] panics.
-pub fn simulate_recorded(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-    faults: &FaultTimeline,
-    recorder: &mut dyn Recorder,
-) -> SimReport {
-    match try_simulate_with_faults_recorded(
-        cluster, jobs, sampler, scheduler, cfg, faults, recorder,
-    ) {
-        Ok(report) => report,
-        // Fail-loud contract: identical to `simulate_with_faults`.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Non-panicking [`simulate_recorded`]: the recorded counterpart of
-/// [`try_simulate_with_faults`]. Events are emitted in deterministic
-/// engine order; on an `Err` return the journal simply stops at the
-/// abort point (replay is only defined for completed runs).
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_with_faults_recorded(
-    cluster: &ClusterSpec,
-    jobs: Vec<JobSpec>,
-    sampler: &DurationSampler,
-    scheduler: &mut dyn Scheduler,
-    cfg: &EngineConfig,
-    faults: &FaultTimeline,
-    recorder: &mut dyn Recorder,
-) -> Result<SimReport, SimError> {
-    for j in &jobs {
-        for (pi, p) in j.phases().iter().enumerate() {
-            if !cluster
-                .servers()
-                .iter()
-                .any(|s| p.demand.fits_in(s.capacity))
-            {
-                return Err(SimError::Unsatisfiable {
-                    job: j.id,
-                    phase: pi as u32,
-                    demand: p.demand,
-                });
-            }
-        }
-    }
-
-    let totals = cluster.totals();
-    let mut arrivals: Vec<JobSpec> = jobs;
-    // Pop from the back ⇒ ascending (arrival, id).
-    arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
-
-    // Every job of the run is known up front, so the table's id universe
-    // is fixed here.
-    let mut active = JobTable::with_ids(arrivals.iter().map(|j| j.id));
-    // Hierarchical free-capacity index, incrementally maintained across
-    // launch/retire/fault events — never re-snapshotted per decision point.
-    let mut free = CapacityIndex::from_capacities(cluster);
-    let mut events = FinishQueue::new();
-    let mut live_on: LiveCopies = if faults.is_empty() {
-        Vec::new()
-    } else {
-        vec![Vec::new(); cluster.len()]
-    };
-    // Read once: the journal is either fully on or fully off for a run.
-    let mut sink = Sink {
-        fold: ReportFold::new(cfg.record_utilization),
-        recording: recorder.enabled(),
-        recorder,
-    };
-    let mut now: Time = 0;
-    // Last slot at which anything observable happened (admission, launch
-    // or retirement) — surfaced in stall/overrun errors for debugging.
-    let mut last_progress: Time = 0;
-    // Fault machinery. `down` is a *count* so overlapping crash windows
-    // (rack blackout + individual crash) compose; a server is up iff 0.
-    let mut down: Vec<u32> = vec![0; cluster.len()];
-    let mut speed_factor: Vec<f64> = vec![1.0; cluster.len()];
-    let mut fault_idx = 0usize;
-    // Guard counters as of the previous pass, for per-pass deltas.
-    let mut prev_guard = GuardStats::default();
+/// One run's engine state. Each method below [`Simulation::step`] is one
+/// layer of a decision point; the scheduler is passed to the layers that
+/// call it, so a [`ClusterView`] of the state can be handed to it.
+struct Simulation<'a> {
+    cluster: &'a ClusterSpec,
+    sampler: &'a DurationSampler,
+    cfg: &'a EngineConfig,
+    /// The fault events not yet applied, in time order.
+    faults: &'a [TimedFault],
+    totals: Resources,
+    /// Jobs not yet admitted. Pop from the back ⇒ ascending (arrival, id).
+    arrivals: Vec<JobSpec>,
+    /// The admitted, unfinished jobs. Every job of the run is known up
+    /// front, so the table's id universe is fixed at construction.
+    active: JobTable,
+    /// Hierarchical free-capacity index, incrementally maintained across
+    /// launch/retire/fault events — never re-snapshotted per decision
+    /// point.
+    free: CapacityIndex,
+    events: FinishQueue,
+    live_on: LiveCopies,
+    /// Per-server crash counts, so overlapping crash windows (rack
+    /// blackout + individual crash) compose; a server is up iff 0.
+    down: Vec<u32>,
+    /// Per-server fail-slow factors, compounding with nominal speed.
+    speed_factor: Vec<f64>,
+    sink: Sink<'a>,
+    now: Time,
+    /// Last slot at which anything observable happened (admission, launch
+    /// or retirement) — surfaced in stall/overrun errors for debugging.
+    last_progress: Time,
+    /// Guard counters as of the previous pass, for per-pass deltas.
+    prev_guard: GuardStats,
     // Scratch buffers reused across decision points so the steady-state
     // loop allocates nothing.
-    let mut finished_jobs: Vec<JobId> = Vec::new();
-    let mut hooks: Vec<FaultHook> = Vec::new();
-    let mut children_scratch: Vec<PhaseId> = Vec::new();
+    finished_jobs: Vec<JobId>,
+    hooks: Vec<FaultHook>,
+    children_scratch: Vec<PhaseId>,
+}
 
-    while !arrivals.is_empty() || !active.is_empty() {
+impl<'a> Simulation<'a> {
+    /// Set up a run, refusing up front a job with a phase that fits no
+    /// server (it could never run).
+    fn new(
+        cluster: &'a ClusterSpec,
+        jobs: Vec<JobSpec>,
+        sampler: &'a DurationSampler,
+        cfg: &'a EngineConfig,
+        faults: &'a FaultTimeline,
+        recorder: &'a mut dyn Recorder,
+    ) -> Result<Self, SimError> {
+        for j in &jobs {
+            for (pi, p) in j.phases().iter().enumerate() {
+                if !cluster
+                    .servers()
+                    .iter()
+                    .any(|s| p.demand.fits_in(s.capacity))
+                {
+                    return Err(SimError::Unsatisfiable {
+                        job: j.id,
+                        phase: pi as u32,
+                        demand: p.demand,
+                    });
+                }
+            }
+        }
+        let mut arrivals = jobs;
+        arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
+        Ok(Simulation {
+            cluster,
+            sampler,
+            cfg,
+            faults: faults.events(),
+            totals: cluster.totals(),
+            active: JobTable::with_ids(arrivals.iter().map(|j| j.id)),
+            arrivals,
+            free: CapacityIndex::from_capacities(cluster),
+            events: FinishQueue::new(),
+            live_on: if faults.is_empty() {
+                Vec::new()
+            } else {
+                vec![Vec::new(); cluster.len()]
+            },
+            down: vec![0; cluster.len()],
+            speed_factor: vec![1.0; cluster.len()],
+            // Read once: the journal is either fully on or fully off for a
+            // run.
+            sink: Sink {
+                fold: ReportFold::new(cfg.record_utilization),
+                recording: recorder.enabled(),
+                recorder,
+            },
+            now: 0,
+            last_progress: 0,
+            prev_guard: GuardStats::default(),
+            finished_jobs: Vec::new(),
+            hooks: Vec::new(),
+            children_scratch: Vec::new(),
+        })
+    }
+
+    /// Run decision points until every job has completed.
+    fn run(mut self, scheduler: &mut dyn Scheduler) -> Result<SimReport, SimError> {
+        while !self.arrivals.is_empty() || !self.active.is_empty() {
+            self.step(scheduler)?;
+        }
+        // Hooks after the last pass (the final `on_job_finish` calls) can
+        // still move the guard's counters.
+        self.emit_guard_delta(scheduler);
+
+        debug_assert!(
+            self.cluster.servers().iter().enumerate().all(|(i, s)| {
+                let f = self.free.free(ServerId(i as u32));
+                if self.down[i] > 0 {
+                    f == Resources::ZERO
+                } else {
+                    f == s.capacity
+                }
+            }),
+            "resource leak: free != capacity after drain"
+        );
+        debug_assert!(
+            self.live_on.iter().all(Vec::is_empty),
+            "live-copy leak: a server still lists copies after drain"
+        );
+        Ok(self.sink.fold.finish(scheduler.name()))
+    }
+
+    /// One decision point: move the clock to it, then run each layer once.
+    fn step(&mut self, scheduler: &mut dyn Scheduler) -> Result<(), SimError> {
+        self.advance(scheduler)?;
+        self.retire_due(scheduler);
+        self.apply_faults_due(scheduler)?;
+        let arrival_ns = self.admit_arrivals(scheduler)?;
+        if !self.active.is_empty() {
+            let batch = self.decide(scheduler, arrival_ns)?;
+            self.launch(batch)?;
+        }
+        if self.cfg.record_utilization {
+            self.sample_utilization();
+        }
+        let now = self.now;
+        debug_assert!(
+            self.events
+                .first_key_value()
+                .is_none_or(|(&finish, _)| finish > now),
+            "finish bucket at or before slot {now} survived its slot"
+        );
+        debug_assert!(
+            self.active.is_consistent(),
+            "the job table's slots, ranks and active set disagree at slot {now}"
+        );
+        debug_assert!(
+            self.active.values().all(JobState::index_matches_status),
+            "a job's ready/running index drifted from its task statuses at slot {now}"
+        );
+        debug_assert!(
+            self.active.values().all(JobState::copies_match_links),
+            "a job's copy links or per-task copy counters drifted from its copy arena at slot {now}"
+        );
+        Ok(())
+    }
+
+    /// Move the clock to the next slot with work: the earliest live
+    /// finish, arrival, fault event or periodic tick.
+    fn advance(&mut self, scheduler: &dyn Scheduler) -> Result<(), SimError> {
         // Drop front buckets that hold only stale events (killed or
         // stretched copies).
-        while let Some(bucket) = events.first_entry() {
+        while let Some(bucket) = self.events.first_entry() {
             let finish = *bucket.key();
             if bucket
                 .get()
                 .iter()
-                .any(|ev| copy_is_live(&active, finish, ev))
+                .any(|ev| copy_is_live(&self.active, finish, ev))
             {
                 break;
             }
             bucket.remove();
         }
-        let next_event = events.first_key_value().map(|(&finish, _)| finish);
-        let next_arrival = arrivals.last().map(|j| j.arrival);
-        let next_fault = faults.events().get(fault_idx).map(|f| f.at);
+        let next_event = self.events.first_key_value().map(|(&finish, _)| finish);
+        let next_arrival = self.arrivals.last().map(|j| j.arrival);
+        let next_fault = self.faults.first().map(|f| f.at);
         // A periodic tick only matters while copies are in flight (it
         // exists to let progress monitors observe running stragglers).
-        let next_tick = match (cfg.tick, next_event) {
-            (Some(k), Some(_)) if !active.is_empty() => Some(now + k.max(1)),
+        let next_tick = match (self.cfg.tick, next_event) {
+            (Some(k), Some(_)) if !self.active.is_empty() => Some(self.now + k.max(1)),
             _ => None,
         };
-        let t = match [next_event, next_arrival, next_tick, next_fault]
+        let next = [next_event, next_arrival, next_tick, next_fault]
             .into_iter()
             .flatten()
-            .min()
-        {
-            Some(t) => t,
-            None => {
-                return Err(SimError::Stalled {
-                    scheduler: scheduler.name(),
-                    at: now,
-                    progress: progress_snapshot(&active, last_progress),
-                })
-            }
+            .min();
+        let Some(t) = next else {
+            return Err(self.stalled(scheduler));
         };
-        now = now.max(t);
-        if now > cfg.max_slots {
+        self.now = self.now.max(t);
+        if self.now > self.cfg.max_slots {
             return Err(SimError::ClockOverrun {
                 scheduler: scheduler.name(),
-                max_slots: cfg.max_slots,
-                at: now,
-                progress: progress_snapshot(&active, last_progress),
+                max_slots: self.cfg.max_slots,
+                at: self.now,
+                progress: self.progress(),
             });
         }
-        sink.trace(|| TraceEvent::SlotTick { at: now });
+        let now = self.now;
+        self.sink.trace(|| TraceEvent::SlotTick { at: now });
+        Ok(())
+    }
 
-        // 1) Retire copies finishing now, skipping stale events. Liveness
-        // is checked per event: a retire kills the winner's siblings,
-        // which may sit later in the same bucket.
-        finished_jobs.clear();
-        while let Some(bucket) = events.first_entry() {
+    /// Retire the copies finishing now, skipping stale events, then
+    /// complete the jobs whose last task they finished.
+    fn retire_due(&mut self, scheduler: &mut dyn Scheduler) {
+        let now = self.now;
+        // Liveness is checked per event: a retire kills the winner's
+        // siblings, which may sit later in the same bucket.
+        while let Some(bucket) = self.events.first_entry() {
             if *bucket.key() > now {
                 break;
             }
             let (finish, due) = bucket.remove_entry();
             for ev in &due {
-                if !copy_is_live(&active, finish, ev) {
-                    continue;
+                if copy_is_live(&self.active, finish, ev) {
+                    self.retire_copy(ev);
+                    self.last_progress = now;
                 }
-                retire_copy(
-                    &mut active,
-                    &mut free,
-                    &mut live_on,
-                    totals,
-                    now,
-                    ev,
-                    &mut finished_jobs,
-                    &mut children_scratch,
-                    &mut sink,
-                );
-                last_progress = now;
             }
         }
-        for id in finished_jobs.drain(..) {
+        for id in self.finished_jobs.drain(..) {
             #[allow(clippy::expect_used)] // retire_copy listed it from `active`
-            let job = active.remove(id).expect("finished job present");
-            sink.emit(TraceEvent::JobCompletion {
+            let job = self.active.remove(id).expect("finished job present");
+            self.sink.emit(TraceEvent::JobCompletion {
                 at: now,
                 metrics: job_metrics(&job, now),
             });
             scheduler.on_job_finish(&job);
         }
+    }
 
-        // 1b) Apply fault events due now — after completions (a copy
-        // finishing exactly at the crash slot completed first), before
-        // arrivals and scheduling (re-queued tasks compete this slot).
-        hooks.clear();
-        while faults.events().get(fault_idx).is_some_and(|f| f.at <= now) {
-            let f = faults.events()[fault_idx];
-            fault_idx += 1;
-            apply_fault(
-                f.event,
-                now,
-                cluster,
-                totals,
-                &mut active,
-                &mut free,
-                &mut down,
-                &mut speed_factor,
-                &mut events,
-                &mut live_on,
-                &mut hooks,
-                &mut sink,
-            )?;
+    /// Apply the fault events due now — after completions (a copy
+    /// finishing exactly at the crash slot completed first), before
+    /// arrivals and scheduling (re-queued tasks compete this slot) — then
+    /// run their hooks against one view.
+    fn apply_faults_due(&mut self, scheduler: &mut dyn Scheduler) -> Result<(), SimError> {
+        self.hooks.clear();
+        while let Some((&f, rest)) = self.faults.split_first() {
+            if f.at > self.now {
+                break;
+            }
+            self.faults = rest;
+            self.apply_fault(f.event)?;
         }
-        if !hooks.is_empty() {
-            let view = live_view(now, cluster, &free, &active, &down);
-            for h in &hooks {
+        if !self.hooks.is_empty() {
+            let view = self.view();
+            for h in &self.hooks {
                 match *h {
                     FaultHook::Down(s) => scheduler.on_server_down(&view, s),
                     FaultHook::Up(s) => scheduler.on_server_up(&view, s),
@@ -467,170 +485,435 @@ pub fn try_simulate_with_faults_recorded(
                 }
             }
         }
+        Ok(())
+    }
 
-        // 2) Admit arrivals.
+    /// Admit the jobs arriving now, notifying the scheduler of each.
+    /// Returns the nanoseconds spent in those notifications.
+    fn admit_arrivals(&mut self, scheduler: &mut dyn Scheduler) -> Result<u64, SimError> {
+        let now = self.now;
         let mut arrival_ns = 0u64;
-        while arrivals.last().is_some_and(|j| j.arrival <= now) {
+        while self.arrivals.last().is_some_and(|j| j.arrival <= now) {
             #[allow(clippy::expect_used)] // loop condition peeked it
-            let spec = arrivals.pop().expect("peeked");
+            let spec = self.arrivals.pop().expect("peeked");
             let id = spec.id;
-            if active.contains_key(id) {
+            if self.active.contains_key(id) {
                 return Err(SimError::DuplicateJob { job: id });
             }
-            last_progress = now;
-            let tables = sampler.job_tables(&spec);
-            active.insert(JobState::new(spec, tables));
-            sink.trace(|| TraceEvent::JobArrival { at: now, job: id });
-            let view = live_view(now, cluster, &free, &active, &down);
+            self.last_progress = now;
+            let tables = self.sampler.job_tables(&spec);
+            self.active.insert(JobState::new(spec, tables));
+            self.sink
+                .trace(|| TraceEvent::JobArrival { at: now, job: id });
+            let view = self.view();
             let t0 = std::time::Instant::now();
             scheduler.on_job_arrival(&view, id);
             arrival_ns += t0.elapsed().as_nanos() as u64;
         }
+        Ok(arrival_ns)
+    }
 
-        // 3) One scheduling pass.
-        if !active.is_empty() {
-            let view = live_view(now, cluster, &free, &active, &down);
-            let t0 = std::time::Instant::now();
-            let batch = scheduler.schedule(&view);
-            let schedule_ns = t0.elapsed().as_nanos() as u64;
-            // The span precedes the batch's CopyLaunch events, so a
-            // journal reader sees "decided, then placed".
-            sink.emit(TraceEvent::SchedSpan {
+    /// One scheduling pass: take the scheduler's batch, journal the pass
+    /// and the guard's counters, and refuse an empty batch that leaves
+    /// nothing to wait for.
+    fn decide(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        arrival_ns: u64,
+    ) -> Result<Vec<Assignment>, SimError> {
+        let view = self.view();
+        let t0 = std::time::Instant::now();
+        let batch = scheduler.schedule(&view);
+        let schedule_ns = t0.elapsed().as_nanos() as u64;
+        // The span precedes the batch's CopyLaunch events, so a journal
+        // reader sees "decided, then placed".
+        self.sink.emit(TraceEvent::SchedSpan {
+            at: self.now,
+            decision_point: self.sink.fold.decision_points() + 1,
+            arrival_ns,
+            schedule_ns,
+            batch: batch.len() as u64,
+            detail: scheduler.pass_span(),
+        });
+        self.emit_guard_delta(scheduler);
+
+        // Pending fault events are future decision points too: a
+        // fully-crashed cluster legitimately idles until a Restore.
+        let stalled_risk =
+            self.events.is_empty() && self.arrivals.is_empty() && self.faults.is_empty();
+        if stalled_risk && batch.is_empty() {
+            return Err(self.stalled(scheduler));
+        }
+        Ok(batch)
+    }
+
+    /// Check and launch the batch's assignments in order, each against
+    /// the state the ones before it left.
+    fn launch(&mut self, batch: Vec<Assignment>) -> Result<(), SimError> {
+        for a in batch {
+            check_assignment(&self.view(), None, &a)?;
+            self.apply_assignment(a);
+            self.last_progress = self.now;
+        }
+        Ok(())
+    }
+
+    /// Sample cluster utilization into the report. O(1): the index keeps
+    /// the total-free running sum up to date across launch/retire/fault
+    /// events (exact integer milli-unit arithmetic, so it equals a full
+    /// re-summation bit-for-bit).
+    fn sample_utilization(&mut self) {
+        let total_free = self.free.total_free();
+        debug_assert_eq!(
+            total_free,
+            self.free.fold_total_free(),
+            "incremental total-free counter drifted from the re-summed value"
+        );
+        let used = self.totals - total_free;
+        let frac = |used: f64, total: f64| if total > 0.0 { used / total } else { 0.0 };
+        let cpu = frac(used.cpu(), self.totals.cpu());
+        let mem = frac(used.mem(), self.totals.mem());
+        self.sink.emit(TraceEvent::UtilSample {
+            at: self.now,
+            cpu,
+            mem,
+        });
+    }
+
+    /// The view of live engine state handed to scheduler callbacks and to
+    /// [`check_assignment`].
+    fn view(&self) -> ClusterView<'_> {
+        ClusterView {
+            now: self.now,
+            spec: self.cluster,
+            cap: &self.free,
+            jobs: &self.active,
+            down: &self.down,
+        }
+    }
+
+    /// Snapshot of the engine's progress state for stall/overrun errors.
+    fn progress(&self) -> ProgressSnapshot {
+        ProgressSnapshot {
+            active_jobs: self
+                .active
+                .keys()
+                .take(ProgressSnapshot::MAX_LISTED)
+                .collect(),
+            total_active: self.active.len(),
+            pending_tasks: self.active.values().map(|j| j.iter_ready().count()).sum(),
+            last_progress: self.last_progress,
+        }
+    }
+
+    /// The error for a run that can make no more progress.
+    fn stalled(&self, scheduler: &dyn Scheduler) -> SimError {
+        SimError::Stalled {
+            scheduler: scheduler.name(),
+            at: self.now,
+            progress: self.progress(),
+        }
+    }
+
+    /// Emit the change in the scheduler's guard counters since the last
+    /// call, if any.
+    fn emit_guard_delta(&mut self, scheduler: &dyn Scheduler) {
+        if let Some(gs) = scheduler.guard_stats() {
+            let delta = gs.diff(&self.prev_guard);
+            if delta != GuardStats::default() {
+                let at = self.now;
+                self.sink.emit(TraceEvent::GuardDelta { at, delta });
+            }
+            self.prev_guard = gs;
+        }
+    }
+
+    /// Apply one fault event: mutate cluster/job state and queue the
+    /// scheduler hooks to run once every event of the slot has landed.
+    ///
+    /// A crash or a fail-slow onset visits only the server's own live
+    /// copies (`live_on`), sorted into `(job, phase, task, copy)` order:
+    /// the journal, the float sums and the re-queued finish events then
+    /// come out the same whatever order the copies launched in.
+    ///
+    /// A malformed timeline (unknown server, restore of a server that is
+    /// not down) yields [`SimError::InvalidTimeline`] instead of mutating
+    /// anything.
+    fn apply_fault(&mut self, event: FaultEvent) -> Result<(), SimError> {
+        let now = self.now;
+        let server = event.server();
+        let sid = server.0 as usize;
+        if sid >= self.cluster.len() {
+            return Err(SimError::InvalidTimeline {
                 at: now,
-                decision_point: sink.fold.decision_points() + 1,
-                arrival_ns,
-                schedule_ns,
-                batch: batch.len() as u64,
-                detail: scheduler.pass_span(),
+                detail: format!("fault event for unknown server {sid}"),
             });
-            emit_guard_delta(&mut sink, &*scheduler, &mut prev_guard, now);
-
-            // Pending fault events are future decision points too: a
-            // fully-crashed cluster legitimately idles until a Restore.
-            let stalled_risk =
-                events.is_empty() && arrivals.is_empty() && fault_idx >= faults.len();
-            if stalled_risk && batch.is_empty() {
-                return Err(SimError::Stalled {
-                    scheduler: scheduler.name(),
+        }
+        match event {
+            FaultEvent::Crash(_) => {
+                self.down[sid] += 1;
+                if self.down[sid] > 1 {
+                    // Already offline (overlapping blackout window):
+                    // counted, nothing left to evict.
+                    return Ok(());
+                }
+                self.sink.emit(TraceEvent::ServerCrash { at: now, server });
+                self.free.set_free(server, Resources::ZERO);
+                self.hooks.push(FaultHook::Down(server));
+                // Every copy on the server dies, so the list ends empty.
+                let evicted = &mut self.live_on[sid];
+                evicted.sort_unstable();
+                for copies in evicted.chunk_by(|a, b| a.0 == b.0) {
+                    let tref = copies[0].0;
+                    #[allow(clippy::expect_used)] // only live copies are listed
+                    let job = self
+                        .active
+                        .get_mut(tref.job)
+                        .expect("live copy ⇒ job active");
+                    let demand_norm = job
+                        .spec()
+                        .phase(tref.phase)
+                        .demand
+                        .normalized_sum(self.totals);
+                    debug_assert_eq!(
+                        job.task(tref.phase, tref.task).status(),
+                        TaskStatus::Running
+                    );
+                    // Arena order is launch order, so within a task the
+                    // sort above put the copies in `copy_idx` order.
+                    for &(_, copy) in copies {
+                        let c = job.end_copy(copy);
+                        debug_assert!(c.server == server);
+                        let wasted = demand_norm * now.saturating_sub(c.start) as f64;
+                        job.usage_norm += wasted;
+                        self.sink.emit(TraceEvent::CopyEvict {
+                            at: now,
+                            task: tref,
+                            copy_idx: c.copy_idx,
+                            server,
+                            kind: c.kind,
+                            start: c.start,
+                            work_lost_norm: wasted,
+                        });
+                    }
+                    if job.task(tref.phase, tref.task).live_copies() > 0 {
+                        // A live clone elsewhere carries the task —
+                        // cloning as fault tolerance (§5.2's mechanism
+                        // repurposed).
+                        self.sink.emit(TraceEvent::TaskSaved {
+                            at: now,
+                            task: tref,
+                        });
+                    } else {
+                        // Work-conserving re-queue: all progress lost, the
+                        // task re-enters the ready pool.
+                        job.transition(tref.phase, Transition::Requeue(tref.task));
+                        self.sink.emit(TraceEvent::TaskLost {
+                            at: now,
+                            task: tref,
+                        });
+                        self.hooks.push(FaultHook::Lost(tref));
+                    }
+                }
+                evicted.clear();
+            }
+            FaultEvent::Restore(_) => {
+                if self.down[sid] == 0 {
+                    return Err(SimError::InvalidTimeline {
+                        at: now,
+                        detail: format!("restore at slot {now} for server {sid} that is not down"),
+                    });
+                }
+                self.down[sid] -= 1;
+                if self.down[sid] == 0 {
+                    self.free
+                        .set_free(server, self.cluster.server(server).capacity);
+                    self.sink
+                        .emit(TraceEvent::ServerRestore { at: now, server });
+                    self.hooks.push(FaultHook::Up(server));
+                }
+            }
+            FaultEvent::Degrade(_, factor) => {
+                self.speed_factor[sid] *= factor;
+                self.sink.emit(TraceEvent::ServerDegrade {
                     at: now,
-                    progress: progress_snapshot(&active, last_progress),
+                    server,
+                    factor,
                 });
+                // Stretch in-flight copies: the remaining slots inflate by
+                // the factor; the superseded finish event goes stale via
+                // the finish check in `copy_is_live`.
+                let stretched = &mut self.live_on[sid];
+                stretched.sort_unstable();
+                for &(tref, copy) in stretched.iter() {
+                    #[allow(clippy::expect_used)] // only live copies are listed
+                    let job = self
+                        .active
+                        .get_mut(tref.job)
+                        .expect("live copy ⇒ job active");
+                    #[allow(clippy::expect_used)] // listed copies are in the arena
+                    let c = job.copy(copy).expect("listed copy in the arena");
+                    debug_assert!(c.live && c.server == server);
+                    let remaining = c.finish.saturating_sub(now).max(1);
+                    let finish = now + ((remaining as f64 / factor).ceil() as Time).max(1);
+                    job.set_finish(copy, finish);
+                    self.events.entry(finish).or_default().push(Event {
+                        job: tref.job,
+                        copy,
+                    });
+                }
             }
-            for a in batch {
-                check_assignment(&live_view(now, cluster, &free, &active, &down), None, &a)?;
-                apply_assignment(
-                    cluster,
-                    sampler,
-                    cfg,
-                    now,
-                    &mut active,
-                    &mut free,
-                    &speed_factor,
-                    &mut events,
-                    &mut live_on,
-                    a,
-                    &mut sink,
+        }
+        Ok(())
+    }
+
+    /// Retire the copy named by `ev` as the task's winner; kill siblings,
+    /// update phase/job bookkeeping, and record fully finished jobs.
+    fn retire_copy(&mut self, ev: &Event) {
+        let now = self.now;
+        #[allow(clippy::expect_used)] // copy_is_live gated the event on this
+        let job = self.active.get_mut(ev.job).expect("live copy ⇒ job active");
+        #[allow(clippy::expect_used)] // copy_is_live gated the event on this
+        let won = *job.copy(ev.copy).expect("live copy in the arena");
+        let tref = TaskRef {
+            job: ev.job,
+            phase: won.phase,
+            task: won.task,
+        };
+        let demand = job.spec().phase(tref.phase).demand;
+        let demand_norm = demand.normalized_sum(self.totals);
+        let pi = tref.phase.0 as usize;
+
+        debug_assert_eq!(
+            job.task(tref.phase, tref.task).status(),
+            TaskStatus::Running
+        );
+        // End every live copy in launch order: the winner completes, the
+        // rest are killed.
+        let mut next = job.task(tref.phase, tref.task).first;
+        while let Some(&c) = job.copy(next) {
+            let copy = next;
+            next = c.next;
+            if !c.live {
+                continue;
+            }
+            job.end_copy(copy);
+            self.free.add_free(c.server, demand);
+            if let Some(listed) = self.live_on.get_mut(c.server.0 as usize) {
+                let pos = listed.iter().position(|&e| e == (tref, copy));
+                debug_assert!(
+                    pos.is_some(),
+                    "live copy {}#{} missing from server {}'s list",
+                    tref,
+                    c.copy_idx,
+                    c.server.0
                 );
-                last_progress = now;
+                if let Some(i) = pos {
+                    listed.swap_remove(i);
+                }
+            }
+            job.usage_norm += demand_norm * now.saturating_sub(c.start) as f64;
+            let outcome = if copy == ev.copy {
+                CopyOutcome::Won
+            } else {
+                CopyOutcome::Killed
+            };
+            // Journal-only: the report fold ignores copy retirements.
+            self.sink.trace(|| TraceEvent::CopyRetire {
+                at: now,
+                task: tref,
+                copy_idx: c.copy_idx,
+                server: c.server,
+                kind: c.kind,
+                start: c.start,
+                outcome,
+            });
+        }
+        job.finish_task(tref.phase, tref.task, now, won.copy_idx);
+        job.phases[pi]
+            .observed
+            .push(now.saturating_sub(won.start) as f64);
+
+        debug_assert!(job.phases[pi].remaining > 0);
+        job.phases[pi].remaining -= 1;
+        if job.phases[pi].remaining == 0 {
+            // Unlock children whose parents are now all complete (Eq. 7).
+            // Copied into a reused scratch buffer to release the spec
+            // borrow.
+            let children = &mut self.children_scratch;
+            children.clear();
+            children.extend_from_slice(job.spec().children(tref.phase));
+            for &child in children.iter() {
+                let ready = job
+                    .spec()
+                    .phase(child)
+                    .parents
+                    .iter()
+                    .all(|p| job.phases[p.0 as usize].remaining == 0);
+                if ready && !job.phases[child.0 as usize].runnable {
+                    job.transition(child, Transition::Unlock);
+                }
+            }
+            if job.is_done() {
+                job.finish = Some(now);
+                self.finished_jobs.push(job.id());
             }
         }
-        if cfg.record_utilization {
-            // O(1): the index keeps the total-free running sum up to date
-            // across launch/retire/fault events (exact integer milli-unit
-            // arithmetic, so it equals a full re-summation bit-for-bit).
-            let total_free = free.total_free();
-            debug_assert_eq!(
-                total_free,
-                free.fold_total_free(),
-                "incremental total-free counter drifted from the re-summed value"
-            );
-            let used = totals - total_free;
-            let cpu = if totals.cpu() > 0.0 {
-                used.cpu() / totals.cpu()
-            } else {
-                0.0
-            };
-            let mem = if totals.mem() > 0.0 {
-                used.mem() / totals.mem()
-            } else {
-                0.0
-            };
-            sink.emit(TraceEvent::UtilSample { at: now, cpu, mem });
-        }
-        debug_assert!(
-            events
-                .first_key_value()
-                .is_none_or(|(&finish, _)| finish > now),
-            "finish bucket at or before slot {now} survived its slot"
-        );
-        debug_assert!(
-            active.is_consistent(),
-            "the job table's slots, ranks and active set disagree at slot {now}"
-        );
-        debug_assert!(
-            active.values().all(JobState::index_matches_status),
-            "a job's ready/running index drifted from its task statuses at slot {now}"
-        );
-        debug_assert!(
-            active.values().all(JobState::copies_match_links),
-            "a job's copy links or per-task copy counters drifted from its copy arena at slot {now}"
-        );
     }
-    // Hooks after the last pass (the final `on_job_finish` calls) can
-    // still move the guard's counters.
-    emit_guard_delta(&mut sink, &*scheduler, &mut prev_guard, now);
 
-    debug_assert!(
-        cluster.servers().iter().enumerate().all(|(i, s)| {
-            let f = free.free(ServerId(i as u32));
-            if down[i] > 0 {
-                f == Resources::ZERO
-            } else {
-                f == s.capacity
+    /// Launch the (pre-validated) copy: charge capacity, sample a
+    /// duration, and queue the finish event. Infallible — callers run
+    /// [`check_assignment`] first.
+    fn apply_assignment(&mut self, a: Assignment) {
+        let now = self.now;
+        #[allow(clippy::expect_used)] // check_assignment verified the job exists
+        let job = self
+            .active
+            .get_mut(a.task.job)
+            .expect("checked: assignment for known job");
+        let spec_phase = job.spec().phase(a.task.phase);
+
+        let sid = a.server.0 as usize;
+        self.free.sub_free(a.server, spec_phase.demand);
+
+        let copy_idx = job.task(a.task.phase, a.task.task).launched_copies();
+        let mut base = self.sampler.copy_duration(
+            a.task.job,
+            a.task.phase,
+            a.task.task,
+            copy_idx,
+            spec_phase,
+            job.table(a.task.phase),
+        );
+        // Data locality: root-phase tasks read their input block remotely
+        // when placed off-replica.
+        if self.cfg.remote_penalty > 1.0 && spec_phase.parents.is_empty() {
+            let replicas = crate::execution::block_replicas(a.task, self.cluster.len());
+            if !replicas.contains(&a.server) {
+                base *= self.cfg.remote_penalty;
             }
-        }),
-        "resource leak: free != capacity after drain"
-    );
-    debug_assert!(
-        live_on.iter().all(Vec::is_empty),
-        "live-copy leak: a server still lists copies after drain"
-    );
-
-    Ok(sink.fold.finish(scheduler.name()))
-}
-
-/// The view of live engine state handed to scheduler callbacks and to
-/// [`check_assignment`].
-fn live_view<'a>(
-    now: Time,
-    spec: &'a ClusterSpec,
-    cap: &'a CapacityIndex,
-    jobs: &'a JobTable,
-    down: &'a [u32],
-) -> ClusterView<'a> {
-    ClusterView {
-        now,
-        spec,
-        cap,
-        jobs,
-        down,
-    }
-}
-
-/// Emit the change in the scheduler's guard counters since `prev`, if
-/// any, and remember the new counters.
-fn emit_guard_delta(
-    sink: &mut Sink<'_>,
-    scheduler: &dyn Scheduler,
-    prev: &mut GuardStats,
-    now: Time,
-) {
-    if let Some(gs) = scheduler.guard_stats() {
-        let delta = gs.diff(prev);
-        if delta != GuardStats::default() {
-            sink.emit(TraceEvent::GuardDelta { at: now, delta });
         }
-        *prev = gs;
+        // Fail-slow degradation compounds with the server's nominal speed.
+        let speed = self.cluster.server(a.server).speed * self.speed_factor[sid];
+        let dur = ((base / speed).ceil() as Time).max(1);
+        let finish = now + dur;
+
+        let copy = job.launch(a.task.phase, a.task.task, a.server, now, finish, a.kind);
+        if let Some(listed) = self.live_on.get_mut(sid) {
+            listed.push((a.task, copy));
+        }
+        self.events.entry(finish).or_default().push(Event {
+            job: a.task.job,
+            copy,
+        });
+        self.sink.trace(|| TraceEvent::CopyLaunch {
+            at: now,
+            task: a.task,
+            copy_idx,
+            server: a.server,
+            kind: a.kind,
+            finish,
+        });
     }
 }
 
@@ -647,247 +930,6 @@ fn copy_is_live(active: &JobTable, finish: Time, ev: &Event) -> bool {
         .get(ev.job)
         .and_then(|j| j.copy(ev.copy))
         .is_some_and(|c| c.live && c.finish == finish)
-}
-
-/// Apply one fault event: mutate cluster/job state and queue the
-/// scheduler hooks to run once every event of the slot has landed.
-///
-/// A crash or a fail-slow onset visits only the server's own live copies
-/// (`live_on`), sorted into `(job, phase, task, copy)` order: the journal,
-/// the float sums and the re-queued finish events then come out the same
-/// whatever order the copies launched in.
-///
-/// A malformed timeline (unknown server, restore of a server that is
-/// not down) yields [`SimError::InvalidTimeline`] instead of mutating
-/// anything.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    event: FaultEvent,
-    now: Time,
-    cluster: &ClusterSpec,
-    totals: Resources,
-    active: &mut JobTable,
-    free: &mut CapacityIndex,
-    down: &mut [u32],
-    speed_factor: &mut [f64],
-    events: &mut FinishQueue,
-    live_on: &mut LiveCopies,
-    hooks: &mut Vec<FaultHook>,
-    sink: &mut Sink<'_>,
-) -> Result<(), SimError> {
-    let server = event.server();
-    let sid = server.0 as usize;
-    if sid >= cluster.len() {
-        return Err(SimError::InvalidTimeline {
-            at: now,
-            detail: format!("fault event for unknown server {sid}"),
-        });
-    }
-    match event {
-        FaultEvent::Crash(_) => {
-            down[sid] += 1;
-            if down[sid] > 1 {
-                // Already offline (overlapping blackout window): counted,
-                // nothing left to evict.
-                return Ok(());
-            }
-            sink.emit(TraceEvent::ServerCrash { at: now, server });
-            free.set_free(server, Resources::ZERO);
-            hooks.push(FaultHook::Down(server));
-            // Every copy on the server dies, so the list ends empty.
-            let evicted = &mut live_on[sid];
-            evicted.sort_unstable();
-            for copies in evicted.chunk_by(|a, b| a.0 == b.0) {
-                let tref = copies[0].0;
-                #[allow(clippy::expect_used)] // only live copies are listed
-                let job = active.get_mut(tref.job).expect("live copy ⇒ job active");
-                let demand_norm = job.spec().phase(tref.phase).demand.normalized_sum(totals);
-                debug_assert_eq!(
-                    job.task(tref.phase, tref.task).status(),
-                    TaskStatus::Running
-                );
-                // Arena order is launch order, so within a task the sort
-                // above put the copies in `copy_idx` order.
-                for &(_, copy) in copies {
-                    let c = job.end_copy(copy);
-                    debug_assert!(c.server == server);
-                    let wasted = demand_norm * now.saturating_sub(c.start) as f64;
-                    job.usage_norm += wasted;
-                    sink.emit(TraceEvent::CopyEvict {
-                        at: now,
-                        task: tref,
-                        copy_idx: c.copy_idx,
-                        server,
-                        kind: c.kind,
-                        start: c.start,
-                        work_lost_norm: wasted,
-                    });
-                }
-                if job.task(tref.phase, tref.task).live_copies() > 0 {
-                    // A live clone elsewhere carries the task — cloning
-                    // as fault tolerance (§5.2's mechanism repurposed).
-                    sink.emit(TraceEvent::TaskSaved {
-                        at: now,
-                        task: tref,
-                    });
-                } else {
-                    // Work-conserving re-queue: all progress lost, the
-                    // task re-enters the ready pool.
-                    job.transition(tref.phase, Transition::Requeue(tref.task));
-                    sink.emit(TraceEvent::TaskLost {
-                        at: now,
-                        task: tref,
-                    });
-                    hooks.push(FaultHook::Lost(tref));
-                }
-            }
-            evicted.clear();
-        }
-        FaultEvent::Restore(_) => {
-            if down[sid] == 0 {
-                return Err(SimError::InvalidTimeline {
-                    at: now,
-                    detail: format!("restore at slot {now} for server {sid} that is not down"),
-                });
-            }
-            down[sid] -= 1;
-            if down[sid] == 0 {
-                free.set_free(server, cluster.server(server).capacity);
-                sink.emit(TraceEvent::ServerRestore { at: now, server });
-                hooks.push(FaultHook::Up(server));
-            }
-        }
-        FaultEvent::Degrade(_, factor) => {
-            speed_factor[sid] *= factor;
-            sink.emit(TraceEvent::ServerDegrade {
-                at: now,
-                server,
-                factor,
-            });
-            // Stretch in-flight copies: the remaining slots inflate by the
-            // factor; the superseded finish event goes stale via the
-            // finish check in `copy_is_live`.
-            let stretched = &mut live_on[sid];
-            stretched.sort_unstable();
-            for &(tref, copy) in stretched.iter() {
-                #[allow(clippy::expect_used)] // only live copies are listed
-                let job = active.get_mut(tref.job).expect("live copy ⇒ job active");
-                #[allow(clippy::expect_used)] // listed copies are in the arena
-                let c = job.copy(copy).expect("listed copy in the arena");
-                debug_assert!(c.live && c.server == server);
-                let remaining = c.finish.saturating_sub(now).max(1);
-                let finish = now + ((remaining as f64 / factor).ceil() as Time).max(1);
-                job.set_finish(copy, finish);
-                events.entry(finish).or_default().push(Event {
-                    job: tref.job,
-                    copy,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Retire the copy named by `ev` as the task's winner; kill siblings,
-/// update phase/job bookkeeping, and record fully finished jobs.
-#[allow(clippy::too_many_arguments)]
-fn retire_copy(
-    active: &mut JobTable,
-    free: &mut CapacityIndex,
-    live_on: &mut LiveCopies,
-    totals: Resources,
-    now: Time,
-    ev: &Event,
-    finished_jobs: &mut Vec<JobId>,
-    children_scratch: &mut Vec<PhaseId>,
-    sink: &mut Sink<'_>,
-) {
-    #[allow(clippy::expect_used)] // copy_is_live gated the event on this
-    let job = active.get_mut(ev.job).expect("live copy ⇒ job active");
-    #[allow(clippy::expect_used)] // copy_is_live gated the event on this
-    let won = *job.copy(ev.copy).expect("live copy in the arena");
-    let tref = TaskRef {
-        job: ev.job,
-        phase: won.phase,
-        task: won.task,
-    };
-    let demand = job.spec().phase(tref.phase).demand;
-    let demand_norm = demand.normalized_sum(totals);
-    let pi = tref.phase.0 as usize;
-
-    debug_assert_eq!(
-        job.task(tref.phase, tref.task).status(),
-        TaskStatus::Running
-    );
-    // End every live copy in launch order: the winner completes, the rest
-    // are killed.
-    let mut next = job.task(tref.phase, tref.task).first;
-    while let Some(&c) = job.copy(next) {
-        let copy = next;
-        next = c.next;
-        if !c.live {
-            continue;
-        }
-        job.end_copy(copy);
-        free.add_free(c.server, demand);
-        if let Some(listed) = live_on.get_mut(c.server.0 as usize) {
-            let pos = listed.iter().position(|&e| e == (tref, copy));
-            debug_assert!(
-                pos.is_some(),
-                "live copy {}#{} missing from server {}'s list",
-                tref,
-                c.copy_idx,
-                c.server.0
-            );
-            if let Some(i) = pos {
-                listed.swap_remove(i);
-            }
-        }
-        job.usage_norm += demand_norm * now.saturating_sub(c.start) as f64;
-        let outcome = if copy == ev.copy {
-            CopyOutcome::Won
-        } else {
-            CopyOutcome::Killed
-        };
-        // Journal-only: the report fold ignores copy retirements.
-        sink.trace(|| TraceEvent::CopyRetire {
-            at: now,
-            task: tref,
-            copy_idx: c.copy_idx,
-            server: c.server,
-            kind: c.kind,
-            start: c.start,
-            outcome,
-        });
-    }
-    job.finish_task(tref.phase, tref.task, now, won.copy_idx);
-    job.phases[pi]
-        .observed
-        .push(now.saturating_sub(won.start) as f64);
-
-    debug_assert!(job.phases[pi].remaining > 0);
-    job.phases[pi].remaining -= 1;
-    if job.phases[pi].remaining == 0 {
-        // Unlock children whose parents are now all complete (Eq. 7).
-        // Copied into a reused scratch buffer to release the spec borrow.
-        children_scratch.clear();
-        children_scratch.extend_from_slice(job.spec().children(tref.phase));
-        for &child in children_scratch.iter() {
-            let ready = job
-                .spec()
-                .phase(child)
-                .parents
-                .iter()
-                .all(|p| job.phases[p.0 as usize].remaining == 0);
-            if ready && !job.phases[child.0 as usize].runnable {
-                job.transition(child, Transition::Unlock);
-            }
-        }
-        if job.is_done() {
-            job.finish = Some(now);
-            finished_jobs.push(job.id());
-        }
-    }
 }
 
 /// The admission rules, in one place for the engine and
@@ -1001,72 +1043,6 @@ pub(crate) fn check_assignment(
         );
     }
     Ok(demand)
-}
-
-/// Launch the (pre-validated) copy: charge capacity, sample a duration,
-/// and queue the finish event. Infallible — callers run
-/// [`check_assignment`] first.
-#[allow(clippy::too_many_arguments)]
-fn apply_assignment(
-    cluster: &ClusterSpec,
-    sampler: &DurationSampler,
-    cfg: &EngineConfig,
-    now: Time,
-    active: &mut JobTable,
-    free: &mut CapacityIndex,
-    speed_factor: &[f64],
-    events: &mut FinishQueue,
-    live_on: &mut LiveCopies,
-    a: Assignment,
-    sink: &mut Sink<'_>,
-) {
-    #[allow(clippy::expect_used)] // check_assignment verified the job exists
-    let job = active
-        .get_mut(a.task.job)
-        .expect("checked: assignment for known job");
-    let spec_phase = job.spec().phase(a.task.phase);
-
-    let sid = a.server.0 as usize;
-    free.sub_free(a.server, spec_phase.demand);
-
-    let copy_idx = job.task(a.task.phase, a.task.task).launched_copies();
-    let mut base = sampler.copy_duration(
-        a.task.job,
-        a.task.phase,
-        a.task.task,
-        copy_idx,
-        spec_phase,
-        job.table(a.task.phase),
-    );
-    // Data locality: root-phase tasks read their input block remotely
-    // when placed off-replica.
-    if cfg.remote_penalty > 1.0 && spec_phase.parents.is_empty() {
-        let replicas = crate::execution::block_replicas(a.task, cluster.len());
-        if !replicas.contains(&a.server) {
-            base *= cfg.remote_penalty;
-        }
-    }
-    // Fail-slow degradation compounds with the server's nominal speed.
-    let speed = cluster.server(a.server).speed * speed_factor[sid];
-    let dur = ((base / speed).ceil() as Time).max(1);
-    let finish = now + dur;
-
-    let copy = job.launch(a.task.phase, a.task.task, a.server, now, finish, a.kind);
-    if let Some(listed) = live_on.get_mut(sid) {
-        listed.push((a.task, copy));
-    }
-    events.entry(finish).or_default().push(Event {
-        job: a.task.job,
-        copy,
-    });
-    sink.trace(|| TraceEvent::CopyLaunch {
-        at: now,
-        task: a.task,
-        copy_idx,
-        server: a.server,
-        kind: a.kind,
-        finish,
-    });
 }
 
 fn job_metrics(job: &JobState, now: Time) -> JobMetrics {
@@ -1217,12 +1193,13 @@ mod tests {
         // The first job 7 runs 0..10: its namesake arrives with it or
         // while it still runs.
         for second in [0, 3, 9] {
-            let err = try_simulate(
+            let err = try_simulate_with_faults(
                 &cluster,
                 vec![arriving(7, 0, 10.0), arriving(7, second, 10.0)],
                 &det_sampler(),
                 &mut FifoFirstFit,
                 &EngineConfig::default(),
+                &FaultTimeline::empty(),
             )
             .unwrap_err();
             assert_eq!(err, SimError::DuplicateJob { job: JobId(7) }, "{second}");
@@ -1234,14 +1211,13 @@ mod tests {
         let cluster = one_server(1.0, 1.0);
         // Job 7 runs 0..5; its namesake arrives as it finishes, or later.
         for (second, finish) in [(5, 10), (8, 13)] {
-            let r = try_simulate(
+            let r = simulate(
                 &cluster,
                 vec![arriving(7, 0, 5.0), arriving(7, second, 5.0)],
                 &det_sampler(),
                 &mut FifoFirstFit,
                 &EngineConfig::default(),
-            )
-            .unwrap();
+            );
             let finishes: Vec<(JobId, Time)> = r.jobs.iter().map(|m| (m.id, m.finish)).collect();
             assert_eq!(finishes, [(JobId(7), 5), (JobId(7), finish)]);
         }
@@ -1453,7 +1429,7 @@ mod tests {
         cfg: &EngineConfig,
     ) -> (SimReport, Vec<CopySpan>) {
         let mut events: Vec<TraceEvent> = Vec::new();
-        let r = simulate_recorded(
+        let r = try_simulate_with_faults_recorded(
             cluster,
             jobs,
             sampler,
@@ -1461,7 +1437,8 @@ mod tests {
             cfg,
             &FaultTimeline::empty(),
             &mut events,
-        );
+        )
+        .unwrap();
         (r, copy_spans(&events))
     }
 
@@ -1699,6 +1676,21 @@ mod tests {
             }
         }
 
+        /// Runs `jobs` under `tl` with deterministic durations and the
+        /// default config; returns the report and the journal.
+        fn run(
+            cluster: &ClusterSpec,
+            jobs: Vec<JobSpec>,
+            sched: &mut dyn Scheduler,
+            tl: &FaultTimeline,
+        ) -> (SimReport, Vec<TraceEvent>) {
+            let (sampler, cfg, mut log) = (det_sampler(), EngineConfig::default(), Vec::new());
+            let r = try_simulate_with_faults_recorded(
+                cluster, jobs, &sampler, sched, &cfg, tl, &mut log,
+            );
+            (r.unwrap(), log)
+        }
+
         #[test]
         fn empty_timeline_matches_plain_simulate() {
             let cluster = ClusterSpec::paper_30_node();
@@ -1708,14 +1700,15 @@ mod tests {
             let sampler = DurationSampler::new(7, StragglerModel::ParetoFit);
             let cfg = EngineConfig::default();
             let a = simulate(&cluster, jobs.clone(), &sampler, &mut FifoFirstFit, &cfg);
-            let b = simulate_with_faults(
+            let b = try_simulate_with_faults(
                 &cluster,
                 jobs,
                 &sampler,
                 &mut FifoFirstFit,
                 &cfg,
                 &FaultTimeline::empty(),
-            );
+            )
+            .unwrap();
             assert_eq!(a.jobs, b.jobs);
             assert_eq!(a.makespan, b.makespan);
             assert_eq!(a.decision_points, b.decision_points);
@@ -1730,16 +1723,7 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(4, 0), restore(6, 0)]);
-            let mut events: Vec<TraceEvent> = Vec::new();
-            let r = simulate_recorded(
-                &cluster,
-                vec![job],
-                &det_sampler(),
-                &mut FifoFirstFit,
-                &EngineConfig::default(),
-                &tl,
-                &mut events,
-            );
+            let (r, events) = run(&cluster, vec![job], &mut FifoFirstFit, &tl);
             let timeline = copy_spans(&events);
             assert_eq!(r.jobs[0].flowtime, 14, "4 lost + full 10-slot rerun");
             assert_eq!(r.faults.server_crashes, 1);
@@ -1775,14 +1759,7 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(2, 0)]);
-            let r = simulate_with_faults(
-                &cluster,
-                vec![job],
-                &det_sampler(),
-                &mut AtomicCloner,
-                &EngineConfig::default(),
-                &tl,
-            );
+            let (r, _) = run(&cluster, vec![job], &mut AtomicCloner, &tl);
             assert_eq!(r.jobs[0].flowtime, 10, "clone finishes on time");
             assert_eq!(r.faults.copies_evicted, 1);
             assert_eq!(r.faults.tasks_saved_by_clone, 1);
@@ -1808,14 +1785,7 @@ mod tests {
                 at: 5,
                 event: FaultEvent::Degrade(ServerId(0), 0.5),
             }]);
-            let r = simulate_with_faults(
-                &cluster,
-                vec![j0, j1],
-                &det_sampler(),
-                &mut FifoFirstFit,
-                &EngineConfig::default(),
-                &tl,
-            );
+            let (r, _) = run(&cluster, vec![j0, j1], &mut FifoFirstFit, &tl);
             let by_id = r.by_id();
             // 5 slots done, 5 remaining stretched 2× ⇒ finish at 15.
             assert_eq!(by_id[&JobId(0)].finish, 15);
@@ -1833,14 +1803,7 @@ mod tests {
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
             let tl =
                 FaultTimeline::new(vec![crash(2, 0), crash(3, 0), restore(5, 0), restore(8, 0)]);
-            let r = simulate_with_faults(
-                &cluster,
-                vec![job],
-                &det_sampler(),
-                &mut FifoFirstFit,
-                &EngineConfig::default(),
-                &tl,
-            );
+            let (r, _) = run(&cluster, vec![job], &mut FifoFirstFit, &tl);
             assert_eq!(r.jobs[0].finish, 11, "rerun starts at the second restore");
             assert_eq!(
                 r.faults.server_crashes, 1,
@@ -1890,7 +1853,8 @@ mod tests {
                 ..Default::default()
             };
             let mut probe = Probe::default();
-            simulate_with_faults(&cluster, vec![job], &det_sampler(), &mut probe, &cfg, &tl);
+            try_simulate_with_faults(&cluster, vec![job], &det_sampler(), &mut probe, &cfg, &tl)
+                .unwrap();
             let slots: Vec<Time> = probe.passes.iter().map(|p| p.0).collect();
             assert!(
                 (0..=9).all(|t| slots.contains(&t)),
@@ -1908,24 +1872,25 @@ mod tests {
         }
 
         #[test]
-        #[should_panic(expected = "not down")]
-        fn restore_of_up_server_panics() {
+        fn restore_of_up_server_is_an_invalid_timeline() {
             let cluster = ClusterSpec::homogeneous(1, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
             let tl = FaultTimeline::new(vec![restore(1, 0)]);
-            let _ = simulate_with_faults(
+            let cfg = EngineConfig::default();
+            let err = try_simulate_with_faults(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut FifoFirstFit,
-                &EngineConfig::default(),
+                &cfg,
                 &tl,
             );
+            let detail = "restore at slot 1 for server 0 that is not down".into();
+            assert_eq!(err, Err(SimError::InvalidTimeline { at: 1, detail }));
         }
 
         #[test]
-        #[should_panic(expected = "downed server")]
-        fn assignment_to_downed_server_panics() {
+        fn assignment_to_downed_server_is_rejected() {
             struct Blind;
             impl Scheduler for Blind {
                 fn name(&self) -> String {
@@ -1945,14 +1910,31 @@ mod tests {
             let cluster = ClusterSpec::homogeneous(2, 1.0, 1.0);
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 3.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(0, 0), restore(9, 0)]);
-            let _ = simulate_with_faults(
+            let cfg = EngineConfig::default();
+            let err = try_simulate_with_faults(
                 &cluster,
                 vec![job],
                 &det_sampler(),
                 &mut Blind,
-                &EngineConfig::default(),
+                &cfg,
                 &tl,
             );
+            let task = TaskRef {
+                job: JobId(0),
+                phase: PhaseId(0),
+                task: dollymp_core::job::TaskId(0),
+            };
+            let admission = AdmissionError {
+                at: 0,
+                assignment: Assignment {
+                    task,
+                    server: ServerId(0),
+                    kind: CopyKind::Primary,
+                },
+                reason: RejectReason::ServerDown,
+                detail: format!("assignment to downed server 0 (task {task})"),
+            };
+            assert_eq!(err, Err(SimError::Rejected(admission)));
         }
 
         #[test]
@@ -1973,15 +1955,18 @@ mod tests {
                 },
             ]);
             let cfg = EngineConfig::default();
-            let a = simulate_with_faults(
+            let a = try_simulate_with_faults(
                 &cluster,
                 jobs.clone(),
                 &sampler,
                 &mut FifoFirstFit,
                 &cfg,
                 &tl,
-            );
-            let b = simulate_with_faults(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg, &tl);
+            )
+            .unwrap();
+            let b =
+                try_simulate_with_faults(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg, &tl)
+                    .unwrap();
             assert_eq!(a.jobs, b.jobs);
             assert_eq!(a.faults, b.faults);
             assert_eq!(a.makespan, b.makespan);
@@ -2045,16 +2030,7 @@ mod tests {
             let job = JobSpec::single_phase(JobId(0), 1, Resources::new(1.0, 1.0), 10.0, 0.0);
             let tl = FaultTimeline::new(vec![crash(3, 0)]);
             let mut sched = PackOnZero::default();
-            let mut log: Vec<TraceEvent> = Vec::new();
-            let r = simulate_recorded(
-                &cluster,
-                vec![job],
-                &det_sampler(),
-                &mut sched,
-                &EngineConfig::default(),
-                &tl,
-                &mut log,
-            );
+            let (r, log) = run(&cluster, vec![job], &mut sched, &tl);
             let t = task_ref(0, 0, 0);
             assert_eq!(evictions(&log), vec![(t, 0), (t, 1)], "copy_idx order");
             let kinds: Vec<CopyKind> = log
@@ -2092,16 +2068,7 @@ mod tests {
                 },
                 crash(5, 0),
             ]);
-            let mut log: Vec<TraceEvent> = Vec::new();
-            let r = simulate_recorded(
-                &cluster,
-                vec![job],
-                &det_sampler(),
-                &mut FifoFirstFit,
-                &EngineConfig::default(),
-                &tl,
-                &mut log,
-            );
+            let (r, log) = run(&cluster, vec![job], &mut FifoFirstFit, &tl);
             let t = task_ref(0, 0, 0);
             assert_eq!(evictions(&log), vec![(t, 0)]);
             let launches: Vec<(u32, ServerId, Time)> = log
@@ -2166,16 +2133,7 @@ mod tests {
                 .unwrap();
             let tl = FaultTimeline::new(vec![crash(5, 0)]);
             let mut sched = PackOnZero::default();
-            let mut log: Vec<TraceEvent> = Vec::new();
-            let r = simulate_recorded(
-                &cluster,
-                vec![job0, job1, job2],
-                &det_sampler(),
-                &mut sched,
-                &EngineConfig::default(),
-                &tl,
-                &mut log,
-            );
+            let (r, log) = run(&cluster, vec![job0, job1, job2], &mut sched, &tl);
             let lost = [
                 task_ref(0, 0, 0),
                 task_ref(0, 0, 1),

@@ -11,8 +11,8 @@
 //!   [`crate::guard::GuardedScheduler`] containment layer;
 //! * [`AdmissionError`] — one rejected assignment with full context;
 //! * [`SimError`] — everything that can abort a run, returned by
-//!   [`crate::engine::try_simulate`] /
-//!   [`crate::engine::try_simulate_with_faults`].
+//!   [`crate::engine::try_simulate_with_faults`] and
+//!   [`crate::engine::try_simulate_with_faults_recorded`].
 //!
 //! [`crate::engine::simulate`] keeps its fail-loud semantics by
 //! unwrapping the `Result`: the panic message is the error's `Display`

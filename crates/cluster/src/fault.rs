@@ -64,8 +64,8 @@ pub struct TimedFault {
 
 /// A deterministic, time-sorted fault schedule for one simulation run.
 ///
-/// An empty timeline makes `simulate_with_faults` byte-identical to
-/// [`crate::engine::simulate`].
+/// An empty timeline makes [`crate::engine::try_simulate_with_faults`]
+/// byte-identical to [`crate::engine::simulate`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultTimeline {
     events: Vec<TimedFault>,

@@ -419,9 +419,10 @@ impl<S: Scheduler> Scheduler for GuardedScheduler<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, try_simulate, EngineConfig, MAX_COPIES_PER_TASK};
+    use crate::engine::{simulate, try_simulate_with_faults, EngineConfig, MAX_COPIES_PER_TASK};
     use crate::error::{RejectReason, SimError};
     use crate::execution::{DurationSampler, StragglerModel};
+    use crate::fault::FaultTimeline;
     use crate::spec::ClusterSpec;
     use dollymp_core::job::{JobSpec, PhaseId, TaskId};
     use dollymp_core::resources::Resources;
@@ -494,7 +495,7 @@ mod tests {
         let s = sampler();
         let cfg = EngineConfig::default();
         let mut guard = GuardedScheduler::new(PanicAt { k: 2, calls: 0 });
-        let report = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("contained");
+        let report = simulate(&c, jobs(4), &s, &mut guard, &cfg);
         assert_eq!(report.jobs.len(), 4, "every job completes");
         assert_eq!(report.guard.policy_panics, 1);
         assert!(report.guard.quarantined_at.is_some());
@@ -517,7 +518,7 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("contained");
+        let report = simulate(&c, jobs(4), &s, &mut guard, &cfg);
         assert_eq!(report.jobs.len(), 4);
         assert!(report.guard.total_rejections() > 0);
         assert!(report.guard.quarantined_at.is_some());
@@ -552,7 +553,7 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let guarded = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("contained");
+        let guarded = simulate(&c, jobs(4), &s, &mut guard, &cfg);
         assert!(guarded.guard.budget_overruns > 0);
         assert!(!guard.is_quarantined());
         assert_eq!(guarded.guard.quarantined_at, None);
@@ -580,7 +581,7 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(3), &s, &mut guard, &cfg).expect("rescued");
+        let report = simulate(&c, jobs(3), &s, &mut guard, &cfg);
         assert_eq!(report.jobs.len(), 3);
         assert!(report.guard.stall_rescues > 0);
         assert!(
@@ -765,15 +766,16 @@ mod tests {
         };
         let cfg = EngineConfig::default();
         let mut guard = GuardedScheduler::new(Cloner);
-        let report = try_simulate(&cluster(), job(), &sampler(), &mut guard, &cfg)
-            .expect("the guard keeps every batch legal");
+        let report = simulate(&cluster(), job(), &sampler(), &mut guard, &cfg);
         assert_eq!(report.guard.total_rejections(), 1);
         assert_eq!(report.guard.rejected_duplicate_copy, 1);
         let clones = u64::from(MAX_COPIES_PER_TASK - 1);
         assert_eq!(report.jobs[0].clone_copies, clones);
 
-        let err = try_simulate(&cluster(), job(), &sampler(), &mut Cloner, &cfg)
-            .expect_err("the engine refuses the ninth copy");
+        let faults = FaultTimeline::empty();
+        let err =
+            try_simulate_with_faults(&cluster(), job(), &sampler(), &mut Cloner, &cfg, &faults)
+                .expect_err("the engine refuses the ninth copy");
         let SimError::Rejected(err) = err else {
             panic!("expected an admission error, got {err}");
         };
@@ -797,7 +799,7 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(&c, jobs(4), &s, &mut guard, &cfg).expect("capped");
+        let report = simulate(&c, jobs(4), &s, &mut guard, &cfg);
         assert_eq!(report.jobs.len(), 4, "deferral still completes the run");
         assert!(report.guard.deferred > 0, "the cap bit at least once");
         assert_eq!(report.guard.deferrals_dropped, 0);

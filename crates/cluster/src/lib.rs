@@ -19,10 +19,12 @@
 //! * [`view`] — the read-only snapshot schedulers decide on;
 //! * [`scheduler`] — the [`scheduler::Scheduler`] trait every policy
 //!   implements, plus a FIFO/first-fit reference policy;
-//! * [`engine`] — the simulation loop ([`engine::simulate`] and its
-//!   fault-injected variant [`engine::simulate_with_faults`], plus the
-//!   non-panicking [`engine::try_simulate`] /
-//!   [`engine::try_simulate_with_faults`]);
+//! * [`engine`] — the simulation loop, one method per layer of a
+//!   decision point, behind three entry points: [`engine::simulate`]
+//!   (no faults, panics on an abort), [`engine::try_simulate_with_faults`]
+//!   (returns a typed error) and
+//!   [`engine::try_simulate_with_faults_recorded`] (the same with a
+//!   flight recorder);
 //! * [`error`] — the typed admission/abort taxonomy
 //!   ([`error::RejectReason`], [`error::SimError`]);
 //! * [`guard`] — the [`guard::GuardedScheduler`] containment wrapper
@@ -32,7 +34,7 @@
 //!   the sorted timeline the engine consumes;
 //! * [`trace`] — the flight-recorder event schema ([`trace::Event`]) and
 //!   the [`trace::Recorder`] sink trait the engine emits through
-//!   ([`engine::simulate_recorded`]); consumers (journal, metrics
+//!   ([`engine::try_simulate_with_faults_recorded`]); consumers (journal, metrics
 //!   registry, replay verifier) live in the `dollymp-obs` crate;
 //! * [`metrics`] — per-job metrics, reports, CDF helpers.
 //!
@@ -75,8 +77,7 @@ pub mod view;
 pub mod prelude {
     pub use crate::capacity::{CapacityIndex, CapacityOverlay};
     pub use crate::engine::{
-        simulate, simulate_recorded, simulate_with_faults, try_simulate, try_simulate_with_faults,
-        try_simulate_with_faults_recorded, EngineConfig,
+        simulate, try_simulate_with_faults, try_simulate_with_faults_recorded, EngineConfig,
     };
     pub use crate::error::{AdmissionError, ProgressSnapshot, RejectReason, SimError};
     pub use crate::execution::{DurationSampler, StragglerModel};

@@ -32,7 +32,8 @@
 //! journal: [`copy_spans`] turns the retirements and evictions into one
 //! [`CopySpan`] per copy, and [`chrome_trace`] renders those spans for
 //! `chrome://tracing`. A `Vec<Event>` is itself a [`Recorder`], so
-//! `simulate_recorded(.., &mut events)` is all a caller needs.
+//! `try_simulate_with_faults_recorded(.., &mut events)` is all a caller
+//! needs.
 
 use crate::metrics::{CopyOutcome, GuardStats, JobMetrics};
 use crate::spec::ServerId;

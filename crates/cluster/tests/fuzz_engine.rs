@@ -239,9 +239,9 @@ proptest! {
         let run = |s: u64| {
             let mut chaos = ChaosScheduler::new(s ^ 0xC0FFEE);
             let mut events: Vec<TraceEvent> = Vec::new();
-            let r = simulate_recorded(
+            let r = try_simulate_with_faults_recorded(
                 &cluster, jobs.clone(), &sampler, &mut chaos, &cfg, &faults, &mut events,
-            ).scrubbed();
+            ).unwrap().scrubbed();
             (r, copy_spans(&events))
         };
         let (r, timeline) = run(seed);
@@ -302,9 +302,9 @@ proptest! {
         let plain = simulate(&cluster, jobs.clone(), &sampler, &mut a, &cfg).scrubbed();
         let mut b = ChaosScheduler::new(seed);
         let mut events: Vec<TraceEvent> = Vec::new();
-        let faulty = simulate_recorded(
+        let faulty = try_simulate_with_faults_recorded(
             &cluster, jobs.clone(), &sampler, &mut b, &cfg, &FaultTimeline::empty(), &mut events,
-        ).scrubbed();
+        ).unwrap().scrubbed();
         prop_assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&faulty).unwrap()

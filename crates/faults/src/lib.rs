@@ -22,7 +22,7 @@
 //! streams, same idiom as `dollymp_cluster::execution`), so experiments
 //! are reproducible and schedulers are comparable under *identical*
 //! fault sequences. All-zero rates yield an empty timeline, which makes
-//! `simulate_with_faults` byte-identical to `simulate`.
+//! `try_simulate_with_faults` byte-identical to `simulate`.
 //!
 //! ```
 //! use dollymp_cluster::prelude::*;

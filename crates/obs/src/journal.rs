@@ -45,8 +45,8 @@ pub struct JournalHeader {
 
 /// An unbounded in-memory journal: header plus every event of one run,
 /// in emission order. This is the [`Recorder`] to pass to
-/// `simulate_recorded` when the full stream is wanted (replay
-/// verification, JSONL export).
+/// `try_simulate_with_faults_recorded` when the full stream is wanted
+/// (replay verification, JSONL export).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Journal {
     /// Run provenance (first line of the JSONL form).

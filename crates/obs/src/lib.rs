@@ -35,9 +35,11 @@
 //! let cfg = EngineConfig::default();
 //!
 //! let mut journal = Journal::for_run("fifo", 42, &cfg, &cfg);
-//! let report = simulate_recorded(
-//!     &cluster, jobs, &sampler, &mut policy, &cfg, &FaultTimeline::default(), &mut journal,
-//! );
+//! let faults = FaultTimeline::empty();
+//! let report = try_simulate_with_faults_recorded(
+//!     &cluster, jobs, &sampler, &mut policy, &cfg, &faults, &mut journal,
+//! )
+//! .expect("the run completes");
 //! replay::verify(&journal, &report).expect("journal replays to the live report");
 //! ```
 

@@ -192,7 +192,7 @@ fn localize(r: &SimReport, l: &SimReport, prov: &Provenance) -> Divergence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_cluster::engine::{simulate_recorded, EngineConfig};
+    use dollymp_cluster::engine::{try_simulate_with_faults_recorded, EngineConfig};
     use dollymp_cluster::execution::{DurationSampler, StragglerModel};
     use dollymp_cluster::fault::FaultTimeline;
     use dollymp_cluster::scheduler::FifoFirstFit;
@@ -213,7 +213,7 @@ mod tests {
         let sampler = DurationSampler::new(11, StragglerModel::ParetoFit);
         let mut policy = FifoFirstFit;
         let mut journal = Journal::for_run("fifo", 11, cfg, cfg);
-        let report = simulate_recorded(
+        let report = try_simulate_with_faults_recorded(
             &cluster,
             jobs,
             &sampler,
@@ -221,7 +221,8 @@ mod tests {
             cfg,
             &FaultTimeline::default(),
             &mut journal,
-        );
+        )
+        .unwrap();
         (journal, report)
     }
 

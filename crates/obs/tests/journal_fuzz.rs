@@ -40,7 +40,7 @@ fn journal_text() -> &'static [u8] {
         let mut policy = dollymp_schedulers::by_name("dollymp2").expect("known scheduler");
         let mut journal = Journal::for_run("dollymp2", 5, &cfg, &cfg);
         let sampler = DurationSampler::new(5, StragglerModel::ParetoFit);
-        simulate_recorded(
+        try_simulate_with_faults_recorded(
             &cluster,
             jobs,
             &sampler,
@@ -48,7 +48,8 @@ fn journal_text() -> &'static [u8] {
             &cfg,
             &faults,
             &mut journal,
-        );
+        )
+        .unwrap();
         journal.to_jsonl().into_bytes()
     })
 }

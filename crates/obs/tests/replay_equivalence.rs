@@ -77,7 +77,7 @@ fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport
     };
     let mut policy = dollymp_schedulers::by_name(name).expect("known scheduler");
     let mut journal = Journal::for_run(name, seed, &cfg, &cfg);
-    let report = simulate_recorded(
+    let report = try_simulate_with_faults_recorded(
         &cluster,
         workload(seed),
         &sampler,
@@ -85,7 +85,8 @@ fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport
         &cfg,
         &timeline,
         &mut journal,
-    );
+    )
+    .unwrap();
     (journal, report)
 }
 
@@ -174,7 +175,7 @@ fn guarded_hostile_run_replays_guard_stats() {
     });
     let mut policy = GuardedScheduler::new(hostile);
     let mut journal = Journal::for_run(&policy.name(), 7, &cfg, &cfg);
-    let report = simulate_recorded(
+    let report = try_simulate_with_faults_recorded(
         &cluster,
         workload(7),
         &sampler,
@@ -182,7 +183,8 @@ fn guarded_hostile_run_replays_guard_stats() {
         &cfg,
         &FaultTimeline::empty(),
         &mut journal,
-    );
+    )
+    .unwrap();
     assert!(
         report.guard.total_rejections() > 0,
         "hostile policy should have been contained at least once"
@@ -204,14 +206,15 @@ fn recording_does_not_perturb_the_simulation() {
             ..EngineConfig::default()
         };
         let mut policy = dollymp_schedulers::by_name(name).unwrap();
-        let plain = simulate_with_faults(
+        let plain = try_simulate_with_faults(
             &cluster,
             workload(3),
             &sampler,
             &mut policy,
             &cfg,
             &faults(3),
-        );
+        )
+        .unwrap();
         assert_eq!(
             serde_json::to_string(&plain.scrubbed()).unwrap(),
             serde_json::to_string(&recorded.scrubbed()).unwrap(),
@@ -256,7 +259,7 @@ fn guard_change_after_the_last_pass_replays() {
         unfinished: jobs.len(),
     });
     let mut journal = Journal::for_run(&policy.name(), 7, &cfg, &cfg);
-    let report = simulate_recorded(
+    let report = try_simulate_with_faults_recorded(
         &cluster,
         jobs,
         &sampler,
@@ -264,7 +267,8 @@ fn guard_change_after_the_last_pass_replays() {
         &cfg,
         &FaultTimeline::empty(),
         &mut journal,
-    );
+    )
+    .unwrap();
     assert_eq!(report.guard.policy_panics, 1);
     assert_eq!(report.guard.quarantined_at, Some(report.makespan));
     replay::verify(&journal, &report).unwrap();

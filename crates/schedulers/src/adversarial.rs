@@ -215,7 +215,7 @@ impl Scheduler for AdversarialScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dollymp_cluster::engine::{try_simulate, EngineConfig};
+    use dollymp_cluster::engine::{simulate, try_simulate_with_faults, EngineConfig};
     use dollymp_cluster::guard::{GuardConfig, GuardedScheduler};
     use dollymp_core::job::JobSpec;
     use dollymp_core::resources::Resources;
@@ -236,7 +236,8 @@ mod tests {
     fn unguarded_adversary_errors_instead_of_completing() {
         let (cluster, jobs, sampler) = workload();
         let mut adv = AdversarialScheduler::new();
-        let res = try_simulate(&cluster, jobs, &sampler, &mut adv, &EngineConfig::default());
+        let (cfg, faults) = (EngineConfig::default(), FaultTimeline::empty());
+        let res = try_simulate_with_faults(&cluster, jobs, &sampler, &mut adv, &cfg, &faults);
         assert!(res.is_err(), "strict mode must refuse the adversary");
     }
 
@@ -250,14 +251,13 @@ mod tests {
                 ..GuardConfig::default()
             },
         );
-        let report = try_simulate(
+        let report = simulate(
             &cluster,
             jobs,
             &sampler,
             &mut guard,
             &EngineConfig::default(),
-        )
-        .expect("guard contains the adversary");
+        );
         assert_eq!(report.jobs.len(), 5, "every job completes");
         assert!(!report.guard.is_clean());
         assert!(report.guard.total_rejections() > 0);

@@ -959,7 +959,7 @@ mod tests {
 
     #[test]
     fn recovers_requeued_tasks_after_crash() {
-        use dollymp_cluster::engine::simulate_with_faults;
+        use dollymp_cluster::engine::try_simulate_with_faults;
         use dollymp_cluster::fault::{FaultEvent, FaultTimeline, TimedFault};
         // Single server: every copy dies with it, so each loss is a full
         // re-queue DollyMP must re-place after the restore.
@@ -976,14 +976,15 @@ mod tests {
             },
         ]);
         let mut s = DollyMP::with_clones(0);
-        let r = simulate_with_faults(
+        let r = try_simulate_with_faults(
             &cluster,
             vec![job],
             &det_sampler(),
             &mut s,
             &EngineConfig::default(),
             &tl,
-        );
+        )
+        .unwrap();
         assert_eq!(r.jobs.len(), 1, "the job still completes");
         assert_eq!(r.faults.tasks_requeued, 4);
         // 5 slots lost + 4 idle + full 10-slot rerun.

@@ -285,9 +285,12 @@ mod tests {
         let sampler = DurationSampler::new(3, StragglerModel::Deterministic);
         let cfg = EngineConfig::default();
         let mut plain = DollyMP::new();
-        let base = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut plain, &cfg, &tl);
+        let base =
+            try_simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut plain, &cfg, &tl)
+                .unwrap();
         let mut learned = LearnedDollyMP::new();
-        let smart = simulate_with_faults(&cluster, jobs, &sampler, &mut learned, &cfg, &tl);
+        let smart =
+            try_simulate_with_faults(&cluster, jobs, &sampler, &mut learned, &cfg, &tl).unwrap();
         assert!(base.faults.tasks_requeued > 0, "the crash must bite");
         assert!((0..2).all(|s| learned.reputation().slowdown(ServerId(s)) == 1.0));
         assert_eq!(

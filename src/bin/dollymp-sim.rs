@@ -187,7 +187,7 @@ fn main() {
             Some(_) => &mut events,
             None => &mut NullRecorder,
         };
-        let r = simulate_recorded(
+        let r = match try_simulate_with_faults_recorded(
             &cluster,
             jobs.clone(),
             &sampler,
@@ -195,7 +195,13 @@ fn main() {
             &cfg,
             &FaultTimeline::empty(),
             recorder,
-        );
+        ) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("error: {e}");
+                exit(1);
+            }
+        };
         timelines.push(copy_spans(&events));
         println!(
             "{:<20} {:>12} {:>10.1} {:>10.1} {:>10} {:>12}",

@@ -202,7 +202,7 @@ fn faulted_yarn_run_replays_from_its_journal() {
     };
     let mut yarn = YarnSystem::new(2);
     let mut journal = dollymp_obs::journal::Journal::for_run(&yarn.name(), 23, &cfg, &cfg);
-    let live = simulate_recorded(
+    let live = try_simulate_with_faults_recorded(
         &cluster,
         jobs,
         &sampler,
@@ -210,7 +210,8 @@ fn faulted_yarn_run_replays_from_its_journal() {
         &cfg,
         &faults,
         &mut journal,
-    );
+    )
+    .unwrap();
     assert_eq!(live.scheduler, "yarn-dollymp2");
     assert!(
         live.faults.tasks_requeued > 0,

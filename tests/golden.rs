@@ -114,7 +114,7 @@ fn cell(setup: &Setup, name: &str, with_faults: bool) -> String {
     };
     let mut policy = policy(name);
     let mut events: Vec<TraceEvent> = Vec::new();
-    let report = simulate_recorded(
+    let report = try_simulate_with_faults_recorded(
         cluster,
         setup.jobs.clone(),
         &sampler,
@@ -122,7 +122,8 @@ fn cell(setup: &Setup, name: &str, with_faults: bool) -> String {
         &cfg,
         &faults,
         &mut events,
-    );
+    )
+    .unwrap();
     // Reports used to carry the copy spans as a final `"timeline"` field.
     // Appending the journal's spans under that key rebuilds exactly the
     // document the committed fingerprints were taken of, so the corpus

@@ -64,31 +64,33 @@ proptest! {
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
         for name in ["fifo", "dollymp2"] {
             let mut plain = dollymp::schedulers::by_name(name).expect("known policy");
-            let unguarded = simulate_with_faults(
+            let unguarded = try_simulate_with_faults(
                 &cluster, jobs.clone(), &sampler, plain.as_mut(),
                 &EngineConfig::default(), &faults,
-            );
+            ).unwrap();
             let inner = dollymp::schedulers::by_name(name).expect("known policy");
             let mut guard = dollymp_cluster::guard::GuardedScheduler::new(inner);
-            let guarded = simulate_with_faults(
+            let guarded = try_simulate_with_faults(
                 &cluster, jobs.clone(), &sampler, &mut guard,
                 &EngineConfig::default(), &faults,
-            );
+            ).unwrap();
             prop_assert!(guarded.guard.is_clean(), "{}: no interventions", name);
             prop_assert_eq!(unguarded.scrubbed(), guarded.scrubbed(), "{} must be unchanged", name);
         }
     }
 }
 
-/// Strict mode still refuses the adversary: `try_simulate` returns a
-/// typed error (never panics), and the error maps onto the taxonomy.
+/// Strict mode still refuses the adversary: `try_simulate_with_faults`
+/// returns a typed error (never panics), and the error maps onto the
+/// taxonomy.
 #[test]
 fn strict_mode_rejects_the_adversary_with_typed_errors() {
     let cluster = ClusterSpec::homogeneous(4, 6.0, 12.0);
     let jobs = workload(77, 6);
     let sampler = DurationSampler::new(77, StragglerModel::ParetoFit);
     let mut adv = AdversarialScheduler::new();
-    let err = try_simulate(&cluster, jobs, &sampler, &mut adv, &EngineConfig::default())
+    let (cfg, faults) = (EngineConfig::default(), FaultTimeline::empty());
+    let err = try_simulate_with_faults(&cluster, jobs, &sampler, &mut adv, &cfg, &faults)
         .expect_err("strict mode must refuse");
     // Whatever attack fired first, it lands in the shared taxonomy.
     let _reason: RejectReason = err.reason();
@@ -158,14 +160,13 @@ fn overload_guard_throttles_clones_under_saturation() {
             ..GuardConfig::default()
         },
     );
-    let report = try_simulate(
+    let report = simulate(
         &cluster,
         jobs,
         &sampler,
         &mut guard,
         &EngineConfig::default(),
-    )
-    .expect("completes");
+    );
     assert_eq!(report.jobs.len(), 24);
     assert!(
         report.guard.clones_throttled > 0,
@@ -213,7 +214,8 @@ fn yarn_placement_moves_stay_admissible_under_faults() {
     )
     .expect("the strict engine accepts every batch");
     let mut guard = dollymp_cluster::guard::GuardedScheduler::new(YarnSystem::new(2));
-    let guarded = simulate_with_faults(&cluster, jobs, &sampler, &mut guard, &cfg, &faults);
+    let guarded =
+        try_simulate_with_faults(&cluster, jobs, &sampler, &mut guard, &cfg, &faults).unwrap();
     assert_eq!(guarded.guard.total_rejections(), 0, "{:?}", guarded.guard);
     assert_eq!(strict.scrubbed(), guarded.scrubbed());
 }

@@ -1,15 +1,16 @@
-//! Reference oracles for DollyMP and the fair-share baselines: each
-//! scheduler written straight from its definition, recomputing
+//! Reference oracles for DollyMP, Tetris and the fair-share baselines:
+//! each scheduler written straight from its definition, recomputing
 //! everything from the view and the batch so far before each placement
 //! and scanning servers linearly.
 //!
 //! The fast schedulers share one placement machinery: `Drf` and
 //! `Carbyne` one progressive-filling loop over a capacity overlay with
 //! incrementally tracked shares, `DollyMP` bucketed demand queues and a
-//! capacity-index server walk. The engine is deterministic, so a
-//! scrubbed `SimReport` equal to the reference's means every decision
-//! was equal. Each rule the references apply is stated once, with its
-//! tie-break, where it is applied.
+//! capacity-index server walk, `Tetris` a ready list scored against the
+//! overlay and the index's best-fit search for clones. The engine is
+//! deterministic, so a scrubbed `SimReport` equal to the reference's
+//! means every decision was equal. Each rule the references apply is
+//! stated once, with its tie-break, where it is applied.
 
 use dollymp::prelude::*;
 use dollymp_core::job::{PhaseId, PhaseSpec, TaskRef};
@@ -19,7 +20,7 @@ use dollymp_schedulers::{JobStatistics, Oracle};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 // Each suite uses a subset of the shared helpers.
 #[allow(dead_code)]
@@ -60,8 +61,9 @@ fn first_fit(free: &[Resources], demand: Resources) -> Option<usize> {
     free.iter().position(|&f| demand.fits_in(f))
 }
 
-/// Rule (best-fit, Carbyne): the server with room maximizing the
-/// alignment score `demand · free`; on equal scores the lowest id wins.
+/// Rule (best-fit, Carbyne and Tetris's clones): the server with room
+/// maximizing the alignment score `demand · free`; on equal scores the
+/// lowest id wins.
 fn best_fit(free: &[Resources], demand: Resources) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None;
     for (s, &f) in free.iter().enumerate() {
@@ -354,6 +356,105 @@ impl Scheduler for NaiveDollyMP {
     }
 }
 
+/// Tetris's `ε`, the weight of the SRPT bonus against the packing score.
+const EPSILON: f64 = 0.2;
+
+/// Naive Tetris: every placement rescores every unplaced ready task
+/// against the server's room; clones go best-fit by a linear scan.
+struct NaiveTetris {
+    /// A task holds at most `clones + 1` copies.
+    clones: u32,
+}
+
+impl Scheduler for NaiveTetris {
+    fn name(&self) -> String {
+        match self.clones {
+            0 => "tetris".into(),
+            r => format!("tetris+clone{r}"),
+        }
+    }
+
+    fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+        let demand = |t: TaskRef| {
+            view.job(t.job)
+                .expect("job in view")
+                .spec()
+                .phase(t.phase)
+                .demand
+        };
+        // Rule (SRPT bonus): `1 / (1 + the job's remaining critical-path
+        // time)`, larger for less remaining work. The view is fixed
+        // during a pass, so this is its value at the start.
+        let bonus: HashMap<JobId, f64> = view
+            .jobs()
+            .map(|j| (j.id(), 1.0 / (1.0 + Oracle.remaining_etime(j, 0.0))))
+            .collect();
+        let mut free: Vec<Resources> = view.servers().map(|(_, _, f)| f).collect();
+        let mut batch: Vec<Assignment> = Vec::new();
+
+        // Rule (ready order): the jobs in view order, each job's ready
+        // tasks in (phase, task) order. Placing the task at position i
+        // moves the last unplaced task into position i (a `swap_remove`).
+        let mut ready: Vec<TaskRef> = view.jobs().flat_map(|j| j.iter_ready()).collect();
+        // Rule (primary pass): servers by ascending id; on each, place
+        // again and again the unplaced ready task of largest score
+        // `demand · room + ε · bonus` among those that fit the room. On
+        // equal scores the first in the ready order wins.
+        for (s, room) in free.iter_mut().enumerate() {
+            loop {
+                let mut pick: Option<(f64, usize)> = None;
+                for (i, &task) in ready.iter().enumerate() {
+                    if !demand(task).fits_in(*room) {
+                        continue;
+                    }
+                    let score = best_fit_score(demand(task), *room) + EPSILON * bonus[&task.job];
+                    if pick.is_none_or(|(best, _)| score > best) {
+                        pick = Some((score, i));
+                    }
+                }
+                let Some((_, i)) = pick else {
+                    break;
+                };
+                let task = ready.swap_remove(i);
+                *room -= demand(task);
+                let (server, kind) = (ServerId(s as u32), CopyKind::Primary);
+                batch.push(Assignment { task, server, kind });
+            }
+        }
+
+        // Rule (clones): jobs by descending bonus, equal bonuses in view
+        // order; within a job its running tasks in (phase, task) order
+        // with their live copies, then its primaries of this batch in
+        // batch order, one copy each. A task holding fewer than
+        // `clones + 1` copies gets one clone, placed by the best-fit rule
+        // above (largest `demand · room`, the lowest id on ties).
+        if self.clones > 0 {
+            let mut jobs: Vec<&JobState> = view.jobs().collect();
+            jobs.sort_by(|a, b| bonus[&b.id()].total_cmp(&bonus[&a.id()]));
+            for job in jobs {
+                let mut candidates: Vec<(TaskRef, u32)> = job
+                    .iter_running()
+                    .map(|t| (t, job.task(t.phase, t.task).live_copies()))
+                    .collect();
+                let primaries = batch.iter().filter(|a| a.task.job == job.id());
+                candidates.extend(primaries.map(|a| (a.task, 1)));
+                for (task, copies) in candidates {
+                    if copies > self.clones {
+                        continue;
+                    }
+                    let Some(s) = best_fit(&free, demand(task)) else {
+                        continue;
+                    };
+                    free[s] -= demand(task);
+                    let (server, kind) = (ServerId(s as u32), CopyKind::Clone);
+                    batch.push(Assignment { task, server, kind });
+                }
+            }
+        }
+        batch
+    }
+}
+
 /// 1–64 heterogeneous servers (capacities and speeds).
 fn cluster(rng: &mut SmallRng) -> ClusterSpec {
     let n = rng.gen_range(1..=64u32);
@@ -410,8 +511,10 @@ fn agrees(fast: &str, mut naive: impl Scheduler, seed: u64) {
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
     let cfg = EngineConfig::default();
     let mut fast = by_name(fast).expect("registered scheduler");
-    let got = simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut fast, &cfg, &faults);
-    let want = simulate_with_faults(&cluster, jobs, &sampler, &mut naive, &cfg, &faults);
+    let got = try_simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut fast, &cfg, &faults)
+        .unwrap();
+    let want =
+        try_simulate_with_faults(&cluster, jobs, &sampler, &mut naive, &cfg, &faults).unwrap();
     assert_eq!(got.scrubbed(), want.scrubbed(), "seed {seed}");
 }
 
@@ -426,6 +529,16 @@ proptest! {
     #[test]
     fn carbyne_matches_its_reference(seed in 0u64..1_000_000) {
         agrees("carbyne", NaiveFair(Policy::Carbyne), seed);
+    }
+
+    #[test]
+    fn tetris_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("tetris", NaiveTetris { clones: 0 }, seed);
+    }
+
+    #[test]
+    fn tetris_clone1_matches_its_reference(seed in 0u64..1_000_000) {
+        agrees("tetris+clone1", NaiveTetris { clones: 1 }, seed);
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn run(
     faults: &FaultTimeline,
 ) -> SimReport {
     let mut s = DollyMP::with_clones(clones);
-    simulate_with_faults(
+    try_simulate_with_faults(
         cluster,
         jobs.to_vec(),
         sampler,
@@ -54,6 +54,7 @@ fn run(
         &EngineConfig::default(),
         faults,
     )
+    .unwrap()
 }
 
 #[test]

@@ -137,14 +137,15 @@ fn run(seed: u64) -> (Checked, SimReport) {
         passes: 0,
         mismatch: None,
     };
-    let report = simulate_with_faults(
+    let report = try_simulate_with_faults(
         &cluster,
         dag_workload(seed, 12),
         &sampler,
         &mut policy,
         &EngineConfig::default(),
         &faults,
-    );
+    )
+    .unwrap();
     (policy, report)
 }
 

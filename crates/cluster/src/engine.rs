@@ -1692,27 +1692,28 @@ mod tests {
         }
 
         #[test]
-        fn empty_timeline_matches_plain_simulate() {
-            let cluster = ClusterSpec::paper_30_node();
+        fn faults_on_an_idle_server_match_plain_simulate() {
+            // Server 30 fits no demand, so its crash and restore touch no
+            // copy: the run equals the fault-free one, and only the fault
+            // counters see the window.
+            let mut servers = ClusterSpec::paper_30_node().servers().to_vec();
+            servers.push(ServerSpec::new(1.0, 1.0));
+            let cluster = ClusterSpec::new(servers);
             let jobs: Vec<JobSpec> = (0..6)
                 .map(|i| JobSpec::single_phase(JobId(i), 20, Resources::new(2.0, 4.0), 12.0, 4.0))
                 .collect();
             let sampler = DurationSampler::new(7, StragglerModel::ParetoFit);
             let cfg = EngineConfig::default();
+            let tl = FaultTimeline::new(vec![crash(5, 30), restore(9, 30)]);
             let a = simulate(&cluster, jobs.clone(), &sampler, &mut FifoFirstFit, &cfg);
-            let b = try_simulate_with_faults(
-                &cluster,
-                jobs,
-                &sampler,
-                &mut FifoFirstFit,
-                &cfg,
-                &FaultTimeline::empty(),
-            )
-            .unwrap();
+            let b =
+                try_simulate_with_faults(&cluster, jobs, &sampler, &mut FifoFirstFit, &cfg, &tl)
+                    .unwrap();
             assert_eq!(a.jobs, b.jobs);
             assert_eq!(a.makespan, b.makespan);
-            assert_eq!(a.decision_points, b.decision_points);
-            assert_eq!(b.faults, crate::metrics::FaultStats::default());
+            assert_eq!(b.faults.server_crashes, 1);
+            assert_eq!(b.faults.server_recoveries, 1);
+            assert_eq!(b.faults.copies_evicted, 0);
         }
 
         #[test]

@@ -3,12 +3,14 @@
 //! does, the engine must uphold its conservation laws — every job
 //! completes, no resource leaks (the engine debug-asserts free ==
 //! capacity on drain), copy budgets hold, time never runs backwards.
+//! Instances are `dollymp-testkit` draws: DAG jobs on heterogeneous
+//! racks, under crashes that overlap rack blackouts.
 
 use dollymp_cluster::metrics::CopyOutcome;
 use dollymp_cluster::prelude::*;
 use dollymp_cluster::trace::copy_spans;
-use dollymp_core::job::{JobId, JobSpec, PhaseId, PhaseSpec};
 use dollymp_core::resources::Resources;
+use dollymp_testkit as testkit;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,67 +90,13 @@ impl Scheduler for ChaosScheduler {
     }
 }
 
-fn chaotic_workload(seed: u64, njobs: u64) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..njobs)
-        .map(|i| {
-            let phases = rng.gen_range(1..=3);
-            let mut b = JobSpec::builder(JobId(i)).arrival(rng.gen_range(0..30));
-            for p in 0..phases {
-                let spec = PhaseSpec::new(
-                    rng.gen_range(1..=5),
-                    Resources::new(
-                        rng.gen_range(1..=4) as f64 * 0.5,
-                        rng.gen_range(1..=4) as f64,
-                    ),
-                    rng.gen_range(1.0..12.0),
-                    rng.gen_range(0.0..6.0),
-                )
-                .with_parents(if p == 0 { vec![] } else { vec![PhaseId(p - 1)] });
-                b = b.phase(spec);
-            }
-            b.build().expect("chain is valid")
-        })
-        .collect()
-}
-
-/// Random but well-formed fault schedule: per-server sequences of
-/// non-overlapping crash→restore windows (every crash is eventually
-/// repaired, so runs always drain) plus occasional fail-slow onsets.
-fn chaotic_faults(seed: u64, nservers: u32, horizon: dollymp_core::time::Time) -> FaultTimeline {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA17);
-    let mut events = Vec::new();
-    for s in 0..nservers {
-        let mut t = rng.gen_range(1..horizon / 2);
-        for _ in 0..rng.gen_range(0..=2u32) {
-            let len: u64 = rng.gen_range(1..=8);
-            events.push(TimedFault {
-                at: t,
-                event: FaultEvent::Crash(ServerId(s)),
-            });
-            events.push(TimedFault {
-                at: t + len,
-                event: FaultEvent::Restore(ServerId(s)),
-            });
-            t += len + rng.gen_range(1..=12u64);
-        }
-        if rng.gen_bool(0.3) {
-            events.push(TimedFault {
-                at: rng.gen_range(0..horizon),
-                event: FaultEvent::Degrade(ServerId(s), rng.gen_range(0.25..=1.0)),
-            });
-        }
-    }
-    FaultTimeline::new(events)
-}
-
 /// Merged per-server down windows `[crash, restore)` implied by a
 /// timeline (a window stays open while the per-server down-count is
 /// positive).
-fn down_windows(faults: &FaultTimeline, nservers: u32) -> Vec<Vec<(u64, u64)>> {
-    let mut depth = vec![0u32; nservers as usize];
-    let mut open = vec![0u64; nservers as usize];
-    let mut windows = vec![Vec::new(); nservers as usize];
+fn down_windows(faults: &FaultTimeline, nservers: usize) -> Vec<Vec<(u64, u64)>> {
+    let mut depth = vec![0u32; nservers];
+    let mut open = vec![0u64; nservers];
+    let mut windows = vec![Vec::new(); nservers];
     for f in faults.events() {
         let s = match f.event {
             FaultEvent::Crash(s) => {
@@ -182,12 +130,9 @@ proptest! {
     /// Whatever the chaos scheduler does, the engine's invariants hold.
     #[test]
     fn engine_survives_chaotic_scheduling(seed in 0u64..10_000) {
-        let cluster = ClusterSpec::new(vec![
-            ServerSpec::new(4.0, 8.0),
-            ServerSpec::new(2.0, 4.0).with_speed(0.5),
-            ServerSpec::new(8.0, 16.0).with_speed(1.5),
-        ]);
-        let jobs = chaotic_workload(seed, 12);
+        let mut rng = testkit::rng(seed);
+        let cluster = testkit::cluster(&mut rng, 8);
+        let jobs = testkit::jobs(&mut rng, 1..=12);
         let total_tasks: u64 = jobs.iter().map(|j| j.total_tasks()).sum();
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
         let mut chaos = ChaosScheduler::new(seed ^ 0xC0FFEE);
@@ -211,8 +156,9 @@ proptest! {
     /// Chaos with a periodic tick behaves identically w.r.t. invariants.
     #[test]
     fn engine_survives_chaos_with_ticks(seed in 0u64..3_000) {
-        let cluster = ClusterSpec::homogeneous(3, 6.0, 12.0);
-        let jobs = chaotic_workload(seed, 8);
+        let mut rng = testkit::rng(seed);
+        let cluster = testkit::cluster(&mut rng, 8);
+        let jobs = testkit::jobs(&mut rng, 1..=8);
         let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
         let cfg = EngineConfig { tick: Some(2), ..Default::default() };
         let mut chaos = ChaosScheduler::new(seed);
@@ -226,13 +172,10 @@ proptest! {
     /// deterministic function of (seed, timeline).
     #[test]
     fn engine_upholds_invariants_under_faults(seed in 0u64..5_000) {
-        let cluster = ClusterSpec::new(vec![
-            ServerSpec::new(4.0, 8.0),
-            ServerSpec::new(2.0, 4.0).with_speed(0.5),
-            ServerSpec::new(8.0, 16.0).with_speed(1.5),
-        ]);
-        let jobs = chaotic_workload(seed, 10);
-        let faults = chaotic_faults(seed, 3, 80);
+        let mut rng = testkit::rng(seed);
+        let cluster = testkit::cluster(&mut rng, 8);
+        let jobs = testkit::jobs(&mut rng, 1..=10);
+        let faults = testkit::faults(seed, &cluster, 80);
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
         let cfg = EngineConfig::default();
 
@@ -264,7 +207,7 @@ proptest! {
         // No copy overlaps a down window of its server: a span may end
         // exactly at the crash slot (evicted or just-finished) and may
         // start exactly at the restore slot, never in between.
-        let windows = down_windows(&faults, 3);
+        let windows = down_windows(&faults, cluster.len());
         for span in &timeline {
             for &(c, rst) in &windows[span.server.0 as usize] {
                 prop_assert!(
@@ -288,14 +231,15 @@ proptest! {
         );
     }
 
-    /// A zero-fault run through the faulted, recorded entry point is
-    /// byte-identical to the plain `simulate` path — fault support and
-    /// the recorder cost nothing when unused — and the recorded copy
-    /// spans account for exactly the plain report's tasks and clones.
+    /// Recording is observational: a zero-fault run through the recorded
+    /// entry point is byte-identical to the plain `simulate` path (which
+    /// is the same run with no recorder), and the recorded copy spans
+    /// account for exactly the plain report's tasks and clones.
     #[test]
     fn empty_fault_timeline_is_byte_identical(seed in 0u64..3_000) {
-        let cluster = ClusterSpec::homogeneous(3, 6.0, 12.0);
-        let jobs = chaotic_workload(seed, 8);
+        let mut rng = testkit::rng(seed);
+        let cluster = testkit::cluster(&mut rng, 8);
+        let jobs = testkit::jobs(&mut rng, 1..=8);
         let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
         let cfg = EngineConfig::default();
         let mut a = ChaosScheduler::new(seed);

@@ -7,69 +7,32 @@
 //! here as a typed `Divergence`.
 
 use dollymp_cluster::prelude::*;
-use dollymp_core::job::{JobId, JobSpec, PhaseSpec};
-use dollymp_core::resources::Resources;
-use dollymp_faults::FaultConfig;
+use dollymp_core::job::JobSpec;
 use dollymp_obs::journal::Journal;
 use dollymp_obs::replay;
 use dollymp_schedulers::{AdversarialConfig, AdversarialScheduler};
+use dollymp_testkit as testkit;
 use proptest::prelude::*;
 
 const SCHEDULERS: [&str; 4] = ["dollymp2", "dollymp0", "fifo", "tetris"];
 
-fn cluster() -> ClusterSpec {
-    ClusterSpec::new(vec![
-        ServerSpec::new(8.0, 16.0),
-        ServerSpec::new(4.0, 8.0).with_speed(0.5),
-        ServerSpec::new(16.0, 32.0).with_speed(1.5),
-        ServerSpec::new(8.0, 16.0),
-        ServerSpec::new(8.0, 8.0),
-    ])
-}
-
-/// A small mixed workload: single-phase jobs plus a two-phase chain,
-/// arrivals spread so scheduling happens under churn.
-fn workload(seed: u64) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for i in 0..8u64 {
-        let mut j = JobSpec::single_phase(
-            JobId(i),
-            3 + (i % 4) as u32,
-            Resources::new(1.0 + (i % 2) as f64, 2.0),
-            8.0 + (seed % 5) as f64,
-            2.0,
-        );
-        j.arrival = i * 3;
-        jobs.push(j);
-    }
-    let chain = JobSpec::chain(
-        JobId(100),
-        vec![
-            PhaseSpec::new(4, Resources::new(1.0, 2.0), 6.0, 1.5),
-            PhaseSpec::new(2, Resources::new(2.0, 4.0), 5.0, 1.0),
-        ],
-    )
-    .expect("valid chain");
-    jobs.push(chain);
-    jobs
-}
-
-fn faults(seed: u64) -> FaultTimeline {
-    dollymp_faults::generate(
-        &cluster(),
-        &FaultConfig::new(seed, 120)
-            .with_crash_rate(0.004, 10.0)
-            .with_fail_slow(0.2, 0.5),
-    )
-}
-
-fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport) {
-    let cluster = cluster();
-    let timeline = if with_faults {
-        faults(seed)
+/// A testkit draw: up to 8 servers on up to 3 racks, 1–12 DAG jobs, and
+/// (when asked) a timeline of crashes, rack blackouts and fail-slow
+/// onsets.
+fn instance(seed: u64, with_faults: bool) -> (ClusterSpec, Vec<JobSpec>, FaultTimeline) {
+    let mut rng = testkit::rng(seed);
+    let cluster = testkit::cluster(&mut rng, 8);
+    let jobs = testkit::jobs(&mut rng, 1..=12);
+    let faults = if with_faults {
+        testkit::faults(seed, &cluster, 120)
     } else {
         FaultTimeline::empty()
     };
+    (cluster, jobs, faults)
+}
+
+fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport) {
+    let (cluster, jobs, timeline) = instance(seed, with_faults);
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
     let cfg = EngineConfig {
         record_utilization: true,
@@ -79,7 +42,7 @@ fn run_recorded(name: &str, seed: u64, with_faults: bool) -> (Journal, SimReport
     let mut journal = Journal::for_run(name, seed, &cfg, &cfg);
     let report = try_simulate_with_faults_recorded(
         &cluster,
-        workload(seed),
+        jobs,
         &sampler,
         &mut policy,
         &cfg,
@@ -146,6 +109,11 @@ fn rayon_backend_matches_sequential() {
         .collect();
     let parallel = rayon::par_map_slice(&cases, &|&(name, wf)| run_recorded(name, 42, wf));
     for ((name, wf), (journal, live)) in cases.iter().zip(&parallel) {
+        assert_eq!(
+            *wf,
+            live.faults.server_crashes > 0,
+            "{name}: the draw's faults fire"
+        );
         replay::verify(journal, live).unwrap_or_else(|d| panic!("{name} faults={wf} (rayon): {d}"));
         let (seq_journal, seq_live) = run_recorded(name, 42, *wf);
         assert_eq!(
@@ -165,7 +133,7 @@ fn rayon_backend_matches_sequential() {
 /// the replayed report reproduces nonzero containment counters exactly.
 #[test]
 fn guarded_hostile_run_replays_guard_stats() {
-    let cluster = cluster();
+    let (cluster, jobs, _) = instance(7, false);
     let sampler = DurationSampler::new(7, StragglerModel::ParetoFit);
     let cfg = EngineConfig::default();
     let hostile = AdversarialScheduler::with_config(AdversarialConfig {
@@ -177,7 +145,7 @@ fn guarded_hostile_run_replays_guard_stats() {
     let mut journal = Journal::for_run(&policy.name(), 7, &cfg, &cfg);
     let report = try_simulate_with_faults_recorded(
         &cluster,
-        workload(7),
+        jobs,
         &sampler,
         &mut policy,
         &cfg,
@@ -197,24 +165,21 @@ fn guarded_hostile_run_replays_guard_stats() {
 #[test]
 fn recording_does_not_perturb_the_simulation() {
     for name in SCHEDULERS {
-        let (journal, recorded) = run_recorded(name, 3, true);
+        let (journal, recorded) = run_recorded(name, 2, true);
         assert!(!journal.events.is_empty());
-        let cluster = cluster();
-        let sampler = DurationSampler::new(3, StragglerModel::ParetoFit);
+        assert!(
+            recorded.faults.copies_evicted > 0,
+            "{name}: a crash hits a copy"
+        );
+        let (cluster, jobs, faults) = instance(2, true);
+        let sampler = DurationSampler::new(2, StragglerModel::ParetoFit);
         let cfg = EngineConfig {
             record_utilization: true,
             ..EngineConfig::default()
         };
         let mut policy = dollymp_schedulers::by_name(name).unwrap();
-        let plain = try_simulate_with_faults(
-            &cluster,
-            workload(3),
-            &sampler,
-            &mut policy,
-            &cfg,
-            &faults(3),
-        )
-        .unwrap();
+        let plain =
+            try_simulate_with_faults(&cluster, jobs, &sampler, &mut policy, &cfg, &faults).unwrap();
         assert_eq!(
             serde_json::to_string(&plain.scrubbed()).unwrap(),
             serde_json::to_string(&recorded.scrubbed()).unwrap(),
@@ -251,8 +216,7 @@ impl Scheduler for PanicsOnLastFinish {
 /// the panic and the quarantine slot.
 #[test]
 fn guard_change_after_the_last_pass_replays() {
-    let cluster = cluster();
-    let jobs = workload(7);
+    let (cluster, jobs, _) = instance(7, false);
     let sampler = DurationSampler::new(7, StragglerModel::ParetoFit);
     let cfg = EngineConfig::default();
     let mut policy = GuardedScheduler::new(PanicsOnLastFinish {

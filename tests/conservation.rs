@@ -3,14 +3,30 @@
 //! yield identical outputs.
 
 use dollymp::prelude::*;
+use dollymp_testkit as testkit;
 
-fn workload(seed: u64, n: u64) -> Vec<JobSpec> {
+/// `n` jobs from the Google-like production generator.
+fn google_jobs(seed: u64, n: u64) -> Vec<JobSpec> {
     generate_google(&GoogleConfig {
         njobs: n as usize,
         mean_gap_slots: 2.0,
         seed,
         ..Default::default()
     })
+}
+
+/// `(cluster, jobs, seed)`: a Google-like workload on `servers`
+/// Google-like servers, then testkit draws at seeds 0..4 (branching DAG
+/// jobs on heterogeneous racks).
+fn inputs(seed: u64, servers: u32, njobs: u64) -> Vec<(ClusterSpec, Vec<JobSpec>, u64)> {
+    let google = ClusterSpec::google_like(servers, seed);
+    let mut all = vec![(google, google_jobs(seed, njobs), seed)];
+    for s in 0..4 {
+        let mut rng = testkit::rng(s);
+        let cluster = testkit::cluster(&mut rng, 64);
+        all.push((cluster, testkit::jobs(&mut rng, 1..=40), s));
+    }
+    all
 }
 
 fn all_schedulers() -> Vec<&'static str> {
@@ -30,49 +46,49 @@ fn all_schedulers() -> Vec<&'static str> {
 
 #[test]
 fn every_scheduler_satisfies_time_invariants() {
-    let cluster = ClusterSpec::google_like(30, 77);
-    let jobs = workload(77, 120);
-    let sampler = DurationSampler::new(77, StragglerModel::google_traces());
-    for name in all_schedulers() {
-        let mut s = by_name(name).unwrap();
-        let r = simulate(
-            &cluster,
-            jobs.clone(),
-            &sampler,
-            s.as_mut(),
-            &EngineConfig::default(),
-        );
-        assert_eq!(r.jobs.len(), jobs.len(), "{name}: all jobs complete");
-        for (spec, m) in jobs.iter().zip({
-            let by = r.by_id();
-            jobs.iter().map(move |j| *by.get(&j.id).unwrap())
-        }) {
-            assert_eq!(m.arrival, spec.arrival, "{name}");
-            assert!(m.first_start >= m.arrival, "{name}: start after arrival");
-            assert!(m.finish > m.first_start, "{name}: positive running time");
-            assert_eq!(m.flowtime, m.finish - m.arrival, "{name}");
-            assert_eq!(m.running_time, m.finish - m.first_start, "{name}");
-            // Each phase takes ≥ 1 slot, phases on the critical path are
-            // sequential.
-            assert!(
-                m.running_time >= spec.num_phases() as u64,
-                "{name}: running time below phase count"
+    for (cluster, jobs, seed) in inputs(77, 30, 120) {
+        let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
+        for name in all_schedulers() {
+            let mut s = by_name(name).unwrap();
+            let r = simulate(
+                &cluster,
+                jobs.clone(),
+                &sampler,
+                s.as_mut(),
+                &EngineConfig::default(),
             );
-            assert!(m.usage > 0.0, "{name}: usage accrued");
-            assert_eq!(m.tasks, spec.total_tasks(), "{name}");
+            let name = format!("{name} on input {seed}");
+            assert_eq!(r.jobs.len(), jobs.len(), "{name}: all jobs complete");
+            let by = r.by_id();
+            for spec in &jobs {
+                let m = by[&spec.id];
+                assert_eq!(m.arrival, spec.arrival, "{name}");
+                assert!(m.first_start >= m.arrival, "{name}: start after arrival");
+                assert!(m.finish > m.first_start, "{name}: positive running time");
+                assert_eq!(m.flowtime, m.finish - m.arrival, "{name}");
+                assert_eq!(m.running_time, m.finish - m.first_start, "{name}");
+                // Each phase takes ≥ 1 slot, phases on the critical path are
+                // sequential.
+                assert!(
+                    m.running_time >= spec.num_phases() as u64,
+                    "{name}: running time below phase count"
+                );
+                assert!(m.usage > 0.0, "{name}: usage accrued");
+                assert_eq!(m.tasks, spec.total_tasks(), "{name}");
+            }
+            assert_eq!(
+                r.makespan,
+                r.jobs.iter().map(|j| j.finish).max().unwrap(),
+                "{name}"
+            );
         }
-        assert_eq!(
-            r.makespan,
-            r.jobs.iter().map(|j| j.finish).max().unwrap(),
-            "{name}"
-        );
     }
 }
 
 #[test]
 fn simulation_is_deterministic_per_seed() {
     let cluster = ClusterSpec::google_like(25, 5);
-    let jobs = workload(5, 80);
+    let jobs = google_jobs(5, 80);
     let sampler = DurationSampler::new(5, StragglerModel::ParetoFit);
     for name in ["dollymp2", "tetris", "capacity-nospec"] {
         let mut s1 = by_name(name).unwrap();
@@ -102,7 +118,7 @@ fn simulation_is_deterministic_per_seed() {
 #[test]
 fn different_seeds_change_outcomes_but_not_job_counts() {
     let cluster = ClusterSpec::google_like(25, 5);
-    let jobs = workload(5, 60);
+    let jobs = google_jobs(5, 60);
     let a = DurationSampler::new(5, StragglerModel::ParetoFit);
     let b = DurationSampler::new(6, StragglerModel::ParetoFit);
     let mut s1 = by_name("dollymp2").unwrap();
@@ -127,34 +143,35 @@ fn different_seeds_change_outcomes_but_not_job_counts() {
 
 #[test]
 fn clone_budgets_are_never_exceeded() {
-    let cluster = ClusterSpec::google_like(40, 13);
-    let jobs = workload(13, 100);
-    let sampler = DurationSampler::new(13, StragglerModel::google_traces());
-    for (name, max_extra) in [
-        ("dollymp0", 0u64),
-        ("dollymp1", 1),
-        ("dollymp2", 2),
-        ("dollymp3", 3),
-    ] {
-        let mut s = by_name(name).unwrap();
-        let r = simulate(
-            &cluster,
-            jobs.clone(),
-            &sampler,
-            s.as_mut(),
-            &EngineConfig::default(),
-        );
-        for m in &r.jobs {
-            assert!(
-                m.clone_copies <= m.tasks * max_extra,
-                "{name}: job {} launched {} clones for {} tasks",
-                m.id.0,
-                m.clone_copies,
-                m.tasks
+    for (cluster, jobs, seed) in inputs(13, 40, 100) {
+        let sampler = DurationSampler::new(seed, StragglerModel::google_traces());
+        for (name, max_extra) in [
+            ("dollymp0", 0u64),
+            ("dollymp1", 1),
+            ("dollymp2", 2),
+            ("dollymp3", 3),
+        ] {
+            let mut s = by_name(name).unwrap();
+            let r = simulate(
+                &cluster,
+                jobs.clone(),
+                &sampler,
+                s.as_mut(),
+                &EngineConfig::default(),
             );
-            assert!(m.tasks_cloned <= m.tasks, "{name}");
-            if max_extra == 0 {
-                assert_eq!(m.clone_copies, 0, "{name} must never clone");
+            let name = format!("{name} on input {seed}");
+            for m in &r.jobs {
+                assert!(
+                    m.clone_copies <= m.tasks * max_extra,
+                    "{name}: job {} launched {} clones for {} tasks",
+                    m.id.0,
+                    m.clone_copies,
+                    m.tasks
+                );
+                assert!(m.tasks_cloned <= m.tasks, "{name}");
+                if max_extra == 0 {
+                    assert_eq!(m.clone_copies, 0, "{name} must never clone");
+                }
             }
         }
     }

@@ -7,10 +7,8 @@
 use dollymp::prelude::*;
 use dollymp::schedulers::{AdversarialConfig, AdversarialScheduler};
 use dollymp_cluster::guard::GuardConfig;
+use dollymp_testkit::{self as testkit, Lockstep};
 use proptest::prelude::*;
-
-mod common;
-use common::{fault_timeline, workload};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -20,12 +18,16 @@ proptest! {
     /// stalls, panics, busy-waits past the budget) under the guard,
     /// on an arbitrary fault timeline, never panics the engine, still
     /// completes every job, and leaves a nonzero audit trail.
+    ///
+    /// At least 8 jobs: a run of one small job can drain before the
+    /// third strike that quarantines the adversary.
     #[test]
     fn guarded_adversary_never_takes_a_run_down(seed in 0u64..10_000) {
-        let cluster = ClusterSpec::homogeneous(4, 6.0, 12.0);
-        let jobs = workload(seed, 8);
+        let mut rng = testkit::rng(seed);
+        let cluster = testkit::cluster(&mut rng, 8);
+        let jobs = testkit::jobs(&mut rng, 8..=16);
         let njobs = jobs.len();
-        let faults = fault_timeline(seed, 4, 60);
+        let faults = testkit::faults(seed, &cluster, 60);
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
         let mut guard = dollymp_cluster::guard::GuardedScheduler::with_config(
             AdversarialScheduler::with_config(AdversarialConfig::full_hostility()),
@@ -54,25 +56,27 @@ proptest! {
     }
 
     /// Transparency: wrapping a well-behaved policy changes nothing —
-    /// the guarded report is byte-identical to the unguarded one (after
-    /// zeroing wall-clock timings) and its guard stats are all zero.
+    /// in lockstep with the unguarded policy every guarded batch is the
+    /// same, the guarded report is byte-identical to the unguarded one
+    /// (after zeroing wall-clock timings) and its guard stats are all
+    /// zero.
     #[test]
     fn guard_is_transparent_for_well_behaved_policies(seed in 0u64..10_000) {
-        let cluster = ClusterSpec::homogeneous(4, 6.0, 12.0);
-        let jobs = workload(seed, 8);
-        let faults = fault_timeline(seed, 4, 60);
+        let mut rng = testkit::rng(seed);
+        let cluster = testkit::cluster(&mut rng, 8);
+        let jobs = testkit::jobs(&mut rng, 1..=16);
+        let faults = testkit::faults(seed, &cluster, 60);
         let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
+        let cfg = EngineConfig::default();
         for name in ["fifo", "dollymp2"] {
-            let mut plain = dollymp::schedulers::by_name(name).expect("known policy");
+            let policy = || dollymp::schedulers::by_name(name).expect("known policy");
+            let mut plain = policy();
             let unguarded = try_simulate_with_faults(
-                &cluster, jobs.clone(), &sampler, plain.as_mut(),
-                &EngineConfig::default(), &faults,
+                &cluster, jobs.clone(), &sampler, &mut plain, &cfg, &faults,
             ).unwrap();
-            let inner = dollymp::schedulers::by_name(name).expect("known policy");
-            let mut guard = dollymp_cluster::guard::GuardedScheduler::new(inner);
+            let mut lockstep = Lockstep::new(GuardedScheduler::new(policy()), policy());
             let guarded = try_simulate_with_faults(
-                &cluster, jobs.clone(), &sampler, &mut guard,
-                &EngineConfig::default(), &faults,
+                &cluster, jobs.clone(), &sampler, &mut lockstep, &cfg, &faults,
             ).unwrap();
             prop_assert!(guarded.guard.is_clean(), "{}: no interventions", name);
             prop_assert_eq!(unguarded.scrubbed(), guarded.scrubbed(), "{} must be unchanged", name);
@@ -85,8 +89,9 @@ proptest! {
 /// taxonomy.
 #[test]
 fn strict_mode_rejects_the_adversary_with_typed_errors() {
-    let cluster = ClusterSpec::homogeneous(4, 6.0, 12.0);
-    let jobs = workload(77, 6);
+    let mut rng = testkit::rng(77);
+    let cluster = testkit::cluster(&mut rng, 8);
+    let jobs = testkit::jobs(&mut rng, 6..=6);
     let sampler = DurationSampler::new(77, StragglerModel::ParetoFit);
     let mut adv = AdversarialScheduler::new();
     let (cfg, faults) = (EngineConfig::default(), FaultTimeline::empty());

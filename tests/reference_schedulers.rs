@@ -13,19 +13,14 @@
 //! stated once, with its tie-break, where it is applied.
 
 use dollymp::prelude::*;
-use dollymp_core::job::{PhaseId, PhaseSpec, TaskRef};
+use dollymp_core::job::TaskRef;
 use dollymp_core::online::best_fit_score;
 use dollymp_core::resources::dominant_share;
 use dollymp_schedulers::{JobStatistics, Oracle};
+use dollymp_testkit::{self as testkit, Lockstep};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::{HashMap, HashSet};
-
-// Each suite uses a subset of the shared helpers.
-#[allow(dead_code)]
-mod common;
-use common::fault_timeline;
 
 /// Which fair-share baseline a [`NaiveFair`] reproduces.
 #[derive(Clone, Copy, PartialEq)]
@@ -455,66 +450,26 @@ impl Scheduler for NaiveTetris {
     }
 }
 
-/// 1–64 heterogeneous servers (capacities and speeds).
-fn cluster(rng: &mut SmallRng) -> ClusterSpec {
-    let n = rng.gen_range(1..=64u32);
-    ClusterSpec::new(
-        (0..n)
-            .map(|_| {
-                let cpu = [4.0, 8.0, 16.0, 32.0][rng.gen_range(0..4usize)];
-                let mem = [4.0, 8.0, 16.0, 64.0][rng.gen_range(0..4usize)];
-                let speed = [0.5, 1.0, 2.0][rng.gen_range(0..3usize)];
-                ServerSpec::new(cpu, mem).with_speed(speed)
-            })
-            .collect(),
-    )
-}
-
-/// 1–40 jobs of 1–4 phases whose parents are a random subset of the
-/// earlier phases, so several phases of one job, with different demands,
-/// can be ready at once. Every demand fits the smallest server.
-fn jobs(rng: &mut SmallRng) -> Vec<JobSpec> {
-    let n = rng.gen_range(1..=40u64);
-    (0..n)
-        .map(|i| {
-            let mut b = JobSpec::builder(JobId(i)).arrival(rng.gen_range(0..2 * n));
-            for p in 0..rng.gen_range(1..=4u32) {
-                let parents = (0..p).filter(|_| rng.gen_bool(0.5)).map(PhaseId).collect();
-                let demand =
-                    Resources::new(rng.gen_range(1..=4) as f64, rng.gen_range(1..=4) as f64);
-                b = b.phase(
-                    PhaseSpec::new(
-                        rng.gen_range(1..=8),
-                        demand,
-                        rng.gen_range(2.0..12.0),
-                        rng.gen_range(0.0..5.0),
-                    )
-                    .with_parents(parents),
-                );
-            }
-            b.build().expect("valid spec")
-        })
-        .collect()
-}
-
-/// Run `fast` and the reference `naive` on one seeded draw and assert
-/// equal scrubbed reports.
-fn agrees(fast: &str, mut naive: impl Scheduler, seed: u64) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let cluster = cluster(&mut rng);
-    let jobs = jobs(&mut rng);
+/// Run `fast` in lockstep with the reference `naive` on one seeded draw,
+/// so a divergence names its first differing assignment, and assert that
+/// the run's scrubbed report equals the reference's own run's.
+fn agrees<S: Scheduler>(fast: &str, naive: impl Fn() -> S, seed: u64) {
+    let mut rng = testkit::rng(seed);
+    let cluster = testkit::cluster(&mut rng, 64);
+    let jobs = testkit::jobs(&mut rng, 1..=40);
     let faults = if rng.gen_bool(0.5) {
-        fault_timeline(seed, cluster.len() as u32, 120)
+        testkit::faults(seed, &cluster, 120)
     } else {
         FaultTimeline::empty()
     };
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
     let cfg = EngineConfig::default();
-    let mut fast = by_name(fast).expect("registered scheduler");
-    let got = try_simulate_with_faults(&cluster, jobs.clone(), &sampler, &mut fast, &cfg, &faults)
-        .unwrap();
-    let want =
-        try_simulate_with_faults(&cluster, jobs, &sampler, &mut naive, &cfg, &faults).unwrap();
+    let run = |policy: &mut dyn Scheduler| {
+        try_simulate_with_faults(&cluster, jobs.clone(), &sampler, policy, &cfg, &faults).unwrap()
+    };
+    let fast = by_name(fast).expect("registered scheduler");
+    let got = run(&mut Lockstep::new(fast, naive()));
+    let want = run(&mut naive());
     assert_eq!(got.scrubbed(), want.scrubbed(), "seed {seed}");
 }
 
@@ -523,36 +478,36 @@ proptest! {
 
     #[test]
     fn drf_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("drf", NaiveFair(Policy::Drf), seed);
+        agrees("drf", || NaiveFair(Policy::Drf), seed);
     }
 
     #[test]
     fn carbyne_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("carbyne", NaiveFair(Policy::Carbyne), seed);
+        agrees("carbyne", || NaiveFair(Policy::Carbyne), seed);
     }
 
     #[test]
     fn tetris_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("tetris", NaiveTetris { clones: 0 }, seed);
+        agrees("tetris", || NaiveTetris { clones: 0 }, seed);
     }
 
     #[test]
     fn tetris_clone1_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("tetris+clone1", NaiveTetris { clones: 1 }, seed);
+        agrees("tetris+clone1", || NaiveTetris { clones: 1 }, seed);
     }
 
     #[test]
     fn dollymp0_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("dollymp0", NaiveDollyMP::new(0), seed);
+        agrees("dollymp0", || NaiveDollyMP::new(0), seed);
     }
 
     #[test]
     fn dollymp1_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("dollymp1", NaiveDollyMP::new(1), seed);
+        agrees("dollymp1", || NaiveDollyMP::new(1), seed);
     }
 
     #[test]
     fn dollymp2_matches_its_reference(seed in 0u64..1_000_000) {
-        agrees("dollymp2", NaiveDollyMP::new(2), seed);
+        agrees("dollymp2", || NaiveDollyMP::new(2), seed);
     }
 }

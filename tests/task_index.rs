@@ -5,10 +5,9 @@
 //! over every task finds, in the same (phase, task) order.
 
 use dollymp::prelude::*;
-use dollymp_core::job::{PhaseId, PhaseSpec, TaskId};
+use dollymp_core::job::{PhaseId, TaskId};
+use dollymp_testkit as testkit;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// DollyMP² that compares the index with the status filter before each
 /// pass and remembers the first disagreement.
@@ -83,54 +82,14 @@ impl Scheduler for Checked {
     }
 }
 
-/// DAG jobs: each phase after the first depends on a random non-empty
-/// subset of earlier phases. Demands come from two shapes, so parallel
-/// phases often share one, and phases run up to 70 tasks, so sets cross
-/// a 64-bit word.
-fn dag_workload(seed: u64, njobs: u64) -> Vec<JobSpec> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let shapes = [Resources::new(1.0, 2.0), Resources::new(2.0, 2.0)];
-    (0..njobs)
-        .map(|i| {
-            let mut b = JobSpec::builder(JobId(i)).arrival(rng.gen_range(0..njobs * 4));
-            for p in 0..rng.gen_range(1..=4u32) {
-                let parents: Vec<PhaseId> =
-                    (0..p).filter(|_| rng.gen_bool(0.6)).map(PhaseId).collect();
-                let parents = if p > 0 && parents.is_empty() {
-                    vec![PhaseId(p - 1)]
-                } else {
-                    parents
-                };
-                let ntasks = if rng.gen_bool(0.2) {
-                    rng.gen_range(60..=70)
-                } else {
-                    rng.gen_range(1..=8)
-                };
-                b = b.phase(
-                    PhaseSpec::new(
-                        ntasks,
-                        shapes[rng.gen_range(0..shapes.len())],
-                        rng.gen_range(2.0..10.0),
-                        rng.gen_range(0.0..5.0),
-                    )
-                    .with_parents(parents),
-                );
-            }
-            b.build().expect("parents precede their children")
-        })
-        .collect()
-}
-
-/// Run the checked DollyMP² on a seeded DAG workload with crashes and
-/// fail-slow servers.
+/// Run the checked DollyMP² on a testkit draw: DAG jobs whose phases
+/// sometimes cross a 64-bit word, on heterogeneous racks under crashes,
+/// rack blackouts and fail-slow servers.
 fn run(seed: u64) -> (Checked, SimReport) {
-    let cluster = ClusterSpec::homogeneous(8, 8.0, 16.0);
-    let faults = dollymp::faults::generate(
-        &cluster,
-        &FaultConfig::new(seed, 200)
-            .with_crash_rate(0.01, 5.0)
-            .with_fail_slow(0.3, 0.5),
-    );
+    let mut rng = testkit::rng(seed);
+    let cluster = testkit::cluster(&mut rng, 8);
+    let jobs = testkit::jobs(&mut rng, 1..=12);
+    let faults = testkit::faults(seed, &cluster, 200);
     let sampler = DurationSampler::new(seed, StragglerModel::ParetoFit);
     let mut policy = Checked {
         inner: DollyMP::new(),
@@ -139,7 +98,7 @@ fn run(seed: u64) -> (Checked, SimReport) {
     };
     let report = try_simulate_with_faults(
         &cluster,
-        dag_workload(seed, 12),
+        jobs,
         &sampler,
         &mut policy,
         &EngineConfig::default(),

@@ -172,10 +172,7 @@ fn main() {
         "{:>20} {:>14} {:>14} {:>10}",
         "scheduler", "total flow", "total usage", "clones"
     );
-    let hopper_cfg = EngineConfig {
-        tick: Some(1),
-        ..Default::default()
-    };
+    let hopper_cfg = dollymp_schedulers::engine_cfg_for("hopper");
     let mut hopper = dollymp_schedulers::Hopper::new();
     let rh = simulate(&cluster, jobs.clone(), &sampler, &mut hopper, &hopper_cfg);
     for (name, r) in [("dollymp2", &rv), ("hopper", &rh)] {

@@ -11,7 +11,6 @@
 use dollymp_bench::write_csv;
 use dollymp_core::prelude::*;
 use dollymp_core::resources::dominant_share;
-use dollymp_core::speedup::SpeedupFn;
 use dollymp_core::theory::{
     dollymp_augmented_ratio, hrdf_augmented_ratio, list_schedule_flowtime, BfJob,
 };
@@ -48,11 +47,10 @@ fn main() {
                     volume: d * j.duration as f64,
                     etime: j.duration as f64,
                     dominant: d,
-                    speedup: SpeedupFn::None,
                 }
             })
             .collect();
-        let out = transient_schedule(&inputs, &TransientConfig::default());
+        let out = transient_schedule(&inputs);
         let algo = list_schedule_flowtime(&jobs, cap, &out.order);
         let opt = BruteForceOptimal::new(cap, jobs).min_total_flowtime();
         let ratio = algo as f64 / opt as f64;

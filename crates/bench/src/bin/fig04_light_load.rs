@@ -9,8 +9,9 @@
 //! (95 % of jobs < 350 s under DollyMP² vs 80 % under Capacity);
 //! DollyMP² beats DollyMP¹.
 
-use dollymp_bench::{cdf_line, cdf_samples, engine_cfg_for, run_named, scale, write_csv};
+use dollymp_bench::{cdf_line, cdf_samples, run_named, scale, write_csv};
 use dollymp_cluster::prelude::*;
+use dollymp_schedulers::engine_cfg_for;
 use dollymp_workload::suite::light_load;
 
 fn main() {

@@ -6,8 +6,9 @@
 //! run together and clones absorb stragglers; Tetris/Capacity have a
 //! long running-time tail (only ~80 % < 200 s under Tetris).
 
-use dollymp_bench::{cdf_line, cdf_samples, engine_cfg_for, run_named, scale, write_csv};
+use dollymp_bench::{cdf_line, cdf_samples, run_named, scale, write_csv};
 use dollymp_cluster::prelude::*;
+use dollymp_schedulers::engine_cfg_for;
 use dollymp_workload::suite::{heavy_pagerank, heavy_wordcount};
 
 fn main() {

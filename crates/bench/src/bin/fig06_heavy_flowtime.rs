@@ -5,9 +5,10 @@
 //! Paper's shape: most jobs complete within 6 000 s of arrival under
 //! DollyMP, vs ~60 % under Tetris and ~45 % under Capacity.
 
-use dollymp_bench::{cdf_line, cdf_samples, engine_cfg_for, run_named, scale, write_csv};
+use dollymp_bench::{cdf_line, cdf_samples, run_named, scale, write_csv};
 use dollymp_cluster::metrics::cdf_at;
 use dollymp_cluster::prelude::*;
+use dollymp_schedulers::engine_cfg_for;
 use dollymp_workload::suite::{heavy_pagerank, heavy_wordcount};
 
 fn main() {

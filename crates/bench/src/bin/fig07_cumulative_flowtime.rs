@@ -4,8 +4,9 @@
 //! Paper's shape: the cumulative curve under DollyMP grows much slower;
 //! at the end DollyMP is ≈ −50 % vs Capacity and ≈ −30 % vs Tetris.
 
-use dollymp_bench::{engine_cfg_for, run_named, scale, write_csv};
+use dollymp_bench::{run_named, scale, write_csv};
 use dollymp_cluster::prelude::*;
+use dollymp_schedulers::engine_cfg_for;
 use dollymp_workload::suite::{heavy_pagerank, heavy_wordcount};
 
 fn main() {

@@ -63,19 +63,6 @@ pub fn run_named(
     simulate(cluster, jobs.to_vec(), sampler, s.as_mut(), cfg)
 }
 
-/// Engine config appropriate for a scheduler: progress-monitoring
-/// policies (`capacity` with speculation) get a 1-slot tick.
-pub fn engine_cfg_for(name: &str) -> EngineConfig {
-    if name == "capacity" {
-        EngineConfig {
-            tick: Some(1),
-            ..Default::default()
-        }
-    } else {
-        EngineConfig::default()
-    }
-}
-
 /// Expected *dominant-share* work of a job, in units of
 /// cluster-fraction × slots: `Σ_phases n · θ · d` where `d` is the
 /// Eq. (15) dominant share of the phase's demand — i.e. the job's volume
@@ -196,11 +183,5 @@ mod tests {
         );
         // Arrivals sorted, ids preserved.
         assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    }
-
-    #[test]
-    fn engine_cfg_gives_capacity_a_tick() {
-        assert_eq!(engine_cfg_for("capacity").tick, Some(1));
-        assert_eq!(engine_cfg_for("dollymp2").tick, None);
     }
 }

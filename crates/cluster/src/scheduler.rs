@@ -31,8 +31,11 @@ pub struct Assignment {
 /// always a slot boundary). The returned batch must be *self-consistent*:
 /// the scheduler is responsible for not over-committing the free resources
 /// it sees in the view, because the engine validates each assignment
-/// against remaining capacity and panics on violations (scheduler bugs
-/// should fail loudly, not silently skew experiments).
+/// against remaining capacity and aborts the run on a violation (scheduler
+/// bugs should fail loudly, not silently skew experiments):
+/// [`try_simulate_with_faults`](crate::engine::try_simulate_with_faults)
+/// returns [`SimError::Rejected`](crate::error::SimError::Rejected), and
+/// [`simulate`](crate::engine::simulate) panics with it.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> String;

@@ -57,19 +57,19 @@
 //!     })
 //!     .collect();
 //!
-//! // Algorithm 1: knapsack-based priorities (smaller = scheduled earlier).
-//! let cfg = TransientConfig::default();
+//! // Algorithm 1: knapsack-based priorities (smaller = scheduled earlier),
+//! // on effective times θ + w·σ with the paper's w = 1.5.
+//! let w = 1.5;
 //! let inputs: Vec<TransientJob> = jobs
 //!     .iter()
 //!     .map(|j| TransientJob {
 //!         id: j.id,
-//!         volume: j.volume(totals, cfg.sigma_weight),
-//!         etime: j.effective_time(cfg.sigma_weight),
+//!         volume: j.volume(totals, w),
+//!         etime: j.effective_time(w),
 //!         dominant: j.max_dominant_share(totals),
-//!         speedup: j.phase(PhaseId(0)).speedup,
 //!     })
 //!     .collect();
-//! let out = transient_schedule(&inputs, &cfg);
+//! let out = transient_schedule(&inputs);
 //! assert_eq!(out.priorities.len(), 3);
 //! ```
 
@@ -103,6 +103,6 @@ pub mod prelude {
     pub use crate::theory::{theorem1_bound, BruteForceOptimal};
     pub use crate::time::{Duration, Time};
     pub use crate::transient::{
-        transient_schedule, TransientConfig, TransientJob, TransientOutput, PRIORITY_UNSELECTED,
+        transient_schedule, TransientJob, TransientOutput, PRIORITY_UNSELECTED,
     };
 }

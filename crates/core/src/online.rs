@@ -137,8 +137,7 @@ impl ClonePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speedup::SpeedupFn;
-    use crate::transient::{transient_schedule, TransientConfig, PRIORITY_UNSELECTED};
+    use crate::transient::{transient_schedule, PRIORITY_UNSELECTED};
     use proptest::prelude::*;
 
     /// Algorithm 1 inputs from `(volume, etime, unselectable)` triples,
@@ -156,7 +155,6 @@ mod tests {
                 },
                 etime,
                 dominant: 0.1,
-                speedup: SpeedupFn::Pareto { alpha: 2.0 },
             })
             .collect()
     }
@@ -172,12 +170,11 @@ mod tests {
             earlier in prop::collection::vec((0.01f64..30.0, 0.1f64..60.0, 0usize..10), 0..40),
             raw in prop::collection::vec((0.01f64..30.0, 0.1f64..60.0, 0usize..10), 0..40),
         ) {
-            let cfg = TransientConfig::default();
             let mut order = PriorityOrder::default();
             let before = jobs(&earlier);
-            order.refill(&before, &transient_schedule(&before, &cfg));
+            order.refill(&before, &transient_schedule(&before));
             let jobs = jobs(&raw);
-            let out = transient_schedule(&jobs, &cfg);
+            let out = transient_schedule(&jobs);
             order.refill(&jobs, &out);
             let groups: Vec<(u32, &[JobId])> = order.groups().collect();
             let total: usize = groups.iter().map(|(_, m)| m.len()).sum();

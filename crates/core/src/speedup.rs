@@ -27,52 +27,7 @@ use serde::{Deserialize, Serialize};
 pub trait Speedup {
     /// Expected speedup factor from running `r ≥ 1` concurrent copies.
     fn factor(&self, r: u32) -> f64;
-
-    /// Least-upper-bound of `h` (`R` in Theorem 1), if finite.
-    fn sup(&self) -> Option<f64> {
-        None
-    }
-
-    /// The smallest number of copies `r` such that `h(r) ≥ target`, or
-    /// `None` if no finite `r` achieves it. This is the `r_j` of
-    /// Corollary 4.1: `r_j = min { r : 2^l · h_j(r) ≥ θ_j }` with
-    /// `target = θ_j / 2^l`.
-    fn min_copies_for(&self, target: f64) -> Option<u32> {
-        if target <= 1.0 {
-            return Some(1);
-        }
-        if let Some(sup) = self.sup() {
-            if target > sup {
-                return None;
-            }
-        }
-        // h is increasing: exponential search then binary search.
-        let mut hi = 1u32;
-        while self.factor(hi) < target {
-            if hi >= MAX_COPIES_SEARCH {
-                return None;
-            }
-            hi = (hi * 2).min(MAX_COPIES_SEARCH);
-        }
-        let mut lo = hi / 2 + 1;
-        if hi == 1 {
-            return Some(1);
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.factor(mid) >= target {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(hi)
-    }
 }
-
-/// Search cut-off for [`Speedup::min_copies_for`]; no sane policy launches
-/// more copies than this.
-const MAX_COPIES_SEARCH: u32 = 1 << 20;
 
 /// The Pareto-tail speedup of Eq. (3).
 ///
@@ -80,8 +35,7 @@ const MAX_COPIES_SEARCH: u32 = 1 << 20;
 /// use dollymp_core::speedup::{ParetoSpeedup, Speedup};
 /// let h = ParetoSpeedup::new(2.0);
 /// assert!((h.factor(1) - 1.0).abs() < 1e-12);
-/// assert!((h.factor(2) - 1.5).abs() < 1e-12);   // (2 - 1/2) / (2 - 1)
-/// assert_eq!(h.sup(), Some(2.0));                // α / (α − 1)
+/// assert!((h.factor(2) - 1.5).abs() < 1e-12); // (2 - 1/2) / (2 - 1)
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ParetoSpeedup {
@@ -112,10 +66,6 @@ impl Speedup for ParetoSpeedup {
     fn factor(&self, r: u32) -> f64 {
         let r = r.max(1) as f64;
         (self.alpha - 1.0 / r) / (self.alpha - 1.0)
-    }
-
-    fn sup(&self) -> Option<f64> {
-        Some(self.alpha / (self.alpha - 1.0))
     }
 }
 
@@ -162,14 +112,6 @@ impl Speedup for SpeedupFn {
             SpeedupFn::None => 1.0,
             SpeedupFn::Pareto { alpha } => ParetoSpeedup::new(alpha).factor(r),
             SpeedupFn::Power { exponent, cap } => (r.min(cap.max(1)) as f64).powf(exponent),
-        }
-    }
-
-    fn sup(&self) -> Option<f64> {
-        match *self {
-            SpeedupFn::None => Some(1.0),
-            SpeedupFn::Pareto { alpha } => ParetoSpeedup::new(alpha).sup(),
-            SpeedupFn::Power { exponent, cap } => Some((cap.max(1) as f64).powf(exponent)),
         }
     }
 }
@@ -243,11 +185,6 @@ impl ParetoDist {
         let u = u.clamp(f64::MIN_POSITIVE, 1.0);
         self.xm * u.powf(-1.0 / self.alpha)
     }
-
-    /// The induced cloning speedup function (Eq. 3).
-    pub fn speedup(&self) -> ParetoSpeedup {
-        ParetoSpeedup::new(self.alpha)
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +198,6 @@ mod tests {
         assert!((h.factor(1) - 1.0).abs() < 1e-12);
         assert!((h.factor(2) - 1.25).abs() < 1e-12);
         assert!((h.factor(4) - 1.375).abs() < 1e-12);
-        assert!((h.sup().unwrap() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -276,22 +212,6 @@ mod tests {
             let d2 = w[2] - w[1];
             assert!(d2 <= d1 + 1e-12, "h must be concave");
         }
-    }
-
-    #[test]
-    fn min_copies_for_inverts_factor() {
-        let h = ParetoSpeedup::new(2.0); // h(2) = 1.5, h(3) ≈ 1.666, sup = 2
-        assert_eq!(h.min_copies_for(1.0), Some(1));
-        assert_eq!(h.min_copies_for(1.5), Some(2));
-        assert_eq!(h.min_copies_for(1.51), Some(3));
-        assert_eq!(h.min_copies_for(2.5), None); // beyond sup
-    }
-
-    #[test]
-    fn min_copies_unreachable_sup_is_none() {
-        let h = ParetoSpeedup::new(2.0);
-        // target exactly sup: h(r) → 2 but never reaches it.
-        assert_eq!(h.min_copies_for(2.0), None);
     }
 
     #[test]

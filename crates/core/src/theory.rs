@@ -279,8 +279,7 @@ pub fn list_schedule_flowtime(jobs: &[BfJob], capacity: Resources, order: &[usiz
 mod tests {
     use super::*;
     use crate::job::JobId;
-    use crate::speedup::SpeedupFn;
-    use crate::transient::{transient_schedule, TransientConfig, TransientJob};
+    use crate::transient::{transient_schedule, TransientJob};
     use proptest::prelude::*;
 
     fn res(c: f64, m: f64) -> Resources {
@@ -462,7 +461,6 @@ mod tests {
                     volume: d * j.duration as f64,
                     etime: j.duration as f64,
                     dominant: d,
-                    speedup: SpeedupFn::None,
                 }
             })
             .collect()
@@ -502,7 +500,7 @@ mod tests {
                 demand: res(c as f64 / 10.0, m as f64 / 10.0),
             }).collect();
             let inputs = transient_inputs(&jobs, cap);
-            let out = transient_schedule(&inputs, &TransientConfig::default());
+            let out = transient_schedule(&inputs);
             let flow = list_schedule_flowtime(&jobs, cap, &out.order);
             let opt = BruteForceOptimal::new(cap, jobs.clone()).min_total_flowtime();
             prop_assert!(opt > 0);

@@ -15,13 +15,12 @@
 //!    sharing one level are treated equally (the online scheduler breaks
 //!    ties by Tetris-style best fit).
 //!
-//! The output also carries the Corollary 4.1 clone recommendation
-//! `r_j = min { r : 2ˡ · h_j(r) ≥ e_j }` — the fewest copies that squeeze
-//! job `j`'s expected duration under its level's horizon.
+//! Corollary 4.1 also derives a per-job clone count `r_j` from the level
+//! horizon; DollyMP does not compute it, since its clone pass caps every
+//! task at §5's flat budget instead (`ClonePolicy`).
 
 use crate::job::JobId;
 use crate::knapsack::sorted_by_weight;
-use crate::speedup::{Speedup, SpeedupFn};
 use serde::{Deserialize, Serialize};
 
 /// Priority assigned to jobs never selected by any knapsack level (they
@@ -31,26 +30,6 @@ pub const PRIORITY_UNSELECTED: u32 = u32::MAX;
 /// Hard cap on the number of doubling levels; `2^60` time units exceeds
 /// any realistic horizon and caps work even on adversarial inputs.
 const MAX_LEVELS: u32 = 60;
-
-/// Tunables of the transient process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransientConfig {
-    /// Weight `w` on the duration standard deviation in the effective
-    /// processing time `e = θ + w·σ`. The paper deploys `r = 1.5`.
-    pub sigma_weight: f64,
-    /// Maximum *concurrent copies* of a task (original + clones). The
-    /// paper fixes this to 3 (two clones, §5).
-    pub max_copies: u32,
-}
-
-impl Default for TransientConfig {
-    fn default() -> Self {
-        TransientConfig {
-            sigma_weight: 1.5,
-            max_copies: 3,
-        }
-    }
-}
 
 /// Per-job input to Algorithm 1: the scalar summary DollyMP schedules on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,9 +42,6 @@ pub struct TransientJob {
     pub etime: f64,
     /// Maximum dominant share `d_j` over the job's phases (Eq. 15).
     pub dominant: f64,
-    /// Cloning speedup function: that of the job's first unfinished phase
-    /// in topological order, whose clones launch first.
-    pub speedup: SpeedupFn,
 }
 
 /// Result of Algorithm 1, aligned with the input job slice.
@@ -74,11 +50,11 @@ pub struct TransientOutput {
     /// `priorities[i]` is the knapsack level at which input job `i` was
     /// first packed, or [`PRIORITY_UNSELECTED`].
     pub priorities: Vec<u32>,
-    /// `recommended_copies[i]` is the Corollary 4.1 copy count (original
-    /// + clones, ≥ 1, ≤ `max_copies`).
-    pub recommended_copies: Vec<u32>,
-    /// Input indices sorted by `(priority, volume, JobId)` — the order in
-    /// which the online scheduler visits jobs.
+    /// Input indices sorted by `(priority, volume, JobId)`: smallest
+    /// volume first within a level, the list order the theory code
+    /// executes. The online pass does not walk it as is:
+    /// [`PriorityOrder::refill`](crate::online::PriorityOrder::refill)
+    /// re-sorts each level by id.
     pub order: Vec<usize>,
     /// Number of doubling levels `g` actually used.
     pub levels: u32,
@@ -91,25 +67,19 @@ pub struct TransientOutput {
 ///
 /// ```
 /// use dollymp_core::prelude::*;
-/// use dollymp_core::speedup::SpeedupFn;
-/// let mk = |id, v, e| TransientJob {
-///     id: JobId(id), volume: v, etime: e, dominant: 0.1,
-///     speedup: SpeedupFn::Pareto { alpha: 2.0 },
-/// };
+/// let mk = |id, v, e| TransientJob { id: JobId(id), volume: v, etime: e, dominant: 0.1 };
 /// // A tiny fast job, a mid job and a huge slow job.
 /// let jobs = vec![mk(0, 0.5, 1.5), mk(1, 1.0, 3.0), mk(2, 40.0, 60.0)];
-/// let out = transient_schedule(&jobs, &TransientConfig::default());
+/// let out = transient_schedule(&jobs);
 /// assert!(out.priorities[0] <= out.priorities[1]);
 /// assert!(out.priorities[1] < out.priorities[2]);
 /// ```
-pub fn transient_schedule(jobs: &[TransientJob], cfg: &TransientConfig) -> TransientOutput {
+pub fn transient_schedule(jobs: &[TransientJob]) -> TransientOutput {
     let n = jobs.len();
     let mut priorities = vec![PRIORITY_UNSELECTED; n];
-    let mut copies = vec![1u32; n];
     if n == 0 {
         return TransientOutput {
             priorities,
-            recommended_copies: copies,
             order: Vec::new(),
             levels: 0,
         };
@@ -157,14 +127,6 @@ pub fn transient_schedule(jobs: &[TransientJob], cfg: &TransientConfig) -> Trans
             if priorities[i] == PRIORITY_UNSELECTED {
                 priorities[i] = l;
                 selected_count += 1;
-                // Corollary 4.1 clone recommendation: fewest copies that
-                // bring e_j under the level horizon.
-                let target = jobs[i].etime / horizon;
-                copies[i] = jobs[i]
-                    .speedup
-                    .min_copies_for(target)
-                    .unwrap_or(1)
-                    .clamp(1, cfg.max_copies.max(1));
             }
         }
         if selected_count == n {
@@ -187,7 +149,6 @@ pub fn transient_schedule(jobs: &[TransientJob], cfg: &TransientConfig) -> Trans
 
     TransientOutput {
         priorities,
-        recommended_copies: copies,
         order,
         levels: g,
     }
@@ -219,20 +180,19 @@ mod tests {
             volume,
             etime,
             dominant: 0.1,
-            speedup: SpeedupFn::Pareto { alpha: 2.0 },
         }
     }
 
     #[test]
     fn empty_input() {
-        let out = transient_schedule(&[], &TransientConfig::default());
+        let out = transient_schedule(&[]);
         assert!(out.priorities.is_empty());
         assert_eq!(out.levels, 0);
     }
 
     #[test]
     fn single_small_job_gets_level_one() {
-        let out = transient_schedule(&[job(0, 1.0, 1.0)], &TransientConfig::default());
+        let out = transient_schedule(&[job(0, 1.0, 1.0)]);
         assert_eq!(out.priorities, vec![1]);
         assert_eq!(out.order, vec![0]);
     }
@@ -240,7 +200,7 @@ mod tests {
     #[test]
     fn small_jobs_beat_large_jobs() {
         let jobs = vec![job(0, 100.0, 200.0), job(1, 0.5, 1.0), job(2, 2.0, 3.0)];
-        let out = transient_schedule(&jobs, &TransientConfig::default());
+        let out = transient_schedule(&jobs);
         assert!(out.priorities[1] < out.priorities[0]);
         assert!(out.priorities[2] < out.priorities[0]);
         assert_eq!(out.order[0], 1);
@@ -253,7 +213,7 @@ mod tests {
         // wait for the level whose budget holds it (2^4 = 16 also packs
         // the small job's 1.0 → both picked, big one later or equal).
         let jobs = vec![job(0, 10.0, 1.0), job(1, 1.0, 1.0)];
-        let out = transient_schedule(&jobs, &TransientConfig::default());
+        let out = transient_schedule(&jobs);
         assert!(out.priorities[1] < out.priorities[0]);
     }
 
@@ -263,55 +223,15 @@ mod tests {
         // land on level 1, the rest spill to level 2 when the budget
         // doubles (the doubling structure of Algorithm 1).
         let jobs: Vec<_> = (0..4).map(|i| job(i, 1.0, 2.0)).collect();
-        let out = transient_schedule(&jobs, &TransientConfig::default());
+        let out = transient_schedule(&jobs);
         assert_eq!(out.priorities, vec![1, 1, 2, 2]);
         assert_eq!(out.order, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn clone_recommendation_shrinks_to_horizon() {
-        // e = 3 at level 1 (horizon 2) needs h(r) ≥ 1.5; for α = 2,
-        // h(2) = 1.5 → two copies.
-        let j = TransientJob {
-            id: JobId(0),
-            volume: 1.0,
-            etime: 3.0,
-            dominant: 0.1,
-            speedup: SpeedupFn::Pareto { alpha: 2.0 },
-        };
-        let out = transient_schedule(&[j], &TransientConfig::default());
-        // volume 1 ≤ 2 and etime 3 > 2 so it lands on level 2 (horizon 4,
-        // target 0.75 → 1 copy)… verify consistency instead of guessing:
-        let l = out.priorities[0];
-        assert_ne!(l, PRIORITY_UNSELECTED);
-        let horizon = (2f64).powi(l as i32);
-        let hr = SpeedupFn::Pareto { alpha: 2.0 };
-        use crate::speedup::Speedup;
-        let r = out.recommended_copies[0];
-        assert!(horizon * hr.factor(r) >= 3.0 || r == 1);
-    }
-
-    #[test]
-    fn copies_capped_by_config() {
-        let j = TransientJob {
-            id: JobId(0),
-            volume: 0.1,
-            etime: 1.9, // selected at level 1, target 0.95 → 1 copy
-            dominant: 0.1,
-            speedup: SpeedupFn::Pareto { alpha: 1.1 },
-        };
-        let cfg = TransientConfig {
-            max_copies: 2,
-            ..Default::default()
-        };
-        let out = transient_schedule(&[j], &cfg);
-        assert!(out.recommended_copies[0] <= 2);
-    }
-
-    #[test]
     fn order_is_priority_then_volume() {
         let jobs = vec![job(0, 1.5, 2.0), job(1, 0.3, 2.0), job(2, 30.0, 50.0)];
-        let out = transient_schedule(&jobs, &TransientConfig::default());
+        let out = transient_schedule(&jobs);
         assert_eq!(out.order[0], 1, "same level → smaller volume first");
         assert_eq!(out.order[1], 0);
         assert_eq!(out.order[2], 2);
@@ -332,7 +252,7 @@ mod tests {
             job(3, 8.0, 8.0),
             job(4, 20.0, 30.0),
         ];
-        let out = transient_schedule(&jobs, &TransientConfig::default());
+        let out = transient_schedule(&jobs);
         assert_eq!(out.levels, 6);
         assert_eq!(out.priorities, vec![1, 2, 3, 4, 6]);
         assert_eq!(out.order, vec![0, 1, 2, 3, 4]);
@@ -342,7 +262,7 @@ mod tests {
     fn degenerate_dominant_share_clamped() {
         let mut j = job(0, 1.0, 1.0);
         j.dominant = 1.0; // would divide by zero without clamping
-        let out = transient_schedule(&[j], &TransientConfig::default());
+        let out = transient_schedule(&[j]);
         assert_ne!(out.priorities[0], PRIORITY_UNSELECTED);
     }
 
@@ -357,7 +277,7 @@ mod tests {
         ) {
             let jobs: Vec<TransientJob> = raw.iter().enumerate()
                 .map(|(i, &(v, e))| job(i as u64, v, e)).collect();
-            let out = transient_schedule(&jobs, &TransientConfig::default());
+            let out = transient_schedule(&jobs);
             for &p in &out.priorities {
                 prop_assert!(p != PRIORITY_UNSELECTED);
                 prop_assert!(p >= 1 && p <= out.levels);
@@ -383,10 +303,9 @@ mod tests {
         ) {
             let jobs: Vec<TransientJob> = raw.iter().enumerate()
                 .map(|(i, &(v, e))| job(i as u64, v, e)).collect();
-            let cfg = TransientConfig::default();
             prop_assert_eq!(
-                transient_schedule(&jobs, &cfg),
-                reference_transient_schedule(&jobs, &cfg)
+                transient_schedule(&jobs),
+                reference_transient_schedule(&jobs)
             );
         }
 
@@ -397,7 +316,7 @@ mod tests {
         ) {
             let jobs: Vec<TransientJob> = raw.iter().enumerate()
                 .map(|(i, &(v, e))| job(i as u64, v, e)).collect();
-            let out = transient_schedule(&jobs, &TransientConfig::default());
+            let out = transient_schedule(&jobs);
             let mut seen = vec![false; jobs.len()];
             for &i in &out.order {
                 prop_assert!(!seen[i]);
@@ -412,18 +331,13 @@ mod tests {
     /// The pre-memoization Algorithm 1: collect candidates and run a fresh
     /// `unit_profit_knapsack` (with its own sort) at every level. Kept as
     /// the test oracle for the memoized-order implementation.
-    fn reference_transient_schedule(
-        jobs: &[TransientJob],
-        cfg: &TransientConfig,
-    ) -> TransientOutput {
+    fn reference_transient_schedule(jobs: &[TransientJob]) -> TransientOutput {
         use crate::knapsack::unit_profit_knapsack;
         let n = jobs.len();
         let mut priorities = vec![PRIORITY_UNSELECTED; n];
-        let mut copies = vec![1u32; n];
         if n == 0 {
             return TransientOutput {
                 priorities,
-                recommended_copies: copies,
                 order: Vec::new(),
                 levels: 0,
             };
@@ -455,12 +369,6 @@ mod tests {
                 if priorities[i] == PRIORITY_UNSELECTED {
                     priorities[i] = l;
                     selected_count += 1;
-                    let target = jobs[i].etime / horizon;
-                    copies[i] = jobs[i]
-                        .speedup
-                        .min_copies_for(target)
-                        .unwrap_or(1)
-                        .clamp(1, cfg.max_copies.max(1));
                 }
             }
             if selected_count == n {
@@ -481,7 +389,6 @@ mod tests {
         });
         TransientOutput {
             priorities,
-            recommended_copies: copies,
             order,
             levels: g,
         }
@@ -491,9 +398,8 @@ mod tests {
     fn infinite_volume_never_packed_like_reference() {
         let mut jobs = vec![job(0, 1.0, 2.0), job(1, f64::INFINITY, 2.0)];
         jobs.push(job(2, 2.0, 3.0));
-        let cfg = TransientConfig::default();
-        let out = transient_schedule(&jobs, &cfg);
+        let out = transient_schedule(&jobs);
         assert_eq!(out.priorities[1], PRIORITY_UNSELECTED);
-        assert_eq!(out, reference_transient_schedule(&jobs, &cfg));
+        assert_eq!(out, reference_transient_schedule(&jobs));
     }
 }

@@ -27,29 +27,24 @@
 //!
 //! The statistics of both steps (Algorithm 1's inputs and the §4.1
 //! gate's remaining volumes) are assembled from one [`JobStatistics`]
-//! source's per-phase `(θ, σ)` and speedup: the [`Oracle`] reads the
-//! true ones from each job's spec, and the YARN control plane passes its
-//! Application Masters' estimates. The assembly and the pass are the
-//! same for both.
+//! source's per-phase `(θ, σ)`: the [`Oracle`] reads the true ones from
+//! each job's spec, and the YARN control plane passes its Application
+//! Masters' estimates. The assembly and the pass are the same for both.
 
 use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
 use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityOrder};
 use dollymp_core::resources::Resources;
-use dollymp_core::speedup::SpeedupFn;
-use dollymp_core::transient::{transient_schedule, TransientConfig, TransientJob};
+use dollymp_core::transient::{transient_schedule, TransientJob};
 
 /// Where DollyMP reads its per-phase statistics from. A source supplies
-/// two facts per phase; the provided methods assemble Algorithm 1's
-/// inputs and the §4.1 gate's remaining volumes from them, the same way
-/// for every source, and the pass itself is the same too.
+/// one fact per phase, its `(θ, σ)`; the provided methods assemble
+/// Algorithm 1's inputs and the §4.1 gate's remaining volumes from it, the
+/// same way for every source, and the pass itself is the same too.
 pub trait JobStatistics {
     /// `(θ, σ)`: the mean and standard deviation of the durations of
     /// `phase`'s tasks.
     fn phase_stats(&self, job: &JobState, phase: PhaseId) -> (f64, f64);
-
-    /// The cloning speedup of `phase`, whose statistics are `(θ, σ)`.
-    fn speedup(&self, job: &JobState, phase: PhaseId, theta: f64, sigma: f64) -> SpeedupFn;
 
     /// Effective time `θ + w·σ` (§5) of `phase`, or 0 once it finished.
     fn effective_time(&self, job: &JobState, phase: PhaseId, sigma_weight: f64) -> f64 {
@@ -72,31 +67,19 @@ pub trait JobStatistics {
     }
 
     /// Algorithm 1's input for one job: its remaining volume and
-    /// remaining critical path, its largest dominant share, and the
-    /// speedup of its first unfinished phase in topological order, whose
-    /// clones the scheduler launches first.
+    /// remaining critical path, and its largest dominant share.
     fn transient_job(&self, job: &JobState, totals: Resources, sigma_weight: f64) -> TransientJob {
-        let spec = job.spec();
-        let speedup = spec
-            .topo_order()
-            .iter()
-            .find(|&&p| job.phase_state(p).remaining > 0)
-            .map_or(SpeedupFn::None, |&p| {
-                let (theta, sigma) = self.phase_stats(job, p);
-                self.speedup(job, p, theta, sigma)
-            });
         TransientJob {
             id: job.id(),
             volume: self.remaining_volume(job, totals, sigma_weight),
             etime: self.remaining_etime(job, sigma_weight),
-            dominant: spec.max_dominant_share(totals),
-            speedup,
+            dominant: job.spec().max_dominant_share(totals),
         }
     }
 }
 
-/// The simulator's oracle: each phase's true `(θ, σ)` and speedup, read
-/// from the job's spec.
+/// The simulator's oracle: each phase's true `(θ, σ)`, read from the
+/// job's spec.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Oracle;
 
@@ -104,10 +87,6 @@ impl JobStatistics for Oracle {
     fn phase_stats(&self, job: &JobState, phase: PhaseId) -> (f64, f64) {
         let p = job.spec().phase(phase);
         (p.theta, p.sigma)
-    }
-
-    fn speedup(&self, job: &JobState, phase: PhaseId, _theta: f64, _sigma: f64) -> SpeedupFn {
-        job.spec().phase(phase).speedup
     }
 }
 
@@ -318,8 +297,9 @@ struct Scratch {
 /// [`JobStatistics`] source.
 #[derive(Debug, Clone)]
 pub struct DollyMP<S = Oracle> {
-    /// Algorithm 1 configuration (σ-weight `w = 1.5` by default).
-    pub transient: TransientConfig,
+    /// Weight `w` on the duration standard deviation in the effective
+    /// processing time `θ + w·σ` (§5; the paper deploys 1.5).
+    pub sigma_weight: f64,
     /// Cloning budget and §4.1 small-job gate.
     pub clone_policy: ClonePolicy,
     /// Where the per-job statistics come from.
@@ -353,10 +333,7 @@ impl<S: JobStatistics> DollyMP<S> {
     /// DollyMP^r scheduling on the statistics `stats` reports.
     pub fn with_statistics(clones: u32, stats: S) -> Self {
         DollyMP {
-            transient: TransientConfig {
-                max_copies: clones + 1,
-                ..TransientConfig::default()
-            },
+            sigma_weight: 1.5,
             clone_policy: ClonePolicy::with_clones(clones),
             stats,
             order: PriorityOrder::default(),
@@ -374,7 +351,7 @@ impl<S: JobStatistics> DollyMP<S> {
 
     /// Override the σ-weight of effective processing times.
     pub fn with_sigma_weight(mut self, w: f64) -> Self {
-        self.transient.sigma_weight = w;
+        self.sigma_weight = w;
         self
     }
 
@@ -385,12 +362,12 @@ impl<S: JobStatistics> DollyMP<S> {
 
     /// Re-run Algorithm 1 over every job in the view and store its order.
     fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
-        let (totals, w) = (view.totals(), self.transient.sigma_weight);
+        let (totals, w) = (view.totals(), self.sigma_weight);
         let jobs: Vec<TransientJob> = view
             .jobs()
             .map(|j| self.stats.transient_job(j, totals, w))
             .collect();
-        let out = transient_schedule(&jobs, &self.transient);
+        let out = transient_schedule(&jobs);
         self.order.refill(&jobs, &out);
     }
 
@@ -594,7 +571,7 @@ impl<S: JobStatistics> DollyMP<S> {
         if max_copies <= 1 {
             return;
         }
-        let w = self.transient.sigma_weight;
+        let w = self.sigma_weight;
         // Remaining volumes, computed once (the §4.1 gate needs every
         // job's volume against the sum of the others'; recomputing per
         // candidate would make this pass quadratic). The total is summed
@@ -828,6 +805,32 @@ mod tests {
         s.on_job_arrival(&view, JobId(2));
         let _ = s.schedule(&view);
         assert_eq!(groups(&s), [[JobId(0)], [JobId(2)]]);
+    }
+
+    /// The σ-weight reaches Algorithm 1: a σ = 0 job against a shorter
+    /// job with a large σ. On means alone (`w = 0`) the short job ranks
+    /// first; at the paper's `w = 1.5` its effective time `2 + 1.5·4 = 8`
+    /// exceeds the other's 4 and the order flips.
+    #[test]
+    fn sigma_weight_reaches_algorithm1() {
+        use dollymp_cluster::capacity::CapacityIndex;
+        let job = |id, theta, sigma| {
+            let spec = JobSpec::single_phase(JobId(id), 1, Resources::new(1.0, 1.0), theta, sigma);
+            JobState::new(spec, vec![theta])
+        };
+        let cluster = ClusterSpec::homogeneous(1, 4.0, 4.0);
+        let jobs = JobTable::from_iter([job(0, 4.0, 0.0), job(1, 2.0, 4.0)]);
+        let cap = CapacityIndex::from_free(&[Resources::ZERO]);
+        let view = ClusterView::new(0, &cluster, &cap, &jobs);
+        let refreshed = |w| -> Vec<(u32, Vec<JobId>)> {
+            let mut s = DollyMP::with_clones(0).with_sigma_weight(w);
+            s.on_job_arrival(&view, JobId(1));
+            assert!(s.schedule(&view).is_empty());
+            s.order.groups().map(|(l, m)| (l, m.to_vec())).collect()
+        };
+        assert_eq!(refreshed(0.0), [(1, vec![JobId(1)]), (2, vec![JobId(0)])]);
+        assert_eq!(refreshed(1.5), [(2, vec![JobId(0)]), (3, vec![JobId(1)])]);
+        assert_eq!(DollyMP::new().sigma_weight, 1.5, "the paper's default");
     }
 
     #[test]

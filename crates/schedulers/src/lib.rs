@@ -24,7 +24,8 @@
 //! which differs only in the share cap and the server fit.
 //!
 //! Use [`by_name`] to build a scheduler from its string name (the
-//! experiment binaries' CLI contract).
+//! experiment binaries' CLI contract), and [`engine_cfg_for`] for the
+//! engine config that name runs under.
 //!
 //! The [`adversarial`] module additionally provides
 //! [`AdversarialScheduler`] — an intentionally misbehaving policy used
@@ -55,7 +56,7 @@ pub use learned::{LearnedDollyMP, ServerReputation};
 pub use priority::PriorityScheduler;
 pub use tetris::Tetris;
 
-use dollymp_cluster::prelude::{FifoFirstFit, Scheduler};
+use dollymp_cluster::prelude::{EngineConfig, FifoFirstFit, Scheduler};
 
 /// Construct a scheduler from its canonical name.
 ///
@@ -107,6 +108,18 @@ pub fn by_name(name: &str) -> Option<Box<dyn Scheduler>> {
     }
 }
 
+/// Engine config for the scheduler [`by_name`] builds from `name`. The
+/// policies that watch running tasks for stragglers, `capacity`
+/// (LATE-style speculation) and `hopper` (backups for a job's slowest
+/// tasks), get a 1-slot tick so they observe progress mid-flight; every
+/// other policy runs without one.
+pub fn engine_cfg_for(name: &str) -> EngineConfig {
+    EngineConfig {
+        tick: matches!(name, "capacity" | "hopper").then_some(1),
+        ..EngineConfig::default()
+    }
+}
+
 /// All scheduler names [`by_name`] recognizes (one representative per
 /// family) — used by experiment binaries to enumerate baselines.
 pub const ALL_NAMES: &[&str] = &[
@@ -145,6 +158,14 @@ mod tests {
         assert!(by_name("dollymp99").is_none());
         assert!(by_name("tetris+clone0").is_none());
         assert!(by_name("").is_none());
+    }
+
+    #[test]
+    fn engine_cfg_gives_capacity_a_tick() {
+        assert_eq!(engine_cfg_for("capacity").tick, Some(1));
+        assert_eq!(engine_cfg_for("hopper").tick, Some(1));
+        assert_eq!(engine_cfg_for("capacity-nospec").tick, None);
+        assert_eq!(engine_cfg_for("dollymp2").tick, None);
     }
 
     /// Cross-scheduler smoke test: every policy completes the same

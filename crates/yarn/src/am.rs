@@ -12,15 +12,13 @@
 //! 3. otherwise a default guess of [`DEFAULT_THETA`] slots.
 //!
 //! The AM is the [`JobStatistics`] source of the RM's DollyMP pass: it
-//! reports each phase's `(θ̂, σ̂)` and the Pareto speedup fitted to them,
-//! and DollyMP turns these into the job's remaining volume and
+//! reports each phase's `(θ̂, σ̂)`, and DollyMP turns these into the job's remaining volume and
 //! processing time (Eq. 16/17). It also archives finished runs into the
 //! history. An AM keeps no per-job state, so one serves every job.
 
 use crate::history::HistoryRegistry;
 use dollymp_cluster::state::JobState;
 use dollymp_core::job::PhaseId;
-use dollymp_core::speedup::SpeedupFn;
 use dollymp_schedulers::JobStatistics;
 
 /// Duration guess (slots) for a phase with neither history nor finished
@@ -79,11 +77,6 @@ impl JobStatistics for ApplicationMaster {
             (None, true) => (observed.mean(), observed.population_std()),
             (None, false) => (DEFAULT_THETA, 0.0),
         }
-    }
-
-    /// The Pareto speedup fitted to the estimates.
-    fn speedup(&self, _job: &JobState, _phase: PhaseId, theta: f64, sigma: f64) -> SpeedupFn {
-        SpeedupFn::fit_pareto(theta, sigma)
     }
 }
 

@@ -14,7 +14,8 @@
 //! a bad batch) check every container.
 //!
 //! * [`shuffle`] — the Dolly-style delay assignment of upstream outputs
-//!   to downstream clones;
+//!   to downstream clones, a stand-alone state machine that nothing in
+//!   the control plane drives (the engine models no intermediate data);
 //! * [`history`] — the recurring-job statistics registry;
 //! * [`am`] — the Application Master estimator, DollyMP's
 //!   [`JobStatistics`](dollymp_schedulers::JobStatistics) source;

@@ -18,8 +18,10 @@
 //!   copy.
 //!
 //! [`DelayAssigner`] is the per-(upstream task, downstream task) state
-//! machine implementing exactly that; the YARN AM drives it from copy-
-//! completion events.
+//! machine implementing exactly that. It stands alone: the engine models
+//! no intermediate-data transfer, so neither the AM nor
+//! [`YarnSystem`](crate::YarnSystem) drives it, and only its own tests
+//! and the `delay_assignment` example call it.
 
 use dollymp_core::job::TaskRef;
 use serde::{Deserialize, Serialize};

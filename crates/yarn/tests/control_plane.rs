@@ -159,30 +159,19 @@ impl Scheduler for CaptureAfterRoot {
     }
 }
 
-/// `(volume, etime, dominant, speedup α)` as bits, with α = 0 for no
-/// speedup.
+/// `(volume, etime, dominant)` as bits.
 fn input_bits<S: dollymp_schedulers::JobStatistics>(
     stats: &S,
     job: &JobState,
     totals: Resources,
-) -> [u64; 4] {
+) -> [u64; 3] {
     let t = stats.transient_job(job, totals, 1.5);
     assert_eq!(
         stats.remaining_volume(job, totals, 1.5).to_bits(),
         t.volume.to_bits(),
         "the §4.1 gate reads Algorithm 1's volume"
     );
-    let alpha = match t.speedup {
-        dollymp_core::speedup::SpeedupFn::Pareto { alpha } => alpha.to_bits(),
-        dollymp_core::speedup::SpeedupFn::None => 0,
-        other => panic!("no phase has a {other:?} speedup"),
-    };
-    [
-        t.volume.to_bits(),
-        t.etime.to_bits(),
-        t.dominant.to_bits(),
-        alpha,
-    ]
+    [t.volume.to_bits(), t.etime.to_bits(), t.dominant.to_bits()]
 }
 
 /// Algorithm 1's inputs for a three-phase DAG job whose root phase has
@@ -239,25 +228,10 @@ fn algorithm1_inputs_are_pinned_for_the_oracle_and_every_am_tier() {
     // 0.25, phase 1's CPU share: the job's largest dominant share.
     let d = 0x3fd0000000000000;
     let expected = [
-        [
-            0x402b300000000000,
-            0x402e000000000000,
-            d,
-            0x400ec8b4e0e81b84,
-        ],
-        [
-            0x402c1adfb431aa4a,
-            0x402ed4ee47b6f882,
-            d,
-            0x400dbab497612474,
-        ],
-        [
-            0x4028780000000000,
-            0x402a800000000000,
-            d,
-            0x40122d10b3f6dee6,
-        ],
-        [0x4026800000000000, 0x4024000000000000, d, 0],
+        [0x402b300000000000, 0x402e000000000000, d],
+        [0x402c1adfb431aa4a, 0x402ed4ee47b6f882, d],
+        [0x4028780000000000, 0x402a800000000000, d],
+        [0x4026800000000000, 0x4024000000000000, d],
     ];
     let got = [oracle, history_tier, in_run, default_tier];
     for ((tier, want), got) in ["oracle", "history", "in-run", "default"]

@@ -178,10 +178,7 @@ fn main() {
             eprintln!("unknown scheduler {name}");
             usage()
         };
-        let cfg = EngineConfig {
-            tick: (name == "capacity" || name == "hopper").then_some(1),
-            ..Default::default()
-        };
+        let cfg = engine_cfg_for(name);
         let mut events: Vec<TraceEvent> = Vec::new();
         let recorder: &mut dyn Recorder = match args.timeline {
             Some(_) => &mut events,

@@ -57,7 +57,8 @@ pub mod prelude {
     pub use dollymp_core::prelude::*;
     pub use dollymp_faults::FaultConfig;
     pub use dollymp_schedulers::{
-        by_name, CapacityScheduler, Carbyne, DollyMP, Drf, PriorityScheduler, Tetris,
+        by_name, engine_cfg_for, CapacityScheduler, Carbyne, DollyMP, Drf, PriorityScheduler,
+        Tetris,
     };
     pub use dollymp_workload::{generate_google, GoogleConfig, Trace};
     pub use dollymp_yarn::{HistoryRegistry, YarnSystem};

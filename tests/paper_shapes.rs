@@ -12,15 +12,13 @@ fn run(
     sampler: &DurationSampler,
 ) -> SimReport {
     let mut s = by_name(name).unwrap_or_else(|| panic!("unknown scheduler {name}"));
-    let cfg = if name == "capacity" {
-        EngineConfig {
-            tick: Some(1),
-            ..Default::default()
-        }
-    } else {
-        EngineConfig::default()
-    };
-    simulate(cluster, jobs.to_vec(), sampler, s.as_mut(), &cfg)
+    simulate(
+        cluster,
+        jobs.to_vec(),
+        sampler,
+        s.as_mut(),
+        &engine_cfg_for(name),
+    )
 }
 
 /// Fig. 2 — the worked example is fully deterministic and must match the

@@ -226,11 +226,7 @@ impl Scheduler for NaiveDollyMP {
                 .jobs()
                 .map(|j| Oracle.transient_job(j, totals, W))
                 .collect();
-            let cfg = TransientConfig {
-                sigma_weight: W,
-                max_copies,
-            };
-            let out = transient_schedule(&jobs, &cfg);
+            let out = transient_schedule(&jobs);
             self.order = jobs
                 .iter()
                 .map(|j| j.id)

@@ -4,7 +4,7 @@
 
 use dollymp::core::cloning::{classify_regime, flow1, flow2, flow3, CloningRegime};
 use dollymp::core::resources::dominant_share;
-use dollymp::core::speedup::{ParetoSpeedup, SpeedupFn};
+use dollymp::core::speedup::ParetoSpeedup;
 use dollymp::core::theory::{
     dollymp_augmented_ratio, hrdf_augmented_ratio, list_schedule_flowtime, BfJob,
 };
@@ -39,11 +39,10 @@ fn theorem1_holds_on_many_random_instances() {
                     volume: d * j.duration as f64,
                     etime: j.duration as f64,
                     dominant: d,
-                    speedup: SpeedupFn::None,
                 }
             })
             .collect();
-        let out = transient_schedule(&inputs, &TransientConfig::default());
+        let out = transient_schedule(&inputs);
         let flow = list_schedule_flowtime(&jobs, cap, &out.order);
         let opt = BruteForceOptimal::new(cap, jobs).min_total_flowtime();
         let ratio = flow as f64 / opt as f64;
@@ -96,34 +95,5 @@ fn augmented_ratios_dominate_hrdf_everywhere() {
         // Exact gap from the formulas: 2/ε.
         let gap = hrdf_augmented_ratio(eps) - dollymp_augmented_ratio(eps);
         assert!((gap - 2.0 / eps).abs() < 1e-9);
-    }
-}
-
-/// The transient algorithm with cloning (Corollary 4.1 copy counts) never
-/// recommends more copies than the configured budget, and its priorities
-/// are consistent with the no-cloning run's order.
-#[test]
-fn corollary_copy_recommendations_respect_budget() {
-    let mut rng = SmallRng::seed_from_u64(7);
-    let jobs: Vec<TransientJob> = (0..50)
-        .map(|i| TransientJob {
-            id: JobId(i),
-            volume: rng.gen_range(0.01..10.0),
-            etime: rng.gen_range(0.5..100.0),
-            dominant: rng.gen_range(0.001..0.2),
-            speedup: SpeedupFn::Pareto {
-                alpha: rng.gen_range(1.2..4.0),
-            },
-        })
-        .collect();
-    for max_copies in [1u32, 2, 3, 4] {
-        let cfg = TransientConfig {
-            max_copies,
-            ..Default::default()
-        };
-        let out = transient_schedule(&jobs, &cfg);
-        for (i, &c) in out.recommended_copies.iter().enumerate() {
-            assert!(c >= 1 && c <= max_copies, "job {i}: {c} copies");
-        }
     }
 }

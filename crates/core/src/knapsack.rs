@@ -24,13 +24,15 @@
 /// assert_eq!(picked, vec![1, 3, 2]); // weights 1 + 2 + 3 = 6
 /// ```
 pub fn unit_profit_knapsack(weights: &[f64], capacity: f64) -> Vec<usize> {
-    let order = sorted_by_weight(weights);
+    let mut keys = Vec::new();
+    weight_order_into(weights.iter().copied(), &mut keys);
     let mut used = 0.0f64;
     let mut picked = Vec::new();
-    for i in order {
-        if used + weights[i] <= capacity {
-            used += weights[i];
-            picked.push(i);
+    for (bits, i) in keys {
+        let w = f64::from_bits(bits);
+        if used + w <= capacity {
+            used += w;
+            picked.push(i as usize);
         } else {
             // Weights are sorted increasing; nothing later fits either.
             break;
@@ -39,24 +41,30 @@ pub fn unit_profit_knapsack(weights: &[f64], capacity: f64) -> Vec<usize> {
     picked
 }
 
-/// The greedy order [`unit_profit_knapsack`] consumes: item indices sorted
-/// by increasing weight, ties broken by index, with non-finite or negative
-/// weights filtered out.
+/// The order the greedy takes items in, both here and in Algorithm 1, as
+/// sort keys into a reusable buffer: one `(weight bits, index)` pair per
+/// item whose weight is finite and non-negative, sorted ascending. Adding `0.0` turns `-0.0` into `+0.0`,
+/// and the bits of non-negative finite floats order as their values, so
+/// one integer sort gives increasing weight with ties broken by index;
+/// `f64::from_bits` of a key's first half is the item's weight.
 ///
-/// Exposed so callers that solve the *same* item set against many
-/// capacities (Algorithm 1 walks doubling horizons over one job set) can
-/// sort once and reuse the order, instead of re-sorting per capacity.
-pub fn sorted_by_weight(weights: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..weights.len())
-        .filter(|&i| weights[i].is_finite() && weights[i] >= 0.0)
-        .collect();
-    order.sort_by(|&a, &b| {
-        weights[a]
-            .partial_cmp(&weights[b])
-            .expect("weights are finite")
-            .then(a.cmp(&b))
-    });
-    order
+/// # Panics
+/// Panics on more than `u32::MAX` items.
+pub(crate) fn weight_order_into(
+    weights: impl IntoIterator<Item = f64>,
+    keys: &mut Vec<(u64, u32)>,
+) {
+    keys.clear();
+    for (i, w) in weights.into_iter().enumerate() {
+        let w = w + 0.0;
+        if w.is_finite() && w >= 0.0 {
+            keys.push((
+                w.to_bits(),
+                u32::try_from(i).expect("at most u32::MAX items"),
+            ));
+        }
+    }
+    keys.sort_unstable();
 }
 
 /// Exact 0/1 knapsack by dynamic programming over integer weights.

@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::job::{
         DagError, JobId, JobSpec, JobSpecBuilder, PhaseId, PhaseSpec, TaskId, TaskRef,
     };
-    pub use crate::knapsack::{knapsack_01_dp, sorted_by_weight, unit_profit_knapsack};
+    pub use crate::knapsack::{knapsack_01_dp, unit_profit_knapsack};
     pub use crate::online::{best_fit_score, ClonePolicy, PriorityOrder};
     pub use crate::resources::{dominant_share, Resources};
     pub use crate::speedup::{ParetoSpeedup, Speedup, SpeedupFn};

@@ -15,46 +15,75 @@
 
 use crate::job::JobId;
 use crate::resources::Resources;
-use crate::transient::{TransientJob, TransientOutput};
+use crate::transient::{LevelAssignment, TransientJob, MAX_LEVELS, PRIORITY_UNSELECTED};
 use serde::{Deserialize, Serialize};
 
 /// The job order of the latest Algorithm 1 run: its jobs grouped by
 /// ascending priority level, ids ascending inside a level, so jobs
-/// Algorithm 1 left unselected ([`crate::transient::PRIORITY_UNSELECTED`])
-/// come last. This is the deterministic order Algorithm 2's placement
-/// loop walks (DollyMP's pass, which the YARN RM runs too).
+/// Algorithm 1 left unselected ([`PRIORITY_UNSELECTED`]) come last. This
+/// is the deterministic order Algorithm 2's placement loop walks
+/// (DollyMP's pass, which the YARN RM runs too).
 ///
 /// Refilled (only) when the order goes stale, per §5: *"the scheduling
 /// order of all jobs in the cluster won't be updated until the next job
 /// arrival"*. A job that finishes in between stays in the order until
 /// the next refill; readers skip jobs that are no longer active.
+///
+/// A refill runs Algorithm 1's level assignment (one integer-key sort of
+/// the volumes, then the level loop) and groups the jobs by level with
+/// one counting pass, all on buffers the order owns: at steady state it
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PriorityOrder {
+    /// Algorithm 1's buffers.
+    algorithm1: LevelAssignment,
     /// The jobs, level after level.
     members: Vec<JobId>,
     /// Per level: `(level, start, end)`, the level's range in `members`.
     levels: Vec<(u32, u32, u32)>,
 }
 
+/// Counting-pass slots: one per level `1..=MAX_LEVELS`, then one for
+/// [`PRIORITY_UNSELECTED`].
+const SLOTS: usize = MAX_LEVELS as usize + 1;
+
 impl PriorityOrder {
-    /// Replace the order with Algorithm 1's output `out` over `jobs`
-    /// (aligned slices). Reuses the buffers' capacity, so refilling at
-    /// steady state allocates nothing.
-    ///
-    /// # Panics
-    /// Panics when the slices disagree in length.
-    pub fn refill(&mut self, jobs: &[TransientJob], out: &TransientOutput) {
-        assert_eq!(jobs.len(), out.priorities.len());
-        self.members.clear();
+    /// Replace the order with Algorithm 1's run over `jobs`. Ids inside a
+    /// level are sorted, so input already in ascending id order (the
+    /// view's) costs the sort one linear scan.
+    pub fn refill(&mut self, jobs: &[TransientJob]) {
+        self.algorithm1.assign(jobs);
+        let priorities = &self.algorithm1.priorities;
+        let slot = |level: u32| match level {
+            PRIORITY_UNSELECTED => SLOTS - 1,
+            l => l as usize - 1,
+        };
+        // `start[s]..start[s + 1]` becomes slot `s`'s range in `members`.
+        let mut start = [0u32; SLOTS + 1];
+        for &level in priorities {
+            start[slot(level) + 1] += 1;
+        }
+        for s in 1..=SLOTS {
+            start[s] += start[s - 1];
+        }
         self.levels.clear();
-        // `out.order` visits the jobs by ascending level.
-        for &i in &out.order {
-            let (level, at) = (out.priorities[i], self.members.len() as u32);
-            match self.levels.last_mut() {
-                Some(last) if last.0 == level => last.2 = at + 1,
-                _ => self.levels.push((level, at, at + 1)),
+        for s in 0..SLOTS {
+            if start[s] < start[s + 1] {
+                let level = if s == SLOTS - 1 {
+                    PRIORITY_UNSELECTED
+                } else {
+                    s as u32 + 1
+                };
+                self.levels.push((level, start[s], start[s + 1]));
             }
-            self.members.push(jobs[i].id);
+        }
+        self.members.clear();
+        self.members.resize(jobs.len(), JobId(0));
+        let mut next = start;
+        for (job, &level) in jobs.iter().zip(priorities) {
+            let at = &mut next[slot(level)];
+            self.members[*at as usize] = job.id;
+            *at += 1;
         }
         // Ids are unique, so the unstable sort is deterministic.
         for &(_, start, end) in &self.levels {
@@ -137,66 +166,58 @@ impl ClonePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transient::{transient_schedule, PRIORITY_UNSELECTED};
+    use crate::transient::tests::{edge_case_jobs, reference_transient_schedule, EdgeDraw};
     use proptest::prelude::*;
 
-    /// Algorithm 1 inputs from `(volume, etime, unselectable)` triples,
-    /// with ids out of input order; an unselectable job has infinite
-    /// volume, so no knapsack level packs it.
-    fn jobs(raw: &[(f64, f64, usize)]) -> Vec<TransientJob> {
-        raw.iter()
-            .enumerate()
-            .map(|(i, &(volume, etime, unselectable))| TransientJob {
-                id: JobId(i as u64 * 37 % 101),
-                volume: if unselectable == 0 {
-                    f64::INFINITY
-                } else {
-                    volume
-                },
-                etime,
-                dominant: 0.1,
-            })
-            .collect()
+    /// Algorithm 1 inputs with the ids shuffled: job `i` takes the rank
+    /// of `(shuffle_i, i)` among all the draws as its id.
+    fn shuffled_jobs(raw: &[(EdgeDraw, u32)]) -> Vec<TransientJob> {
+        let draws: Vec<EdgeDraw> = raw.iter().map(|&(draw, _)| draw).collect();
+        let mut jobs = edge_case_jobs(&draws, 0.1);
+        let mut ranks: Vec<(u32, usize)> = raw.iter().map(|r| r.1).zip(0..).collect();
+        ranks.sort_unstable();
+        for (rank, &(_, i)) in ranks.iter().enumerate() {
+            jobs[i].id = JobId(rank as u64);
+        }
+        jobs
     }
 
     proptest! {
-        /// The refilled order holds every input job exactly once, in the
-        /// group of its own level; levels strictly ascend, unselected jobs
-        /// come last and ids ascend inside a group. The order is refilled
-        /// into the buffers of an earlier, unrelated one, which leaves
-        /// nothing of it behind.
+        /// The refilled groups are the reference Algorithm 1's jobs
+        /// grouped by `(level, id)`: levels ascending, unselected jobs
+        /// last, ids ascending inside a level. The order is refilled into
+        /// the buffers of an earlier, unrelated one, which leaves nothing
+        /// of it behind.
         #[test]
         fn refill_groups_algorithm1_output_by_level_then_id(
-            earlier in prop::collection::vec((0.01f64..30.0, 0.1f64..60.0, 0usize..10), 0..40),
-            raw in prop::collection::vec((0.01f64..30.0, 0.1f64..60.0, 0usize..10), 0..40),
+            earlier in prop::collection::vec(
+                (((0usize..16, 0.0f64..30.0), (0usize..16, 0.0f64..60.0)), 0u32..1000),
+                0..40,
+            ),
+            raw in prop::collection::vec(
+                (((0usize..16, 0.0f64..30.0), (0usize..16, 0.0f64..60.0)), 0u32..1000),
+                0..300,
+            ),
         ) {
             let mut order = PriorityOrder::default();
-            let before = jobs(&earlier);
-            order.refill(&before, &transient_schedule(&before));
-            let jobs = jobs(&raw);
-            let out = transient_schedule(&jobs);
-            order.refill(&jobs, &out);
-            let groups: Vec<(u32, &[JobId])> = order.groups().collect();
-            let total: usize = groups.iter().map(|(_, m)| m.len()).sum();
-            prop_assert_eq!(total, jobs.len());
-            for (i, job) in jobs.iter().enumerate() {
-                let holding: Vec<u32> = groups
-                    .iter()
-                    .filter(|(_, m)| m.contains(&job.id))
-                    .map(|&(level, _)| level)
-                    .collect();
-                prop_assert_eq!(holding, vec![out.priorities[i]]);
-            }
-            for w in groups.windows(2) {
-                prop_assert!(w[0].0 < w[1].0, "levels strictly ascend");
-            }
-            for (_, members) in &groups {
-                prop_assert!(!members.is_empty());
-                prop_assert!(members.windows(2).all(|w| w[0] < w[1]));
-            }
-            if out.priorities.contains(&PRIORITY_UNSELECTED) {
-                prop_assert_eq!(groups.last().map(|g| g.0), Some(PRIORITY_UNSELECTED));
-            }
+            order.refill(&shuffled_jobs(&earlier));
+            let jobs = shuffled_jobs(&raw);
+            order.refill(&jobs);
+            let groups: Vec<(u32, Vec<JobId>)> =
+                order.groups().map(|(level, m)| (level, m.to_vec())).collect();
+            let reference = reference_transient_schedule(&jobs);
+            let mut by_level: Vec<(u32, JobId)> = reference
+                .priorities
+                .iter()
+                .zip(&jobs)
+                .map(|(&level, job)| (level, job.id))
+                .collect();
+            by_level.sort_unstable();
+            let expected: Vec<(u32, Vec<JobId>)> = by_level
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|level| (level[0].0, level.iter().map(|&(_, id)| id).collect()))
+                .collect();
+            prop_assert_eq!(groups, expected);
         }
     }
 

@@ -20,7 +20,7 @@
 //! task at §5's flat budget instead (`ClonePolicy`).
 
 use crate::job::JobId;
-use crate::knapsack::sorted_by_weight;
+use crate::knapsack::weight_order_into;
 use serde::{Deserialize, Serialize};
 
 /// Priority assigned to jobs never selected by any knapsack level (they
@@ -29,7 +29,7 @@ pub const PRIORITY_UNSELECTED: u32 = u32::MAX;
 
 /// Hard cap on the number of doubling levels; `2^60` time units exceeds
 /// any realistic horizon and caps work even on adversarial inputs.
-const MAX_LEVELS: u32 = 60;
+pub(crate) const MAX_LEVELS: u32 = 60;
 
 /// Per-job input to Algorithm 1: the scalar summary DollyMP schedules on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,10 +51,11 @@ pub struct TransientOutput {
     /// first packed, or [`PRIORITY_UNSELECTED`].
     pub priorities: Vec<u32>,
     /// Input indices sorted by `(priority, volume, JobId)`: smallest
-    /// volume first within a level, the list order the theory code
-    /// executes. The online pass does not walk it as is:
+    /// volume first within a level (volumes compared by
+    /// [`f64::total_cmp`]), the list order the theory code executes.
+    /// The online pass does not read it:
     /// [`PriorityOrder::refill`](crate::online::PriorityOrder::refill)
-    /// re-sorts each level by id.
+    /// runs the same level assignment and groups each level by id.
     pub order: Vec<usize>,
     /// Number of doubling levels `g` actually used.
     pub levels: u32,
@@ -75,102 +76,118 @@ pub struct TransientOutput {
 /// assert!(out.priorities[1] < out.priorities[2]);
 /// ```
 pub fn transient_schedule(jobs: &[TransientJob]) -> TransientOutput {
-    let n = jobs.len();
-    let mut priorities = vec![PRIORITY_UNSELECTED; n];
-    if n == 0 {
-        return TransientOutput {
-            priorities,
-            order: Vec::new(),
-            levels: 0,
-        };
-    }
-
-    // g = log2( Σ v / (1 − max d) ), stretched so the largest e_j fits at
-    // least one level and clamped to a sane range.
-    let total_volume: f64 = jobs.iter().map(|j| j.volume.max(0.0)).sum();
-    let max_dom = jobs
-        .iter()
-        .map(|j| j.dominant)
-        .fold(0.0f64, f64::max)
-        .clamp(0.0, 0.99);
-    let max_etime = jobs.iter().map(|j| j.etime).fold(0.0f64, f64::max);
-    let g_volume = (total_volume / (1.0 - max_dom)).max(1.0).log2().ceil() as i64;
-    let g_etime = max_etime.max(1.0).log2().ceil() as i64;
-    let g = g_volume.max(g_etime).max(1).min(MAX_LEVELS as i64) as u32;
-
-    // Every level solves a unit-profit knapsack over the SAME job set, so
-    // the increasing-weight greedy order is computed once and reused; each
-    // level filters it by horizon eligibility on the fly. This is
-    // decision-identical to a per-level `unit_profit_knapsack` call:
-    // filtering a sorted sequence preserves its order, and the greedy
-    // still stops at the first *eligible* item that overflows the budget.
-    let weights: Vec<f64> = jobs.iter().map(|j| j.volume.max(0.0)).collect();
-    let order = sorted_by_weight(&weights);
-    let first_level = first_feasible_levels(jobs, g);
-
-    let mut selected_count = 0usize;
-    for l in 1..=g {
-        let horizon = (2f64).powi(l as i32);
-        // B_l: jobs completing within the horizon. The knapsack re-packs
-        // previously selected jobs too (their volume still occupies the
-        // budget), exactly as in the pseudo-code.
-        let mut used = 0.0f64;
-        for &i in &order {
-            if first_level[i] > l {
-                continue;
-            }
-            if used + weights[i] > horizon {
-                // Weights ascend along `order`: no later candidate fits.
-                break;
-            }
-            used += weights[i];
-            if priorities[i] == PRIORITY_UNSELECTED {
-                priorities[i] = l;
-                selected_count += 1;
-            }
-        }
-        if selected_count == n {
-            break;
-        }
-    }
-
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut run = LevelAssignment::default();
+    let levels = run.assign(jobs);
+    let priorities = run.priorities;
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| {
         priorities[a]
             .cmp(&priorities[b])
-            .then(
-                jobs[a]
-                    .volume
-                    .partial_cmp(&jobs[b].volume)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            .then(jobs[a].volume.total_cmp(&jobs[b].volume))
             .then(jobs[a].id.cmp(&jobs[b].id))
     });
-
     TransientOutput {
         priorities,
         order,
-        levels: g,
+        levels,
     }
 }
 
-/// For each job, the smallest level `l ∈ 1..=g` whose horizon `2ˡ` covers
-/// the job's effective processing time (`g + 1` when none does). The hot
-/// per-level candidate filter then reduces to one integer comparison. Uses
-/// the same `e_j ≤ 2ˡ` float predicate as the level loop, so eligibility
-/// is bit-identical.
-fn first_feasible_levels(jobs: &[TransientJob], g: u32) -> Vec<u32> {
-    jobs.iter()
-        .map(|j| {
-            (1..=g)
-                .find(|&l| j.etime <= (2f64).powi(l as i32))
-                .unwrap_or(g + 1)
-        })
-        .collect()
+/// The horizon `2ˡ` of level `l` (exact: `l ≤ MAX_LEVELS`).
+fn horizon(l: u32) -> f64 {
+    (1u64 << l) as f64
+}
+
+/// Algorithm 1's level assignment on buffers that persist across runs, so
+/// a run allocates nothing once they have grown to the job count.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LevelAssignment {
+    /// The knapsack's greedy order over the job set:
+    /// [`weight_order_into`] keys of the clamped volumes.
+    keys: Vec<(u64, u32)>,
+    /// Per input job, the smallest level `l ∈ 1..=g` whose horizon covers
+    /// its effective processing time, `g + 1` when none does.
+    first_level: Vec<u32>,
+    /// Per input job, the level at which it was first packed, or
+    /// [`PRIORITY_UNSELECTED`].
+    pub(crate) priorities: Vec<u32>,
+}
+
+impl LevelAssignment {
+    /// Assign every job of `jobs` its level in `priorities` and return the
+    /// number of levels `g` (0 for no jobs).
+    pub(crate) fn assign(&mut self, jobs: &[TransientJob]) -> u32 {
+        self.priorities.clear();
+        self.priorities.resize(jobs.len(), PRIORITY_UNSELECTED);
+        if jobs.is_empty() {
+            return 0;
+        }
+
+        // g = log2( Σ v / (1 − max d) ), stretched so the largest e_j fits
+        // at least one level and clamped to a sane range.
+        let total_volume: f64 = jobs.iter().map(|j| j.volume.max(0.0)).sum();
+        let max_dom = jobs
+            .iter()
+            .map(|j| j.dominant)
+            .fold(0.0f64, f64::max)
+            .clamp(0.0, 0.99);
+        let max_etime = jobs.iter().map(|j| j.etime).fold(0.0f64, f64::max);
+        let g_volume = (total_volume / (1.0 - max_dom)).max(1.0).log2().ceil() as i64;
+        let g_etime = max_etime.max(1.0).log2().ceil() as i64;
+        let g = g_volume.max(g_etime).max(1).min(MAX_LEVELS as i64) as u32;
+
+        // Every level solves a unit-profit knapsack over the SAME job set,
+        // so the increasing-weight greedy order is computed once and
+        // reused; each level filters it by horizon eligibility on the fly.
+        // This is decision-identical to a per-level `unit_profit_knapsack`
+        // call: filtering a sorted sequence preserves its order, and the
+        // greedy still stops at the first *eligible* item that overflows
+        // the budget. Jobs with an infinite volume get no key: no level
+        // packs them.
+        weight_order_into(jobs.iter().map(|j| j.volume.max(0.0)), &mut self.keys);
+        // Eligibility `e_j ≤ 2ˡ` is monotone in `l`, so the hot per-level
+        // filter reduces to one integer comparison.
+        self.first_level.clear();
+        self.first_level.extend(
+            jobs.iter()
+                .map(|j| (1..=g).find(|&l| j.etime <= horizon(l)).unwrap_or(g + 1)),
+        );
+
+        let mut selected = 0usize;
+        for l in 1..=g {
+            let budget = horizon(l);
+            // B_l: jobs completing within the horizon. The knapsack
+            // re-packs previously selected jobs too (their volume still
+            // occupies the budget), exactly as in the pseudo-code.
+            let mut used = 0.0f64;
+            for &(bits, i) in &self.keys {
+                let i = i as usize;
+                if self.first_level[i] > l {
+                    continue;
+                }
+                let weight = f64::from_bits(bits);
+                if used + weight > budget {
+                    // Weights ascend along the keys: no later candidate
+                    // fits.
+                    break;
+                }
+                used += weight;
+                if self.priorities[i] == PRIORITY_UNSELECTED {
+                    self.priorities[i] = l;
+                    selected += 1;
+                }
+            }
+            if selected == self.keys.len() {
+                // Only keyed jobs are ever packed.
+                break;
+            }
+        }
+        g
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -295,14 +312,20 @@ mod tests {
             }
         }
 
-        /// The memoized-order level loop is decision-identical to the
-        /// reference per-level knapsack formulation it replaced.
+        /// The key-sorted level loop is decision-identical to the
+        /// per-level reading of Algorithm 1, on tied weights, signed
+        /// zeros, infinities, NaNs, etimes exactly at a horizon `2ˡ`, and
+        /// job sets large enough for the sort to leave its small-input
+        /// path.
         #[test]
         fn matches_reference_implementation(
-            raw in prop::collection::vec((0.01f64..80.0, 0.1f64..200.0), 0..25)
+            raw in prop::collection::vec(
+                ((0usize..16, 0.0f64..80.0), (0usize..16, 0.0f64..200.0)),
+                0..600,
+            ),
+            dominant in 0.0f64..=1.0,
         ) {
-            let jobs: Vec<TransientJob> = raw.iter().enumerate()
-                .map(|(i, &(v, e))| job(i as u64, v, e)).collect();
+            let jobs = edge_case_jobs(&raw, dominant);
             prop_assert_eq!(
                 transient_schedule(&jobs),
                 reference_transient_schedule(&jobs)
@@ -328,11 +351,55 @@ mod tests {
         }
     }
 
-    /// The pre-memoization Algorithm 1: collect candidates and run a fresh
-    /// `unit_profit_knapsack` (with its own sort) at every level. Kept as
-    /// the test oracle for the memoized-order implementation.
-    fn reference_transient_schedule(jobs: &[TransientJob]) -> TransientOutput {
-        use crate::knapsack::unit_profit_knapsack;
+    /// A volume: one of a few special values or tie-prone constants by
+    /// `code`, else `x`.
+    fn edge_volume(code: usize, x: f64) -> f64 {
+        match code {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NAN,
+            4..=7 => [0.5, 1.0, 2.0, 3.0][code - 4],
+            _ => x,
+        }
+    }
+
+    /// An effective time: a special value, exactly a horizon `2ˡ`, or `x`.
+    fn edge_etime(code: usize, x: f64) -> f64 {
+        match code {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NAN,
+            4..=9 => (2f64).powi(code as i32 - 4),
+            _ => x,
+        }
+    }
+
+    /// One job's draw: `((volume code, volume), (etime code, etime))`,
+    /// read by [`edge_volume`] and [`edge_etime`].
+    pub(crate) type EdgeDraw = ((usize, f64), (usize, f64));
+
+    /// Algorithm 1 inputs from draws, ids in input order.
+    pub(crate) fn edge_case_jobs(raw: &[EdgeDraw], dominant: f64) -> Vec<TransientJob> {
+        raw.iter()
+            .enumerate()
+            .map(|(i, &((vc, v), (ec, e)))| TransientJob {
+                id: JobId(i as u64),
+                volume: edge_volume(vc, v),
+                etime: edge_etime(ec, e),
+                dominant,
+            })
+            .collect()
+    }
+
+    /// Algorithm 1 read level by level: at each level `l ≤ g`, the
+    /// candidate set `B_l = { j : e_j ≤ 2ˡ }` is packed by a fresh greedy
+    /// unit-profit knapsack (increasing weight, ties by index, weights
+    /// `max(v_j, 0)` that are not finite skipped) against the budget `2ˡ`,
+    /// and each newly packed job takes level `l`. The test oracle for the
+    /// key-sorted level loop: it shares no sort with it.
+    pub(crate) fn reference_transient_schedule(jobs: &[TransientJob]) -> TransientOutput {
         let n = jobs.len();
         let mut priorities = vec![PRIORITY_UNSELECTED; n];
         if n == 0 {
@@ -352,39 +419,34 @@ mod tests {
         let g_volume = (total_volume / (1.0 - max_dom)).max(1.0).log2().ceil() as i64;
         let g_etime = max_etime.max(1.0).log2().ceil() as i64;
         let g = g_volume.max(g_etime).max(1).min(MAX_LEVELS as i64) as u32;
-        let mut selected_count = 0usize;
         for l in 1..=g {
-            let horizon = (2f64).powi(l as i32);
-            let candidates: Vec<usize> = (0..n).filter(|&i| jobs[i].etime <= horizon).collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            let weights: Vec<f64> = candidates
-                .iter()
-                .map(|&i| jobs[i].volume.max(0.0))
+            let budget = (2f64).powi(l as i32);
+            let weight = |i: usize| jobs[i].volume.max(0.0);
+            let mut candidates: Vec<usize> = (0..n)
+                .filter(|&i| jobs[i].etime <= budget && weight(i).is_finite())
                 .collect();
-            let picked = unit_profit_knapsack(&weights, horizon);
-            for &pos in &picked {
-                let i = candidates[pos];
+            candidates.sort_by(|&a, &b| {
+                weight(a)
+                    .partial_cmp(&weight(b))
+                    .expect("finite weights")
+                    .then(a.cmp(&b))
+            });
+            let mut used = 0.0f64;
+            for i in candidates {
+                if used + weight(i) > budget {
+                    break;
+                }
+                used += weight(i);
                 if priorities[i] == PRIORITY_UNSELECTED {
                     priorities[i] = l;
-                    selected_count += 1;
                 }
-            }
-            if selected_count == n {
-                break;
             }
         }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| {
             priorities[a]
                 .cmp(&priorities[b])
-                .then(
-                    jobs[a]
-                        .volume
-                        .partial_cmp(&jobs[b].volume)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
+                .then(jobs[a].volume.total_cmp(&jobs[b].volume))
                 .then(jobs[a].id.cmp(&jobs[b].id))
         });
         TransientOutput {

@@ -35,7 +35,7 @@ use dollymp_cluster::prelude::*;
 use dollymp_core::job::{JobId, PhaseId, TaskId, TaskRef};
 use dollymp_core::online::{best_fit_score, ClonePolicy, PriorityOrder};
 use dollymp_core::resources::Resources;
-use dollymp_core::transient::{transient_schedule, TransientJob};
+use dollymp_core::transient::TransientJob;
 
 /// Where DollyMP reads its per-phase statistics from. A source supplies
 /// one fact per phase, its `(θ, σ)`; the provided methods assemble
@@ -260,12 +260,14 @@ fn push_queue_group(
     (qstart as u32, queues.len() as u32)
 }
 
-/// Reusable buffers for the placement half of one decision point.
-/// Everything here is cleared and refilled each pass, so at steady state
-/// a pass that does not refresh the job order performs no heap
-/// allocation beyond the returned batch itself.
+/// Reusable buffers for one decision point. Everything here is cleared
+/// and refilled each pass and [`PriorityOrder`] keeps its own buffers, so
+/// at steady state every pass, whether it refreshes the job order or not,
+/// performs no heap allocation beyond the returned batch itself.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
+    /// Algorithm 1's inputs, rebuilt from the view at each refresh.
+    transient: Vec<TransientJob>,
     /// One entry per (job, distinct-demand), contiguous per job, jobs in
     /// priority order (so each level's buckets are contiguous too).
     buckets: Vec<Bucket>,
@@ -361,14 +363,12 @@ impl<S: JobStatistics> DollyMP<S> {
     }
 
     /// Re-run Algorithm 1 over every job in the view and store its order.
-    fn refresh_priorities(&mut self, view: &ClusterView<'_>) {
+    fn refresh_priorities(&mut self, view: &ClusterView<'_>, s: &mut Scratch) {
         let (totals, w) = (view.totals(), self.sigma_weight);
-        let jobs: Vec<TransientJob> = view
-            .jobs()
-            .map(|j| self.stats.transient_job(j, totals, w))
-            .collect();
-        let out = transient_schedule(&jobs);
-        self.order.refill(&jobs, &out);
+        s.transient.clear();
+        s.transient
+            .extend(view.jobs().map(|j| self.stats.transient_job(j, totals, w)));
+        self.order.refill(&s.transient);
     }
 
     /// The primary placement pass (Algorithm 2 steps 6–15).
@@ -729,16 +729,16 @@ impl<S: JobStatistics> DollyMP<S> {
         free: &CapacityOverlay,
     ) -> Vec<Assignment> {
         let pass_start = std::time::Instant::now();
+        // The scratch moves out of `self` for the duration of the pass so
+        // the `&self` helper methods can borrow it mutably alongside.
+        let mut s = std::mem::take(&mut self.scratch);
         // The engine changes nothing Algorithm 1 reads between a slot's
         // last hook and its pass, so refreshing here sees exactly the
         // state the last hook saw.
         if std::mem::take(&mut self.stale) {
-            self.refresh_priorities(view);
+            self.refresh_priorities(view, &mut s);
         }
         let prepare_ns = pass_start.elapsed().as_nanos() as u64;
-        // The scratch moves out of `self` for the duration of the pass so
-        // the `&self` helper methods can borrow it mutably alongside.
-        let mut s = std::mem::take(&mut self.scratch);
         let mut batch: Vec<Assignment> = Vec::new();
         self.place_primaries(view, order, free, &mut s, &mut batch);
         self.place_clones(view, order, free, &mut s, &mut batch);

@@ -41,14 +41,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 // Calibration: this workload's generator at 750 and at 1 500 jobs fits
-// 14.4 allocations per job plus 4.5 per decision point (29 085
-// allocations in this run); both constants add 1.5× headroom. A job
-// state with one `Vec` of copies per task, refreshed with three `Vec`s per
-// job per Algorithm 1 run, makes 307 260 allocations here, 6.9× the
-// budget.
+// 6.24 allocations per job plus 6.19 per decision point (10 559 and
+// 19 763 allocations). `PER_JOB` adds 1.5× headroom to its fit;
+// `PER_DECISION_POINT` stays at 7 (1.13× its fit), from an earlier fit
+// of 13.7 per job plus 4.2 per decision point, before an Algorithm 1
+// refresh stopped allocating. The budget is 1.35× this run's count
+// (1.34× at 750 jobs). A job state with one `Vec` of copies per task,
+// refreshed with three `Vec`s per job per Algorithm 1 run, makes
+// 307 260 allocations here, 11.5× the budget.
 
 /// Allocations allowed per job of the run.
-const PER_JOB: u64 = 22;
+const PER_JOB: u64 = 10;
 /// Allocations allowed per decision point of the run.
 const PER_DECISION_POINT: u64 = 7;
 

@@ -188,6 +188,54 @@ impl NaiveDollyMP {
     }
 }
 
+/// Rule (Algorithm 1, §4.2): `g = ⌈log₂(Σ_j v_j / (1 − max_j d_j))⌉`
+/// levels (volumes clamped at 0, the dominant share at 0.99), stretched
+/// so the longest `e_j` fits the last one and kept within 1..=60. At each
+/// level `l`, the candidates `B_l = { j : e_j ≤ 2ˡ }` are packed by the
+/// greedy unit-profit knapsack against the budget `2ˡ`: by increasing
+/// volume, equal volumes in view order, until the next one overflows;
+/// infinite volumes are never packed. Each job takes the first level that
+/// packs it, [`PRIORITY_UNSELECTED`] if none does. Returns `(level, id)`
+/// per job, in view order.
+///
+/// This keeps the lockstep properties independent of the production
+/// refresh, but the instances here draw continuous `θ` and `σ`, so they
+/// rarely produce equal volumes or `e_j` exactly at `2ˡ`. The oracle in
+/// `dollymp_core::transient`'s tests is the one that pins ties and the
+/// horizon boundaries.
+fn algorithm1_levels(jobs: &[TransientJob]) -> Vec<(u32, JobId)> {
+    let volume = |j: &TransientJob| j.volume.max(0.0);
+    let total: f64 = jobs.iter().map(volume).sum();
+    let dominant = jobs.iter().map(|j| j.dominant).fold(0.0, f64::max);
+    let longest = jobs.iter().map(|j| j.etime).fold(0.0, f64::max);
+    let by_volume = (total / (1.0 - dominant.clamp(0.0, 0.99))).max(1.0);
+    let g_volume = by_volume.log2().ceil() as i64;
+    let g_etime = longest.max(1.0).log2().ceil() as i64;
+    let g = g_volume.max(g_etime).clamp(1, 60) as i32;
+    let mut levels = vec![PRIORITY_UNSELECTED; jobs.len()];
+    for l in 1..=g {
+        let budget = 2f64.powi(l);
+        let mut candidates: Vec<usize> = (0..jobs.len())
+            .filter(|&i| jobs[i].etime <= budget && volume(&jobs[i]).is_finite())
+            .collect();
+        candidates.sort_by(|&a, &b| {
+            let (va, vb) = (volume(&jobs[a]), volume(&jobs[b]));
+            va.partial_cmp(&vb).expect("finite volumes")
+        });
+        let mut used = 0.0;
+        for i in candidates {
+            if used + volume(&jobs[i]) > budget {
+                break;
+            }
+            used += volume(&jobs[i]);
+            if levels[i] == PRIORITY_UNSELECTED {
+                levels[i] = l as u32;
+            }
+        }
+    }
+    levels.into_iter().zip(jobs.iter().map(|j| j.id)).collect()
+}
+
 /// The distinct demands of `job`'s ready tasks, by their lowest ready
 /// phase. The view is fixed during a pass, so this is their order at its
 /// start.
@@ -226,13 +274,7 @@ impl Scheduler for NaiveDollyMP {
                 .jobs()
                 .map(|j| Oracle.transient_job(j, totals, W))
                 .collect();
-            let out = transient_schedule(&jobs);
-            self.order = jobs
-                .iter()
-                .map(|j| j.id)
-                .zip(out.priorities)
-                .map(|(id, l)| (l, id))
-                .collect();
+            self.order = algorithm1_levels(&jobs);
             self.order.sort_unstable();
         }
         // Jobs that finished since that run are skipped.

@@ -169,11 +169,6 @@ impl<S: Scheduler> GuardedScheduler<S> {
         self.stats
     }
 
-    /// True once the inner policy has been replaced by the fallback.
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined
-    }
-
     /// The wrapped policy (e.g. to inspect its state after a run).
     pub fn inner(&self) -> &S {
         &self.inner
@@ -500,7 +495,7 @@ mod tests {
         assert_eq!(report.guard.policy_panics, 1);
         assert!(report.guard.quarantined_at.is_some());
         assert!(report.guard.fallback_passes > 0);
-        assert!(guard.is_quarantined());
+        assert!(guard.quarantined);
     }
 
     #[test]
@@ -555,7 +550,7 @@ mod tests {
         );
         let guarded = simulate(&c, jobs(4), &s, &mut guard, &cfg);
         assert!(guarded.guard.budget_overruns > 0);
-        assert!(!guard.is_quarantined());
+        assert!(!guard.quarantined);
         assert_eq!(guarded.guard.quarantined_at, None);
         assert_eq!(unguarded.scrubbed(), guarded.scrubbed());
     }

@@ -361,18 +361,6 @@ impl SimReport {
             .collect()
     }
 
-    /// Time-weighted mean CPU utilization over the run (0 when the
-    /// utilization series was not recorded or has fewer than 2 samples).
-    pub fn mean_cpu_utilization(&self) -> f64 {
-        time_weighted_mean(&self.utilization, |&(_, c, _)| c)
-    }
-
-    /// Time-weighted mean memory utilization (see
-    /// [`SimReport::mean_cpu_utilization`]).
-    pub fn mean_mem_utilization(&self) -> f64 {
-        time_weighted_mean(&self.utilization, |&(_, _, m)| m)
-    }
-
     /// Cumulative flowtime ordered by arrival — the Fig. 7 series.
     pub fn cumulative_flowtime_by_arrival(&self) -> Vec<(Time, u64)> {
         let mut jobs: Vec<_> = self.jobs.iter().collect();
@@ -509,27 +497,6 @@ impl ReportFold {
             guard: self.guard,
             utilization: self.utilization,
         }
-    }
-}
-
-fn time_weighted_mean<F: Fn(&(Time, f64, f64)) -> f64>(
-    series: &[(Time, f64, f64)],
-    pick: F,
-) -> f64 {
-    if series.len() < 2 {
-        return 0.0;
-    }
-    let mut weighted = 0.0;
-    let mut span = 0.0;
-    for w in series.windows(2) {
-        let dt = w[1].0.saturating_sub(w[0].0) as f64;
-        weighted += pick(&w[0]) * dt;
-        span += dt;
-    }
-    if span > 0.0 {
-        weighted / span
-    } else {
-        0.0
     }
 }
 
@@ -1000,18 +967,6 @@ mod tests {
         assert_eq!(jain_index(&[]), 1.0);
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
         assert_eq!(jain_index(&[f64::NAN, 3.0]), 1.0, "single finite value");
-    }
-
-    #[test]
-    fn utilization_means_are_time_weighted() {
-        let mut r = report(vec![jm(0, 0, 10, 2)]);
-        // 100% CPU for 1 slot, then 0% for 9 slots → mean 0.1.
-        r.utilization = vec![(0, 1.0, 0.5), (1, 0.0, 0.0), (10, 0.0, 0.0)];
-        assert!((r.mean_cpu_utilization() - 0.1).abs() < 1e-12);
-        assert!((r.mean_mem_utilization() - 0.05).abs() < 1e-12);
-        // Unrecorded series → 0.
-        r.utilization.clear();
-        assert_eq!(r.mean_cpu_utilization(), 0.0);
     }
 
     #[test]

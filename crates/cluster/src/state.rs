@@ -258,6 +258,27 @@ impl TaskSet {
             word = self.word(wi);
         }
     }
+
+    /// The lowest member at or above `lo`, if any: the forward cursor
+    /// that mirrors [`TaskSet::highest_below`].
+    pub fn lowest_at_or_above(&self, lo: u32) -> Option<u32> {
+        let mut wi = lo as usize / 64;
+        if wi >= self.nwords() {
+            return None;
+        }
+        // Drop bits 0..lo%64 of the first word scanned.
+        let mut word = self.word(wi) & (u64::MAX << (lo % 64));
+        loop {
+            if word != 0 {
+                return Some((wi * 64) as u32 + word.trailing_zeros());
+            }
+            wi += 1;
+            if wi == self.nwords() {
+                return None;
+            }
+            word = self.word(wi);
+        }
+    }
 }
 
 /// Runtime state of one phase.
@@ -1121,6 +1142,52 @@ mod tests {
         set.remove(63);
         assert_eq!(set.highest_below(65), None);
         assert_eq!(set.highest_below(130), Some(65));
+    }
+
+    #[test]
+    fn task_set_lowest_at_or_above_crosses_word_boundaries() {
+        let empty = TaskSet::new(130);
+        assert_eq!(empty.lowest_at_or_above(0), None);
+        assert_eq!(empty.lowest_at_or_above(127), None);
+        let mut set = TaskSet::new(130);
+        for id in [63, 64, 65, 127] {
+            set.insert(id);
+        }
+        assert_eq!(set.lowest_at_or_above(0), Some(63));
+        assert_eq!(set.lowest_at_or_above(63), Some(63));
+        assert_eq!(set.lowest_at_or_above(64), Some(64));
+        assert_eq!(set.lowest_at_or_above(65), Some(65));
+        assert_eq!(set.lowest_at_or_above(66), Some(127));
+        assert_eq!(set.lowest_at_or_above(127), Some(127));
+        assert_eq!(set.lowest_at_or_above(128), None);
+        // Past the last word (130 ids take three words).
+        assert_eq!(set.lowest_at_or_above(192), None);
+        assert_eq!(set.lowest_at_or_above(u32::MAX), None);
+        set.remove(64);
+        assert_eq!(set.lowest_at_or_above(64), Some(65));
+        set.remove(65);
+        assert_eq!(set.lowest_at_or_above(64), Some(127));
+        assert_eq!(TaskSet::new(0).lowest_at_or_above(0), None);
+    }
+
+    #[test]
+    fn task_set_lowest_at_or_above_matches_a_btree_range() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        for _ in 0..200 {
+            let n = rng.gen_range(0..=200u32);
+            let mut set = TaskSet::new(n);
+            let mut reference = std::collections::BTreeSet::new();
+            for id in 0..n {
+                if rng.gen_range(0..4) == 0 {
+                    set.insert(id);
+                    reference.insert(id);
+                }
+            }
+            for lo in 0..=n + 64 {
+                let expected = reference.range(lo..).next().copied();
+                assert_eq!(set.lowest_at_or_above(lo), expected, "n = {n}, lo = {lo}");
+            }
+        }
     }
 
     #[test]

@@ -84,12 +84,6 @@ pub fn clone_gain<H: Speedup>(h: &H, theta: f64, r_from: u32, r_to: u32) -> f64 
     theta * (1.0 / h.factor(r_from.max(1)) - 1.0 / h.factor(r_to.max(1)))
 }
 
-/// Marginal expected time saved by the *next* copy, per §5's observation
-/// that concavity makes late copies worthless: `θ (1/h(r) − 1/h(r+1))`.
-pub fn marginal_gain<H: Speedup>(h: &H, theta: f64, current_copies: u32) -> f64 {
-    clone_gain(h, theta, current_copies.max(1), current_copies.max(1) + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,8 +120,9 @@ mod tests {
 
     #[test]
     fn marginal_gain_is_decreasing_in_copies() {
+        // §5: concavity makes late copies worthless.
         let h = ParetoSpeedup::new(1.5);
-        let gains: Vec<f64> = (1..8).map(|r| marginal_gain(&h, 100.0, r)).collect();
+        let gains: Vec<f64> = (1..8).map(|r| clone_gain(&h, 100.0, r, r + 1)).collect();
         for w in gains.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "concavity → diminishing returns");
         }

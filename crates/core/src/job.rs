@@ -239,11 +239,6 @@ impl JobSpec {
         &self.children[p.0 as usize]
     }
 
-    /// A topological order of the phases (parents before children).
-    pub fn topo_order(&self) -> &[PhaseId] {
-        &self.topo
-    }
-
     /// Effective job processing time `e_j` — the length of the critical
     /// path `L_j` under effective phase times `e_k = θ_k + w·σ_k`
     /// (Eq. 14, right).
@@ -558,7 +553,7 @@ mod tests {
             .build()
             .unwrap();
         let pos: Vec<usize> = (0..3)
-            .map(|i| j.topo_order().iter().position(|p| p.0 == i).unwrap())
+            .map(|i| j.topo.iter().position(|p| p.0 == i).unwrap())
             .collect();
         assert!(pos[2] < pos[0] && pos[0] < pos[1]);
     }
@@ -651,7 +646,7 @@ mod tests {
                     job.remaining_effective_time(etime_unless(&job, |p| finished[p.0 as usize], 1.5));
                 // Finish phases in topological order (respects real
                 // execution order).
-                for &p in job.topo_order() {
+                for &p in &job.topo {
                     finished[p.0 as usize] = true;
                     let now = job
                         .remaining_effective_time(etime_unless(&job, |p| finished[p.0 as usize], 1.5));
@@ -661,13 +656,13 @@ mod tests {
                 prop_assert!(last.abs() < 1e-9, "all finished ⇒ zero path");
             }
 
-            /// topo_order is a permutation placing every parent before
+            /// `topo` is a permutation placing every parent before
             /// its child.
             #[test]
             fn topo_order_is_valid(job in arb_job()) {
                 let n = job.num_phases();
                 let mut pos = vec![usize::MAX; n];
-                for (i, p) in job.topo_order().iter().enumerate() {
+                for (i, p) in job.topo.iter().enumerate() {
                     prop_assert_eq!(pos[p.0 as usize], usize::MAX, "duplicate");
                     pos[p.0 as usize] = i;
                 }

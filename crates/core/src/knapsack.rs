@@ -120,23 +120,6 @@ pub fn knapsack_01_dp(weights: &[u64], profits: &[u64], capacity: u64) -> (u64, 
     (dp[cap], selected)
 }
 
-/// Scale a slice of non-negative `f64` weights to integers with `scale`
-/// units per 1.0, rounding up so that a scaled solution never overfills the
-/// true capacity. Helper for feeding fractional volumes to
-/// [`knapsack_01_dp`].
-pub fn scale_weights(weights: &[f64], scale: f64) -> Vec<u64> {
-    weights
-        .iter()
-        .map(|&w| {
-            if !w.is_finite() || w <= 0.0 {
-                0
-            } else {
-                (w * scale).ceil() as u64
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,11 +172,6 @@ mod tests {
         let psum: u64 = sel.iter().map(|&i| p[i]).sum();
         assert!(wsum <= 10);
         assert_eq!(psum, best);
-    }
-
-    #[test]
-    fn scale_weights_rounds_up() {
-        assert_eq!(scale_weights(&[0.1001, 0.0, -1.0], 1000.0), vec![101, 0, 0]);
     }
 
     proptest! {

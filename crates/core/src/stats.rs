@@ -32,17 +32,6 @@ impl RunningStats {
         RunningStats::default()
     }
 
-    /// Seed with a prior belief worth `weight` pseudo-samples — how the AM
-    /// bootstraps a phase from historical statistics of recurring jobs
-    /// before any task of the current run finishes.
-    pub fn with_prior(mean: f64, std: f64, weight: u64) -> Self {
-        RunningStats {
-            n: weight,
-            mean,
-            m2: std * std * weight as f64,
-        }
-    }
-
     /// Add one sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
@@ -91,15 +80,6 @@ impl RunningStats {
             (self.m2 / self.n as f64).max(0.0).sqrt()
         }
     }
-
-    /// Sample standard deviation (divides by `n − 1`; 0 when `n < 2`).
-    pub fn sample_std(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).max(0.0).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +93,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_std(), 0.0);
-        assert_eq!(s.sample_std(), 0.0);
     }
 
     #[test]
@@ -122,23 +101,7 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.sample_std(), 0.0);
-    }
-
-    #[test]
-    fn prior_seeds_estimator() {
-        let s = RunningStats::with_prior(10.0, 3.0, 5);
-        assert_eq!(s.count(), 5);
-        assert!((s.mean() - 10.0).abs() < 1e-12);
-        assert!((s.population_std() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prior_updates_with_samples() {
-        let mut s = RunningStats::with_prior(10.0, 0.0, 3);
-        s.push(20.0);
-        // mean of {10,10,10,20} = 12.5
-        assert!((s.mean() - 12.5).abs() < 1e-12);
+        assert_eq!(s.population_std(), 0.0);
     }
 
     proptest! {

@@ -138,14 +138,98 @@ impl Bucket {
     }
 }
 
-/// A FIFO of placement requests sharing one demand vector; entries live
-/// in a scratch entry arena at `[head, end)` and are consumed by
-/// advancing `head`.
+/// A FIFO of the primary pass's buckets sharing one demand vector;
+/// bucket indices live in a scratch entry arena at `[head, end)` and are
+/// consumed by advancing `head`.
 #[derive(Debug, Clone, Copy)]
 struct DemandQueue {
     demand: Resources,
     head: u32,
     end: u32,
+}
+
+/// No run: the end of a [`CloneQueue`]'s run list.
+const NO_RUN: u32 = u32::MAX;
+/// A [`CloneQueue`] whose head is not resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// One run of clone candidates, in the clone pass's candidate order:
+/// the running tasks of one phase of a gated job in ascending id order,
+/// or one primary of this batch alone. Runs are pushed in global
+/// candidate order, so the run index orders candidates across queues.
+#[derive(Debug, Clone, Copy)]
+struct CloneRun {
+    job: JobId,
+    phase: PhaseId,
+    /// `None`: the phase's running tasks; `Some(t)`: this batch's
+    /// primary `t`.
+    primary: Option<u32>,
+    /// The next run of the same demand, or [`NO_RUN`].
+    next: u32,
+}
+
+/// The clone candidates of one demand, read lazily: a linked list of
+/// [`CloneRun`]s and a cursor into it. The head is resolved only when a
+/// server has room for `demand`, and stays cached until it is consumed;
+/// the view is frozen during the pass, so a resolved head stays valid.
+#[derive(Debug, Clone, Copy)]
+struct CloneQueue {
+    demand: Resources,
+    /// The run holding the head, or [`NO_RUN`] once exhausted.
+    run: u32,
+    /// Tasks of `run` below this id are consumed or saturated.
+    from: u32,
+    /// The head's task id, or [`UNRESOLVED`].
+    head: u32,
+    /// The last run of the list (where the next one is linked).
+    tail: u32,
+}
+
+impl CloneQueue {
+    /// Resolve the head: the first task at or after the cursor that is
+    /// running with fewer than `max_copies` copies (a primary run's task
+    /// always qualifies). Returns `false` once the queue is exhausted.
+    fn resolve(&mut self, runs: &[CloneRun], view: &ClusterView<'_>, max_copies: u32) -> bool {
+        if self.head != UNRESOLVED {
+            return true;
+        }
+        while self.run != NO_RUN {
+            let r = runs[self.run as usize];
+            match r.primary {
+                Some(t) if self.from <= t => {
+                    self.head = t;
+                    return true;
+                }
+                Some(_) => {}
+                None => {
+                    let j = view.job(r.job).expect("gated jobs are in the view");
+                    let running = j.phase_state(r.phase).running();
+                    while let Some(t) = running.lowest_at_or_above(self.from) {
+                        if j.task(r.phase, TaskId(t)).live_copies() < max_copies {
+                            self.head = t;
+                            return true;
+                        }
+                        self.from = t + 1;
+                    }
+                }
+            }
+            debug_assert!(r.next > self.run, "a queue's runs ascend");
+            self.run = r.next;
+            self.from = 0;
+        }
+        false
+    }
+}
+
+/// What a pass's pick did with the server it was offered.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Placed a request of this demand; offer the server again.
+    Place(Resources),
+    /// Nothing left fits this server; go on to the next one.
+    Leave,
+    /// Nothing is left to place anywhere; end the walk.
+    Stop,
 }
 
 /// Iterates the servers of one placement walk: either a caller-supplied
@@ -186,37 +270,37 @@ impl<'o> ServerWalk<'o> {
 
 /// The server-driven placement walk shared by the primary and clone
 /// passes (the RM hands free capacity to requests as heartbeats come in).
-/// Each visited server's free capacity goes to `pick`, which places one
-/// request that fits `avail` and returns its demand, or `None` to leave
-/// the server; the walk stops after `n` placements. A server's
-/// placements accumulate locally and commit to the capacity index once,
-/// on leaving it, since the index is only queried again for the next
-/// server. `min_demand` is a component-wise lower bound on every
-/// request: a server without room for it is left at once.
+/// Each visited server's free capacity goes to `pick` until it answers
+/// [`Step::Leave`] (the walk moves to the next server) or [`Step::Stop`]
+/// (the walk ends). A server's placements accumulate locally and commit
+/// to the capacity index once, on leaving it, since the index is only
+/// queried again for the next server. `min_demand` is a component-wise
+/// lower bound on every request: a server without room for it is left
+/// at once.
 fn walk_servers(
     order: Option<&[ServerId]>,
     free: &CapacityOverlay,
     min_demand: Resources,
-    mut n: usize,
-    mut pick: impl FnMut(ServerId, Resources) -> Option<Resources>,
+    mut pick: impl FnMut(ServerId, Resources) -> Step,
 ) {
     let mut walk = ServerWalk::new(order);
-    while n > 0 {
-        let Some(server) = walk.next(free, min_demand) else {
-            break;
-        };
+    while let Some(server) = walk.next(free, min_demand) {
         let mut avail = free.free(server);
         let mut used = Resources::ZERO;
-        while n > 0 && min_demand.fits_in(avail) {
-            let Some(demand) = pick(server, avail) else {
+        let mut step = Step::Leave;
+        while min_demand.fits_in(avail) {
+            step = pick(server, avail);
+            let Step::Place(demand) = step else {
                 break;
             };
             avail -= demand; // `pick` only places what fits
             used += demand;
-            n -= 1;
         }
         if used != Resources::ZERO {
             free.commit(server, used);
+        }
+        if let Step::Stop = step {
+            return;
         }
     }
 }
@@ -263,7 +347,9 @@ fn push_queue_group(
 /// Reusable buffers for one decision point. Everything here is cleared
 /// and refilled each pass and [`PriorityOrder`] keeps its own buffers, so
 /// at steady state every pass, whether it refreshes the job order or not,
-/// performs no heap allocation beyond the returned batch itself.
+/// performs no heap allocation beyond the returned batch itself. The
+/// primary pass holds tasks as bucket counts and the clone pass as runs,
+/// so neither buffer grows with the number of ready or running tasks.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Algorithm 1's inputs, rebuilt from the view at each refresh.
@@ -271,8 +357,7 @@ struct Scratch {
     /// One entry per (job, distinct-demand), contiguous per job, jobs in
     /// priority order (so each level's buckets are contiguous too).
     buckets: Vec<Bucket>,
-    /// Demand queues of the current pass: per level for the primary
-    /// pass, one group for the clone pass.
+    /// The primary pass's demand queues, one group per level.
     queues: Vec<DemandQueue>,
     /// Per priority level: `(start, end)` range into `buckets` while they
     /// are built, then into `queues`.
@@ -280,17 +365,18 @@ struct Scratch {
     /// Per priority level: ready tasks not yet placed (drives the
     /// skip-empty-prefix cursor of the placement loop).
     level_remaining: Vec<u32>,
-    /// Entry arena for `queues`: bucket indices in the primary pass,
-    /// candidate indices in the clone pass.
+    /// Entry arena for `queues`: bucket indices.
     entries: Vec<u32>,
     /// The jobs the §4.1 gate lets clone with their remaining volumes
     /// (Eq. 16), ids ascending.
     gated: Vec<(JobId, f64)>,
     /// This batch's primaries as `(job, batch index)`, sorted.
     placed: Vec<(JobId, u32)>,
-    /// Clone candidates of this decision point with their demands, in
-    /// priority order.
-    candidates: Vec<(Resources, TaskRef)>,
+    /// The clone pass's candidate runs, in candidate order.
+    runs: Vec<CloneRun>,
+    /// The clone pass's queues, one per distinct demand of `runs`, in
+    /// first-seen order.
+    clone_queues: Vec<CloneQueue>,
 }
 
 /// The DollyMP scheduler (Algorithm 2). `DollyMP::with_clones(r)` builds
@@ -479,9 +565,12 @@ impl<S: JobStatistics> DollyMP<S> {
         let mut last_job: Option<&JobState> = None;
         let nlevels = s.level_queues.len();
         let mut first_active = 0usize;
-        walk_servers(order, free, min_demand, ready_count, |server, avail| {
+        walk_servers(order, free, min_demand, |server, avail| {
             while first_active < nlevels && s.level_remaining[first_active] == 0 {
                 first_active += 1;
+            }
+            if first_active == nlevels {
+                return Step::Stop;
             }
             // Highest-priority level with a fitting task; within the
             // level, the best-aligned demand queue (step 12).
@@ -525,9 +614,9 @@ impl<S: JobStatistics> DollyMP<S> {
                     server,
                     kind: CopyKind::Primary,
                 });
-                return Some(b.demand);
+                return Step::Place(b.demand);
             }
-            None
+            Step::Leave
         });
     }
 
@@ -538,18 +627,26 @@ impl<S: JobStatistics> DollyMP<S> {
     /// small jobs "when they are scheduled" (Fig. 2), not one decision
     /// point later. They come job by job in the stored Algorithm 1 order,
     /// from the jobs the §4.1 gate lets clone; within a job its running
-    /// tasks holding fewer than `max_copies` copies, then its primaries
-    /// of this batch in batch order. The candidates form one
-    /// [`push_queue_group`] group with candidate indices as entries.
+    /// tasks holding fewer than `max_copies` copies in (phase, task)
+    /// order, then its primaries of this batch in batch order.
+    ///
+    /// No candidate list is built. The pass pushes [`CloneRun`]s in that
+    /// order instead (one per phase with running tasks, one per primary),
+    /// which costs O(gated jobs × phases + primaries), and links each
+    /// onto the [`CloneQueue`] of its demand. A queue's head is resolved
+    /// from its run's running set only when a server has room for the
+    /// queue's demand, and is cached until consumed. Runs are in global
+    /// candidate order and no two queues share one, so comparing the
+    /// heads' run indices orders candidates across queues.
     ///
     /// The servers are visited by [`walk_servers`]; the pick rule is the
-    /// earliest candidate that fits. Free capacity on a server only
-    /// shrinks during its scan, so a request that does not fit when
-    /// passed over never fits later on that server — picking the
-    /// earliest-index request that fits, repeatedly, places exactly the
-    /// same set as a sequential walk of the flat priority-ordered queue,
-    /// while costing `O(placements × #demands)` instead of
-    /// `O(queue length)` per server.
+    /// earliest candidate that fits, and the walk stops once every queue
+    /// is exhausted. Free capacity on a server only shrinks during its
+    /// scan, so a request that does not fit when passed over never fits
+    /// later on that server — picking the earliest request that fits,
+    /// repeatedly, places exactly the same set as a sequential walk of the
+    /// flat priority-ordered candidate list, while resolving only the
+    /// heads that a server could take.
     ///
     /// Each candidate gets at most one clone here: the RM grants clone
     /// containers round by round ("repeat Step 9" spans allocation
@@ -557,7 +654,7 @@ impl<S: JobStatistics> DollyMP<S> {
     /// at a later decision point. A second round within this decision
     /// point would place nothing: the walk leaves a server only when no
     /// remaining candidate fits there, and skips only servers without
-    /// room for the smallest one, so every candidate left over fits no
+    /// room for the smallest demand, so every candidate left over fits no
     /// server, and free capacity only shrinks.
     fn place_clones(
         &self,
@@ -595,19 +692,43 @@ impl<S: JobStatistics> DollyMP<S> {
                 .map(|(i, a)| (a.task.job, i as u32)),
         );
         s.placed.sort_unstable();
-        s.candidates.clear();
+        s.runs.clear();
+        s.clone_queues.clear();
+        let (runs, queues) = (&mut s.runs, &mut s.clone_queues);
+        let mut push_run = |demand: Resources, job: JobId, phase: PhaseId, primary: Option<u32>| {
+            let at = runs.len() as u32;
+            runs.push(CloneRun {
+                job,
+                phase,
+                primary,
+                next: NO_RUN,
+            });
+            match queues.iter_mut().find(|q| q.demand == demand) {
+                Some(q) => {
+                    runs[q.tail as usize].next = at;
+                    q.tail = at;
+                }
+                None => queues.push(CloneQueue {
+                    demand,
+                    run: at,
+                    from: 0,
+                    head: UNRESOLVED,
+                    tail: at,
+                }),
+            }
+        };
         for (_, members) in self.order.groups() {
             for &jid in members {
                 if s.gated.binary_search_by_key(&jid, |&(id, _)| id).is_err() {
                     continue;
                 }
                 let j = view.job(jid).expect("gated jobs are in the view");
-                let demand = |t: TaskRef| j.spec().phase(t.phase).demand;
-                s.candidates.extend(
-                    j.iter_running()
-                        .filter(|t| j.task(t.phase, t.task).live_copies() < max_copies)
-                        .map(|t| (demand(t), t)),
-                );
+                for (pi, p) in j.spec().phases().iter().enumerate() {
+                    let phase = PhaseId(pi as u32);
+                    if !j.phase_state(phase).running().is_empty() {
+                        push_run(p.demand, jid, phase, None);
+                    }
+                }
                 // A primary placed this very batch is one copy the view
                 // cannot see yet, so it always has room for a clone.
                 let from = s.placed.partition_point(|&(job, _)| job < jid);
@@ -618,19 +739,19 @@ impl<S: JobStatistics> DollyMP<S> {
                         0,
                         "a task placed as primary this batch was ready, hence copy-free"
                     );
-                    s.candidates.push((demand(task), task));
+                    let demand = j.spec().phase(task.phase).demand;
+                    push_run(demand, jid, task.phase, Some(task.task.0));
                 }
             }
         }
-        s.queues.clear();
-        s.entries.clear();
-        let items = s.candidates.iter().enumerate();
-        push_queue_group(
-            &mut s.queues,
-            &mut s.entries,
-            items.map(|(i, &(demand, _))| (demand, i as u32)),
-        );
-        let Some(min_demand) = s.queues.iter().map(|q| q.demand).reduce(Resources::min) else {
+        // A lower bound on every candidate's demand: a queue whose runs
+        // hold only saturated tasks still counts.
+        let Some(min_demand) = s
+            .clone_queues
+            .iter()
+            .map(|q| q.demand)
+            .reduce(Resources::min)
+        else {
             return;
         };
         if !free.could_fit(min_demand) {
@@ -638,26 +759,57 @@ impl<S: JobStatistics> DollyMP<S> {
             // smallest request — skip the server walk entirely.
             return;
         }
-        walk_servers(order, free, min_demand, s.entries.len(), |server, avail| {
+        // Queues not yet found exhausted.
+        let mut live = s.clone_queues.len();
+        let (runs, queues) = (&s.runs, &mut s.clone_queues);
+        walk_servers(order, free, min_demand, |server, avail| {
+            // The queue holding the earliest fitting head. A queue's head
+            // lies at or after its current run, so a queue whose run is
+            // later than the best head so far cannot win and is not
+            // resolved.
             let mut best: Option<(u32, usize)> = None;
-            for (qi, q) in s.queues.iter().enumerate() {
-                if q.head == q.end || !q.demand.fits_in(avail) {
+            for (qi, q) in queues.iter_mut().enumerate() {
+                let bound = best.map_or(NO_RUN, |(run, _)| run);
+                if q.run >= bound || !q.demand.fits_in(avail) {
                     continue;
                 }
-                let ci = s.entries[q.head as usize];
-                if best.is_none_or(|(bc, _)| ci < bc) {
-                    best = Some((ci, qi));
+                if !q.resolve(runs, view, max_copies) {
+                    live -= 1;
+                } else if q.run < bound {
+                    best = Some((q.run, qi));
                 }
             }
-            let (ci, qi) = best?;
-            s.queues[qi].head += 1;
-            let (demand, task) = s.candidates[ci as usize];
+            let Some((run, qi)) = best else {
+                return if live == 0 { Step::Stop } else { Step::Leave };
+            };
+            let q = &mut queues[qi];
+            let r = runs[run as usize];
+            let task = TaskRef {
+                job: r.job,
+                phase: r.phase,
+                task: TaskId(q.head),
+            };
+            #[cfg(debug_assertions)]
+            if r.primary.is_none() {
+                let j = view.job(r.job).expect("gated jobs are in the view");
+                debug_assert_eq!(
+                    j.phase_state(r.phase).running().lowest_at_or_above(q.head),
+                    Some(q.head),
+                    "a resolved head is running"
+                );
+                debug_assert!(
+                    j.task(r.phase, task.task).live_copies() < max_copies,
+                    "a resolved head has room for a clone"
+                );
+            }
+            q.from = q.head + 1;
+            q.head = UNRESOLVED;
             batch.push(Assignment {
                 task,
                 server,
                 kind: CopyKind::Clone,
             });
-            Some(demand)
+            Step::Place(q.demand)
         });
     }
 }
@@ -831,6 +983,166 @@ mod tests {
         assert_eq!(refreshed(0.0), [(1, vec![JobId(1)]), (2, vec![JobId(0)])]);
         assert_eq!(refreshed(1.5), [(2, vec![JobId(0)]), (3, vec![JobId(1)])]);
         assert_eq!(DollyMP::new().sigma_weight, 1.5, "the paper's default");
+    }
+
+    fn tref(phase: u32, task: u32) -> TaskRef {
+        TaskRef {
+            job: JobId(0),
+            phase: PhaseId(phase),
+            task: TaskId(task),
+        }
+    }
+
+    fn placed(kind: CopyKind, (phase, task): (u32, u32), server: u32) -> Assignment {
+        Assignment {
+            task: tref(phase, task),
+            server: ServerId(server),
+            kind,
+        }
+    }
+
+    /// Job 0 with one root phase per `(tasks, demand)`, 50 slots each.
+    fn job0(phases: &[(u32, Resources)]) -> JobSpec {
+        phases
+            .iter()
+            .fold(JobSpec::builder(JobId(0)), |b, &(n, demand)| {
+                b.phase(dollymp_core::job::PhaseSpec::new(n, demand, 50.0, 0.0))
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// The batch `dmp` places at slot 1 of a run whose slot-0 decision
+    /// point launches `setup` instead, so the view holds running tasks
+    /// with the copy counts `setup` gives them.
+    fn batch_after(
+        cluster: &ClusterSpec,
+        job: JobSpec,
+        setup: Vec<Assignment>,
+        dmp: DollyMP,
+    ) -> Vec<Assignment> {
+        struct Staged {
+            setup: Option<Vec<Assignment>>,
+            dmp: DollyMP,
+            second: Option<Vec<Assignment>>,
+        }
+        impl Scheduler for Staged {
+            fn name(&self) -> String {
+                "staged".into()
+            }
+            fn on_job_arrival(&mut self, view: &ClusterView<'_>, job: JobId) {
+                self.dmp.on_job_arrival(view, job);
+            }
+            fn schedule(&mut self, view: &ClusterView<'_>) -> Vec<Assignment> {
+                if let Some(setup) = self.setup.take() {
+                    return setup;
+                }
+                let batch = self.dmp.schedule(view);
+                self.second.get_or_insert_with(|| batch.clone());
+                batch
+            }
+        }
+        let mut staged = Staged {
+            setup: Some(setup),
+            dmp,
+            second: None,
+        };
+        let config = EngineConfig {
+            tick: Some(1),
+            ..EngineConfig::default()
+        };
+        simulate(cluster, vec![job], &det_sampler(), &mut staged, &config);
+        staged.second.expect("a decision point at slot 1")
+    }
+
+    /// Two phases of one demand are two runs of one clone queue, walked
+    /// in phase order: with room for three clones, phase 0's both
+    /// tasks go first.
+    #[test]
+    fn clone_runs_of_one_demand_follow_phase_order() {
+        let unit = Resources::new(1.0, 1.0);
+        let cluster = ClusterSpec::new(vec![ServerSpec::new(4.0, 4.0), ServerSpec::new(3.0, 3.0)]);
+        let setup = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .map(|t| placed(CopyKind::Primary, t, 0))
+            .to_vec();
+        let batch = batch_after(
+            &cluster,
+            job0(&[(2, unit), (2, unit)]),
+            setup,
+            DollyMP::new(),
+        );
+        let clone = |t| placed(CopyKind::Clone, t, 1);
+        assert_eq!(batch, [clone((0, 0)), clone((0, 1)), clone((1, 0))]);
+    }
+
+    /// One job's primaries of this batch with demands A, B, A are three
+    /// single-task runs in batch order across two queues: after the
+    /// first A, the B run comes before the second A, though the second A
+    /// has the lower (phase, task).
+    #[test]
+    fn batch_primaries_clone_in_batch_order_across_demands() {
+        use dollymp_cluster::capacity::CapacityIndex;
+        let (a, b) = (Resources::new(1.0, 1.0), Resources::new(2.0, 2.0));
+        let cluster = ClusterSpec::new(vec![
+            ServerSpec::new(1.0, 1.0),
+            ServerSpec::new(2.0, 2.0),
+            ServerSpec::new(1.0, 1.0),
+            ServerSpec::new(3.0, 3.0),
+        ]);
+        let spec = job0(&[(2, a), (1, b)]);
+        let tables = det_sampler().job_tables(&spec);
+        let jobs = JobTable::from_iter([JobState::new(spec, tables)]);
+        let cap = CapacityIndex::from_capacities(&cluster);
+        let view = ClusterView::new(0, &cluster, &cap, &jobs);
+        let mut s = DollyMP::new();
+        s.on_job_arrival(&view, JobId(0));
+        // Server 0 takes an A (the bucket pops the highest id first),
+        // server 1 the better-aligned B, server 2 the other A; server 3
+        // has room for the first two clone candidates.
+        let (p, c) = (CopyKind::Primary, CopyKind::Clone);
+        let expected = [
+            placed(p, (0, 1), 0),
+            placed(p, (1, 0), 1),
+            placed(p, (0, 0), 2),
+            placed(c, (0, 1), 3),
+            placed(c, (1, 0), 3),
+        ];
+        assert_eq!(s.schedule(&view), expected);
+    }
+
+    /// A task already holding `max_copies` copies is skipped inside its
+    /// run, and the run goes on to the next running task.
+    #[test]
+    fn saturated_tasks_are_skipped_inside_a_run() {
+        let unit = Resources::new(1.0, 1.0);
+        let cluster = ClusterSpec::new(vec![
+            ServerSpec::new(3.0, 3.0),
+            ServerSpec::new(1.0, 1.0),
+            ServerSpec::new(4.0, 4.0),
+        ]);
+        let mut setup: Vec<Assignment> = [(0, 0), (0, 1), (0, 2)]
+            .map(|t| placed(CopyKind::Primary, t, 0))
+            .to_vec();
+        setup.push(placed(CopyKind::Clone, (0, 1), 1));
+        let batch = batch_after(&cluster, job0(&[(3, unit)]), setup, DollyMP::with_clones(1));
+        let clone = |t| placed(CopyKind::Clone, t, 2);
+        assert_eq!(batch, [clone((0, 0)), clone((0, 2))]);
+    }
+
+    /// Room for more than every candidate: each gets its one clone, in
+    /// order, and the walk stops with servers to spare.
+    #[test]
+    fn a_pass_that_places_every_candidate_stops() {
+        let unit = Resources::new(1.0, 1.0);
+        let mut servers = vec![ServerSpec::new(2.0, 2.0)];
+        servers.extend((0..4).map(|_| ServerSpec::new(1.0, 1.0)));
+        let cluster = ClusterSpec::new(servers);
+        let setup = [(0, 0), (0, 1)]
+            .map(|t| placed(CopyKind::Primary, t, 0))
+            .to_vec();
+        let batch = batch_after(&cluster, job0(&[(2, unit)]), setup, DollyMP::new());
+        let clone = |t, server| placed(CopyKind::Clone, t, server);
+        assert_eq!(batch, [clone((0, 0), 1), clone((0, 1), 2)]);
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl DelayAssigner {
             }
         }
     }
-
-    /// Downstream copies still waiting for an input binding.
-    pub fn unbound_count(&self) -> usize {
-        self.unbound.len()
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +217,7 @@ mod tests {
         let mut a = edge(3, 2);
         assert!(a.delay_active());
         assert_eq!(a.on_upstream_finish(1), ShuffleDecision::Wait);
-        assert_eq!(a.unbound_count(), 2);
+        assert_eq!(a.unbound.len(), 2);
         match a.on_upstream_finish(2) {
             ShuffleDecision::Bind(b) => {
                 assert_eq!(b.len(), 2);
@@ -235,7 +230,7 @@ mod tests {
         }
         // The third upstream copy is not waited for.
         assert_eq!(a.on_upstream_finish(0), ShuffleDecision::Done);
-        assert_eq!(a.unbound_count(), 0);
+        assert_eq!(a.unbound.len(), 0);
     }
 
     #[test]
